@@ -9,6 +9,7 @@ run through this module, so there is exactly one definition of "works".
 
 from __future__ import annotations
 
+import functools
 import math
 import tempfile
 import time
@@ -22,7 +23,7 @@ from .measures import TestBattery, angular_discrepancy, compare, \
     potential_of_measure
 from .periodic2d import (cylinder_point_measure, mu_n_measure,
                          negative_fixed_point, periodic_points_2d,
-                         saddle_count_ratio, unstable_disk_sample)
+                         saddle_table, unstable_disk_sample)
 from .poly1d import Poly, brolin_measure
 from .potential import (ScalarGrid, discrete_ddc_mass, green_plus_field,
                         green_poly_field, mass_in_disk)
@@ -31,6 +32,13 @@ from .symbolic import (PeriodicSequence, SymbolWord, count_admissible_words,
 
 SQUARE = Poly((0.0, 0.0, 1.0))
 HORSESHOE = MapParams(10.0, 0.3)
+
+
+@functools.cache
+def _horseshoe_level(n: int):
+    """Level n of the (10, 0.3) census, enumerated once per process and
+    shared by criteria 6-9 and 11 (levels are frozen; n stays <= 8)."""
+    return periodic_points_2d(HORSESHOE, n)
 
 
 @dataclass(frozen=True)
@@ -169,7 +177,7 @@ def _criterion_06():
     t0 = time.perf_counter()
     counts, minimal, imag_worst, complete = {}, {}, 0.0, True
     for n in range(1, 7):
-        lv = periodic_points_2d(HORSESHOE, n)
+        lv = _horseshoe_level(n)
         counts[n] = lv.fixed_point_count
         minimal[n] = lv.minimal_point_count(saddles_only=True)
         complete = complete and lv.complete
@@ -189,7 +197,7 @@ def _criterion_06():
 def _criterion_07():
     """Saddle-count ratio never drops below its n=3 value through n=6."""
     t0 = time.perf_counter()
-    tab = saddle_count_ratio(HORSESHOE, 6)
+    tab = saddle_table([_horseshoe_level(n) for n in range(1, 7)])
     dt = time.perf_counter() - t0
     ratios = {row.n: row.ratio for row in tab.rows}
     floor = ratios[3]
@@ -206,8 +214,7 @@ def _criterion_07():
 def _criterion_08():
     """Period-n measures tighten with n and match the itinerary pushforward."""
     t0 = time.perf_counter()
-    mus = {n: mu_n_measure(periodic_points_2d(HORSESHOE, n))
-           for n in (4, 6, 8)}
+    mus = {n: mu_n_measure(_horseshoe_level(n)) for n in (4, 6, 8)}
     battery = TestBattery(2, sigma=HORSESHOE.R)
     d46 = compare(mus[4], mus[6], battery).discrepancy
     d68 = compare(mus[6], mus[8], battery).discrepancy
@@ -231,7 +238,7 @@ def _golden_mean_counts(n_max: int) -> dict:
 def _criterion_09():
     """Word census gives log 2 on the full shift, log phi on the golden mean."""
     t0 = time.perf_counter()
-    lv = periodic_points_2d(HORSESHOE, 8)
+    lv = _horseshoe_level(8)
     seqs = []
     for o in lv.orbits:
         bits = tuple(0 if p.x.real < 0.0 else 1 for p in o.points)
@@ -297,7 +304,7 @@ def _criterion_11():
     worst = 0.0
     saddle_points = 0
     for n in range(1, 7):
-        lv = periodic_points_2d(HORSESHOE, n)
+        lv = _horseshoe_level(n)
         for o in lv.minimal_orbits:
             if o.orbit_class != "saddle":
                 continue

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -30,8 +31,8 @@ from . import __version__
 from .dynamics import MapParams, is_horseshoe_regime
 from .errors import ContractError, HenonlabError
 from .measures import TestBattery, compare
-from .periodic2d import (mu_n_measure, periodic_points_2d,
-                         reality_conditions_report, saddle_table)
+from .periodic2d import (mu_n_measure, periodic_points_2d, reality_table,
+                         saddle_table)
 from .poly1d import Poly, julia_render_points
 from .potential import green_minus_field, green_plus_field, green_poly_field
 from .raster import density_counts, grayscale_log, write_pgm
@@ -381,8 +382,7 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
         matrix.append(line)
     real_params = m.a.imag == 0.0 and m.b.imag == 0.0
     if real_params:
-        reality = reality_conditions_report(m, n_max, budget=budget,
-                                            rng_seed=cfg.rng_seed)
+        reality = reality_table(m, levels)
         reality_doc = {
             "verdict": reality.verdict,
             "all_real": reality.all_real,
@@ -422,13 +422,18 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
     reality_n = int(cfg.budgets["reality_n_max"])
     budget = int(cfg.budgets["budget"])
     inconclusive = False
+
+    @functools.cache
+    def level_at(n: int):
+        # the word level is also a reality level when word_max <= reality_n
+        return periodic_points_2d(m, n, budget=budget, rng_seed=cfg.rng_seed)
+
     if not is_horseshoe_regime(m):
         entropy_doc = {"status": "skipped",
                        "reason": "itinerary coding needs parameters that "
                                  "pass the horseshoe test"}
     else:
-        level = periodic_points_2d(m, word_max, budget=budget,
-                                   rng_seed=cfg.rng_seed)
+        level = level_at(word_max)
         if not level.orbits:
             entropy_doc = {"status": "inconclusive",
                            "reason": "no orbits found"}
@@ -456,8 +461,7 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
             }
     real_params = m.a.imag == 0.0 and m.b.imag == 0.0
     if real_params:
-        rep = reality_conditions_report(m, reality_n, budget=budget,
-                                        rng_seed=cfg.rng_seed)
+        rep = reality_table(m, [level_at(n) for n in range(1, reality_n + 1)])
         reality_doc = {"verdict": rep.verdict, "all_real": rep.all_real,
                        "nonreal_periods": list(rep.nonreal_periods)}
         if rep.verdict == "inconclusive":

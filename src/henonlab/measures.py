@@ -10,6 +10,7 @@ weak-convergence trends without any density estimation.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -64,9 +65,12 @@ class DiscreteMeasure:
             return sum(self.weights, Fraction(0))
         return math.fsum(float(w) for w in self.weights)
 
-    @property
+    @functools.cached_property
     def weight_array(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
+        """Float weights, converted once and shared read-only."""
+        w = np.array([float(w) for w in self.weights])
+        w.flags.writeable = False
+        return w
 
     @classmethod
     def equal_weights(cls, points, ambient_dim: int, complete: bool = True,
@@ -196,8 +200,7 @@ def integrate(mu: DiscreteMeasure, values_or_fn) -> float:
         vals = np.asarray(values_or_fn, dtype=float)
     if vals.shape != (len(mu),):
         raise ContractError("need one test value per atom")
-    w = mu.weight_array
-    return math.fsum(float(a) for a in w * vals)
+    return math.fsum((mu.weight_array * vals).tolist())
 
 
 @dataclass(frozen=True)

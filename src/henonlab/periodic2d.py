@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc
 
 from .dynamics import (MapParams, PointC2, derivative_along_orbit,
                        is_horseshoe_regime)
@@ -126,14 +125,22 @@ def _divisors(n: int):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _cycle_defect(P: np.ndarray, m: MapParams) -> np.ndarray | None:
+def _cyclic_neighbours(n: int):
+    """Index arrays of the next and previous cycle slot: x[nxt] and x[prv]
+    are np.roll(x, -1) and np.roll(x, 1) without the per-call overhead."""
+    idx = np.arange(n)
+    return (idx + 1) % n, (idx - 1) % n
+
+
+def _cycle_defect(P: np.ndarray, m: MapParams,
+                  nxt: np.ndarray) -> np.ndarray | None:
     """Per-step closure defect f(p_j) - p_{j+1} over a candidate cycle."""
     X, Y = P[:, 0], P[:, 1]
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
         return None
     F = np.empty_like(P)
-    F[:, 0] = -X * X + m.a - m.b * Y - np.roll(X, -1)
-    F[:, 1] = X - np.roll(Y, -1)
+    F[:, 0] = -X * X + m.a - m.b * Y - X[nxt]
+    F[:, 1] = X - Y[nxt]
     return F
 
 
@@ -148,8 +155,9 @@ def _newton_cycle(m: MapParams, init_pts) -> np.ndarray | None:
     n = P.shape[0]
     dim = 2 * n
     rows = np.arange(n)
+    nxt, _ = _cyclic_neighbours(n)
     for _ in range(60):
-        F = _cycle_defect(P, m)
+        F = _cycle_defect(P, m, nxt)
         if F is None:
             return None
         n_f = float(np.max(np.abs(F)))
@@ -172,7 +180,7 @@ def _newton_cycle(m: MapParams, init_pts) -> np.ndarray | None:
         step = 1.0
         for _ in range(20):
             Q = P - step * delta
-            F2 = _cycle_defect(Q, m)
+            F2 = _cycle_defect(Q, m, nxt)
             if F2 is not None and float(np.max(np.abs(F2))) < n_f:
                 P = Q
                 break
@@ -204,13 +212,17 @@ def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60):
     candidate cycle as an (n, 2) array of (x_j, y_j) = (x_j, x_{j-1}).
     """
     sign = np.where(np.asarray(bits) == 1, 1.0, -1.0).astype(complex)
+    nxt, prv = _cyclic_neighbours(len(sign))
     x = sign * cmath.sqrt(abs(m.a))
     for _ in range(sweeps):
-        x = sign * np.sqrt(m.a - np.roll(x, -1) - m.b * np.roll(x, 1))
-    return np.stack([x, np.roll(x, 1)], axis=1)
+        x = sign * np.sqrt(m.a - x[nxt] - m.b * x[prv])
+    return np.stack([x, x[prv]], axis=1)
 
 
 def _halton_seeds(m: MapParams, count: int, rng_seed):
+    # scipy.stats costs over a second to import; only Halton seeding needs it
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=4, scramble=True, seed=rng_seed)
     rows = sampler.random(count)
     span = 2.0 * m.R
@@ -244,6 +256,40 @@ def _same_cycle(points_a, points_b, tol: float = DEDUP_TOL) -> bool:
                for j in range(d)):
             return True
     return False
+
+
+def _dedup_cell(z: complex) -> int | float:
+    """Strip of width 2*DEDUP_TOL holding Re z.  A point within DEDUP_TOL of
+    z lies in the same strip or a neighbouring one."""
+    q = z.real / (2.0 * DEDUP_TOL)
+    # past ~3.6e301 the quotient overflows; such points match only
+    # themselves, so the infinite quotient serves as its own key
+    return math.floor(q) if math.isfinite(q) else q
+
+
+class _CycleIndex:
+    """Kept cycles bucketed by (period, strip of Re x) of each of their points.
+
+    A match under any shift puts a candidate's first point within DEDUP_TOL
+    of some kept point, so `has` runs `_same_cycle` only on the cycles in
+    that point's strip and its two neighbours; the answer equals a scan
+    over every kept cycle.
+    """
+
+    def __init__(self):
+        self._cells: dict[tuple, list] = {}
+
+    def add(self, points) -> None:
+        d = len(points)
+        for c in {_dedup_cell(p.x) for p in points}:
+            self._cells.setdefault((d, c), []).append(points)
+
+    def has(self, cycle) -> bool:
+        d = len(cycle)
+        c = _dedup_cell(cycle[0].x)
+        return any(_same_cycle(cycle, kept)
+                   for k in (c - 1, c, c + 1)
+                   for kept in self._cells.get((d, k), ()))
 
 
 @dataclass(frozen=True)
@@ -287,14 +333,20 @@ def periodic_points_2d(m: MapParams, n: int, budget: int = 2048,
         raise ContractError("budget must be >= 1")
     target = 2 ** n
     orbits: list[PeriodicOrbit] = []
+    kept = _CycleIndex()
     count = 0
+
+    def keep(orb: PeriodicOrbit) -> None:
+        nonlocal count
+        orbits.append(orb)
+        kept.add(orb.points)
+        count += orb.period * orb.multiplicity
+
     for orb in fixed_points_closed_form(m):
         if orb is not None:
-            orbits.append(orb)
-            count += orb.period * orb.multiplicity
+            keep(orb)
 
     def try_seed(init_pts) -> None:
-        nonlocal count
         if init_pts is None:
             return
         pts = _newton_cycle(m, init_pts)
@@ -308,14 +360,11 @@ def periodic_points_2d(m: MapParams, n: int, budget: int = 2048,
             if pts is None:
                 return
         cycle = tuple(PointC2(complex(p[0]), complex(p[1])) for p in pts[:d])
-        for o in orbits:
-            if o.period == d and _same_cycle(cycle, o.points):
-                return
-        orb = _build_orbit(cycle, m)
-        if orb is None:
+        if kept.has(cycle):
             return
-        orbits.append(orb)
-        count += d * orb.multiplicity
+        orb = _build_orbit(cycle, m)
+        if orb is not None:
+            keep(orb)
 
     attempts = 0
     if is_horseshoe_regime(m):
@@ -409,24 +458,21 @@ class RealityReport:
     verdict: str
 
 
-def reality_conditions_report(m: MapParams, n_max: int, budget: int = 2048,
-                              rng_seed=0) -> RealityReport:
+def reality_table(m: MapParams, levels) -> RealityReport:
     """Are all periodic points real?  all real -> full-shift entropy log 2;
     any nonreal point -> strictly smaller entropy expected.
 
-    A nonreal finding stands even when enumeration is incomplete; the
-    all-real verdict needs every level complete, else "inconclusive".
+    Reads enumerated levels, one row each.  A nonreal finding stands even
+    when enumeration is incomplete; the all-real verdict needs every level
+    complete, else "inconclusive".
     """
     if m.a.imag != 0.0 or m.b.imag != 0.0:
         raise ContractError("reality report needs real parameters")
-    if n_max < 1:
-        raise ContractError("n_max must be >= 1")
     rows = []
     nonreal = set()
     all_complete = True
     any_nonreal = False
-    for n in range(1, n_max + 1):
-        level = periodic_points_2d(m, n, budget=budget, rng_seed=rng_seed)
+    for level in levels:
         worst_imag = 0.0
         worst_cond = 0.0
         for o in level.minimal_orbits:
@@ -440,9 +486,12 @@ def reality_conditions_report(m: MapParams, n_max: int, budget: int = 2048,
             if not o.is_real:
                 any_nonreal = True
                 nonreal.add(o.period)
-        rows.append(RealityRow(n, level.complete, len(level.minimal_orbits),
-                               worst_imag, worst_cond))
+        rows.append(RealityRow(level.n, level.complete,
+                               len(level.minimal_orbits), worst_imag,
+                               worst_cond))
         all_complete = all_complete and level.complete
+    if not rows:
+        raise ContractError("no levels to tabulate")
     if any_nonreal:
         verdict = "entropy < log 2 expected"
     elif all_complete:
@@ -451,6 +500,18 @@ def reality_conditions_report(m: MapParams, n_max: int, budget: int = 2048,
         verdict = "inconclusive"
     return RealityReport(tuple(rows), not any_nonreal, tuple(sorted(nonreal)),
                          verdict)
+
+
+def reality_conditions_report(m: MapParams, n_max: int, budget: int = 2048,
+                              rng_seed=0) -> RealityReport:
+    """Enumerate levels 1..n_max and tabulate their reality conditions."""
+    if m.a.imag != 0.0 or m.b.imag != 0.0:
+        raise ContractError("reality report needs real parameters")
+    if n_max < 1:
+        raise ContractError("n_max must be >= 1")
+    levels = [periodic_points_2d(m, n, budget=budget, rng_seed=rng_seed)
+              for n in range(1, n_max + 1)]
+    return reality_table(m, levels)
 
 
 def _runs(mask: np.ndarray):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .dynamics import MapParams, PointC2, Region, classify_region, henon_apply, \
     henon_inverse, is_horseshoe_regime
@@ -234,16 +234,35 @@ def _sign_symbol(q: PointC2) -> int:
     return 0 if q.x.real < 0 else 1
 
 
-def necklaces(n: int) -> list[tuple[int, ...]]:
-    """Binary necklaces of length n: lexicographically minimal cyclic words."""
+def necklaces(n: int) -> Iterator[tuple[int, ...]]:
+    """Binary necklaces of length n: lexicographically minimal cyclic words,
+    yielded lazily in lexicographic order.
+
+    Fredricksen-Kessler-Maiorana: the next prenecklace bumps the last 0 to
+    1 and repeats the prefix up to it; a prenecklace is a necklace exactly
+    when the length of that prefix divides n (Ruskey, Combinatorial
+    Generation).
+    """
     if n < 1:
         raise ContractError("length must be >= 1")
-    out = []
-    for v in range(2 ** n):
-        bits = tuple((v >> (n - 1 - i)) & 1 for i in range(n))
-        if bits == min(bits[i:] + bits[:i] for i in range(n)):
-            out.append(bits)
-    return out
+    return _fkm_necklaces(n)
+
+
+def _fkm_necklaces(n: int) -> Iterator[tuple[int, ...]]:
+    a = [0] * n
+    yield tuple(a)
+    while True:
+        i = n - 1
+        while i >= 0 and a[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        a[i] = 1
+        p = i + 1
+        for j in range(p, n):
+            a[j] = a[j - p]
+        if n % p == 0:
+            yield tuple(a)
 
 
 def minimal_period(bits: tuple[int, ...]) -> int:

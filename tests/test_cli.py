@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import henonlab
 from henonlab.cli import DEFAULTS, build_config, main
 from henonlab.errors import ContractError
 
@@ -168,3 +173,15 @@ def test_outputs_deterministic_across_reruns(tmp_path):
         files = sorted(f for f in (tmp_path / name).rglob("*") if f.is_file())
         outs.append([f.read_bytes() for f in files])
     assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates start-up; only Halton seeding may load it
+    src = str(Path(henonlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, henonlab.cli\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

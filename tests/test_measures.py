@@ -31,6 +31,15 @@ def test_measure_contract():
     assert float(partial.total_mass()) == 0.5
 
 
+def test_weight_array_is_cached_and_read_only():
+    mu = unit_circle_measure(8)
+    w = mu.weight_array
+    assert w is mu.weight_array
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
 def test_measure_csv_round_trip(tmp_path):
     mu = unit_circle_measure(6)
     path = tmp_path / "atoms.csv"

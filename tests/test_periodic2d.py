@@ -9,12 +9,14 @@ from henonlab.dynamics import (MapParams, PointC2, derivative_along_orbit,
                                henon_apply)
 from henonlab.errors import ContractError
 from henonlab.measures import TestBattery, compare
-from henonlab.periodic2d import (cylinder_point_measure,
+from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _dedup_cell,
+                                 _same_cycle, cylinder_point_measure,
                                  fixed_points_closed_form, level_to_json,
                                  mu_n_measure, negative_fixed_point,
                                  orbits_to_csv, periodic_points_2d,
-                                 reality_conditions_report, saddle_count_ratio,
-                                 symbolic_orbit_seed, unstable_disk_sample)
+                                 reality_conditions_report, reality_table,
+                                 saddle_count_ratio, symbolic_orbit_seed,
+                                 unstable_disk_sample)
 from henonlab.symbolic import necklaces
 
 
@@ -70,12 +72,75 @@ def test_horseshoe_orbits_are_real_saddles(horseshoe_levels):
             assert o.orbit_class == "saddle"
 
 
-def test_no_duplicate_cycles(horseshoe_levels):
-    lv = horseshoe_levels[6]
+def _assert_no_duplicates(lv):
+    # the pairwise scan the cell index replaced is the reference here
+    for i, a in enumerate(lv.orbits):
+        for b in lv.orbits[:i]:
+            assert not _same_cycle(a.points, b.points)
     pts = [(round(p.x.real, 5), round(p.x.imag, 5),
             round(p.y.real, 5), round(p.y.imag, 5))
            for o in lv.orbits for p in o.points]
-    assert len(pts) == len(set(pts)) == 64
+    assert len(pts) == len(set(pts)) == lv.fixed_point_count
+
+
+def test_no_duplicate_cycles(horseshoe_levels):
+    for lv in horseshoe_levels.values():
+        _assert_no_duplicates(lv)
+    assert horseshoe_levels[6].fixed_point_count == 64
+    halton = periodic_points_2d(MapParams(1.4, 0.3), 6)  # Halton seeds only
+    assert halton.complete
+    _assert_no_duplicates(halton)
+
+
+def _shifted(cycle, dx):
+    return tuple(PointC2(p.x + dx, p.y) for p in cycle)
+
+
+def test_cycle_index_across_strip_boundary(horseshoe_levels):
+    base = horseshoe_levels[3].minimal_orbits[0].points
+    # place the first Re x just below a strip boundary, the copy just above
+    edge = (_dedup_cell(base[0].x) + 1) * 2.0 * DEDUP_TOL
+    lo = _shifted(base, edge - 0.4 * DEDUP_TOL - base[0].x.real)
+    hi = _shifted(lo, 0.8 * DEDUP_TOL)
+    assert _dedup_cell(hi[0].x) == _dedup_cell(lo[0].x) + 1
+    index = _CycleIndex()
+    index.add(lo)
+    assert index.has(hi)
+    assert index.has(hi[1:] + hi[:1])  # same cycle, other starting point
+    far = _shifted(lo, 10.0 * DEDUP_TOL)
+    assert not index.has(far)
+    index.add(far)
+    assert index.has(far) and index.has(lo)
+
+
+def test_cycle_index_agrees_with_pairwise_scan():
+    rng = np.random.default_rng(5)
+    pool = [rng.uniform(-3.0, 3.0, size=(d, 4)) for d in (1, 2, 2, 3, 3, 3)]
+    index, kept, hits = _CycleIndex(), [], 0
+    for _ in range(600):
+        base = pool[int(rng.integers(len(pool)))]
+        # jitter of up to 1.5 tolerances lands on both sides of the match
+        # threshold and of the strip boundaries
+        arr = base + rng.uniform(-1.5, 1.5, size=base.shape) * DEDUP_TOL
+        arr = np.roll(arr, int(rng.integers(len(arr))), axis=0)
+        cycle = tuple(PointC2(complex(r[0], r[1]), complex(r[2], r[3]))
+                      for r in arr)
+        expected = any(_same_cycle(cycle, k) for k in kept)
+        assert index.has(cycle) == expected
+        if expected:
+            hits += 1
+        else:
+            kept.append(cycle)
+            index.add(cycle)
+    assert 50 < hits < 550  # both outcomes exercised
+
+
+def test_cycle_index_survives_huge_coordinates():
+    index = _CycleIndex()
+    huge = (PointC2(1e305 + 0j, 1.0 + 0j),)
+    index.add(huge)
+    assert index.has(huge)
+    assert not index.has((PointC2(-1e305 + 0j, 1.0 + 0j),))
 
 
 def test_symbolic_seed_matches_itinerary(horseshoe):
@@ -132,6 +197,21 @@ def test_reality_report_verdicts(horseshoe):
     assert 2 in sink.nonreal_periods
     with pytest.raises(ContractError):
         reality_conditions_report(MapParams(1.0 + 1.0j, 0.3), 2)
+
+
+def test_reality_table_matches_report(horseshoe, horseshoe_levels):
+    levels = [horseshoe_levels[n] for n in range(1, 5)]
+    assert (reality_table(horseshoe, levels)
+            == reality_conditions_report(horseshoe, 4))
+    sink = MapParams(0.1, 0.3)
+    sink_levels = [periodic_points_2d(sink, n, budget=1024)
+                   for n in range(1, 4)]
+    assert (reality_table(sink, sink_levels)
+            == reality_conditions_report(sink, 3, budget=1024))
+    with pytest.raises(ContractError):
+        reality_table(horseshoe, [])
+    with pytest.raises(ContractError):
+        reality_table(MapParams(1.0 + 1.0j, 0.3), levels)
 
 
 def test_unstable_disk_sample_lands_on_cycle(horseshoe):

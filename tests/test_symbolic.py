@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,9 +106,10 @@ def test_cylinder_masses():
 
 
 def test_necklace_counts_and_minimality():
-    assert [len(necklaces(n)) for n in range(1, 7)] == [2, 3, 4, 6, 8, 14]
+    counts = [len(list(necklaces(n))) for n in range(1, 7)]
+    assert counts == [2, 3, 4, 6, 8, 14]
     for n in range(1, 7):
-        reps = necklaces(n)
+        reps = list(necklaces(n))
         assert len(set(reps)) == len(reps)
         for bits in reps:
             # representative is the least rotation of its class
@@ -114,6 +117,31 @@ def test_necklace_counts_and_minimality():
             assert bits == min(rots)
     assert minimal_period((0, 1, 0, 1)) == 2
     assert minimal_period((0, 1, 1)) == 3
+
+
+def _necklaces_by_filter(n):
+    out = []
+    for v in range(2 ** n):
+        bits = tuple((v >> (n - 1 - i)) & 1 for i in range(n))
+        if bits == min(bits[i:] + bits[:i] for i in range(n)):
+            out.append(bits)
+    return out
+
+
+def test_necklaces_match_min_rotation_filter():
+    for n in range(1, 13):
+        assert list(necklaces(n)) == _necklaces_by_filter(n)
+    with pytest.raises(ContractError):
+        necklaces(0)
+
+
+def test_necklaces_are_generated_lazily():
+    t0 = time.perf_counter()
+    first = list(itertools.islice(necklaces(30), 2048))
+    assert time.perf_counter() - t0 < 1.0
+    assert len(first) == 2048
+    assert first[0] == (0,) * 30
+    assert first == sorted(first)
 
 
 def test_code_orbit_fixed_points(horseshoe):
