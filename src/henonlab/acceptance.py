@@ -2,9 +2,10 @@
 
 Twelve numbered criteria, each an independent function returning a verdict
 plus the measured quantities that justify it.  `run_all` executes them in
-order and never raises: a crashing criterion is reported as failed with the
-exception recorded.  The CLI `validate` subcommand and the test suite both
-run through this module, so there is exactly one definition of "works".
+order and does not abort on a crash: a crashing criterion is reported as
+failed with the exception recorded; only an unknown criterion id raises.
+The CLI `validate` subcommand and the test suite both run through this
+module, so there is exactly one definition of "works".
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import MapParams
+from .errors import ContractError
 from .measures import TestBattery, angular_discrepancy, compare, \
     potential_of_measure
 from .periodic2d import (cylinder_point_measure, mu_n_measure,
@@ -409,10 +411,16 @@ def run_all(workdir=None, only=None) -> list[CriterionResult]:
     """Run the acceptance criteria in order, catching per-criterion crashes.
 
     `workdir` hosts scratch output for the CLI determinism check; `only`
-    restricts the run to the listed criterion ids.
+    restricts the run to the listed criterion ids.  An id outside the
+    registry raises ContractError: a run that checks nothing must not
+    report that everything passed.
     """
     results = []
     wanted = None if not only else {int(k) for k in only}
+    unknown = sorted((wanted or set()) - {cid for cid, _, _ in _CRITERIA})
+    if unknown:
+        raise ContractError(f"unknown acceptance criterion ids {unknown}; "
+                            f"known ids are 1-{len(_CRITERIA)}")
     for cid, name, fn in _CRITERIA:
         if wanted is not None and cid not in wanted:
             continue

@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -211,37 +210,29 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _render_tiles(eval_field, center: complex, width: float, height: float,
-                  nx: int, ny: int, threads: int):
+                  nx: int, ny: int):
     """Evaluate a field over the pixel lattice in 64x64 tiles.
 
     Tiles are independent pure evaluations written into preallocated
-    slots, so values cannot depend on scheduling; composition order is
-    fixed for good measure.
+    slots in a fixed order.  They run one after another: a thread pool
+    over the tiles measured slower than this loop (a 512x512 `plus` raster
+    took 0.86 s on two threads against 0.47 s on one), so `--threads` is
+    validated but changes nothing.
     """
     values = np.empty((ny, nx))
     converged = np.empty((ny, nx), dtype=bool)
     presumed = np.empty((ny, nx), dtype=bool)
-    tiles = [(i0, min(i0 + TILE, ny), j0, min(j0 + TILE, nx))
-             for i0 in range(0, ny, TILE)
-             for j0 in range(0, nx, TILE)]
-
-    def work(tile):
-        i0, i1, j0, j1 = tile
-        ii, jj = np.mgrid[i0:i1, j0:j1]
-        t = (center
-             + width * ((jj + 0.5) / nx - 0.5)
-             + 1j * height * ((ii + 0.5) / ny - 0.5))
-        return tile, eval_field(t)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tiles))
-    else:
-        results = [work(t) for t in tiles]
-    for (i0, i1, j0, j1), gf in results:
-        values[i0:i1, j0:j1] = gf.values
-        converged[i0:i1, j0:j1] = gf.converged
-        presumed[i0:i1, j0:j1] = gf.presumed_bounded
+    for i0 in range(0, ny, TILE):
+        for j0 in range(0, nx, TILE):
+            i1, j1 = min(i0 + TILE, ny), min(j0 + TILE, nx)
+            ii, jj = np.mgrid[i0:i1, j0:j1]
+            t = (center
+                 + width * ((jj + 0.5) / nx - 0.5)
+                 + 1j * height * ((ii + 0.5) / ny - 0.5))
+            gf = eval_field(t)
+            values[i0:i1, j0:j1] = gf.values
+            converged[i0:i1, j0:j1] = gf.converged
+            presumed[i0:i1, j0:j1] = gf.presumed_bounded
     return values, converged, presumed
 
 
@@ -274,7 +265,7 @@ def cmd_render_green(cfg: JobConfig) -> int:
     else:
         raise ContractError(f"unknown render mode {mode!r}")
     values, converged, presumed = _render_tiles(
-        eval_field, center, width, height, nx, ny, cfg.threads)
+        eval_field, center, width, height, nx, ny)
     gray = grayscale_log(values)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -371,15 +362,13 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
                          int(row.complete)])
     battery = TestBattery(2, sigma=float(m.R))
     mus = [mu_n_measure(level) for level in levels]
-    matrix = []
+    # |int f dmu_i - int f dmu_j| is symmetric bit for bit, and so are the
+    # worst probe and the advisory flag: compare each pair once, mirror it
+    matrix = [[0.0] * len(mus) for _ in mus]
     for i in range(len(mus)):
-        line = []
-        for j in range(len(mus)):
-            if i == j:
-                line.append(0.0)
-            else:
-                line.append(float(compare(mus[i], mus[j], battery)))
-        matrix.append(line)
+        for j in range(i + 1, len(mus)):
+            matrix[i][j] = matrix[j][i] = float(
+                compare(mus[i], mus[j], battery))
     real_params = m.a.imag == 0.0 and m.b.imag == 0.0
     if real_params:
         reality = reality_table(m, levels)

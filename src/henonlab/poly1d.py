@@ -23,6 +23,10 @@ from .measures import DiscreteMeasure
 PREIMAGE_CAP = 1 << 20
 PERIODIC_CAP = 4096
 CLUSTER_TOL = 1e-7
+# entries of one (rows, d, d) Aberth difference tensor; blocking a big
+# batch (a whole preimage-tree level) keeps its temporaries, not its
+# output, bounded.  A block holds at least one row.
+ROOTS_BLOCK_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -84,49 +88,95 @@ class Poly:
         return w, dw
 
 
+def _polyval_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row i of z evaluated at the polynomial in row i of c.
+
+    Horner in the operation order of `npp.polyval`, so a one-row batch
+    gives the bits `npp.polyval(z[0], c[0])` gives.
+    """
+    acc = c[:, -1:] + z * 0
+    for i in range(2, c.shape[1] + 1):
+        acc = c[:, -i, None] + acc * z
+    return acc
+
+
+def _aberth_block(c: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
+    """Ehrlich-Aberth sweeps over the rows of one block of monic rows.
+
+    A row leaves the live set at the sweep where it converges; no later
+    arithmetic touches it, so each row's roots do not depend on its
+    batch-mates.
+    """
+    k, d = c.shape[0], c.shape[1] - 1
+    dc = npp.polyder(c, axis=1)
+    radius = 1.0 + np.max(np.abs(c[:, :-1]), axis=1)
+    # keep radius^d representable: evaluating the polynomial on the start
+    # circle must not overflow doubles at high degree
+    radius = np.minimum(radius, 10.0 ** (100.0 / d))
+    idx = np.arange(d)
+    # stagger moduli and angles: a perfectly circular start constellation
+    # can stall on root sets with interior points
+    spread = np.mod(idx * 0.6180339887498949, 1.0)
+    z = (radius[:, None] * (0.55 + 0.9 * spread)
+         * np.exp(2j * math.pi * (idx + 0.354) / d))
+    live = np.arange(k)
+    zl, cl, dcl = z, c, dc
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(max_sweeps):
+            pz = _polyval_rows(cl, zl)
+            newton = pz / _polyval_rows(dcl, zl)
+            diff = zl[:, :, None] - zl[:, None, :]
+            diff[:, idx, idx] = np.inf
+            repel = np.sum(1.0 / diff, axis=2)
+            delta = newton / (1.0 - newton * repel)
+            # a stray iterate in overflow land sits out this sweep
+            delta = np.where(np.isfinite(delta), delta, 0.0)
+            zl = zl - delta
+            done = ((np.max(np.abs(delta), axis=1)
+                     < tol * (1.0 + np.max(np.abs(zl), axis=1)))
+                    & np.all(np.isfinite(pz), axis=1))
+            if done.any():
+                z[live[done]] = zl[done]
+                keep = ~done
+                live, zl, cl, dcl = live[keep], zl[keep], cl[keep], dcl[keep]
+                if not live.size:
+                    return z
+        # live rows stay in input order: row 0 is the first that failed
+        resid = float(np.max(np.abs(_polyval_rows(cl[:1], zl[:1]))))
+    raise ConvergenceError(f"simultaneous_roots: no convergence in "
+                           f"{max_sweeps} sweeps (max residual {resid:.3e})")
+
+
 def simultaneous_roots(coeffs, tol: float = 1e-13,
                        max_sweeps: int = 600) -> np.ndarray:
-    """All roots of a monic polynomial by simultaneous iteration.
+    """All roots of monic polynomials by simultaneous iteration.
 
+    `coeffs` is one ascending coefficient row, shape (d+1,), giving roots
+    of shape (d,), or a batch of k rows, shape (k, d+1), giving (k, d).
     Ehrlich-Aberth corrections: each point takes a Newton step repelled by
     its siblings.  Compared with the plain Weierstrass product form this
     stays bounded at high degree (sums of reciprocals, no d-fold products)
     and converges fast enough to resolve degree ~1000 constellations.
+    Every row is solved exactly as if it were alone; rows run in blocks of
+    about ROOTS_BLOCK_ELEMS difference-tensor entries.  If any row fails to
+    converge, the error names the first such row's residual.
     """
     c = np.asarray(coeffs, dtype=complex)
-    if abs(c[-1] - 1.0) > 0:
+    if c.ndim not in (1, 2) or c.shape[-1] < 2:
+        raise ContractError("simultaneous_roots expects coefficient rows of "
+                            "shape (d+1,) or (k, d+1) with d >= 1")
+    rows = c.reshape(-1, c.shape[-1])
+    if np.any(np.abs(rows[:, -1] - 1.0) > 0):
         raise ContractError("simultaneous_roots expects monic coefficients")
-    d = len(c) - 1
+    k, d = rows.shape[0], rows.shape[1] - 1
     if d == 1:
-        return np.array([-c[0]])
-    dc = npp.polyder(c)
-    radius = 1.0 + float(np.max(np.abs(c[:-1])))
-    # keep radius^d representable: evaluating the polynomial on the start
-    # circle must not overflow doubles at high degree
-    radius = min(radius, 10.0 ** (100.0 / d))
-    k = np.arange(d)
-    # stagger moduli and angles: a perfectly circular start constellation
-    # can stall on root sets with interior points
-    spread = np.mod(k * 0.6180339887498949, 1.0)
-    z = (radius * (0.55 + 0.9 * spread)
-         * np.exp(2j * math.pi * (k + 0.354) / d))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(max_sweeps):
-            pz = npp.polyval(z, c)
-            newton = pz / npp.polyval(z, dc)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repel = np.sum(1.0 / diff, axis=1)
-            delta = newton / (1.0 - newton * repel)
-            # a stray iterate in overflow land sits out this sweep
-            delta = np.where(np.isfinite(delta), delta, 0.0)
-            z = z - delta
-            if (np.max(np.abs(delta)) < tol * (1.0 + np.max(np.abs(z)))
-                    and np.all(np.isfinite(pz))):
-                return z
-    resid = float(np.max(np.abs(npp.polyval(z, c))))
-    raise ConvergenceError(f"simultaneous_roots: no convergence in "
-                           f"{max_sweeps} sweeps (max residual {resid:.3e})")
+        out = -rows[:, :1]
+    else:
+        out = np.empty((k, d), dtype=complex)
+        step = max(1, ROOTS_BLOCK_ELEMS // (d * d))
+        for s in range(0, k, step):
+            out[s:s + step] = _aberth_block(rows[s:s + step], tol, max_sweeps)
+    return out if c.ndim == 2 else out[0]
 
 
 def _quadratic_roots(beta, gamma):
@@ -149,18 +199,16 @@ def solve_offset(f: Poly, w) -> np.ndarray:
         c0, c1, _ = f.coeffs
         r1, r2 = _quadratic_roots(np.full_like(w, c1), c0 - w)
         return np.stack([r1, r2], axis=1)
-    out = np.empty((len(w), d), dtype=complex)
-    for i, wi in enumerate(w):
-        c = np.array(f.coeffs, dtype=complex)
-        c[0] -= wi
-        roots = simultaneous_roots(c)
-        # one Newton step sharpens the simultaneous-iteration output
-        fz = npp.polyval(roots, c)
-        dz = f.eval_deriv(roots)
-        safe = np.abs(dz) > 1e-12
-        roots = np.where(safe, roots - fz / np.where(safe, dz, 1.0), roots)
-        out[i] = roots[np.lexsort((roots.imag, roots.real))]
-    return out
+    c = np.tile(np.array(f.coeffs, dtype=complex), (len(w), 1))
+    c[:, 0] -= w
+    roots = simultaneous_roots(c)
+    # one Newton step sharpens the simultaneous-iteration output
+    fz = _polyval_rows(c, roots)
+    dz = f.eval_deriv(roots)
+    safe = np.abs(dz) > 1e-12
+    roots = np.where(safe, roots - fz / np.where(safe, dz, 1.0), roots)
+    order = np.lexsort((roots.imag, roots.real), axis=-1)
+    return np.take_along_axis(roots, order, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ tolerances are pinned inside henonlab.acceptance next to each check.
 import pytest
 
 from henonlab.acceptance import _CRITERIA, run_all
+from henonlab.errors import ContractError
 
 ALL_IDS = [cid for cid, _, _ in _CRITERIA]
 
@@ -15,6 +16,11 @@ def test_criteria_registry_shape():
     assert ALL_IDS == list(range(1, 13))
     names = [name for _, name, _ in _CRITERIA]
     assert len(set(names)) == 12
+
+
+def test_run_all_rejects_unknown_ids(tmp_path):
+    with pytest.raises(ContractError, match=r"\[0, 99\]"):
+        run_all(tmp_path, only=[4, 99, 0])
 
 
 @pytest.mark.parametrize("cid", ALL_IDS)

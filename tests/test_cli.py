@@ -96,7 +96,8 @@ def test_julia_cloud_run(tmp_path):
     assert rc == 0
     csvs = list((tmp_path / "out").glob("julia-*.csv"))
     assert len(csvs) == 1
-    rows = list(csv.reader(csvs[0].open()))
+    with csvs[0].open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[2] == ["re", "im", "level"]
     data = rows[3:]
     assert len(data) == 256 * (20 - 10)  # walks points per kept level
@@ -119,6 +120,10 @@ def test_periodic_report_run(tmp_path):
     doc = json.loads(reports[0].read_text())
     assert [lv["fixed_point_count"] for lv in doc["levels"]] == [2, 4, 8]
     assert all(lv["complete"] for lv in doc["levels"])
+    matrix = doc["mu_comparison"]
+    assert [matrix[i][i] for i in range(3)] == [0.0] * 3
+    assert matrix == [list(col) for col in zip(*matrix)]
+    assert all(matrix[i][j] > 0.0 for i in range(3) for j in range(3) if i != j)
     assert len(list((tmp_path / "out").glob("periodic-*-orbits.csv"))) == 1
     assert len(list((tmp_path / "out").glob("periodic-*-saddles.csv"))) == 1
 
@@ -150,6 +155,18 @@ def test_validate_subset_run(tmp_path):
     doc = json.loads(reports[0].read_text())
     assert len(doc["criteria"]) == 1
     assert doc["criteria"][0]["passed"] is True
+
+
+def test_validate_unknown_criterion_is_a_contract_error(tmp_path):
+    # a run that checks nothing must not report all_passed
+    cfg_path = write_cfg(tmp_path, {
+        "command": "validate",
+        "params": {"criteria": [99]},
+    })
+    rc = main(["validate", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert not list((tmp_path / "out").glob("validate-*.json"))
 
 
 def test_cli_error_paths(tmp_path):

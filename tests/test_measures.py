@@ -96,6 +96,19 @@ def test_compare_detects_separation_and_self_zero():
     assert compare(mu, partial, bat).advisory
 
 
+def test_compare_is_symmetric_bit_for_bit():
+    # periodic-report compares each pair once and mirrors the matrix
+    rng = np.random.default_rng(5)
+    bat = TestBattery(1, sigma=1.5)
+    mus = [DiscreteMeasure.equal_weights(
+        rng.normal(size=n) + 1j * rng.normal(size=n), 1) for n in (9, 16, 33)]
+    mus.append(DiscreteMeasure(mus[1].points[:8], (Fraction(1, 16),) * 8, 1,
+                               complete=False))
+    for a in mus:
+        for b in mus:
+            assert compare(a, b, bat) == compare(b, a, bat)
+
+
 def test_compare_dimension_mismatch():
     mu1 = unit_circle_measure(4)
     mu2 = DiscreteMeasure(np.array([[0j, 0j]]), (Fraction(1),), 2)

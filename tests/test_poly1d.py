@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
-from henonlab.errors import CapError, ContractError
+from henonlab import poly1d
+from henonlab.errors import CapError, ContractError, ConvergenceError
 from henonlab.poly1d import (Poly, brolin_measure, exceptional_check,
                              julia_render_points, periodic_points_1d,
                              preimages, simultaneous_roots, solve_offset)
@@ -57,6 +59,93 @@ def test_simultaneous_roots_resolves_interior_root():
     roots = simultaneous_roots(c)
     assert int(np.sum(np.abs(roots) < 0.5)) == 1
     assert np.max(np.abs(np.polyval(c[::-1], roots))) < 1e-10
+
+
+CUBIC = Poly((0.3 + 0.2j, -0.5, 0.0, 1.0))
+QUARTIC = Poly((0.1 - 0.3j, 0.2, -0.7 + 0.1j, 0.0, 1.0))
+
+
+def offset_rows(f, k, seed):
+    """k monic rows f(z) - w for random targets w, the rows solve_offset builds."""
+    rng = np.random.default_rng(seed)
+    c = np.tile(np.array(f.coeffs, dtype=complex), (k, 1))
+    c[:, 0] -= rng.normal(size=k) + 1j * rng.normal(size=k)
+    return c
+
+
+@pytest.mark.parametrize("f", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
+@pytest.mark.parametrize("k", [0, 1, 7, 300])
+def test_batched_roots_bit_identical_to_row_loop(f, k):
+    c = offset_rows(f, k, seed=k)
+    batch = simultaneous_roots(c)
+    assert batch.shape == (k, f.degree)
+    loop = np.array([simultaneous_roots(row) for row in c]).reshape(k, f.degree)
+    assert np.array_equal(batch, loop)
+
+
+def test_batched_roots_across_blocks(monkeypatch):
+    c = offset_rows(CUBIC, 41, seed=1)
+    whole = simultaneous_roots(c)
+    # 5 rows of 3x3 per block: 41 rows run as 9 blocks, the last one short
+    monkeypatch.setattr(poly1d, "ROOTS_BLOCK_ELEMS", 45)
+    blocked = simultaneous_roots(c)
+    loop = np.array([simultaneous_roots(row) for row in c])
+    assert np.array_equal(blocked, whole) and np.array_equal(blocked, loop)
+
+
+def test_batched_roots_shapes():
+    c = offset_rows(QUARTIC, 1, seed=3)
+    assert simultaneous_roots(c[0]).shape == (4,)
+    assert simultaneous_roots(c).shape == (1, 4)
+    assert np.array_equal(simultaneous_roots(np.array([[3.0, 1.0]])),
+                          [[-3.0 + 0j]])
+    with pytest.raises(ContractError):
+        simultaneous_roots(np.ones((2, 2, 3)))
+    with pytest.raises(ContractError):
+        simultaneous_roots(np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("f", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
+def test_solve_offset_matches_per_target_solves(f):
+    # reference: one 1-D solve per target, one Newton step, sort by (re, im)
+    ws = np.random.default_rng(6).normal(size=50) * (1 + 1j)
+    ref = []
+    for w in ws:
+        c = np.array(f.coeffs, dtype=complex)
+        c[0] -= w
+        r = simultaneous_roots(c)
+        dz = f.eval_deriv(r)
+        safe = np.abs(dz) > 1e-12
+        r = np.where(safe, r - npp.polyval(r, c) / np.where(safe, dz, 1.0), r)
+        ref.append(r[np.lexsort((r.imag, r.real))])
+    assert np.array_equal(solve_offset(f, ws), np.array(ref))
+
+
+def test_solve_offset_empty_targets():
+    for f in (BASILICA, CUBIC, QUARTIC):
+        assert solve_offset(f, np.empty(0)).shape == (0, f.degree)
+
+
+def test_batched_roots_name_first_failing_row():
+    # a triple root stalls the update short of the stopping test
+    bad_a = npp.polyfromroots([0.5j, 0.5j, 0.5j, 1.0]).astype(complex)
+    bad_b = npp.polyfromroots([1j, 1j, 1j, -1.0]).astype(complex)
+    good = offset_rows(QUARTIC, 3, seed=4)
+    with pytest.raises(ConvergenceError) as alone:
+        simultaneous_roots(bad_a)
+    with pytest.raises(ConvergenceError) as other:
+        simultaneous_roots(bad_b)
+    assert str(alone.value) != str(other.value)
+    batch = np.array([good[0], good[1], bad_a, good[2], bad_b])
+    with pytest.raises(ConvergenceError) as batched:
+        simultaneous_roots(batch)
+    assert str(batched.value) == str(alone.value)
+    # too few sweeps: every row fails, the first one is named
+    with pytest.raises(ConvergenceError) as first:
+        simultaneous_roots(good[0], max_sweeps=1)
+    with pytest.raises(ConvergenceError) as batched:
+        simultaneous_roots(good, max_sweeps=1)
+    assert str(batched.value) == str(first.value)
 
 
 def test_solve_offset_inverts():
