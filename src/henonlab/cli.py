@@ -141,6 +141,8 @@ def build_config(command: str, file_doc: dict | None = None,
     doc.setdefault("rng_seed", 0)
     doc.setdefault("threads", 1)
     doc.setdefault("out", ".")
+    if file_doc is not None and not isinstance(file_doc, dict):
+        raise ContractError("a config file must hold one JSON object")
     if file_doc:
         if "command" in file_doc and file_doc["command"] != command:
             raise ContractError("config file names a different command")
@@ -152,11 +154,18 @@ def build_config(command: str, file_doc: dict | None = None,
         doc["threads"] = threads
     if out is not None:
         doc["out"] = str(out)
+    for key in ("params", "slice", "window", "budgets", "tolerances"):
+        if not isinstance(doc[key], dict):
+            raise ContractError(f"config field {key} must be an object")
     cfg = JobConfig(command, doc["mode"], doc["params"], doc["slice"],
                     doc["window"], doc["budgets"], doc["tolerances"],
                     int(doc["rng_seed"]), int(doc["threads"]), doc["out"])
     _validate_config(cfg)
     return cfg
+
+
+def _is_real(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _validate_config(cfg: JobConfig) -> None:
@@ -165,18 +174,24 @@ def _validate_config(cfg: JobConfig) -> None:
     if not -(2 ** 63) <= cfg.rng_seed < 2 ** 64:
         raise ContractError("rng_seed must fit in 64 bits")
     for key, val in cfg.budgets.items():
-        if not isinstance(val, (int, float)) or val < 0:
+        if not _is_real(val) or val < 0:
             raise ContractError(f"budget {key} must be nonnegative")
         if key in ("n_max", "walks", "depth", "level_max", "budget",
                    "word_max", "reality_n_max") and val < 1:
             raise ContractError(f"budget {key} must be >= 1")
     for key, val in cfg.tolerances.items():
-        if not isinstance(val, (int, float)) or val <= 0:
+        if not _is_real(val) or val <= 0:
             raise ContractError(f"tolerance {key} must be positive")
     if cfg.window:
         px = cfg.window.get("pixels", [1, 1])
-        if len(px) != 2 or px[0] < 1 or px[1] < 1:
+        if (not isinstance(px, list) or len(px) != 2
+                or not all(isinstance(v, int) and not isinstance(v, bool)
+                           and v >= 1 for v in px)):
             raise ContractError("pixels must be a pair of integers >= 1")
+        for key in ("width", "height"):
+            val = cfg.window.get(key, 1.0)
+            if not _is_real(val) or not 0.0 < val < math.inf:
+                raise ContractError(f"window {key} must be a positive number")
 
 
 def _cx(pair) -> complex:
@@ -185,6 +200,14 @@ def _cx(pair) -> complex:
     if len(pair) != 2:
         raise ContractError("complex values are [re, im] pairs")
     return complex(float(pair[0]), float(pair[1]))
+
+
+def _slice_points(sl: dict, key: str, count: int) -> list:
+    """The first count [re, im] entries of slice[key]; fewer is an error."""
+    vals = sl.get(key)
+    if not isinstance(vals, list) or len(vals) < count:
+        raise ContractError(f"slice.{key} needs {count} [re, im] entries")
+    return [_cx(v) for v in vals[:count]]
 
 
 def _map_params(params: dict) -> MapParams:
@@ -246,17 +269,16 @@ def cmd_render_green(cfg: JobConfig) -> int:
     if mode == "poly":
         f = _poly(cfg.params)
         n_max = int(cfg.budgets.get("n_max", 200))
-        sl = cfg.slice or {}
-        base = _cx(sl.get("base", [[0.0, 0.0]])[0])
-        direction = _cx(sl.get("direction", [[1.0, 0.0]])[0])
+        base, = _slice_points(cfg.slice, "base", 1)
+        direction, = _slice_points(cfg.slice, "direction", 1)
 
         def eval_field(t):
             return green_poly_field(base + t * direction, f, tol, n_max)
     elif mode in ("plus", "minus"):
         m = _map_params(cfg.params)
         n_max = int(cfg.budgets.get("n_max", 100))
-        base = [_cx(v) for v in cfg.slice["base"]]
-        direction = [_cx(v) for v in cfg.slice["direction"]]
+        base = _slice_points(cfg.slice, "base", 2)
+        direction = _slice_points(cfg.slice, "direction", 2)
         field = green_plus_field if mode == "plus" else green_minus_field
 
         def eval_field(t):

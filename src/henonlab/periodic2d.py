@@ -12,8 +12,6 @@ saddle-count table, and the all-real/entropy report.
 from __future__ import annotations
 
 import cmath
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -656,50 +654,3 @@ def cylinder_point_measure(m: MapParams, level: int, buffer: int = 15,
     pts = np.stack([x[:, mid], x[:, mid - 1]], axis=1)
     wts = (Fraction(1, n_words),) * n_words
     return DiscreteMeasure(pts, wts, 2, True, f"cylinder_push(level={level})")
-
-
-def orbits_to_csv(orbits, path) -> None:
-    """One row per orbit point: cycle id, period, coordinates, multipliers."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["orbit", "period", "index", "x_re", "x_im", "y_re", "y_im",
-                     "lam1_re", "lam1_im", "lam2_re", "lam2_im", "class",
-                     "is_real", "residual", "multiplicity"])
-        for oi, o in enumerate(orbits):
-            l1, l2 = o.multiplier_eigenvalues
-            for j, p in enumerate(o.points):
-                wr.writerow([oi, o.period, j,
-                             repr(p.x.real), repr(p.x.imag),
-                             repr(p.y.real), repr(p.y.imag),
-                             repr(l1.real), repr(l1.imag),
-                             repr(l2.real), repr(l2.imag),
-                             o.orbit_class, int(o.is_real),
-                             repr(o.residual), o.multiplicity])
-
-
-def level_to_json(level: PeriodicLevel, path) -> None:
-    doc = {
-        "n": level.n,
-        "complete": level.complete,
-        "fixed_point_count": level.fixed_point_count,
-        "attempts": level.attempts,
-        "orbit_count": len(level.orbits),
-        "minimal_orbit_count": len(level.minimal_orbits),
-        "orbits": [
-            {
-                "period": o.period,
-                "class": o.orbit_class,
-                "is_real": o.is_real,
-                "residual": o.residual,
-                "multiplicity": o.multiplicity,
-                "points": [[p.x.real, p.x.imag, p.y.real, p.y.imag]
-                           for p in o.points],
-                "eigenvalues": [[v.real, v.imag]
-                                for v in o.multiplier_eigenvalues],
-            }
-            for o in level.orbits
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -1,10 +1,12 @@
 """Potential kernels, escape-rate functions, and grid mass recovery.
 
-The escape-rate estimators share one pattern: iterate until the orbit
-enters a region of strict quadratic growth, read off log-norm over d^n,
-and certify the answer with an a-posteriori geometric tail bound.  Orbits
-that never reach the growth region within the budget are reported as
-presumed bounded, value 0; no exact membership claim is made.
+The escape-rate estimators run one masked-advance loop over arrays of
+start points: iterate until the orbit enters a region of strict quadratic
+growth, read off log-norm over d^n, and certify the answer with an
+a-posteriori geometric tail bound.  Orbits that never reach the growth
+region within the budget are reported as presumed bounded, value 0; no
+exact membership claim is made.  The scalar estimators are the field
+kernels evaluated at one point.
 
 The plane-measure side discretizes the Laplacian with the five-point
 stencil; cell mass is stencil-sum over 2*pi (the h^2 of the stencil and
@@ -76,48 +78,24 @@ class GreenField(NamedTuple):
     n_used: np.ndarray
 
 
-def green_poly(z: complex, f, tol: float = 1e-9, n_max: int = 200) -> GreenEstimate:
-    """Escape rate log|f^n(z)| / d^n for a monic polynomial.
+def _escape_rate(coords, shape, lead, tail, advance, tol: float,
+                 n_max: int) -> GreenField:
+    """The one escape-rate loop: masked advance over flat coordinate arrays.
 
-    Outside |w| = 2(1 + sum|c_i|) the lower-order terms perturb log|f(w)|
-    by at most 2 sum|c_i| / |w|, so the remaining increments are dominated
-    by a geometric series; that sum is the reported bound.
+    Per step n, lead(*coords) gives the escaping magnitude, the max-norm
+    and the escape test of every point; tail(magnitude, n) gives value and
+    tail bound of the escaped ones, which retire once the bound is below
+    tol, the magnitude is past SAFE_NORM, or the budget is spent.  A point
+    whose norm passes SAFE_NORM without the escape test firing retires with
+    bound inf, neither converged nor presumed bounded.  advance(*coords, i)
+    moves the still active points i one map step, in place; the loop ends
+    early once no point is active.
     """
     if tol <= 0.0:
         raise ContractError("tol must be positive")
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
-    d = f.degree
-    csum = f.lower_coeff_sum()
-    w_esc = 2.0 * (1.0 + csum)
-    w = complex(z)
-    for n in range(n_max + 1):
-        aw = abs(w)
-        if aw > w_esc:
-            scale = float(d) ** n
-            value = math.log(aw) / scale
-            bound = 2.0 * csum / (aw * scale * (d - 1.0))
-            if bound < tol:
-                return GreenEstimate(value, n, True, bound)
-            if aw > SAFE_NORM or n == n_max:
-                return GreenEstimate(value, n, False, bound)
-        elif n == n_max:
-            return GreenEstimate(0.0, n_max, True, 0.0, presumed_bounded=True)
-        w = complex(f(w))
-    raise AssertionError("unreachable")
-
-
-def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
-    """green_poly over an array of points; same algorithm, masked advance."""
-    if tol <= 0.0:
-        raise ContractError("tol must be positive")
-    z = np.asarray(zs, dtype=complex)
-    shape = z.shape
-    w = z.ravel().copy()
-    d = f.degree
-    csum = f.lower_coeff_sum()
-    w_esc = 2.0 * (1.0 + csum)
-    size = w.size
+    size = coords[0].size
     values = np.zeros(size)
     bounds = np.zeros(size)
     conv = np.zeros(size, dtype=bool)
@@ -125,32 +103,76 @@ def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
     n_used = np.zeros(size, dtype=np.int32)
     active = np.ones(size, dtype=bool)
     for n in range(n_max + 1):
-        aw = np.abs(w)
-        esc = active & (aw > w_esc)
+        mag, norm, esc = lead(*coords)
+        esc &= active
         if esc.any():
-            scale = float(d) ** n
             idx = np.flatnonzero(esc)
-            val = np.log(aw[idx]) / scale
-            bnd = 2.0 * csum / (aw[idx] * scale * (d - 1.0))
+            mag_e = mag[idx]
+            val, bnd = tail(mag_e, n)
             ok = bnd < tol
-            stop = ok | (aw[idx] > SAFE_NORM) | (n == n_max)
+            stop = ok | (mag_e > SAFE_NORM) | (n == n_max)
             fi = idx[stop]
             values[fi] = val[stop]
             bounds[fi] = bnd[stop]
             conv[fi] = ok[stop]
             n_used[fi] = n
             active[fi] = False
+        over = active & (norm > SAFE_NORM)
+        if over.any():
+            oi = np.flatnonzero(over)
+            bounds[oi] = np.inf
+            n_used[oi] = n
+            active[oi] = False
+        live = np.flatnonzero(active)
         if n == n_max:
-            rest = np.flatnonzero(active)
-            conv[rest] = True
-            presumed[rest] = True
-            n_used[rest] = n_max
+            conv[live] = True
+            presumed[live] = True
+            n_used[live] = n_max
             break
-        adv = active & (np.abs(w) <= SAFE_NORM)
-        w[adv] = f(w[adv])
+        if live.size == 0:
+            break
+        advance(*coords, live)
     return GreenField(values.reshape(shape), bounds.reshape(shape),
                       conv.reshape(shape), presumed.reshape(shape),
                       n_used.reshape(shape))
+
+
+def _first(fld: GreenField) -> GreenEstimate:
+    return GreenEstimate(float(fld.values[0]), int(fld.n_used[0]),
+                         bool(fld.converged[0]), float(fld.bounds[0]),
+                         bool(fld.presumed_bounded[0]))
+
+
+def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
+    """Escape rate log|f^n(z)| / d^n of a monic polynomial over an array.
+
+    Outside |w| = 2(1 + sum|c_i|) the lower-order terms perturb log|f(w)|
+    by at most 2 sum|c_i| / |w|, so the remaining increments are dominated
+    by a geometric series; that sum is the reported bound.
+    """
+    z = np.asarray(zs, dtype=complex)
+    d = f.degree
+    csum = f.lower_coeff_sum()
+    w_esc = 2.0 * (1.0 + csum)
+
+    def lead(w):
+        aw = np.abs(w)
+        return aw, aw, aw > w_esc
+
+    def tail(aw, n):
+        scale = float(d) ** n
+        return np.log(aw) / scale, 2.0 * csum / (aw * scale * (d - 1.0))
+
+    def advance(w, i):
+        w[i] = f(w[i])
+
+    return _escape_rate((z.ravel().copy(),), z.shape, lead, tail, advance,
+                        tol, n_max)
+
+
+def green_poly(z: complex, f, tol: float = 1e-9, n_max: int = 200) -> GreenEstimate:
+    """green_poly_field at the single point z."""
+    return _first(green_poly_field([z], f, tol, n_max))
 
 
 def _coords(p):
@@ -160,151 +182,85 @@ def _coords(p):
     return complex(x), complex(y)
 
 
-def green_plus(p, m: MapParams, tol: float = 1e-9, n_max: int = 100) -> GreenEstimate:
-    """Forward escape rate log|x_n| / 2^n.
-
-    Once |x| > 2R with |x| >= |y| the first coordinate strictly dominates
-    and squares up to a relative error |a|/|x|^2 + |b|/|x|, giving the
-    geometric tail bound 2(|a|/|x|^2 + |b|/|x|) / 2^n.
-    """
-    if tol <= 0.0:
-        raise ContractError("tol must be positive")
-    if n_max < 1:
-        raise ContractError("n_max must be >= 1")
-    thr = 2.0 * m.R
-    a, b = m.a, m.b
-    x, y = _coords(p)
-    for n in range(n_max + 1):
-        ax, ay = abs(x), abs(y)
-        if ax > thr and ax >= ay:
-            scale = 2.0 ** n
-            value = math.log(ax) / scale
-            bound = 2.0 * (abs(a) / (ax * ax) + abs(b) / ax) / scale
-            if bound < tol:
-                return GreenEstimate(value, n, True, bound)
-            if ax > SAFE_NORM or n == n_max:
-                return GreenEstimate(value, n, False, bound)
-        elif max(ax, ay) > SAFE_NORM:
-            return GreenEstimate(0.0, n, False, math.inf)
-        elif n == n_max:
-            return GreenEstimate(0.0, n_max, True, 0.0, presumed_bounded=True)
-        x, y = -x * x + a - b * y, x
-    raise AssertionError("unreachable")
-
-
-def green_minus(p, m: MapParams, tol: float = 1e-9, n_max: int = 100) -> GreenEstimate:
-    """Backward escape rate (log|y_m| - log|b|) / 2^m.
-
-    Under the inverse map the second coordinate squares and picks up a
-    constant 1/b factor each step; the factor telescopes exactly into
-    -log|b| / 2^m, leaving the same geometric error as the forward case
-    with epsilon = |a|/|y|^2 + 1/|y|.
-    """
-    if tol <= 0.0:
-        raise ContractError("tol must be positive")
-    if n_max < 1:
-        raise ContractError("n_max must be >= 1")
-    thr = 2.0 * m.R
-    a, b = m.a, m.b
-    x, y = _coords(p)
-    for n in range(n_max + 1):
-        ax, ay = abs(x), abs(y)
-        if ay > thr and ay >= ax:
-            scale = 2.0 ** n
-            value = (math.log(ay) - math.log(abs(b))) / scale
-            bound = 2.0 * (abs(a) / (ay * ay) + 1.0 / ay) / scale
-            if bound < tol:
-                return GreenEstimate(value, n, True, bound)
-            if ay > SAFE_NORM or n == n_max:
-                return GreenEstimate(value, n, False, bound)
-        elif max(ax, ay) > SAFE_NORM:
-            return GreenEstimate(0.0, n, False, math.inf)
-        elif n == n_max:
-            return GreenEstimate(0.0, n_max, True, 0.0, presumed_bounded=True)
-        x, y = y, (a - y * y - x) / b
-    raise AssertionError("unreachable")
-
-
-def _henon_field(xs, ys, m: MapParams, tol: float, n_max: int,
-                 forward: bool) -> GreenField:
+def _flat_pair(xs, ys):
     x = np.asarray(xs, dtype=complex)
     shape = x.shape
     x = x.ravel().copy()
     y = np.asarray(ys, dtype=complex).ravel().copy()
     if x.shape != y.shape:
         raise ContractError("coordinate arrays must have matching shapes")
-    thr = 2.0 * m.R
-    a, b = m.a, m.b
-    log_b = math.log(abs(b))
-    size = x.size
-    values = np.zeros(size)
-    bounds = np.zeros(size)
-    conv = np.zeros(size, dtype=bool)
-    presumed = np.zeros(size, dtype=bool)
-    n_used = np.zeros(size, dtype=np.int32)
-    active = np.ones(size, dtype=bool)
-    for n in range(n_max + 1):
-        ax = np.abs(x)
-        ay = np.abs(y)
-        if forward:
-            esc = active & (ax > thr) & (ax >= ay)
-            lead = ax
-        else:
-            esc = active & (ay > thr) & (ay >= ax)
-            lead = ay
-        if esc.any():
-            scale = 2.0 ** n
-            idx = np.flatnonzero(esc)
-            if forward:
-                val = np.log(lead[idx]) / scale
-                bnd = 2.0 * (abs(a) / lead[idx] ** 2 + abs(b) / lead[idx]) / scale
-            else:
-                val = (np.log(lead[idx]) - log_b) / scale
-                bnd = 2.0 * (abs(a) / lead[idx] ** 2 + 1.0 / lead[idx]) / scale
-            ok = bnd < tol
-            stop = ok | (lead[idx] > SAFE_NORM) | (n == n_max)
-            fi = idx[stop]
-            values[fi] = val[stop]
-            bounds[fi] = bnd[stop]
-            conv[fi] = ok[stop]
-            n_used[fi] = n
-            active[fi] = False
-        over = active & (np.maximum(np.abs(x), np.abs(y)) > SAFE_NORM)
-        if over.any():
-            oi = np.flatnonzero(over)
-            bounds[oi] = np.inf
-            n_used[oi] = n
-            active[oi] = False
-        if n == n_max:
-            rest = np.flatnonzero(active)
-            conv[rest] = True
-            presumed[rest] = True
-            n_used[rest] = n_max
-            break
-        adv = active
-        if forward:
-            xa, ya = x[adv], y[adv]
-            x[adv], y[adv] = -xa * xa + a - b * ya, xa
-        else:
-            xa, ya = x[adv], y[adv]
-            x[adv], y[adv] = ya, (a - ya * ya - xa) / b
-    return GreenField(values.reshape(shape), bounds.reshape(shape),
-                      conv.reshape(shape), presumed.reshape(shape),
-                      n_used.reshape(shape))
+    return (x, y), shape
+
+
+def _dominant(u, v, thr: float):
+    """Magnitude |u|, norm max(|u|, |v|), and the test |u| > thr, |u| >= |v|."""
+    au = np.abs(u)
+    av = np.abs(v)
+    return au, np.maximum(au, av), (au > thr) & (au >= av)
 
 
 def green_plus_field(xs, ys, m: MapParams, tol: float = 1e-9,
                      n_max: int = 100) -> GreenField:
-    if tol <= 0.0:
-        raise ContractError("tol must be positive")
-    return _henon_field(xs, ys, m, tol, n_max, forward=True)
+    """Forward escape rate log|x_n| / 2^n over arrays of start points.
+
+    Once |x| > 2R with |x| >= |y| the first coordinate strictly dominates
+    and squares up to a relative error |a|/|x|^2 + |b|/|x|, giving the
+    geometric tail bound 2(|a|/|x|^2 + |b|/|x|) / 2^n.
+    """
+    coords, shape = _flat_pair(xs, ys)
+    thr = 2.0 * m.R
+    a, b = m.a, m.b
+
+    def tail(ax, n):
+        scale = 2.0 ** n
+        return (np.log(ax) / scale,
+                2.0 * (abs(a) / ax ** 2 + abs(b) / ax) / scale)
+
+    def advance(x, y, i):
+        xa, ya = x[i], y[i]
+        x[i], y[i] = -xa * xa + a - b * ya, xa
+
+    return _escape_rate(coords, shape, lambda x, y: _dominant(x, y, thr),
+                        tail, advance, tol, n_max)
 
 
 def green_minus_field(xs, ys, m: MapParams, tol: float = 1e-9,
                       n_max: int = 100) -> GreenField:
-    if tol <= 0.0:
-        raise ContractError("tol must be positive")
-    return _henon_field(xs, ys, m, tol, n_max, forward=False)
+    """Backward escape rate (log|y_m| - log|b|) / 2^m over arrays.
+
+    Under the inverse map the second coordinate squares and picks up a
+    constant 1/b factor each step; the factor telescopes exactly into
+    -log|b| / 2^m, leaving the same geometric error as the forward case
+    with epsilon = |a|/|y|^2 + 1/|y|.
+    """
+    coords, shape = _flat_pair(xs, ys)
+    thr = 2.0 * m.R
+    a, b = m.a, m.b
+    log_b = math.log(abs(b))
+
+    def tail(ay, n):
+        scale = 2.0 ** n
+        return ((np.log(ay) - log_b) / scale,
+                2.0 * (abs(a) / ay ** 2 + 1.0 / ay) / scale)
+
+    def advance(x, y, i):
+        xa, ya = x[i], y[i]
+        x[i], y[i] = ya, (a - ya * ya - xa) / b
+
+    return _escape_rate(coords, shape, lambda x, y: _dominant(y, x, thr),
+                        tail, advance, tol, n_max)
+
+
+def green_plus(p, m: MapParams, tol: float = 1e-9, n_max: int = 100) -> GreenEstimate:
+    """green_plus_field at the single point p = (x, y)."""
+    x, y = _coords(p)
+    return _first(green_plus_field([x], [y], m, tol, n_max))
+
+
+def green_minus(p, m: MapParams, tol: float = 1e-9, n_max: int = 100) -> GreenEstimate:
+    """green_minus_field at the single point p = (x, y)."""
+    x, y = _coords(p)
+    return _first(green_minus_field([x], [y], m, tol, n_max))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -87,6 +88,66 @@ def test_render_green_run(tmp_path):
     assert 0.0 <= doc["zero_fraction"] <= 1.0
     assert doc["max"] > 0.0
     assert sum(doc["histogram"]["counts"]) <= 24 * 16
+
+
+HENON_10 = {"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]}
+BASILICA_PARAMS = {"kind": "poly",
+                   "coeffs": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+# 72x40 pixels: two tile columns, the second one partial
+PINNED_WINDOW = {"center": [0.0, 0.0], "width": 14.0, "height": 10.0,
+                 "pixels": [72, 40]}
+
+
+@pytest.mark.parametrize("doc, digests", [
+    ({"mode": "plus", "params": HENON_10, "window": PINNED_WINDOW,
+      "budgets": {"n_max": 60}},
+     {"green-75bd1b0a27a8.pgm":
+      "46da69d1a03f790bb7bb69b8f3c9bb631fc9d8a1e9d0a5db4197e6a334d4662c",
+      "green-75bd1b0a27a8-stats.json":
+      "f8cc167f73bade1ced87d4bd4b689eee814ae3bb72903983a219deb660c48397"}),
+    ({"mode": "minus", "params": HENON_10, "window": PINNED_WINDOW,
+      "budgets": {"n_max": 60}},
+     {"green-d3c38e57d096.pgm":
+      "b65a5230da69d23384046972fdaf5242df16ba041dfe67758b67e59d3cb02d3a",
+      "green-d3c38e57d096-stats.json":
+      "5d5b50d82ad7ca39e7ef518f36b4dedfdd9e3d0fc48fad5a52109c138a1109c5"}),
+    ({"mode": "poly", "params": BASILICA_PARAMS,
+      "slice": {"base": [[0.0, 0.0]], "direction": [[1.0, 0.0]]},
+      "window": dict(PINNED_WINDOW, width=4.0, height=3.0),
+      "budgets": {"n_max": 200}},
+     {"green-1fe753027a38.pgm":
+      "ce0e45dfaa695c6ec75b9dfc4719a94ed39d27924e58360cd49c5ff6379dd1c7",
+      "green-1fe753027a38-stats.json":
+      "715bd53050b980e44a43514c48f01593f4969effc2572d947fc159a7cfb8b2a6"}),
+], ids=["plus", "minus", "poly"])
+def test_render_green_pinned_bytes(tmp_path, doc, digests):
+    # fixed digests: no change to the escape-rate kernels may move a byte
+    cfg_path = write_cfg(tmp_path, dict(doc, command="render-green"))
+    out = tmp_path / "out"
+    assert main(["render-green", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in out.iterdir()} == digests
+
+
+@pytest.mark.parametrize("doc", [
+    {"budgets": {"n_max": True}},
+    {"tolerances": {"tol": True}},
+    {"window": {"pixels": [1.5, 2]}},
+    {"window": {"width": -4.0}},
+    {"window": {"height": 0.0}},
+    {"slice": {"base": [[0.0, 0.0]]}},
+    ["render-green"],
+    {"window": 5},
+], ids=["bool-budget", "bool-tol", "float-pixels", "negative-width",
+        "zero-height", "short-slice", "list-config", "window-not-object"])
+def test_bad_render_config_exits_2(tmp_path, capsys, doc):
+    cfg_path = write_cfg(tmp_path, doc)
+    rc = main(["render-green", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_julia_cloud_run(tmp_path):

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -11,9 +10,8 @@ from henonlab.errors import ContractError
 from henonlab.measures import TestBattery, compare
 from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _dedup_cell,
                                  _same_cycle, cylinder_point_measure,
-                                 fixed_points_closed_form, level_to_json,
-                                 mu_n_measure, negative_fixed_point,
-                                 orbits_to_csv, periodic_points_2d,
+                                 fixed_points_closed_form, mu_n_measure,
+                                 negative_fixed_point, periodic_points_2d,
                                  reality_conditions_report, reality_table,
                                  saddle_count_ratio, symbolic_orbit_seed,
                                  unstable_disk_sample)
@@ -265,17 +263,3 @@ def test_negative_fixed_point(horseshoe):
     orb = negative_fixed_point(horseshoe)
     assert orb.points[0].x.real < 0
     assert orb.period == 1
-
-
-def test_report_files_round_trip(tmp_path, horseshoe_levels):
-    lv = horseshoe_levels[3]
-    csv_path = tmp_path / "orbits.csv"
-    orbits_to_csv(lv.orbits, csv_path)
-    text = csv_path.read_text().splitlines()
-    assert len(text) == 1 + sum(o.period for o in lv.orbits)
-    json_path = tmp_path / "level.json"
-    level_to_json(lv, json_path)
-    doc = json.loads(json_path.read_text())
-    assert doc["n"] == 3
-    assert doc["fixed_point_count"] == 8
-    assert doc["complete"] is True

@@ -3,17 +3,99 @@ import math
 import numpy as np
 import pytest
 
-from henonlab.dynamics import MapParams, PointC2, henon_apply
+from henonlab.dynamics import MapParams, PointC2, henon_apply, henon_inverse
 from henonlab.errors import ContractError
 from henonlab.poly1d import Poly
-from henonlab.potential import (ScalarGrid, discrete_ddc_mass, green_minus,
-                                green_plus, green_plus_field, green_poly,
+from henonlab.potential import (SAFE_NORM, GreenEstimate, ScalarGrid,
+                                _coords, discrete_ddc_mass, green_minus,
+                                green_minus_field, green_plus,
+                                green_plus_field, green_poly,
                                 green_poly_field, mass_in_disk, mass_total,
                                 potential_kernel, subaverage_check)
 
 SQUARE = Poly((0.0, 0.0, 1.0))
 CHEB = Poly((-2.0, 0.0, 1.0))
 BASILICA = Poly((-1.0, 0.0, 1.0))
+
+
+# Per-point reference: the scalar escape-rate loops in plain complex
+# arithmetic, kept independent of the field kernels they check.
+
+def ref_green_poly(z: complex, f, tol: float = 1e-9, n_max: int = 200) -> GreenEstimate:
+    if tol <= 0.0:
+        raise ContractError("tol must be positive")
+    if n_max < 1:
+        raise ContractError("n_max must be >= 1")
+    d = f.degree
+    csum = f.lower_coeff_sum()
+    w_esc = 2.0 * (1.0 + csum)
+    w = complex(z)
+    for n in range(n_max + 1):
+        aw = abs(w)
+        if aw > w_esc:
+            scale = float(d) ** n
+            value = math.log(aw) / scale
+            bound = 2.0 * csum / (aw * scale * (d - 1.0))
+            if bound < tol:
+                return GreenEstimate(value, n, True, bound)
+            if aw > SAFE_NORM or n == n_max:
+                return GreenEstimate(value, n, False, bound)
+        elif n == n_max:
+            return GreenEstimate(0.0, n_max, True, 0.0, presumed_bounded=True)
+        w = complex(f(w))
+    raise AssertionError("unreachable")
+
+
+def ref_green_plus(p, m: MapParams, tol: float = 1e-9, n_max: int = 100) -> GreenEstimate:
+    if tol <= 0.0:
+        raise ContractError("tol must be positive")
+    if n_max < 1:
+        raise ContractError("n_max must be >= 1")
+    thr = 2.0 * m.R
+    a, b = m.a, m.b
+    x, y = _coords(p)
+    for n in range(n_max + 1):
+        ax, ay = abs(x), abs(y)
+        if ax > thr and ax >= ay:
+            scale = 2.0 ** n
+            value = math.log(ax) / scale
+            bound = 2.0 * (abs(a) / (ax * ax) + abs(b) / ax) / scale
+            if bound < tol:
+                return GreenEstimate(value, n, True, bound)
+            if ax > SAFE_NORM or n == n_max:
+                return GreenEstimate(value, n, False, bound)
+        elif max(ax, ay) > SAFE_NORM:
+            return GreenEstimate(0.0, n, False, math.inf)
+        elif n == n_max:
+            return GreenEstimate(0.0, n_max, True, 0.0, presumed_bounded=True)
+        x, y = -x * x + a - b * y, x
+    raise AssertionError("unreachable")
+
+
+def ref_green_minus(p, m: MapParams, tol: float = 1e-9, n_max: int = 100) -> GreenEstimate:
+    if tol <= 0.0:
+        raise ContractError("tol must be positive")
+    if n_max < 1:
+        raise ContractError("n_max must be >= 1")
+    thr = 2.0 * m.R
+    a, b = m.a, m.b
+    x, y = _coords(p)
+    for n in range(n_max + 1):
+        ax, ay = abs(x), abs(y)
+        if ay > thr and ay >= ax:
+            scale = 2.0 ** n
+            value = (math.log(ay) - math.log(abs(b))) / scale
+            bound = 2.0 * (abs(a) / (ay * ay) + 1.0 / ay) / scale
+            if bound < tol:
+                return GreenEstimate(value, n, True, bound)
+            if ay > SAFE_NORM or n == n_max:
+                return GreenEstimate(value, n, False, bound)
+        elif max(ax, ay) > SAFE_NORM:
+            return GreenEstimate(0.0, n, False, math.inf)
+        elif n == n_max:
+            return GreenEstimate(0.0, n_max, True, 0.0, presumed_bounded=True)
+        x, y = y, (a - y * y - x) / b
+    raise AssertionError("unreachable")
 
 
 def test_potential_kernel_values():
@@ -45,14 +127,14 @@ def test_green_conjugacy_oracle():
 
 
 def test_green_poly_functional_equation():
+    # the scalar estimators are field elements (checked below), so the
+    # identities are checked on whole fields
     rng = np.random.default_rng(9)
     zs = rng.normal(scale=1.8, size=300) + 1j * rng.normal(scale=1.8, size=300)
-    for z in zs:
-        g = green_poly(z, BASILICA, tol=1e-11)
-        if not g.converged or g.value <= 0.0:
-            continue
-        g2 = green_poly(BASILICA(z), BASILICA, tol=1e-11)
-        assert abs(g2.value - 2.0 * g.value) < 1e-9
+    g = green_poly_field(zs, BASILICA, tol=1e-11)
+    g2 = green_poly_field(BASILICA(zs), BASILICA, tol=1e-11)
+    keep = g.converged & (g.values > 0.0)
+    assert np.all(np.abs(g2.values[keep] - 2.0 * g.values[keep]) < 1e-9)
 
 
 def test_green_poly_field_matches_scalar():
@@ -60,41 +142,39 @@ def test_green_poly_field_matches_scalar():
     zs = rng.normal(scale=2.0, size=64) + 1j * rng.normal(scale=2.0, size=64)
     fld = green_poly_field(zs, BASILICA)
     for i, z in enumerate(zs):
-        g = green_poly(complex(z), BASILICA)
+        g = ref_green_poly(complex(z), BASILICA)
         assert fld.values[i] == pytest.approx(g.value, abs=1e-14)
         assert bool(fld.converged[i]) == g.converged
         assert fld.n_used[i] == g.n_used
 
 
+def _random_points(rng, radius, count):
+    r = rng.uniform(-radius, radius, size=(count, 4))
+    return [PointC2(complex(u[0], u[1]), complex(u[2], u[3])) for u in r]
+
+
+def _field_at(field, pts, m):
+    return field(np.array([p.x for p in pts]), np.array([p.y for p in pts]), m)
+
+
 def test_green_plus_functional_equation(horseshoe):
-    rng = np.random.default_rng(12)
-    checked = 0
-    for _ in range(400):
-        r = rng.uniform(-2 * horseshoe.R, 2 * horseshoe.R, size=4)
-        p = PointC2(complex(r[0], r[1]), complex(r[2], r[3]))
-        g = green_plus(p, horseshoe)
-        if not g.converged or g.value <= 0.0:
-            continue
-        g2 = green_plus(henon_apply(p, horseshoe), horseshoe)
-        assert abs(g2.value - 2.0 * g.value) < 1e-6
-        checked += 1
-    assert checked > 100
+    pts = _random_points(np.random.default_rng(12), 2 * horseshoe.R, 400)
+    g = _field_at(green_plus_field, pts, horseshoe)
+    g2 = _field_at(green_plus_field, [henon_apply(p, horseshoe) for p in pts],
+                   horseshoe)
+    keep = g.converged & (g.values > 0.0)
+    assert np.all(np.abs(g2.values[keep] - 2.0 * g.values[keep]) < 1e-6)
+    assert keep.sum() > 100
 
 
 def test_green_minus_functional_equation(horseshoe):
-    from henonlab.dynamics import henon_inverse
-    rng = np.random.default_rng(13)
-    checked = 0
-    for _ in range(400):
-        r = rng.uniform(-2 * horseshoe.R, 2 * horseshoe.R, size=4)
-        p = PointC2(complex(r[0], r[1]), complex(r[2], r[3]))
-        g = green_minus(p, horseshoe)
-        if not g.converged or g.value <= 0.0:
-            continue
-        g2 = green_minus(henon_inverse(p, horseshoe), horseshoe)
-        assert abs(g2.value - 2.0 * g.value) < 1e-6
-        checked += 1
-    assert checked > 100
+    pts = _random_points(np.random.default_rng(13), 2 * horseshoe.R, 400)
+    g = _field_at(green_minus_field, pts, horseshoe)
+    g2 = _field_at(green_minus_field,
+                   [henon_inverse(p, horseshoe) for p in pts], horseshoe)
+    keep = g.converged & (g.values > 0.0)
+    assert np.all(np.abs(g2.values[keep] - 2.0 * g.values[keep]) < 1e-6)
+    assert keep.sum() > 100
 
 
 def test_green_plus_bounded_orbit_is_presumed():
@@ -113,15 +193,80 @@ def test_green_plus_untriggered_overflow_not_presumed(horseshoe):
     assert g.bound == math.inf
 
 
-def test_green_field_against_scalar_henon(horseshoe):
-    rng = np.random.default_rng(14)
+def _check_henon_field(field, ref, m, seed):
+    rng = np.random.default_rng(seed)
     xs = rng.normal(scale=6.0, size=40) + 1j * rng.normal(scale=6.0, size=40)
     ys = rng.normal(scale=6.0, size=40) + 1j * rng.normal(scale=6.0, size=40)
-    fld = green_plus_field(xs, ys, horseshoe)
+    fld = field(xs, ys, m)
     for i in range(40):
-        g = green_plus(PointC2(complex(xs[i]), complex(ys[i])), horseshoe)
+        g = ref(PointC2(complex(xs[i]), complex(ys[i])), m)
         assert fld.values[i] == pytest.approx(g.value, abs=1e-13)
         assert bool(fld.presumed_bounded[i]) == g.presumed_bounded
+
+
+def test_green_field_against_scalar_henon(horseshoe):
+    _check_henon_field(green_plus_field, ref_green_plus, horseshoe, 14)
+
+
+def test_green_minus_field_against_reference(horseshoe):
+    _check_henon_field(green_minus_field, ref_green_minus, horseshoe, 14)
+
+
+@pytest.mark.parametrize("scalar, field", [(green_plus, green_plus_field),
+                                           (green_minus, green_minus_field)])
+def test_henon_scalar_is_field_element(horseshoe, scalar, field):
+    rng = np.random.default_rng(15)
+    xs = rng.normal(scale=6.0, size=(20, 15)) + 1j * rng.normal(scale=6.0, size=(20, 15))
+    ys = rng.normal(scale=6.0, size=(20, 15)) + 1j * rng.normal(scale=6.0, size=(20, 15))
+    xs[0, :3] = (0.0, 1.0, 1e200)  # presumed, escaping, overflowing
+    ys[0, :3] = (0.0, 1e200, 1.0)
+    with np.errstate(over="ignore"):  # |x|^2 of the 1e200 point is inf
+        fld = field(xs, ys, horseshoe, tol=1e-11, n_max=40)
+    for i, j in np.ndindex(xs.shape):
+        with np.errstate(over="ignore"):
+            g = scalar(PointC2(complex(xs[i, j]), complex(ys[i, j])),
+                       horseshoe, tol=1e-11, n_max=40)
+        assert g == GreenEstimate(float(fld.values[i, j]), int(fld.n_used[i, j]),
+                                  bool(fld.converged[i, j]),
+                                  float(fld.bounds[i, j]),
+                                  bool(fld.presumed_bounded[i, j]))
+
+
+def test_poly_scalar_is_field_element():
+    rng = np.random.default_rng(16)
+    zs = rng.normal(scale=2.0, size=120) + 1j * rng.normal(scale=2.0, size=120)
+    fld = green_poly_field(zs, BASILICA, tol=1e-12, n_max=60)
+    assert fld.presumed_bounded.any() and fld.converged.any()
+    for i, z in enumerate(zs):
+        g = green_poly(z, BASILICA, tol=1e-12, n_max=60)
+        assert g == GreenEstimate(float(fld.values[i]), int(fld.n_used[i]),
+                                  bool(fld.converged[i]), float(fld.bounds[i]),
+                                  bool(fld.presumed_bounded[i]))
+
+
+@pytest.mark.parametrize("bad", [{"n_max": 0}, {"n_max": -1}, {"tol": 0.0},
+                                 {"tol": -1e-9}])
+def test_field_kernels_reject_bad_budget(horseshoe, bad):
+    pts = np.array([0.5 + 0.0j, 30.0])
+    with pytest.raises(ContractError):
+        green_plus_field(pts, pts, horseshoe, **bad)
+    with pytest.raises(ContractError):
+        green_minus_field(pts, pts, horseshoe, **bad)
+    with pytest.raises(ContractError):
+        green_poly_field(pts, BASILICA, **bad)
+    with pytest.raises(ContractError):
+        green_poly(0.5, BASILICA, **bad)
+
+
+def test_green_poly_overflow_is_not_bounded():
+    # |w| = 1e200 is past SAFE_NORM but inside the escape radius 2(1 + 1e200)
+    huge = Poly((1e200, 0.0, 1.0))
+    fld = green_poly_field([3.0], huge)
+    assert fld.bounds[0] == math.inf
+    assert not fld.converged[0] and not fld.presumed_bounded[0]
+    assert fld.values[0] == 0.0 and fld.n_used[0] == 1
+    g = green_poly(3.0, huge)
+    assert g == GreenEstimate(0.0, 1, False, math.inf)
 
 
 def test_scalar_grid_round_trip(tmp_path):
