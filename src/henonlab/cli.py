@@ -144,6 +144,9 @@ def build_config(command: str, file_doc: dict | None = None,
     if file_doc is not None and not isinstance(file_doc, dict):
         raise ContractError("a config file must hold one JSON object")
     if file_doc:
+        unknown = sorted(set(file_doc) - set(doc) - {"command"})
+        if unknown:
+            raise ContractError(f"unknown config keys {unknown}")
         if "command" in file_doc and file_doc["command"] != command:
             raise ContractError("config file names a different command")
         doc = _deep_merge(doc, {k: v for k, v in file_doc.items()
@@ -174,8 +177,8 @@ def _validate_config(cfg: JobConfig) -> None:
     if not -(2 ** 63) <= cfg.rng_seed < 2 ** 64:
         raise ContractError("rng_seed must fit in 64 bits")
     for key, val in cfg.budgets.items():
-        if not _is_real(val) or val < 0:
-            raise ContractError(f"budget {key} must be nonnegative")
+        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+            raise ContractError(f"budget {key} must be a nonnegative integer")
         if key in ("n_max", "walks", "depth", "level_max", "budget",
                    "word_max", "reality_n_max") and val < 1:
             raise ContractError(f"budget {key} must be >= 1")
@@ -358,7 +361,7 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
     m = _map_params(cfg.params)
     n_max = int(cfg.budgets["level_max"])
     budget = int(cfg.budgets["budget"])
-    levels = [periodic_points_2d(m, n, budget=budget, rng_seed=cfg.rng_seed)
+    levels = [periodic_points_2d(m, n, budget=budget)
               for n in range(1, n_max + 1)]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -414,7 +417,9 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
                     "fixed_point_count": lv.fixed_point_count,
                     "orbit_count": len(lv.orbits),
                     "minimal_orbit_count": len(lv.minimal_orbits),
-                    "attempts": lv.attempts}
+                    "attempts": lv.attempts,
+                    "paths_lost": lv.paths_lost,
+                    "step_halvings": lv.step_halvings}
                    for lv in levels],
         "saddle_table": [{"n": r.n, "saddle_count": r.saddle_count,
                           "ratio": r.ratio, "complete": r.complete}
@@ -437,7 +442,7 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
     @functools.cache
     def level_at(n: int):
         # the word level is also a reality level when word_max <= reality_n
-        return periodic_points_2d(m, n, budget=budget, rng_seed=cfg.rng_seed)
+        return periodic_points_2d(m, n, budget=budget)
 
     if not is_horseshoe_regime(m):
         entropy_doc = {"status": "skipped",

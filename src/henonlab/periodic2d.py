@@ -1,12 +1,17 @@
 """Periodic orbits of the plane quadratic map.
 
-Enumeration runs damped Newton on p -> f^n(p) - p from three seed pools:
-the closed-form fixed points, one shadowing seed per binary necklace when
-the parameters pass the horseshoe test (alternating square-root branches
-along the itinerary), and low-discrepancy points in the bidisk of radius
-R.  Orbits deduplicate by cyclic alignment, carry multiplier eigenvalues
-and a hyperbolicity class, and aggregate into equal-weight measures, the
-saddle-count table, and the all-real/entropy report.
+Enumeration runs damped Newton on the closure system f(p_j) = p_{j+1} of
+a whole cycle.  Fixed points come in closed form.  When the parameters
+pass the horseshoe test, every other cycle comes from one shadowing seed
+per binary necklace (alternating square-root branches along the
+itinerary).  Elsewhere the horseshoe level at a start parameter (a0, b) is
+continued to (a, b) along a complex detour in a, all cycles of one period
+in one stacked Newton solve per step ("gamma trick" homotopy of
+Sommese-Wampler, The Numerical Solution of Systems of Polynomials, 2005);
+a lost path leaves the level incomplete.  Orbits deduplicate by cyclic
+alignment, carry multiplier eigenvalues and a hyperbolicity class, and
+aggregate into equal-weight measures, the saddle-count table, and the
+all-real/entropy report.
 """
 
 from __future__ import annotations
@@ -130,16 +135,40 @@ def _cyclic_neighbours(n: int):
     return (idx + 1) % n, (idx - 1) % n
 
 
+def _closure_defect(P: np.ndarray, a, b, nxt: np.ndarray) -> np.ndarray:
+    """f(p_j) - p_{j+1} for cycles stacked on the trailing (d, 2) axes."""
+    X, Y = P[..., 0], P[..., 1]
+    F = np.empty_like(P)
+    F[..., 0] = -X * X + a - b * Y - X[..., nxt]
+    F[..., 1] = X - Y[..., nxt]
+    return F
+
+
 def _cycle_defect(P: np.ndarray, m: MapParams,
                   nxt: np.ndarray) -> np.ndarray | None:
     """Per-step closure defect f(p_j) - p_{j+1} over a candidate cycle."""
-    X, Y = P[:, 0], P[:, 1]
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
+    if not np.all(np.isfinite(P)):
         return None
-    F = np.empty_like(P)
-    F[:, 0] = -X * X + m.a - m.b * Y - X[nxt]
-    F[:, 1] = X - Y[nxt]
-    return F
+    return _closure_defect(P, m.a, m.b, nxt)
+
+
+def _cycle_jacobian(X: np.ndarray, b: complex) -> np.ndarray:
+    """Jacobian of the closure system at cycles with x-coordinates X[..., j].
+
+    Unknowns interleave (x_j, y_j).  The wrap-around -1 entries are added,
+    not assigned: at period 1 they fall on the diagonal, on top of -2x
+    and 0.
+    """
+    d = X.shape[-1]
+    dim = 2 * d
+    rows = np.arange(d)
+    A = np.zeros(X.shape[:-1] + (dim, dim), dtype=complex)
+    A[..., 2 * rows, 2 * rows] = -2.0 * X
+    A[..., 2 * rows, 2 * rows + 1] = -b
+    A[..., 2 * rows + 1, 2 * rows] = 1.0
+    A[..., 2 * rows, (2 * rows + 2) % dim] += -1.0
+    A[..., 2 * rows + 1, (2 * rows + 3) % dim] += -1.0
+    return A
 
 
 def _newton_cycle(m: MapParams, init_pts) -> np.ndarray | None:
@@ -151,8 +180,6 @@ def _newton_cycle(m: MapParams, init_pts) -> np.ndarray | None:
     """
     P = np.array(init_pts, dtype=complex).reshape(-1, 2)
     n = P.shape[0]
-    dim = 2 * n
-    rows = np.arange(n)
     nxt, _ = _cyclic_neighbours(n)
     for _ in range(60):
         F = _cycle_defect(P, m, nxt)
@@ -162,14 +189,8 @@ def _newton_cycle(m: MapParams, init_pts) -> np.ndarray | None:
         scale = 1.0 + float(np.max(np.abs(P))) ** 2
         if n_f < 1e-12 * scale:
             return P
-        A = np.zeros((dim, dim), dtype=complex)
-        A[2 * rows, 2 * rows] = -2.0 * P[:, 0]
-        A[2 * rows, 2 * rows + 1] = -m.b
-        A[2 * rows, (2 * rows + 2) % dim] = -1.0
-        A[2 * rows + 1, 2 * rows] = 1.0
-        A[2 * rows + 1, (2 * rows + 3) % dim] = -1.0
         try:
-            delta = np.linalg.solve(A, F.ravel())
+            delta = np.linalg.solve(_cycle_jacobian(P[:, 0], m.b), F.ravel())
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(delta)):
@@ -188,19 +209,6 @@ def _newton_cycle(m: MapParams, init_pts) -> np.ndarray | None:
     return None
 
 
-def _seed_cycle(m: MapParams, n: int, x0: complex, y0: complex):
-    """Initial cycle for Newton: iterate a single seed point n-1 steps."""
-    P = np.empty((n, 2), dtype=complex)
-    x, y = complex(x0), complex(y0)
-    for j in range(n):
-        if max(abs(x), abs(y)) > 1e50 or not (cmath.isfinite(x)
-                                              and cmath.isfinite(y)):
-            return None
-        P[j, 0], P[j, 1] = x, y
-        x, y = -x * x + m.a - m.b * y, x
-    return P
-
-
 def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60):
     """Shadowing seed for the cycle with itinerary `bits` (horseshoe only).
 
@@ -215,18 +223,6 @@ def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60):
     for _ in range(sweeps):
         x = sign * np.sqrt(m.a - x[nxt] - m.b * x[prv])
     return np.stack([x, x[prv]], axis=1)
-
-
-def _halton_seeds(m: MapParams, count: int, rng_seed):
-    # scipy.stats costs over a second to import; only Halton seeding needs it
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=4, scramble=True, seed=rng_seed)
-    rows = sampler.random(count)
-    span = 2.0 * m.R
-    rows = span * rows - m.R
-    for r in rows:
-        yield complex(r[0], r[1]), complex(r[2], r[3])
 
 
 def _minimal_period(pts, n: int) -> int:
@@ -292,13 +288,20 @@ class _CycleIndex:
 
 @dataclass(frozen=True)
 class PeriodicLevel:
-    """All solutions of f^n(p) = p found for one n, grouped into cycles."""
+    """All solutions of f^n(p) = p found for one n, grouped into cycles.
+
+    attempts counts itinerary seeds in the horseshoe regime and continuation
+    paths elsewhere; paths_lost and step_halvings are continuation counters
+    and stay 0 on the itinerary path.
+    """
 
     n: int
     orbits: tuple
     fixed_point_count: int
     complete: bool
     attempts: int
+    paths_lost: int = 0
+    step_halvings: int = 0
 
     @property
     def minimal_orbits(self) -> tuple:
@@ -317,67 +320,215 @@ class PeriodicLevel:
         return total
 
 
-def periodic_points_2d(m: MapParams, n: int, budget: int = 2048,
-                       rng_seed=0) -> PeriodicLevel:
-    """Enumerate fixed points of f^n up to the seed budget.
+class _Census:
+    """One level's orbits as they are admitted: the closed-form fixed
+    points first, then every candidate cycle that Newton polishes and that
+    survives the minimal-period check, the dedup index and the residual
+    gate of `_build_orbit`."""
+
+    def __init__(self, m: MapParams, n: int):
+        self.m = m
+        self.n = n
+        self.orbits: list[PeriodicOrbit] = []
+        self.kept = _CycleIndex()
+        self.count = 0
+        for orb in fixed_points_closed_form(m):
+            if orb is not None:
+                self._keep(orb)
+
+    @property
+    def complete(self) -> bool:
+        return self.count >= 2 ** self.n
+
+    def _keep(self, orb: PeriodicOrbit) -> None:
+        self.orbits.append(orb)
+        self.kept.add(orb.points)
+        self.count += orb.period * orb.multiplicity
+
+    def try_cycle(self, init_pts) -> None:
+        pts = _newton_cycle(self.m, init_pts)
+        if pts is None:
+            return
+        d = _minimal_period(pts, len(pts))
+        if d < len(pts):
+            # re-polish at the minimal period: detection tolerance is looser
+            # than the orbit residual gate
+            pts = _newton_cycle(self.m, pts[:d])
+            if pts is None:
+                return
+        cycle = tuple(PointC2(complex(p[0]), complex(p[1])) for p in pts[:d])
+        if self.kept.has(cycle):
+            return
+        orb = _build_orbit(cycle, self.m)
+        if orb is not None:
+            self._keep(orb)
+
+    def level(self, attempts: int, paths_lost: int = 0,
+              step_halvings: int = 0) -> PeriodicLevel:
+        return PeriodicLevel(self.n, tuple(self.orbits), self.count,
+                             self.complete, attempts, paths_lost,
+                             step_halvings)
+
+
+def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
+    """Newton from one shadowing seed per necklace (horseshoe only)."""
+    census = _Census(m, n)
+    attempts = 0
+    for bits in necklaces(n):
+        if census.complete or attempts >= budget:
+            break
+        attempts += 1
+        census.try_cycle(symbolic_orbit_seed(m, bits))
+    return census.level(attempts)
+
+
+# Continuation from a horseshoe start (a0, b) to the target (a1, b) along
+# a(s) = a0 + (a1 - a0) s + DETOUR sin(pi s).  The detour leaves the real
+# line, where periodic orbits collide at bifurcations, for the complex
+# plane, where a path meets such a collision only by accident.
+START_A = 10.0
+DETOUR = 2j
+CORRECTOR_ITERS = 3
+STEP_RESIDUAL = 1e-11
+STEP_MOVE = 0.25
+STEP_MAX = 0.1
+STEP_MIN = 1e-6
+# entries of one (paths, 2d, 2d) stack of closure Jacobians; a level with
+# many long cycles runs in blocks of paths so that its temporaries stay
+# bounded.  A block holds at least one path.
+PATHS_BLOCK_ELEMS = 1 << 18
+
+
+def _start_parameter(b: complex) -> float:
+    """The first of START_A, 2 START_A, 4 START_A, ... at which (a0, b)
+    passes the horseshoe test."""
+    a0 = START_A
+    while not is_horseshoe_regime(MapParams(a0, b)):
+        a0 *= 2.0
+        if math.isinf(a0):
+            raise ContractError(f"no horseshoe start parameter for b = {b}")
+    return a0
+
+
+def _solve_stack(A: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Solve A[i] x = F[i] for every i; a singular A[i] gives nan."""
+    try:
+        return np.linalg.solve(A, F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(F.shape, np.nan, dtype=complex)
+        for i in range(len(A)):
+            try:
+                out[i] = np.linalg.solve(A[i], F[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _continue_cycles(P: np.ndarray, a0: float, a1: complex, b: complex):
+    """Follow the cycles P, shape (k, d, 2), of the map at (a0, b) to
+    (a1, b).
+
+    Every path has its own s and step h.  A step to s + h predicts the
+    cycle along the tangent dP/ds at s (Euler), then runs CORRECTOR_ITERS
+    undamped Newton iterations at a(s + h); it is
+    accepted when the residual ends below STEP_RESIDUAL * scale and the
+    cycle moved less than STEP_MOVE * scale, with scale = 1 + max|p|^2.
+    Acceptance doubles h up to STEP_MAX, rejection halves it, and a path
+    whose h falls below STEP_MIN is lost.  The predictor and each corrector
+    iteration make one stacked solve over the paths still running.  The
+    tangent cuts the rejected steps about sixfold against restarting
+    Newton from the cycle at s.  Returns the end
+    cycles, a mask of the paths that reached s = 1 and the number of
+    step halvings.
+    """
+    k, d, _ = P.shape
+    nxt, _ = _cyclic_neighbours(d)
+    P = P.copy()
+    s = np.zeros(k)
+    h = np.full(k, STEP_MAX)
+    live = np.ones(k, dtype=bool)
+    halvings = 0
+    with np.errstate(all="ignore"):
+        while live.any():
+            idx = np.flatnonzero(live)
+            s_new = np.minimum(s[idx] + h[idx], 1.0)
+            # sin(pi) is not 0 in floating point: pin the end to a1 exactly
+            a = np.where(s_new < 1.0,
+                         a0 + (a1 - a0) * s_new + DETOUR * np.sin(np.pi * s_new),
+                         a1)[:, None]
+            # Euler predictor: J dP/ds = -dF/ds, and dF/ds is a'(s) in the
+            # x rows
+            Q = P[idx]
+            da = ((a1 - a0) + DETOUR * np.pi * np.cos(np.pi * s[idx]))
+            rhs = np.zeros((len(idx), d, 2), dtype=complex)
+            rhs[..., 0] = da[:, None]
+            tangent = _solve_stack(_cycle_jacobian(Q[..., 0], b),
+                                   rhs.reshape(len(idx), 2 * d))
+            Q = Q - (s_new - s[idx])[:, None, None] * tangent.reshape(Q.shape)
+            for _ in range(CORRECTOR_ITERS):
+                F = _closure_defect(Q, a, b, nxt)
+                delta = _solve_stack(_cycle_jacobian(Q[..., 0], b),
+                                     F.reshape(len(idx), 2 * d))
+                Q = Q - delta.reshape(Q.shape)
+            res = np.max(np.abs(_closure_defect(Q, a, b, nxt)), axis=(1, 2))
+            move = np.max(np.abs(Q - P[idx]), axis=(1, 2))
+            scale = 1.0 + np.max(np.abs(Q), axis=(1, 2)) ** 2
+            ok = (res < STEP_RESIDUAL * scale) & (move < STEP_MOVE * scale)
+            acc, rej = idx[ok], idx[~ok]
+            P[acc] = Q[ok]
+            s[acc] = s_new[ok]
+            h[acc] = np.minimum(2.0 * h[acc], STEP_MAX)
+            h[rej] *= 0.5
+            halvings += rej.size
+            live[acc[s[acc] >= 1.0]] = False
+            live[rej[h[rej] < STEP_MIN]] = False
+    return P, s >= 1.0, halvings
+
+
+def _continued_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
+    """Level n off the horseshoe: continue the start level's cycles of
+    period >= 2 to m, one stacked path set per period, and admit each end
+    cycle in start order.  Fixed points come in closed form."""
+    a0 = _start_parameter(m.b)
+    start = _itinerary_level(MapParams(a0, m.b), n, budget)
+    # one path per start cycle; each came from one of at most `budget` seeds
+    paths = [o for o in start.orbits if o.period > 1]
+    ends = {}
+    lost = halvings = 0
+    for d in sorted({o.period for o in paths}):
+        group = [i for i, o in enumerate(paths) if o.period == d]
+        step = max(1, PATHS_BLOCK_ELEMS // (4 * d * d))
+        for lo in range(0, len(group), step):
+            block = group[lo:lo + step]
+            P0 = np.array([[(p.x, p.y) for p in paths[i].points]
+                           for i in block], dtype=complex)
+            P, reached, block_halvings = _continue_cycles(P0, a0, m.a, m.b)
+            halvings += block_halvings
+            lost += int(np.count_nonzero(~reached))
+            ends.update((i, P[j]) for j, i in enumerate(block) if reached[j])
+    census = _Census(m, n)
+    for i in sorted(ends):
+        census.try_cycle(ends[i])
+    return census.level(len(paths), lost, halvings)
+
+
+def periodic_points_2d(m: MapParams, n: int,
+                       budget: int = 2048) -> PeriodicLevel:
+    """Enumerate fixed points of f^n, at most `budget` seeds or paths.
 
     Closed-form fixed points enter directly; every other orbit must come
-    out of a converged Newton run.  Stops once the multiplicity-weighted
-    count reaches 2^n; a shortfall is flagged, never padded.
+    out of a converged Newton run.  In the horseshoe regime the seeds are
+    itineraries and enumeration stops once the multiplicity-weighted count
+    reaches 2^n; elsewhere the horseshoe level is continued to m.  A
+    shortfall is flagged, never padded.
     """
     if n < 1:
         raise ContractError("n must be >= 1")
     if budget < 1:
         raise ContractError("budget must be >= 1")
-    target = 2 ** n
-    orbits: list[PeriodicOrbit] = []
-    kept = _CycleIndex()
-    count = 0
-
-    def keep(orb: PeriodicOrbit) -> None:
-        nonlocal count
-        orbits.append(orb)
-        kept.add(orb.points)
-        count += orb.period * orb.multiplicity
-
-    for orb in fixed_points_closed_form(m):
-        if orb is not None:
-            keep(orb)
-
-    def try_seed(init_pts) -> None:
-        if init_pts is None:
-            return
-        pts = _newton_cycle(m, init_pts)
-        if pts is None:
-            return
-        d = _minimal_period(pts, n)
-        if d < n:
-            # re-polish at the minimal period: detection tolerance is looser
-            # than the orbit residual gate
-            pts = _newton_cycle(m, pts[:d])
-            if pts is None:
-                return
-        cycle = tuple(PointC2(complex(p[0]), complex(p[1])) for p in pts[:d])
-        if kept.has(cycle):
-            return
-        orb = _build_orbit(cycle, m)
-        if orb is not None:
-            keep(orb)
-
-    attempts = 0
     if is_horseshoe_regime(m):
-        for bits in necklaces(n):
-            if count >= target or attempts >= budget:
-                break
-            attempts += 1
-            try_seed(symbolic_orbit_seed(m, bits))
-    if count < target and attempts < budget:
-        for x0, y0 in _halton_seeds(m, budget - attempts, rng_seed):
-            if count >= target or attempts >= budget:
-                break
-            attempts += 1
-            try_seed(_seed_cycle(m, n, x0, y0))
-    return PeriodicLevel(n, tuple(orbits), count, count >= target, attempts)
+        return _itinerary_level(m, n, budget)
+    return _continued_level(m, n, budget)
 
 
 def mu_n_measure(level: PeriodicLevel) -> DiscreteMeasure:
@@ -429,12 +580,12 @@ def saddle_table(levels) -> SaddleRatioTable:
     return SaddleRatioTable(tuple(rows), verdict)
 
 
-def saddle_count_ratio(m: MapParams, n_max: int, budget: int = 2048,
-                       rng_seed=0) -> SaddleRatioTable:
+def saddle_count_ratio(m: MapParams, n_max: int,
+                       budget: int = 2048) -> SaddleRatioTable:
     """Enumerate levels 1..n_max and tabulate saddle counts and ratios."""
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
-    levels = [periodic_points_2d(m, n, budget=budget, rng_seed=rng_seed)
+    levels = [periodic_points_2d(m, n, budget=budget)
               for n in range(1, n_max + 1)]
     return saddle_table(levels)
 
@@ -500,14 +651,14 @@ def reality_table(m: MapParams, levels) -> RealityReport:
                          verdict)
 
 
-def reality_conditions_report(m: MapParams, n_max: int, budget: int = 2048,
-                              rng_seed=0) -> RealityReport:
+def reality_conditions_report(m: MapParams, n_max: int,
+                              budget: int = 2048) -> RealityReport:
     """Enumerate levels 1..n_max and tabulate their reality conditions."""
     if m.a.imag != 0.0 or m.b.imag != 0.0:
         raise ContractError("reality report needs real parameters")
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
-    levels = [periodic_points_2d(m, n, budget=budget, rng_seed=rng_seed)
+    levels = [periodic_points_2d(m, n, budget=budget)
               for n in range(1, n_max + 1)]
     return reality_table(m, levels)
 

@@ -184,12 +184,10 @@ def _coords(p):
 
 def _flat_pair(xs, ys):
     x = np.asarray(xs, dtype=complex)
-    shape = x.shape
-    x = x.ravel().copy()
-    y = np.asarray(ys, dtype=complex).ravel().copy()
+    y = np.asarray(ys, dtype=complex)
     if x.shape != y.shape:
         raise ContractError("coordinate arrays must have matching shapes")
-    return (x, y), shape
+    return (x.ravel().copy(), y.ravel().copy()), x.shape
 
 
 def _dominant(u, v, thr: float):

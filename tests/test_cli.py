@@ -139,8 +139,11 @@ def test_render_green_pinned_bytes(tmp_path, doc, digests):
     {"slice": {"base": [[0.0, 0.0]]}},
     ["render-green"],
     {"window": 5},
+    {"budgets": {"n_max": 1.5}},
+    {"command": "render-green", "windw": {}},
 ], ids=["bool-budget", "bool-tol", "float-pixels", "negative-width",
-        "zero-height", "short-slice", "list-config", "window-not-object"])
+        "zero-height", "short-slice", "list-config", "window-not-object",
+        "float-budget", "unknown-key"])
 def test_bad_render_config_exits_2(tmp_path, capsys, doc):
     cfg_path = write_cfg(tmp_path, doc)
     rc = main(["render-green", "--config", str(cfg_path),
@@ -181,12 +184,54 @@ def test_periodic_report_run(tmp_path):
     doc = json.loads(reports[0].read_text())
     assert [lv["fixed_point_count"] for lv in doc["levels"]] == [2, 4, 8]
     assert all(lv["complete"] for lv in doc["levels"])
+    # itinerary seeding: no continuation ran
+    assert all(lv["paths_lost"] == 0 and lv["step_halvings"] == 0
+               for lv in doc["levels"])
     matrix = doc["mu_comparison"]
     assert [matrix[i][i] for i in range(3)] == [0.0] * 3
     assert matrix == [list(col) for col in zip(*matrix)]
     assert all(matrix[i][j] > 0.0 for i in range(3) for j in range(3) if i != j)
     assert len(list((tmp_path / "out").glob("periodic-*-orbits.csv"))) == 1
     assert len(list((tmp_path / "out").glob("periodic-*-saddles.csv"))) == 1
+
+
+OFF_HORSESHOE = {"kind": "henon", "a": [1.4, 0.0], "b": [0.3, 0.0]}
+
+
+def _periodic_report(tmp_path, doc, name, threads=1):
+    cfg_path = write_cfg(tmp_path, dict(doc, command="periodic-report"))
+    out = tmp_path / name
+    rc = main(["periodic-report", "--config", str(cfg_path),
+               "--threads", str(threads), "--out", str(out)])
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    report, = (json.loads(blob) for name_, blob in files.items()
+               if name_.endswith("-report.json"))
+    return rc, files, report
+
+
+def test_periodic_report_continuation_counters(tmp_path):
+    doc = {"params": OFF_HORSESHOE,
+           "budgets": {"level_max": 5, "budget": 256}}
+    rc, files, report = _periodic_report(tmp_path, doc, "t1")
+    assert rc == 0
+    levels = report["levels"]
+    assert all(lv["complete"] and lv["paths_lost"] == 0 for lv in levels)
+    assert levels[0]["step_halvings"] == 0  # fixed points: no paths
+    assert all(lv["step_halvings"] > 0 for lv in levels[1:])
+    for name, threads in (("t1-again", 1), ("t4", 4)):
+        rc2, files2, _ = _periodic_report(tmp_path, doc, name, threads)
+        assert rc2 == 0 and files2 == files
+
+
+def test_periodic_report_lost_path_exits_3(tmp_path):
+    # at (3, 1) the period-2 orbit merges into a fixed point
+    doc = {"params": {"kind": "henon", "a": [3.0, 0.0], "b": [1.0, 0.0]},
+           "budgets": {"level_max": 2, "budget": 64}}
+    rc, _, report = _periodic_report(tmp_path, doc, "out")
+    assert rc == 3
+    lv2 = report["levels"][1]
+    assert lv2["paths_lost"] == 1 and not lv2["complete"]
+    assert lv2["fixed_point_count"] == 2
 
 
 def test_entropy_report_run(tmp_path):
@@ -253,13 +298,26 @@ def test_outputs_deterministic_across_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates start-up; only Halton seeding may load it
+def _run_without_scipy_stats(code: str) -> None:
     src = str(Path(henonlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, henonlab.cli\n"
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'")
+    code += "\nassert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates start-up; nothing in henonlab needs it
+    _run_without_scipy_stats("import sys, henonlab.cli")
+
+
+def test_off_horseshoe_census_leaves_scipy_stats_unloaded(tmp_path):
+    cfg_path = write_cfg(tmp_path, {
+        "command": "periodic-report", "params": OFF_HORSESHOE,
+        "budgets": {"level_max": 3, "budget": 64}})
+    _run_without_scipy_stats(
+        "import sys\nfrom henonlab.cli import main\n"
+        f"assert main(['periodic-report', '--config', {str(cfg_path)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0")

@@ -1,21 +1,28 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import henonlab.periodic2d as periodic2d
 from henonlab.dynamics import (MapParams, PointC2, derivative_along_orbit,
-                               henon_apply)
+                               henon_apply, is_horseshoe_regime)
 from henonlab.errors import ContractError
 from henonlab.measures import TestBattery, compare
 from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _dedup_cell,
-                                 _same_cycle, cylinder_point_measure,
+                                 _newton_cycle, _same_cycle, _solve_stack,
+                                 _start_parameter, cylinder_point_measure,
                                  fixed_points_closed_form, mu_n_measure,
                                  negative_fixed_point, periodic_points_2d,
                                  reality_conditions_report, reality_table,
                                  saddle_count_ratio, symbolic_orbit_seed,
                                  unstable_disk_sample)
 from henonlab.symbolic import necklaces
+
+HALTON_REF = (Path(__file__).resolve().parents[1]
+              / "perfbench" / "refs" / "census_halton.json")
 
 
 def test_closed_form_fixed_points_are_fixed():
@@ -44,6 +51,7 @@ def test_census_counts_match_target(horseshoe_levels):
     for n, lv in horseshoe_levels.items():
         assert lv.complete
         assert lv.fixed_point_count == 2 ** n
+        assert lv.paths_lost == 0 and lv.step_halvings == 0
         for o in lv.orbits:
             assert n % o.period == 0
 
@@ -85,9 +93,10 @@ def test_no_duplicate_cycles(horseshoe_levels):
     for lv in horseshoe_levels.values():
         _assert_no_duplicates(lv)
     assert horseshoe_levels[6].fixed_point_count == 64
-    halton = periodic_points_2d(MapParams(1.4, 0.3), 6)  # Halton seeds only
-    assert halton.complete
-    _assert_no_duplicates(halton)
+    # off the horseshoe: every orbit but the fixed points is continued
+    continued = periodic_points_2d(MapParams(1.4, 0.3), 6)
+    assert continued.complete
+    _assert_no_duplicates(continued)
 
 
 def _shifted(cycle, dx):
@@ -166,6 +175,85 @@ def test_incomplete_census_is_flagged():
     assert not lv.complete
     assert lv.fixed_point_count < 64
     assert lv.attempts <= 2
+
+
+@pytest.mark.parametrize("a, b", [(1.4, 0.3), (10.0, 0.3)])
+def test_newton_converges_to_a_fixed_point(a, b):
+    # at period 1 both wrap-around Jacobian entries land on the diagonal
+    m = MapParams(a, b)
+    x = min((o.points[0].x for o in fixed_points_closed_form(m)),
+            key=lambda v: v.real)
+    pts = _newton_cycle(m, [(x + 1e-3, x - 1e-3)])
+    assert pts is not None
+    assert abs(pts[0, 0] - x) < 1e-12 and abs(pts[0, 1] - x) < 1e-12
+
+
+@pytest.mark.parametrize("a, b, n", [(1.4, 0.3, 9), (1.4, 0.3, 10),
+                                     (1.0, 0.3, 10),
+                                     (1.2 + 0.5j, 0.3 - 0.1j, 6)])
+def test_continued_census_is_complete(a, b, n):
+    m = MapParams(a, b)
+    assert not is_horseshoe_regime(m)
+    lv = periodic_points_2d(m, n)
+    assert lv.complete and lv.fixed_point_count == 2 ** n
+    assert lv.paths_lost == 0
+    assert lv.attempts == sum(1 for o in lv.orbits if o.period > 1)
+    for o in lv.orbits:
+        assert n % o.period == 0
+        assert o.residual <= 1e-9 * (1 + max(abs(p.x) for p in o.points) ** 2)
+    _assert_no_duplicates(lv)
+
+
+def test_continued_census_matches_halton_reference():
+    # levels 1-7 at (1.4, 0.3) as Halton seeding once found them, with the
+    # benchmark checker's both-ways match at ORBIT_MATCH_TOL = 1e-7
+    ref = json.loads(HALTON_REF.read_text())["jobs"]["halton"]["orbit_set"]
+    m = MapParams(1.4, 0.3)
+    assert sorted(ref, key=int) == [str(n) for n in range(1, 8)]
+    for n in range(1, 8):
+        lv = periodic_points_2d(m, n)
+        got = np.array([[p.x.real, p.x.imag, p.y.real, p.y.imag]
+                        for p in lv.fixed_points])
+        want = np.array(ref[str(n)])
+        assert got.shape == want.shape
+        dist = np.max(np.abs(want[:, None, :] - got[None, :, :]), axis=2)
+        tol = 1e-7 * (1.0 + np.max(np.abs(want)))
+        assert np.max(np.min(dist, axis=0)) <= tol
+        assert np.max(np.min(dist, axis=1)) <= tol
+
+
+def test_path_blocks_do_not_change_orbits(monkeypatch):
+    m = MapParams(1.4, 0.3)
+    whole = periodic_points_2d(m, 6)
+    # at most two period-6 paths (2*6)^2 = 144 entries each per block
+    monkeypatch.setattr(periodic2d, "PATHS_BLOCK_ELEMS", 300)
+    assert periodic_points_2d(m, 6) == whole
+
+
+def test_lost_path_leaves_level_incomplete():
+    # at (3, 1) the period-2 orbit merges into a fixed point: 4a = 3(1+b)^2
+    lv = periodic_points_2d(MapParams(3.0, 1.0), 2)
+    assert not lv.complete
+    assert lv.fixed_point_count == 2
+    assert lv.attempts == 1 and lv.paths_lost == 1
+
+
+def test_start_parameter():
+    assert _start_parameter(0.3 + 0j) == 10.0
+    a0 = _start_parameter(3.0 + 0j)
+    assert a0 > 10.0 and is_horseshoe_regime(MapParams(a0, 3.0))
+    assert not is_horseshoe_regime(MapParams(a0 / 2.0, 3.0))
+    with pytest.raises(ContractError):
+        _start_parameter(complex(math.nan, 0.0))
+
+
+def test_solve_stack_marks_singular_rows():
+    A = np.array([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)],
+                 dtype=complex)
+    F = np.ones((3, 2), dtype=complex)
+    x = _solve_stack(A, F)
+    assert np.array_equal(x[0], F[0]) and np.array_equal(x[2], 0.5 * F[2])
+    assert np.all(np.isnan(x[1]))
 
 
 def test_mu_n_measure_mass_and_completeness(horseshoe_levels):

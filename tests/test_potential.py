@@ -258,6 +258,16 @@ def test_field_kernels_reject_bad_budget(horseshoe, bad):
         green_poly(0.5, BASILICA, **bad)
 
 
+def test_henon_fields_reject_mismatched_shapes(horseshoe):
+    # equal sizes in another shape must not be paired in flat order
+    xs = np.zeros((2, 3), dtype=complex)
+    ys = np.zeros((3, 2), dtype=complex)
+    for field in (green_plus_field, green_minus_field):
+        with pytest.raises(ContractError):
+            field(xs, ys, horseshoe)
+    assert green_plus_field(xs, xs, horseshoe).values.shape == (2, 3)
+
+
 def test_green_poly_overflow_is_not_bounded():
     # |w| = 1e200 is past SAFE_NORM but inside the escape radius 2(1 + 1e200)
     huge = Poly((1e200, 0.0, 1.0))
