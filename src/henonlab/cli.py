@@ -160,9 +160,12 @@ def build_config(command: str, file_doc: dict | None = None,
     for key in ("params", "slice", "window", "budgets", "tolerances"):
         if not isinstance(doc[key], dict):
             raise ContractError(f"config field {key} must be an object")
+    for key in ("rng_seed", "threads"):
+        if not _is_int(doc[key]):
+            raise ContractError(f"{key} must be an integer")
     cfg = JobConfig(command, doc["mode"], doc["params"], doc["slice"],
                     doc["window"], doc["budgets"], doc["tolerances"],
-                    int(doc["rng_seed"]), int(doc["threads"]), doc["out"])
+                    doc["rng_seed"], doc["threads"], doc["out"])
     _validate_config(cfg)
     return cfg
 
@@ -171,13 +174,17 @@ def _is_real(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _validate_config(cfg: JobConfig) -> None:
     if cfg.threads < 1:
         raise ContractError("threads must be >= 1")
     if not -(2 ** 63) <= cfg.rng_seed < 2 ** 64:
         raise ContractError("rng_seed must fit in 64 bits")
     for key, val in cfg.budgets.items():
-        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+        if not _is_int(val) or val < 0:
             raise ContractError(f"budget {key} must be a nonnegative integer")
         if key in ("n_max", "walks", "depth", "level_max", "budget",
                    "word_max", "reality_n_max") and val < 1:
@@ -188,8 +195,7 @@ def _validate_config(cfg: JobConfig) -> None:
     if cfg.window:
         px = cfg.window.get("pixels", [1, 1])
         if (not isinstance(px, list) or len(px) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool)
-                           and v >= 1 for v in px)):
+                or not all(_is_int(v) and v >= 1 for v in px)):
             raise ContractError("pixels must be a pair of integers >= 1")
         for key in ("width", "height"):
             val = cfg.window.get(key, 1.0)
@@ -558,6 +564,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        # any other escape, MemoryError included, is a refused job: one
+        # line, no traceback
+        detail = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}{': ' + detail if detail else ''}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

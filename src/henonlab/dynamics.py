@@ -99,10 +99,18 @@ def henon_derivative(p: PointC2, m: MapParams) -> np.ndarray:
 
 
 def derivative_along_orbit(points, m: MapParams) -> np.ndarray:
-    """Chain-rule product Df(p_{n-1}) ... Df(p_0) for consecutive orbit points."""
+    """Chain-rule product Df(p_{n-1}) ... Df(p_0) for consecutive orbit points.
+
+    The factors are henon_derivative's matrices, built as one (n, 2, 2)
+    stack and multiplied from the left in orbit order.
+    """
+    D = np.zeros((len(points), 2, 2), dtype=complex)
+    D[:, 0, 0] = [-2.0 * p.x for p in points]
+    D[:, 0, 1] = -m.b
+    D[:, 1, 0] = 1.0
     acc = np.eye(2, dtype=complex)
-    for p in points:
-        acc = henon_derivative(p, m) @ acc
+    for Dj in D:
+        acc = Dj @ acc
     return acc
 
 

@@ -1,10 +1,13 @@
 """Periodic orbits of the plane quadratic map.
 
 Enumeration runs damped Newton on the closure system f(p_j) = p_{j+1} of
-a whole cycle.  Fixed points come in closed form.  When the parameters
-pass the horseshoe test, every other cycle comes from one shadowing seed
-per binary necklace (alternating square-root branches along the
-itinerary).  Elsewhere the horseshoe level at a start parameter (a0, b) is
+a whole cycle, over stacks of cycles: each row has its own line search
+and stop test and comes out bit for bit as it would alone.  Fixed points
+come in closed form.  When the parameters pass the horseshoe test, every
+other cycle comes from one shadowing seed per binary necklace
+(alternating square-root branches along the itinerary); a level seeds all
+its necklaces in one stacked sweep and polishes them in one stacked
+Newton.  Elsewhere the horseshoe level at a start parameter (a0, b) is
 continued to (a, b) along a complex detour in a, all cycles of one period
 in one stacked Newton solve per step ("gamma trick" homotopy of
 Sommese-Wampler, The Numerical Solution of Systems of Polynomials, 2005);
@@ -17,6 +20,7 @@ all-real/entropy report.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,14 +148,6 @@ def _closure_defect(P: np.ndarray, a, b, nxt: np.ndarray) -> np.ndarray:
     return F
 
 
-def _cycle_defect(P: np.ndarray, m: MapParams,
-                  nxt: np.ndarray) -> np.ndarray | None:
-    """Per-step closure defect f(p_j) - p_{j+1} over a candidate cycle."""
-    if not np.all(np.isfinite(P)):
-        return None
-    return _closure_defect(P, m.a, m.b, nxt)
-
-
 def _cycle_jacobian(X: np.ndarray, b: complex) -> np.ndarray:
     """Jacobian of the closure system at cycles with x-coordinates X[..., j].
 
@@ -171,42 +167,82 @@ def _cycle_jacobian(X: np.ndarray, b: complex) -> np.ndarray:
     return A
 
 
-def _newton_cycle(m: MapParams, init_pts) -> np.ndarray | None:
-    """Damped Newton on the cyclic system f(p_j) = p_{j+1}, all points at
-    once.  Solving the closure equations simultaneously keeps the residual
-    at rounding level for any period; composing f^n instead would bury
-    orbits with a strong multiplier under |lambda|^n amplification of
-    rounding noise.
+# entries of one (cycles, 2d, 2d) stack of closure Jacobians; a level with
+# many long cycles runs Newton and continuation in blocks of cycles so that
+# their temporaries stay bounded.  A block holds at least one cycle.
+PATHS_BLOCK_ELEMS = 1 << 18
+NEWTON_ITERS = 60
+LINE_SEARCH_HALVINGS = 20
+
+
+def _block_rows(d: int) -> int:
+    """Cycles of period d per block of PATHS_BLOCK_ELEMS Jacobian entries."""
+    return max(1, PATHS_BLOCK_ELEMS // (4 * d * d))
+
+
+def _newton_cycles(m: MapParams, P) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on the cyclic systems f(p_j) = p_{j+1} of a stack of
+    candidate cycles P, shape (k, n, 2), all points of a cycle at once.
+
+    Solving the closure equations simultaneously keeps the residual at
+    rounding level for any period; composing f^n instead would bury orbits
+    with a strong multiplier under |lambda|^n amplification of rounding
+    noise.  A row stops once max|F| < 1e-12 (1 + max|p|^2), within
+    NEWTON_ITERS iterations.  Every iteration makes one stacked solve over
+    the rows still running, and each row halves its own step up to
+    LINE_SEARCH_HALVINGS times until the step is finite and lowers max|F|.
+    A row fails on a non-finite start, a singular or non-finite step, or an
+    exhausted line search.  Rows never mix, so each row of the result is
+    bit for bit what it gives alone.  Callers pass at most one block of
+    rows (`_block_rows`).  Returns the polished stack and a mask of the
+    rows that converged.
     """
-    P = np.array(init_pts, dtype=complex).reshape(-1, 2)
-    n = P.shape[0]
-    nxt, _ = _cyclic_neighbours(n)
-    for _ in range(60):
-        F = _cycle_defect(P, m, nxt)
-        if F is None:
-            return None
-        n_f = float(np.max(np.abs(F)))
-        scale = 1.0 + float(np.max(np.abs(P))) ** 2
-        if n_f < 1e-12 * scale:
-            return P
-        try:
-            delta = np.linalg.solve(_cycle_jacobian(P[:, 0], m.b), F.ravel())
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        delta = delta.reshape(n, 2)
-        step = 1.0
-        for _ in range(20):
-            Q = P - step * delta
-            F2 = _cycle_defect(Q, m, nxt)
-            if F2 is not None and float(np.max(np.abs(F2))) < n_f:
-                P = Q
+    P = np.array(P, dtype=complex)
+    nxt, _ = _cyclic_neighbours(P.shape[1])
+    ok = np.zeros(len(P), dtype=bool)
+    live = np.all(np.isfinite(P), axis=(1, 2))
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_ITERS):
+            idx = np.flatnonzero(live)
+            if idx.size == 0:
                 break
-            step *= 0.5
-        else:
-            return None
-    return None
+            Q = P[idx]
+            F = _closure_defect(Q, m.a, m.b, nxt)
+            n_f = np.max(np.abs(F), axis=(1, 2))
+            scale = 1.0 + np.max(np.abs(Q), axis=(1, 2)) ** 2
+            done = n_f < 1e-12 * scale
+            ok[idx[done]] = True
+            live[idx[done]] = False
+            idx, Q, F, n_f = idx[~done], Q[~done], F[~done], n_f[~done]
+            if idx.size == 0:
+                break
+            delta = _solve_stack(_cycle_jacobian(Q[..., 0], m.b),
+                                 F.reshape(len(idx), -1)).reshape(Q.shape)
+            good = np.all(np.isfinite(delta), axis=(1, 2))
+            live[idx[~good]] = False
+            idx, Q, delta, n_f = idx[good], Q[good], delta[good], n_f[good]
+            t = 1.0
+            for _ in range(LINE_SEARCH_HALVINGS):
+                if idx.size == 0:
+                    break
+                R = Q - t * delta
+                acc = (np.all(np.isfinite(R), axis=(1, 2))
+                       & (np.max(np.abs(_closure_defect(R, m.a, m.b, nxt)),
+                                 axis=(1, 2)) < n_f))
+                P[idx[acc]] = R[acc]
+                idx, Q, delta = idx[~acc], Q[~acc], delta[~acc]
+                n_f = n_f[~acc]
+                t *= 0.5
+            live[idx] = False
+    return P, ok
+
+
+def _newton_cycle(m: MapParams, init_pts) -> np.ndarray | None:
+    """_newton_cycles on the one cycle init_pts: the polished (n, 2) cycle,
+    or None."""
+    P, ok = _newton_cycles(m, np.asarray(init_pts, dtype=complex)
+                           .reshape(1, -1, 2))
+    return P[0] if ok[0] else None
 
 
 def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60):
@@ -215,14 +251,16 @@ def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60):
     Solves x_j^2 = a - x_{j+1} - b x_{j-1} cyclically by branch-respecting
     square-root sweeps; the branch argument stays off the cut because the
     horseshoe test guarantees |a| clears (1+|b|)R.  Returns the full
-    candidate cycle as an (n, 2) array of (x_j, y_j) = (x_j, x_{j-1}).
+    candidate cycle as an (n, 2) array of (x_j, y_j) = (x_j, x_{j-1}); a
+    stack of itineraries, shape (k, n), gives one (k, n, 2) stack, each row
+    bit for bit its lone seed.
     """
     sign = np.where(np.asarray(bits) == 1, 1.0, -1.0).astype(complex)
-    nxt, prv = _cyclic_neighbours(len(sign))
+    nxt, prv = _cyclic_neighbours(sign.shape[-1])
     x = sign * cmath.sqrt(abs(m.a))
     for _ in range(sweeps):
-        x = sign * np.sqrt(m.a - x[nxt] - m.b * x[prv])
-    return np.stack([x, x[prv]], axis=1)
+        x = sign * np.sqrt(m.a - x[..., nxt] - m.b * x[..., prv])
+    return np.stack([x, x[..., prv]], axis=-1)
 
 
 def _minimal_period(pts, n: int) -> int:
@@ -322,9 +360,9 @@ class PeriodicLevel:
 
 class _Census:
     """One level's orbits as they are admitted: the closed-form fixed
-    points first, then every candidate cycle that Newton polishes and that
-    survives the minimal-period check, the dedup index and the residual
-    gate of `_build_orbit`."""
+    points first, then every Newton-polished cycle that survives the
+    minimal-period check, the dedup index and the residual gate of
+    `_build_orbit`."""
 
     def __init__(self, m: MapParams, n: int):
         self.m = m
@@ -345,10 +383,7 @@ class _Census:
         self.kept.add(orb.points)
         self.count += orb.period * orb.multiplicity
 
-    def try_cycle(self, init_pts) -> None:
-        pts = _newton_cycle(self.m, init_pts)
-        if pts is None:
-            return
+    def try_cycle(self, pts: np.ndarray) -> None:
         d = _minimal_period(pts, len(pts))
         if d < len(pts):
             # re-polish at the minimal period: detection tolerance is looser
@@ -371,14 +406,28 @@ class _Census:
 
 
 def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
-    """Newton from one shadowing seed per necklace (horseshoe only)."""
+    """Newton from one shadowing seed per necklace (horseshoe only).
+
+    The first `budget` necklaces are seeded and polished in stacks of one
+    block each, so a level whose necklaces fit one block makes one seed
+    call; the polished cycles are admitted in necklace order until the
+    census is complete, and `attempts` counts the necklaces admitted up to
+    there.
+    """
     census = _Census(m, n)
+    words = itertools.islice(necklaces(n), budget)
     attempts = 0
-    for bits in necklaces(n):
-        if census.complete or attempts >= budget:
+    while not census.complete:
+        bits = np.array(list(itertools.islice(words, _block_rows(n))))
+        if bits.size == 0:
             break
-        attempts += 1
-        census.try_cycle(symbolic_orbit_seed(m, bits))
+        P, ok = _newton_cycles(m, symbolic_orbit_seed(m, bits))
+        for pts, good in zip(P, ok):
+            if census.complete:
+                break
+            attempts += 1
+            if good:
+                census.try_cycle(pts)
     return census.level(attempts)
 
 
@@ -393,10 +442,6 @@ STEP_RESIDUAL = 1e-11
 STEP_MOVE = 0.25
 STEP_MAX = 0.1
 STEP_MIN = 1e-6
-# entries of one (paths, 2d, 2d) stack of closure Jacobians; a level with
-# many long cycles runs in blocks of paths so that its temporaries stay
-# bounded.  A block holds at least one path.
-PATHS_BLOCK_ELEMS = 1 << 18
 
 
 def _start_parameter(b: complex) -> float:
@@ -487,8 +532,9 @@ def _continue_cycles(P: np.ndarray, a0: float, a1: complex, b: complex):
 
 def _continued_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
     """Level n off the horseshoe: continue the start level's cycles of
-    period >= 2 to m, one stacked path set per period, and admit each end
-    cycle in start order.  Fixed points come in closed form."""
+    period >= 2 to m, one stacked path set per period, polish the ends of
+    each set in one stacked Newton and admit them in start order.  Fixed
+    points come in closed form."""
     a0 = _start_parameter(m.b)
     start = _itinerary_level(MapParams(a0, m.b), n, budget)
     # one path per start cycle; each came from one of at most `budget` seeds
@@ -497,7 +543,7 @@ def _continued_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
     lost = halvings = 0
     for d in sorted({o.period for o in paths}):
         group = [i for i, o in enumerate(paths) if o.period == d]
-        step = max(1, PATHS_BLOCK_ELEMS // (4 * d * d))
+        step = _block_rows(d)
         for lo in range(0, len(group), step):
             block = group[lo:lo + step]
             P0 = np.array([[(p.x, p.y) for p in paths[i].points]
@@ -505,7 +551,9 @@ def _continued_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
             P, reached, block_halvings = _continue_cycles(P0, a0, m.a, m.b)
             halvings += block_halvings
             lost += int(np.count_nonzero(~reached))
-            ends.update((i, P[j]) for j, i in enumerate(block) if reached[j])
+            Q, ok = _newton_cycles(m, P[reached])
+            done = [i for i, r in zip(block, reached) if r]
+            ends.update((i, q) for i, q, good in zip(done, Q, ok) if good)
     census = _Census(m, n)
     for i in sorted(ends):
         census.try_cycle(ends[i])

@@ -79,14 +79,14 @@ class GreenField(NamedTuple):
 
 
 def _escape_rate(coords, shape, lead, tail, advance, tol: float,
-                 n_max: int) -> GreenField:
+                 n_max: int, safe_norm: float = SAFE_NORM) -> GreenField:
     """The one escape-rate loop: masked advance over flat coordinate arrays.
 
     Per step n, lead(*coords) gives the escaping magnitude, the max-norm
     and the escape test of every point; tail(magnitude, n) gives value and
     tail bound of the escaped ones, which retire once the bound is below
-    tol, the magnitude is past SAFE_NORM, or the budget is spent.  A point
-    whose norm passes SAFE_NORM without the escape test firing retires with
+    tol, the magnitude is past safe_norm, or the budget is spent.  A point
+    whose norm passes safe_norm without the escape test firing retires with
     bound inf, neither converged nor presumed bounded.  advance(*coords, i)
     moves the still active points i one map step, in place; the loop ends
     early once no point is active.
@@ -110,14 +110,14 @@ def _escape_rate(coords, shape, lead, tail, advance, tol: float,
             mag_e = mag[idx]
             val, bnd = tail(mag_e, n)
             ok = bnd < tol
-            stop = ok | (mag_e > SAFE_NORM) | (n == n_max)
+            stop = ok | (mag_e > safe_norm) | (n == n_max)
             fi = idx[stop]
             values[fi] = val[stop]
             bounds[fi] = bnd[stop]
             conv[fi] = ok[stop]
             n_used[fi] = n
             active[fi] = False
-        over = active & (norm > SAFE_NORM)
+        over = active & (norm > safe_norm)
         if over.any():
             oi = np.flatnonzero(over)
             bounds[oi] = np.inf
@@ -148,7 +148,8 @@ def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
 
     Outside |w| = 2(1 + sum|c_i|) the lower-order terms perturb log|f(w)|
     by at most 2 sum|c_i| / |w|, so the remaining increments are dominated
-    by a geometric series; that sum is the reported bound.
+    by a geometric series; that sum is the reported bound.  Orbits retire
+    past min(SAFE_NORM, 10^(300/d)), below which w^d still fits in float64.
     """
     z = np.asarray(zs, dtype=complex)
     d = f.degree
@@ -167,7 +168,7 @@ def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
         w[i] = f(w[i])
 
     return _escape_rate((z.ravel().copy(),), z.shape, lead, tail, advance,
-                        tol, n_max)
+                        tol, n_max, min(SAFE_NORM, 10.0 ** (300.0 / d)))
 
 
 def green_poly(z: complex, f, tol: float = 1e-9, n_max: int = 200) -> GreenEstimate:

@@ -62,6 +62,31 @@ def test_build_config_rejects_bad_inputs():
         build_config("julia-cloud", {"budgets": {"walks": 0}})
 
 
+@pytest.mark.parametrize("extra", [{"rng_seed": 1.5}, {"threads": 2.7},
+                                   {"rng_seed": True}, {"threads": True}],
+                         ids=["float-seed", "float-threads", "bool-seed",
+                              "bool-threads"])
+def test_seed_and_threads_must_be_integers(tmp_path, capsys, extra):
+    with pytest.raises(ContractError):
+        build_config("julia-cloud", dict(TINY_CLOUD, **extra))
+    cfg_path = write_cfg(tmp_path, dict(TINY_CLOUD, **extra))
+    rc = main(["julia-cloud", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unexpected_exception_exits_2(monkeypatch, capsys):
+    def exhausted(cfg):
+        raise MemoryError("cannot allocate\n298 GiB")
+
+    monkeypatch.setitem(henonlab.cli.COMMANDS, "validate", exhausted)
+    assert main(["validate"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError: cannot allocate 298 GiB\n"
+
+
 def test_cfg_hash_tracks_semantics_only():
     base = build_config("render-green")
     same = build_config("render-green", threads=8, out="/elsewhere")

@@ -63,8 +63,18 @@ def test_derivative_along_orbit_chains():
     p = PointC2(0.3, -0.2)
     q = henon_apply(p, m)
     J2 = derivative_along_orbit([p, q], m)
-    assert np.allclose(J2, henon_derivative(q, m) @ henon_derivative(p, m))
+    assert np.array_equal(J2, henon_derivative(q, m) @ henon_derivative(p, m))
     assert abs(np.linalg.det(J2) - m.b ** 2) < 1e-12
+    # a longer complex orbit is the left-multiplied factor product bit for bit
+    m = MapParams(1.2 + 0.5j, 0.3 - 0.1j)
+    pts = [PointC2(0.3 - 0.1j, -0.2 + 0.4j)]
+    for _ in range(6):
+        pts.append(henon_apply(pts[-1], m))
+    acc = np.eye(2, dtype=complex)
+    for q in pts:
+        acc = henon_derivative(q, m) @ acc
+    assert np.array_equal(derivative_along_orbit(pts, m), acc)
+    assert np.array_equal(derivative_along_orbit([], m), np.eye(2))
 
 
 def test_escape_radius_solves_its_quadratic():

@@ -11,8 +11,10 @@ from henonlab.dynamics import (MapParams, PointC2, derivative_along_orbit,
                                henon_apply, is_horseshoe_regime)
 from henonlab.errors import ContractError
 from henonlab.measures import TestBattery, compare
-from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _dedup_cell,
-                                 _newton_cycle, _same_cycle, _solve_stack,
+from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _closure_defect,
+                                 _cycle_jacobian, _cyclic_neighbours,
+                                 _dedup_cell, _newton_cycle, _newton_cycles,
+                                 _same_cycle, _solve_stack,
                                  _start_parameter, cylinder_point_measure,
                                  fixed_points_closed_form, mu_n_measure,
                                  negative_fixed_point, periodic_points_2d,
@@ -160,6 +162,109 @@ def test_symbolic_seed_matches_itinerary(horseshoe):
         x = cycle[:, 0]
         res = x * x - horseshoe.a + np.roll(x, -1) + horseshoe.b * np.roll(x, 1)
         assert float(np.max(np.abs(res))) < 1e-10
+
+
+def test_stacked_seeds_match_lone_seeds(horseshoe):
+    bits = np.array(list(necklaces(7)))
+    stack = symbolic_orbit_seed(horseshoe, bits)
+    assert stack.shape == (len(bits), 7, 2)
+    for row, word in zip(stack, bits):
+        assert np.array_equal(row, symbolic_orbit_seed(horseshoe, tuple(word)))
+
+
+def ref_newton_cycle(m, init_pts):
+    """The one-cycle damped Newton loop the stacked kernel replaced."""
+    P = np.array(init_pts, dtype=complex).reshape(-1, 2)
+    n = P.shape[0]
+    nxt, _ = _cyclic_neighbours(n)
+    for _ in range(60):
+        if not np.all(np.isfinite(P)):
+            return None
+        F = _closure_defect(P, m.a, m.b, nxt)
+        n_f = float(np.max(np.abs(F)))
+        scale = 1.0 + float(np.max(np.abs(P))) ** 2
+        if n_f < 1e-12 * scale:
+            return P
+        try:
+            delta = np.linalg.solve(_cycle_jacobian(P[:, 0], m.b), F.ravel())
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(delta)):
+            return None
+        delta = delta.reshape(n, 2)
+        step = 1.0
+        for _ in range(20):
+            Q = P - step * delta
+            if np.all(np.isfinite(Q)):
+                F2 = _closure_defect(Q, m.a, m.b, nxt)
+                if float(np.max(np.abs(F2))) < n_f:
+                    P = Q
+                    break
+            step *= 0.5
+        else:
+            return None
+    return None
+
+
+def _assert_rows_match_lone_runs(m, P):
+    Q, ok = _newton_cycles(m, P)
+    with np.errstate(all="ignore"):
+        for j in range(len(P)):
+            Qj, okj = _newton_cycles(m, P[j:j + 1])
+            assert ok[j] == okj[0]
+            assert np.array_equal(Q[j], Qj[0], equal_nan=True)
+            lone = _newton_cycle(m, P[j])
+            ref = ref_newton_cycle(m, P[j])
+            if ok[j]:
+                assert np.array_equal(lone, Q[j]) and np.array_equal(ref, Q[j])
+            else:
+                assert lone is None and ref is None
+    return ok
+
+
+def test_stacked_newton_rows_match_lone_runs(horseshoe):
+    # period 1 at b = 0.5: the Jacobian [[-2x - 1, -b], [1, -1]] is exactly
+    # singular at x = -0.75, and one ulp away its huge finite step
+    # overflows the defect at every one of the 20 line-search halvings
+    m = MapParams(10.0, 0.5)
+    near = -0.75 + 2.0 ** -52
+    A = _cycle_jacobian(np.array([[-0.75 + 0j], [near + 0j]]), m.b)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A[0], np.ones(2))
+    assert np.all(np.isfinite(np.linalg.solve(A[1], np.ones(2))))
+    starts = np.array([[[-3.0, -3.1]], [[-0.75, 0.0]], [[2.4, 2.6]],
+                       [[near, 0.0]], [[np.nan, 0.0]], [[-4.2, -3.9]]],
+                      dtype=complex)
+    ok = _assert_rows_match_lone_runs(m, starts)
+    assert ok.tolist() == [True, False, True, False, False, True]
+    # itinerary seeds pushed off their cycles, rows converging at
+    # different iterations, plus a non-finite row in the middle
+    rng = np.random.default_rng(3)
+    seeds = symbolic_orbit_seed(horseshoe, np.array(list(necklaces(6))))
+    seeds = seeds + 0.3 * rng.standard_normal(seeds.shape)
+    seeds[4, 2, 1] = complex(math.inf, 0.0)
+    ok = _assert_rows_match_lone_runs(horseshoe, seeds)
+    assert ok.tolist() == [j != 4 for j in range(len(seeds))]
+
+
+def test_itinerary_blocks_do_not_change_orbits(monkeypatch, horseshoe):
+    whole = periodic_points_2d(horseshoe, 7)
+    # three period-7 cycles, (2*7)^2 = 196 entries each, per block
+    monkeypatch.setattr(periodic2d, "PATHS_BLOCK_ELEMS", 600)
+    assert periodic_points_2d(horseshoe, 7) == whole
+
+
+def test_itinerary_level_seeds_once(monkeypatch, horseshoe):
+    calls = []
+    seed = periodic2d.symbolic_orbit_seed
+
+    def counting(m, bits, *args):
+        calls.append(np.shape(bits))
+        return seed(m, bits, *args)
+
+    monkeypatch.setattr(periodic2d, "symbolic_orbit_seed", counting)
+    lv = periodic_points_2d(horseshoe, 8)
+    assert lv.complete and calls == [(36, 8)]
 
 
 def test_enumeration_rejects_bad_inputs(horseshoe):

@@ -279,6 +279,16 @@ def test_green_poly_overflow_is_not_bounded():
     assert g == GreenEstimate(0.0, 1, False, math.inf)
 
 
+def test_green_poly_cubic_tiny_tol_is_not_inf_converged():
+    # |w|^3 of an orbit point past 1e103 overflows: a cubic freezes its
+    # orbits below 10^(300/3) instead of SAFE_NORM = 1e130
+    with np.errstate(over="raise"):
+        g = green_poly(3.0, Poly((0.1, 0.0, 0.0, 1.0)), tol=1e-300)
+    assert math.isfinite(g.value) and not g.converged
+    assert g == green_poly(3.0, Poly((0.1, 0.0, 0.0, 1.0)), tol=1e-300,
+                           n_max=50)
+
+
 def test_scalar_grid_round_trip(tmp_path):
     g = ScalarGrid.over_window(lambda z: z.real + 2.0 * z.imag,
                                -1.0, 1.0, -0.5, 0.5, 0.125)
