@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import MapParams, is_horseshoe_regime
-from .errors import ContractError, HenonlabError
+from .errors import CapError, ContractError, HenonlabError
 from .measures import TestBattery, compare
 from .periodic2d import (mu_n_measure, periodic_points_2d, reality_table,
                          saddle_table)
@@ -38,7 +38,10 @@ from .raster import density_counts, grayscale_log, write_pgm
 from .symbolic import (PeriodicSequence, SymbolWord, count_admissible_words,
                        entropy_estimate)
 
-TILE = 64
+TILE = 128
+# largest pixel raster, and largest julia-cloud walk tree (walks x
+# (depth + 1) points), a config may ask for: 2^24 complex points is 256 MiB
+SIZE_CAP = 2 ** 24
 
 _HENON_DEFAULT = {"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]}
 
@@ -88,6 +91,15 @@ DEFAULTS = {
         "budgets": {},
         "tolerances": {},
     },
+}
+
+_SECTIONS = ("params", "slice", "window", "budgets", "tolerances")
+
+# section keys a config file may set beyond those of its command's
+# defaults: the polynomial of a poly render, the criteria to validate
+_EXTRA_KEYS = {
+    ("render-green", "params"): {"coeffs"},
+    ("validate", "params"): {"criteria"},
 }
 
 
@@ -149,6 +161,7 @@ def build_config(command: str, file_doc: dict | None = None,
             raise ContractError(f"unknown config keys {unknown}")
         if "command" in file_doc and file_doc["command"] != command:
             raise ContractError("config file names a different command")
+        _check_section_keys(command, file_doc)
         doc = _deep_merge(doc, {k: v for k, v in file_doc.items()
                                 if k != "command"})
     if seed is not None:
@@ -157,7 +170,7 @@ def build_config(command: str, file_doc: dict | None = None,
         doc["threads"] = threads
     if out is not None:
         doc["out"] = str(out)
-    for key in ("params", "slice", "window", "budgets", "tolerances"):
+    for key in _SECTIONS:
         if not isinstance(doc[key], dict):
             raise ContractError(f"config field {key} must be an object")
     for key in ("rng_seed", "threads"):
@@ -168,6 +181,23 @@ def build_config(command: str, file_doc: dict | None = None,
                     doc["rng_seed"], doc["threads"], doc["out"])
     _validate_config(cfg)
     return cfg
+
+
+def _check_section_keys(command: str, file_doc: dict) -> None:
+    """Reject keys the command does not read in the file's own sections.
+
+    The file is checked, not the merged doc: a poly render inherits the
+    henon default's a and b under params and must still be accepted.
+    """
+    for section in _SECTIONS:
+        given = file_doc.get(section)
+        if not isinstance(given, dict):
+            continue  # a missing section is fine, a non-object one fails later
+        known = set(DEFAULTS[command][section])
+        known |= _EXTRA_KEYS.get((command, section), set())
+        unknown = sorted(set(given) - known)
+        if unknown:
+            raise ContractError(f"unknown {command} {section} keys {unknown}")
 
 
 def _is_real(val) -> bool:
@@ -201,6 +231,17 @@ def _validate_config(cfg: JobConfig) -> None:
             val = cfg.window.get(key, 1.0)
             if not _is_real(val) or not 0.0 < val < math.inf:
                 raise ContractError(f"window {key} must be a positive number")
+    sizes = {}
+    if cfg.command in ("render-green", "julia-cloud"):
+        nx, ny = cfg.window["pixels"]
+        sizes["pixel count"] = nx * ny
+    if cfg.command == "julia-cloud":
+        sizes["walks x (depth + 1)"] = (cfg.budgets["walks"]
+                                        * (cfg.budgets["depth"] + 1))
+    for what, size in sizes.items():
+        if size > SIZE_CAP:
+            raise CapError(f"{what} {size} exceeds the size cap SIZE_CAP = "
+                           f"{SIZE_CAP}")
 
 
 def _cx(pair) -> complex:
@@ -243,13 +284,17 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _render_tiles(eval_field, center: complex, width: float, height: float,
                   nx: int, ny: int):
-    """Evaluate a field over the pixel lattice in 64x64 tiles.
+    """Evaluate a field over the pixel lattice in 128x128 tiles.
 
     Tiles are independent pure evaluations written into preallocated
-    slots in a fixed order.  They run one after another: a thread pool
-    over the tiles measured slower than this loop (a 512x512 `plus` raster
-    took 0.86 s on two threads against 0.47 s on one), so `--threads` is
-    validated but changes nothing.
+    slots in a fixed order.  The escape-rate loop works on live points
+    only, so the tile size sets just how often its per-step Python
+    overhead is paid: on 512x512 rasters 128 measured faster than 64 on
+    the basilica and faster than 256 on `plus`, and whole-raster calls
+    would hold several raster-sized transient arrays at once.  Tiles run
+    one after another: a thread pool over the tiles measured slower than
+    this loop (a 512x512 `plus` raster took 0.86 s on two threads against
+    0.47 s on one), so `--threads` is validated but changes nothing.
     """
     values = np.empty((ny, nx))
     converged = np.empty((ny, nx), dtype=bool)

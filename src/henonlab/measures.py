@@ -62,7 +62,11 @@ class DiscreteMeasure:
     def total_mass(self):
         exact = all(isinstance(w, Fraction) for w in self.weights)
         if exact:
-            return sum(self.weights, Fraction(0))
+            # one integer sum over the common denominator, not one Fraction
+            # addition (with its gcd) per weight
+            den = math.lcm(*(w.denominator for w in self.weights))
+            return Fraction(sum(w.numerator * (den // w.denominator)
+                                for w in self.weights), den)
         return math.fsum(float(w) for w in self.weights)
 
     @functools.cached_property

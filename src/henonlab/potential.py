@@ -1,12 +1,12 @@
 """Potential kernels, escape-rate functions, and grid mass recovery.
 
-The escape-rate estimators run one masked-advance loop over arrays of
-start points: iterate until the orbit enters a region of strict quadratic
-growth, read off log-norm over d^n, and certify the answer with an
-a-posteriori geometric tail bound.  Orbits that never reach the growth
-region within the budget are reported as presumed bounded, value 0; no
-exact membership claim is made.  The scalar estimators are the field
-kernels evaluated at one point.
+The escape-rate estimators run one loop over arrays of start points,
+compacted to the points still iterating: iterate until the orbit enters a
+region of strict quadratic growth, read off log-norm over d^n, and
+certify the answer with an a-posteriori geometric tail bound.  Orbits
+that never reach the growth region within the budget are reported as
+presumed bounded, value 0; no exact membership claim is made.  The
+scalar estimators are the field kernels evaluated at one point.
 
 The plane-measure side discretizes the Laplacian with the five-point
 stencil; cell mass is stencil-sum over 2*pi (the h^2 of the stencil and
@@ -80,16 +80,22 @@ class GreenField(NamedTuple):
 
 def _escape_rate(coords, shape, lead, tail, advance, tol: float,
                  n_max: int, safe_norm: float = SAFE_NORM) -> GreenField:
-    """The one escape-rate loop: masked advance over flat coordinate arrays.
+    """The one escape-rate loop, run on the live points only.
 
-    Per step n, lead(*coords) gives the escaping magnitude, the max-norm
-    and the escape test of every point; tail(magnitude, n) gives value and
-    tail bound of the escaped ones, which retire once the bound is below
-    tol, the magnitude is past safe_norm, or the budget is spent.  A point
-    whose norm passes safe_norm without the escape test firing retires with
-    bound inf, neither converged nor presumed bounded.  advance(*coords, i)
-    moves the still active points i one map step, in place; the loop ends
-    early once no point is active.
+    The loop keeps live, the flat indices of the points still iterating,
+    and cur, their coordinates compacted in the same order.  Per step n,
+    lead(*cur) gives the escaping magnitude, the max-norm and the escape
+    test of every live point; tail(magnitude, n) gives value and tail bound
+    of the escaped ones, which retire once the bound is below tol, the
+    magnitude is past safe_norm, or the budget is spent.  A point whose
+    norm passes safe_norm without the escape test firing retires with
+    bound inf, neither converged nor presumed bounded; points still live
+    at n_max are presumed bounded.  Retiring points are scattered through
+    live into the full-size results, and live and cur shrink by one keep
+    mask on the steps where some point retired.  advance(*cur) is pure: it
+    returns the coordinates of the live points one map step on.  The loop
+    ends early once no point is live, so its work is the live points'
+    summed orbit lengths, not the input size times the steps.
     """
     if tol <= 0.0:
         raise ContractError("tol must be positive")
@@ -101,29 +107,36 @@ def _escape_rate(coords, shape, lead, tail, advance, tol: float,
     conv = np.zeros(size, dtype=bool)
     presumed = np.zeros(size, dtype=bool)
     n_used = np.zeros(size, dtype=np.int32)
-    active = np.ones(size, dtype=bool)
+    live = np.arange(size)
+    cur = tuple(coords)
     for n in range(n_max + 1):
-        mag, norm, esc = lead(*coords)
-        esc &= active
+        mag, norm, esc = lead(*cur)
+        keep = None
         if esc.any():
-            idx = np.flatnonzero(esc)
-            mag_e = mag[idx]
+            ei = np.flatnonzero(esc)
+            mag_e = mag[ei]
             val, bnd = tail(mag_e, n)
             ok = bnd < tol
             stop = ok | (mag_e > safe_norm) | (n == n_max)
-            fi = idx[stop]
-            values[fi] = val[stop]
-            bounds[fi] = bnd[stop]
-            conv[fi] = ok[stop]
-            n_used[fi] = n
-            active[fi] = False
-        over = active & (norm > safe_norm)
+            if stop.any():
+                fi = live[ei[stop]]
+                values[fi] = val[stop]
+                bounds[fi] = bnd[stop]
+                conv[fi] = ok[stop]
+                n_used[fi] = n
+                keep = np.ones(live.size, dtype=bool)
+                keep[ei[stop]] = False
+        over = norm > safe_norm
+        if keep is not None:
+            over &= keep
         if over.any():
-            oi = np.flatnonzero(over)
+            oi = live[over]
             bounds[oi] = np.inf
             n_used[oi] = n
-            active[oi] = False
-        live = np.flatnonzero(active)
+            keep = ~over if keep is None else keep & ~over
+        if keep is not None:
+            live = live[keep]
+            cur = tuple(c[keep] for c in cur)
         if n == n_max:
             conv[live] = True
             presumed[live] = True
@@ -131,7 +144,7 @@ def _escape_rate(coords, shape, lead, tail, advance, tol: float,
             break
         if live.size == 0:
             break
-        advance(*coords, live)
+        cur = advance(*cur)
     return GreenField(values.reshape(shape), bounds.reshape(shape),
                       conv.reshape(shape), presumed.reshape(shape),
                       n_used.reshape(shape))
@@ -164,10 +177,10 @@ def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
         scale = float(d) ** n
         return np.log(aw) / scale, 2.0 * csum / (aw * scale * (d - 1.0))
 
-    def advance(w, i):
-        w[i] = f(w[i])
+    def advance(w):
+        return (f(w),)
 
-    return _escape_rate((z.ravel().copy(),), z.shape, lead, tail, advance,
+    return _escape_rate((z.ravel(),), z.shape, lead, tail, advance,
                         tol, n_max, min(SAFE_NORM, 10.0 ** (300.0 / d)))
 
 
@@ -188,7 +201,7 @@ def _flat_pair(xs, ys):
     y = np.asarray(ys, dtype=complex)
     if x.shape != y.shape:
         raise ContractError("coordinate arrays must have matching shapes")
-    return (x.ravel().copy(), y.ravel().copy()), x.shape
+    return (x.ravel(), y.ravel()), x.shape
 
 
 def _dominant(u, v, thr: float):
@@ -215,9 +228,8 @@ def green_plus_field(xs, ys, m: MapParams, tol: float = 1e-9,
         return (np.log(ax) / scale,
                 2.0 * (abs(a) / ax ** 2 + abs(b) / ax) / scale)
 
-    def advance(x, y, i):
-        xa, ya = x[i], y[i]
-        x[i], y[i] = -xa * xa + a - b * ya, xa
+    def advance(x, y):
+        return -x * x + a - b * y, x
 
     return _escape_rate(coords, shape, lambda x, y: _dominant(x, y, thr),
                         tail, advance, tol, n_max)
@@ -242,9 +254,8 @@ def green_minus_field(xs, ys, m: MapParams, tol: float = 1e-9,
         return ((np.log(ay) - log_b) / scale,
                 2.0 * (abs(a) / ay ** 2 + 1.0 / ay) / scale)
 
-    def advance(x, y, i):
-        xa, ya = x[i], y[i]
-        x[i], y[i] = ya, (a - ya * ya - xa) / b
+    def advance(x, y):
+        return y, (a - y * y - x) / b
 
     return _escape_rate(coords, shape, lambda x, y: _dominant(y, x, thr),
                         tail, advance, tol, n_max)

@@ -10,7 +10,7 @@ import pytest
 
 import henonlab
 from henonlab.cli import DEFAULTS, build_config, main
-from henonlab.errors import ContractError
+from henonlab.errors import CapError, ContractError
 
 TINY_RENDER = {
     "command": "render-green",
@@ -118,7 +118,7 @@ def test_render_green_run(tmp_path):
 HENON_10 = {"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]}
 BASILICA_PARAMS = {"kind": "poly",
                    "coeffs": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
-# 72x40 pixels: two tile columns, the second one partial
+# 72x40 pixels: one partial tile
 PINNED_WINDOW = {"center": [0.0, 0.0], "width": 14.0, "height": 10.0,
                  "pixels": [72, 40]}
 
@@ -144,7 +144,15 @@ PINNED_WINDOW = {"center": [0.0, 0.0], "width": 14.0, "height": 10.0,
       "ce0e45dfaa695c6ec75b9dfc4719a94ed39d27924e58360cd49c5ff6379dd1c7",
       "green-1fe753027a38-stats.json":
       "715bd53050b980e44a43514c48f01593f4969effc2572d947fc159a7cfb8b2a6"}),
-], ids=["plus", "minus", "poly"])
+    # 136x136 pixels: a full tile and a partial one along both axes
+    ({"mode": "plus", "params": HENON_10,
+      "window": dict(PINNED_WINDOW, pixels=[136, 136]),
+      "budgets": {"n_max": 60}},
+     {"green-ab842378f080.pgm":
+      "642ceea2ecdfeed538abab23f970d232c649b9e3f1189c3455c55b6f57d347bc",
+      "green-ab842378f080-stats.json":
+      "9b849a167fba036a60d7f4e2539d790216408788802114b42cf60de7c70a353f"}),
+], ids=["plus", "minus", "poly", "plus-tile-edges"])
 def test_render_green_pinned_bytes(tmp_path, doc, digests):
     # fixed digests: no change to the escape-rate kernels may move a byte
     cfg_path = write_cfg(tmp_path, dict(doc, command="render-green"))
@@ -176,6 +184,52 @@ def test_bad_render_config_exits_2(tmp_path, capsys, doc):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("julia-cloud", dict(TINY_CLOUD, budgets=dict(TINY_CLOUD["budgets"],
+                                                  walkz=8))),
+    ("julia-cloud", dict(TINY_CLOUD, params={"junk": 1})),
+    ("julia-cloud", dict(TINY_CLOUD, window={"centre": [0.5, 0.0]})),
+    ("render-green", dict(TINY_RENDER, tolerances={"toll": 1e-6})),
+    ("render-green", dict(TINY_RENDER, params={"c": [1.0, 0.0]})),
+    ("periodic-report", {"budgets": {"level_max": 2, "n_max": 5}}),
+], ids=["cloud-budgets", "cloud-params", "cloud-window", "render-tolerances",
+        "render-params", "periodic-budgets"])
+def test_unknown_section_key_exits_2(tmp_path, capsys, command, doc):
+    with pytest.raises(ContractError):
+        build_config(command, doc)
+    cfg_path = write_cfg(tmp_path, dict(doc, command=command))
+    rc = main([command, "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unknown" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, doc, stage", [
+    ("julia-cloud", {"budgets": {"walks": 1000000000}}, "julia_render_points"),
+    ("julia-cloud", {"window": {"pixels": [100000, 100000]}},
+     "julia_render_points"),
+    ("render-green", {"window": {"pixels": [100000, 100000]}},
+     "_render_tiles"),
+], ids=["cloud-walks", "cloud-pixels", "render-pixels"])
+def test_size_cap_refuses_before_allocation(tmp_path, monkeypatch, capsys,
+                                            command, doc, stage):
+    calls = []
+
+    def allocating_stage(*args, **kwargs):
+        calls.append(stage)
+        raise MemoryError("allocating stage reached")
+
+    monkeypatch.setattr(henonlab.cli, stage, allocating_stage)
+    with pytest.raises(CapError):
+        build_config(command, doc)
+    cfg_path = write_cfg(tmp_path, doc)
+    rc = main([command, "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2 and calls == []
+    assert "SIZE_CAP" in capsys.readouterr().err
 
 
 def test_julia_cloud_run(tmp_path):

@@ -31,6 +31,19 @@ def test_measure_contract():
     assert float(partial.total_mass()) == 0.5
 
 
+def test_exact_total_mass_on_mixed_denominators():
+    weights = (Fraction(1, 3), Fraction(5, 12), Fraction(1, 2 ** 40),
+               Fraction(7, 9), Fraction(2, 1), Fraction(11, 2 ** 40 * 3))
+    mu = DiscreteMeasure(np.zeros(len(weights), dtype=complex), weights, 1,
+                         complete=False)
+    total = mu.total_mass()
+    assert isinstance(total, Fraction)
+    assert total == sum(weights, Fraction(0))
+    third = DiscreteMeasure(np.zeros(3, dtype=complex),
+                            (Fraction(1, 3),) * 3, 1)
+    assert third.total_mass() == 1
+
+
 def test_weight_array_is_cached_and_read_only():
     mu = unit_circle_measure(8)
     w = mu.weight_array

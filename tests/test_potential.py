@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from henonlab import potential
 from henonlab.dynamics import MapParams, PointC2, henon_apply, henon_inverse
 from henonlab.errors import ContractError
 from henonlab.poly1d import Poly
-from henonlab.potential import (SAFE_NORM, GreenEstimate, ScalarGrid,
-                                _coords, discrete_ddc_mass, green_minus,
+from henonlab.potential import (SAFE_NORM, GreenEstimate, GreenField,
+                                ScalarGrid, _coords, discrete_ddc_mass,
+                                green_minus,
                                 green_minus_field, green_plus,
                                 green_plus_field, green_poly,
                                 green_poly_field, mass_in_disk, mass_total,
@@ -96,6 +98,140 @@ def ref_green_minus(p, m: MapParams, tol: float = 1e-9, n_max: int = 100) -> Gre
             return GreenEstimate(0.0, n_max, True, 0.0, presumed_bounded=True)
         x, y = y, (a - y * y - x) / b
     raise AssertionError("unreachable")
+
+
+# Whole-field reference: the masked loop the live-set loop replaced.  It
+# runs lead and the mask updates on every point at every step and moves the
+# active points i in place through advance(*coords, i).
+
+def ref_escape_rate(coords, shape, lead, tail, advance, tol: float,
+                    n_max: int, safe_norm: float = SAFE_NORM) -> GreenField:
+    if tol <= 0.0:
+        raise ContractError("tol must be positive")
+    if n_max < 1:
+        raise ContractError("n_max must be >= 1")
+    size = coords[0].size
+    values = np.zeros(size)
+    bounds = np.zeros(size)
+    conv = np.zeros(size, dtype=bool)
+    presumed = np.zeros(size, dtype=bool)
+    n_used = np.zeros(size, dtype=np.int32)
+    active = np.ones(size, dtype=bool)
+    for n in range(n_max + 1):
+        mag, norm, esc = lead(*coords)
+        esc &= active
+        if esc.any():
+            idx = np.flatnonzero(esc)
+            mag_e = mag[idx]
+            val, bnd = tail(mag_e, n)
+            ok = bnd < tol
+            stop = ok | (mag_e > safe_norm) | (n == n_max)
+            fi = idx[stop]
+            values[fi] = val[stop]
+            bounds[fi] = bnd[stop]
+            conv[fi] = ok[stop]
+            n_used[fi] = n
+            active[fi] = False
+        over = active & (norm > safe_norm)
+        if over.any():
+            oi = np.flatnonzero(over)
+            bounds[oi] = np.inf
+            n_used[oi] = n
+            active[oi] = False
+        live = np.flatnonzero(active)
+        if n == n_max:
+            conv[live] = True
+            presumed[live] = True
+            n_used[live] = n_max
+            break
+        if live.size == 0:
+            break
+        advance(*coords, live)
+    return GreenField(values.reshape(shape), bounds.reshape(shape),
+                      conv.reshape(shape), presumed.reshape(shape),
+                      n_used.reshape(shape))
+
+
+def _masked_escape_rate(coords, shape, lead, tail, advance, *args):
+    """ref_escape_rate driven by a kernel's pure advance, moved in place."""
+    def in_place(*coords_and_index):
+        *cs, i = coords_and_index
+        for c, new in zip(cs, advance(*(c[i] for c in cs))):
+            c[i] = new
+
+    return ref_escape_rate(tuple(c.copy() for c in coords), shape, lead,
+                           tail, in_place, *args)
+
+
+EDGE_POINTS = [0.0, 1.0, 1e116, 1e129, 1e131, 1e200, -1e200j, math.inf,
+               -math.inf, complex(math.inf, 1.0), math.nan]
+
+
+def _with_edges(rng, scale, count, edges):
+    pts = rng.normal(scale=scale, size=count) + 1j * rng.normal(scale=scale,
+                                                                size=count)
+    return np.concatenate([pts, np.array(edges, dtype=complex)])
+
+
+@pytest.mark.parametrize("kernel, setting", [
+    ("poly", BASILICA), ("poly", Poly((0.1, 0.0, 0.0, 1.0))),
+    ("poly", Poly((0.1 - 0.3j, 0.2, -0.7 + 0.1j, 0.0, 1.0))),
+    ("plus", (10.0, 0.3)), ("plus", (1.4, 0.3)),
+    ("plus", (1.2 + 0.5j, 0.3 - 0.1j)),
+    ("minus", (10.0, 0.3)), ("minus", (1.4, 0.3)),
+    ("minus", (1.2 + 0.5j, 0.3 - 0.1j)),
+], ids=["poly2", "poly3", "poly4", "plus-10", "plus-1.4", "plus-complex",
+        "minus-10", "minus-1.4", "minus-complex"])
+def test_live_set_loop_matches_masked_reference(monkeypatch, kernel, setting):
+    rng = np.random.default_rng(17)
+    if kernel == "poly":
+        zs = _with_edges(rng, 2.0, 150, EDGE_POINTS).reshape(23, 7)
+        budgets = (1, 2, 7, 200)
+
+        def run(n_max, tol):
+            return green_poly_field(zs, setting, tol, n_max)
+    else:
+        m = MapParams(*setting)
+        xs = _with_edges(rng, 6.0, 150, EDGE_POINTS)
+        ys = _with_edges(rng, 6.0, 150, EDGE_POINTS[::-1])
+        field = green_plus_field if kernel == "plus" else green_minus_field
+        budgets = (1, 2, 7, 100)
+
+        def run(n_max, tol):
+            return field(xs, ys, m, tol, n_max)
+    for n_max in budgets:
+        for tol in (1e-3, 1e-9, 1e-300):
+            with np.errstate(all="ignore"):  # inf and nan starts
+                fld = run(n_max, tol)
+                with monkeypatch.context() as mp:
+                    mp.setattr(potential, "_escape_rate", _masked_escape_rate)
+                    ref = run(n_max, tol)
+            for got, want in zip(fld, ref):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_live_set_loop_advances_live_points_only(monkeypatch):
+    sizes = []
+    live_set_loop = potential._escape_rate
+
+    def counted_loop(coords, shape, lead, tail, advance, *args):
+        def counted(*cur):
+            sizes.append(cur[0].size)
+            return advance(*cur)
+
+        return live_set_loop(coords, shape, lead, tail, counted, *args)
+
+    monkeypatch.setattr(potential, "_escape_rate", counted_loop)
+    ii, jj = np.mgrid[0:48, 0:48]
+    zs = (jj + 0.5) / 12.0 - 2.0 + 1j * ((ii + 0.5) / 16.0 - 1.5)
+    before = zs.copy()
+    fld = green_poly_field(zs, BASILICA, n_max=200)
+    assert fld.presumed_bounded.any() and not fld.presumed_bounded.all()
+    # each point is advanced once per step it stays live, n_used times
+    assert sum(sizes) == int(fld.n_used.sum())
+    assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+    assert np.array_equal(zs, before)  # the caller's array is not moved
 
 
 def test_potential_kernel_values():
