@@ -76,6 +76,21 @@ class DiscreteMeasure:
         w.flags.writeable = False
         return w
 
+    @functools.cached_property
+    def _probe_integrals(self) -> dict:
+        # (ambient_dim, sigma) of a battery -> its probe integrals
+        return {}
+
+    def probe_integrals(self, battery: "TestBattery") -> tuple:
+        """Integrals of every battery probe against this measure, in id
+        order; computed once per battery (ambient_dim, sigma)."""
+        key = (battery.ambient_dim, battery.sigma)
+        if key not in self._probe_integrals:
+            self._probe_integrals[key] = tuple(
+                integrate(self, vals)
+                for vals in battery.evaluate_all(self.points))
+        return self._probe_integrals[key]
+
     @classmethod
     def equal_weights(cls, points, ambient_dim: int, complete: bool = True,
                       provenance: str = "") -> "DiscreteMeasure":
@@ -180,20 +195,28 @@ class TestBattery:
     def ids(self) -> list[str]:
         return [name for name, _, _ in self._probes]
 
-    def evaluate(self, test_id: str, points: np.ndarray) -> np.ndarray:
+    def _coords_and_window(self, points) -> tuple:
         pts = np.asarray(points, dtype=complex)
         if self.ambient_dim == 2:
             x, y = pts[:, 0], pts[:, 1]
-            window = np.exp(-(np.abs(x) ** 2 + np.abs(y) ** 2) / (2.0 * self.sigma ** 2))
-            for name, fn, norm in self._probes:
-                if name == test_id:
-                    return fn(x, y) * window / norm
+            r2 = np.abs(x) ** 2 + np.abs(y) ** 2
+            coords = (x, y)
         else:
-            window = np.exp(-(np.abs(pts) ** 2) / (2.0 * self.sigma ** 2))
-            for name, fn, norm in self._probes:
-                if name == test_id:
-                    return fn(pts) * window / norm
+            r2 = np.abs(pts) ** 2
+            coords = (pts,)
+        return coords, np.exp(-r2 / (2.0 * self.sigma ** 2))
+
+    def evaluate(self, test_id: str, points: np.ndarray) -> np.ndarray:
+        for name, fn, norm in self._probes:
+            if name == test_id:
+                coords, window = self._coords_and_window(points)
+                return fn(*coords) * window / norm
         raise ContractError(f"unknown test id {test_id!r}")
+
+    def evaluate_all(self, points: np.ndarray) -> list:
+        """Every probe at points, in id order, over one shared window."""
+        coords, window = self._coords_and_window(points)
+        return [fn(*coords) * window / norm for _, fn, norm in self._probes]
 
 
 def integrate(mu: DiscreteMeasure, values_or_fn) -> float:
@@ -220,15 +243,16 @@ class ComparisonResult:
 def compare(mu1: DiscreteMeasure, mu2: DiscreteMeasure,
             battery: TestBattery) -> ComparisonResult:
     """Worst |int f dmu1 - int f dmu2| over the battery; advisory when either
-    cloud is incomplete (sampled or truncated atom sets compare loosely)."""
+    cloud is incomplete (sampled or truncated atom sets compare loosely).
+    Each measure integrates the battery once (`probe_integrals`)."""
     if mu1.ambient_dim != mu2.ambient_dim:
         raise ContractError("measures live in different ambient dimensions")
     if battery.ambient_dim != mu1.ambient_dim:
         raise ContractError("battery dimension mismatch")
     worst, worst_id = 0.0, battery.ids[0]
-    for test_id in battery.ids:
-        d = abs(integrate(mu1, battery.evaluate(test_id, mu1.points))
-                - integrate(mu2, battery.evaluate(test_id, mu2.points)))
+    for test_id, v1, v2 in zip(battery.ids, mu1.probe_integrals(battery),
+                               mu2.probe_integrals(battery)):
+        d = abs(v1 - v2)
         if d > worst:
             worst, worst_id = d, test_id
     return ComparisonResult(worst, advisory=not (mu1.complete and mu2.complete),

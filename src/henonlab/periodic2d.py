@@ -11,9 +11,11 @@ Newton.  Elsewhere the horseshoe level at a start parameter (a0, b) is
 continued to (a, b) along a complex detour in a, all cycles of one period
 in one stacked Newton solve per step ("gamma trick" homotopy of
 Sommese-Wampler, The Numerical Solution of Systems of Polynomials, 2005);
-a lost path leaves the level incomplete.  Orbits deduplicate by cyclic
-alignment, carry multiplier eigenvalues and a hyperbolicity class, and
-aggregate into equal-weight measures, the saddle-count table, and the
+a lost path leaves the level incomplete.  Orbits are assembled in the
+same stacks, one pass per block for the closure residuals, the monodromy
+matrices and their eigenvalues; they deduplicate by cyclic alignment,
+carry their monodromy, multiplier eigenvalues and a hyperbolicity class,
+and aggregate into equal-weight measures, the saddle-count table, and the
 all-real/entropy report.
 """
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +47,9 @@ class PeriodicOrbit:
 
     multiplier_eigenvalues are the eigenvalues of the derivative of f^period
     at points[0], largest modulus first; their product has modulus |b|^period
-    because every Jacobian factor has determinant b.
+    because every Jacobian factor has determinant b.  monodromy is that
+    derivative, read-only, as the census assembled it (None on an orbit
+    built by hand); it takes no part in equality, hashing or repr.
     """
 
     points: tuple
@@ -56,6 +60,8 @@ class PeriodicOrbit:
     residual: float
     multiplicity: int = 1
     degenerate: bool = False
+    monodromy: np.ndarray | None = field(default=None, compare=False,
+                                         repr=False)
 
     def __post_init__(self):
         if self.period < 1 or len(self.points) != self.period:
@@ -70,40 +76,78 @@ class PeriodicOrbit:
         return max(max(abs(p.x.imag), abs(p.y.imag)) for p in self.points)
 
 
-def _classify(eigs) -> str:
-    moduli = [abs(v) for v in eigs]
-    if any(abs(mod - 1.0) <= UNIT_BAND for mod in moduli):
-        return "nonhyperbolic"
-    if all(mod < 1.0 for mod in moduli):
-        return "sink"
-    if all(mod > 1.0 for mod in moduli):
-        return "source"
-    return "saddle"
+def _closure_residual(P: np.ndarray, a: complex, b: complex) -> np.ndarray:
+    """max_j max(|f(p_j).x - p_{j+1}.x|, |p_j.x - p_{j+1}.y|) of each cycle
+    in the stack P, shape (k, d, 2).
+
+    Worked in real and imaginary parts with the operation order of Python
+    complex arithmetic, and |.| as hypot: numpy's complex multiply and
+    absolute value round differently, and the residual is reported to the
+    last bit.  A nan term is skipped, as Python's max skips it.
+    """
+    nxt, _ = _cyclic_neighbours(P.shape[1])
+    xr, xi = P[..., 0].real, P[..., 0].imag
+    yr, yi = P[..., 1].real, P[..., 1].imag
+    # -x*x + a - b*y - x_next, one rounding per Python complex operation
+    fr = ((-xr) * xr - (-xi) * xi + a.real) - (b.real * yr - b.imag * yi)
+    fi = ((-xr) * xi + (-xi) * xr + a.imag) - (b.real * yi + b.imag * yr)
+    terms = np.concatenate([np.hypot(fr - xr[:, nxt], fi - xi[:, nxt]),
+                            np.hypot(xr - yr[:, nxt], xi - yi[:, nxt])],
+                           axis=1)
+    return np.fmax.reduce(terms, axis=1, initial=0.0)
 
 
-def _orbit_scale(points) -> float:
-    return 1.0 + max(max(abs(p.x), abs(p.y)) for p in points) ** 2
+def _assemble(m: MapParams, P, multiplicity: int = 1,
+              degenerate: bool = False) -> list:
+    """Orbits of the polished cycles P, shape (k, d, 2), in one pass.
+
+    A row whose closure residual exceeds 1e-9 (1 + max|p|^2) gives None.
+    The others get their monodromy Df(p_{d-1}) ... Df(p_0) from one stacked
+    (k, 2, 2) matmul per orbit step, multiplied from the left as in
+    `derivative_along_orbit`, and their multipliers from one eigvals over
+    the stack.  Every row is bit for bit what it gives alone.
+    """
+    P = np.asarray(P, dtype=complex)
+    k, d, _ = P.shape
+    resid = _closure_residual(P, m.a, m.b)
+    scale = 1.0 + np.max(np.hypot(P.real, P.imag), axis=(1, 2)) ** 2
+    # a nan residual passes, as it did the scalar gate
+    good = np.flatnonzero(~(resid > 1e-9 * scale))
+    X = P[good, :, 0]
+    D = np.zeros((len(good), d, 2, 2), dtype=complex)
+    D[..., 0, 0] = -2.0 * X
+    D[..., 0, 1] = -m.b
+    D[..., 1, 0] = 1.0
+    J = np.broadcast_to(np.eye(2, dtype=complex), (len(good), 2, 2))
+    for j in range(d):
+        J = D[:, j] @ J
+    J.flags.writeable = False
+    eigs = (np.linalg.eigvals(J) if len(good)
+            else np.empty((0, 2), dtype=complex))
+    order = np.lexsort((eigs.imag, eigs.real, np.abs(eigs)))[:, ::-1]
+    eigs = np.take_along_axis(eigs, order, axis=1)
+    moduli = np.hypot(eigs.real, eigs.imag)
+    classes = np.where(
+        np.any(np.abs(moduli - 1.0) <= UNIT_BAND, axis=1), "nonhyperbolic",
+        np.where(np.all(moduli < 1.0, axis=1), "sink",
+                 np.where(np.all(moduli > 1.0, axis=1), "source", "saddle")))
+    real = np.all(np.abs(P[good].imag) < REALITY_TOL, axis=(1, 2))
+    out = [None] * k
+    for r, i in enumerate(good.tolist()):
+        points = tuple(PointC2(x, y) for x, y in P[i].tolist())
+        out[i] = PeriodicOrbit(points, d, tuple(eigs[r].tolist()),
+                               str(classes[r]), bool(real[r]),
+                               float(resid[i]), multiplicity, degenerate,
+                               J[r])
+    return out
 
 
 def _build_orbit(points, m: MapParams, multiplicity: int = 1,
                  degenerate: bool = False) -> PeriodicOrbit | None:
-    """Assemble and verify an orbit from a polished point cycle."""
-    d = len(points)
-    resid = 0.0
-    for j, p in enumerate(points):
-        q = points[(j + 1) % d]
-        fx = -p.x * p.x + m.a - m.b * p.y
-        resid = max(resid, abs(fx - q.x), abs(p.x - q.y))
-    if resid > 1e-9 * _orbit_scale(points):
-        return None
-    J = derivative_along_orbit(points, m)
-    eigs = np.linalg.eigvals(J)
-    order = np.lexsort((eigs.imag, eigs.real, np.abs(eigs)))[::-1]
-    eigs = tuple(complex(v) for v in eigs[order])
-    is_real = all(abs(p.x.imag) < REALITY_TOL and abs(p.y.imag) < REALITY_TOL
-                  for p in points)
-    return PeriodicOrbit(tuple(points), d, eigs, _classify(eigs), is_real,
-                         resid, multiplicity, degenerate)
+    """`_assemble` on the one cycle `points` (PointC2s or an (d, 2) array):
+    its orbit, or None when it fails the residual gate."""
+    return _assemble(m, np.asarray(points, dtype=complex)[None],
+                     multiplicity, degenerate)[0]
 
 
 def fixed_points_closed_form(m: MapParams):
@@ -299,13 +343,21 @@ def _dedup_cell(z: complex) -> int | float:
     return math.floor(q) if math.isfinite(q) else q
 
 
+# kept cycles around a candidate's first point past which `_CycleIndex.has`
+# looks for a less crowded point to probe from
+CROWDED = 8
+
+
 class _CycleIndex:
     """Kept cycles bucketed by (period, strip of Re x) of each of their points.
 
-    A match under any shift puts a candidate's first point within DEDUP_TOL
-    of some kept point, so `has` runs `_same_cycle` only on the cycles in
-    that point's strip and its two neighbours; the answer equals a scan
-    over every kept cycle.
+    A match under any shift puts every candidate point within DEDUP_TOL of
+    a point of the kept cycle, so the kept cycle sits in that point's strip
+    or a neighbour, whichever candidate point is taken.  `has` probes from
+    the first point, or, when more than CROWDED kept cycles surround it
+    (long cycles that shadow a fixed point share its strips), from the
+    candidate point with the fewest around it, and runs `_same_cycle` only
+    on those; the answer equals a scan over every kept cycle.
     """
 
     def __init__(self):
@@ -316,12 +368,22 @@ class _CycleIndex:
         for c in {_dedup_cell(p.x) for p in points}:
             self._cells.setdefault((d, c), []).append(points)
 
+    def _around(self, d: int, z: complex) -> list:
+        c = _dedup_cell(z)
+        return [self._cells.get((d, k), ()) for k in (c - 1, c, c + 1)]
+
     def has(self, cycle) -> bool:
         d = len(cycle)
-        c = _dedup_cell(cycle[0].x)
+        near = self._around(d, cycle[0].x)
+        crowd = sum(map(len, near))
+        if crowd > CROWDED:
+            for p in cycle[1:]:
+                other = self._around(d, p.x)
+                size = sum(map(len, other))
+                if size < crowd:
+                    near, crowd = other, size
         return any(_same_cycle(cycle, kept)
-                   for k in (c - 1, c, c + 1)
-                   for kept in self._cells.get((d, k), ()))
+                   for bucket in near for kept in bucket)
 
 
 @dataclass(frozen=True)
@@ -361,8 +423,8 @@ class PeriodicLevel:
 class _Census:
     """One level's orbits as they are admitted: the closed-form fixed
     points first, then every Newton-polished cycle that survives the
-    minimal-period check, the dedup index and the residual gate of
-    `_build_orbit`."""
+    minimal-period check, the residual gate of `_assemble` and the dedup
+    index."""
 
     def __init__(self, m: MapParams, n: int):
         self.m = m
@@ -383,7 +445,9 @@ class _Census:
         self.kept.add(orb.points)
         self.count += orb.period * orb.multiplicity
 
-    def try_cycle(self, pts: np.ndarray) -> None:
+    def try_cycle(self, pts: np.ndarray, orb: PeriodicOrbit | None) -> None:
+        """Admit the polished cycle pts, whose row of its block's
+        `_assemble` pass gave orb."""
         d = _minimal_period(pts, len(pts))
         if d < len(pts):
             # re-polish at the minimal period: detection tolerance is looser
@@ -391,11 +455,8 @@ class _Census:
             pts = _newton_cycle(self.m, pts[:d])
             if pts is None:
                 return
-        cycle = tuple(PointC2(complex(p[0]), complex(p[1])) for p in pts[:d])
-        if self.kept.has(cycle):
-            return
-        orb = _build_orbit(cycle, self.m)
-        if orb is not None:
+            orb = _build_orbit(pts, self.m)
+        if orb is not None and not self.kept.has(orb.points):
             self._keep(orb)
 
     def level(self, attempts: int, paths_lost: int = 0,
@@ -408,11 +469,11 @@ class _Census:
 def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
     """Newton from one shadowing seed per necklace (horseshoe only).
 
-    The first `budget` necklaces are seeded and polished in stacks of one
-    block each, so a level whose necklaces fit one block makes one seed
-    call; the polished cycles are admitted in necklace order until the
-    census is complete, and `attempts` counts the necklaces admitted up to
-    there.
+    The first `budget` necklaces are seeded, polished and assembled in
+    stacks of one block each, so a level whose necklaces fit one block
+    makes one seed call; the polished cycles are admitted in necklace order
+    until the census is complete, and `attempts` counts the necklaces
+    admitted up to there.
     """
     census = _Census(m, n)
     words = itertools.islice(necklaces(n), budget)
@@ -422,12 +483,13 @@ def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
         if bits.size == 0:
             break
         P, ok = _newton_cycles(m, symbolic_orbit_seed(m, bits))
+        orbs = iter(_assemble(m, P[ok]))
         for pts, good in zip(P, ok):
             if census.complete:
                 break
             attempts += 1
             if good:
-                census.try_cycle(pts)
+                census.try_cycle(pts, next(orbs))
     return census.level(attempts)
 
 
@@ -532,9 +594,9 @@ def _continue_cycles(P: np.ndarray, a0: float, a1: complex, b: complex):
 
 def _continued_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
     """Level n off the horseshoe: continue the start level's cycles of
-    period >= 2 to m, one stacked path set per period, polish the ends of
-    each set in one stacked Newton and admit them in start order.  Fixed
-    points come in closed form."""
+    period >= 2 to m, one stacked path set per period, polish and assemble
+    the ends of each set in one stacked pass each and admit them in start
+    order.  Fixed points come in closed form."""
     a0 = _start_parameter(m.b)
     start = _itinerary_level(MapParams(a0, m.b), n, budget)
     # one path per start cycle; each came from one of at most `budget` seeds
@@ -553,10 +615,12 @@ def _continued_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
             lost += int(np.count_nonzero(~reached))
             Q, ok = _newton_cycles(m, P[reached])
             done = [i for i, r in zip(block, reached) if r]
-            ends.update((i, q) for i, q, good in zip(done, Q, ok) if good)
+            polished = [i for i, good in zip(done, ok) if good]
+            Q = Q[ok]
+            ends.update(zip(polished, zip(Q, _assemble(m, Q))))
     census = _Census(m, n)
     for i in sorted(ends):
-        census.try_cycle(ends[i])
+        census.try_cycle(*ends[i])
     return census.level(len(paths), lost, halvings)
 
 
@@ -580,14 +644,14 @@ def periodic_points_2d(m: MapParams, n: int,
 
 
 def mu_n_measure(level: PeriodicLevel) -> DiscreteMeasure:
-    """Equal weights 2^-n on the fixed points of f^n, multiplicity-weighted."""
+    """Equal weights 2^-n on the fixed points of f^n, multiplicity-weighted;
+    the points of one orbit share one weight."""
     pts = []
     wts = []
     denom = 2 ** level.n
     for o in level.orbits:
-        for p in o.points:
-            pts.append([p.x, p.y])
-            wts.append(Fraction(o.multiplicity, denom))
+        pts.extend(o.points)
+        wts.extend((Fraction(o.multiplicity, denom),) * o.period)
     if not pts:
         raise ContractError("level carries no points")
     return DiscreteMeasure(np.array(pts, dtype=complex), tuple(wts), 2,
@@ -655,11 +719,32 @@ class RealityReport:
     verdict: str
 
 
+def _fixed_point_conditions(orbits, m: MapParams) -> list:
+    """cond(J - I) of each orbit's monodromy J, one stacked call; an SVD
+    that fails to converge counts as infinitely ill-conditioned."""
+    if not orbits:
+        return []
+    J = np.stack([derivative_along_orbit(o.points, m)
+                  if o.monodromy is None else o.monodromy for o in orbits])
+    try:
+        return np.linalg.cond(J - np.eye(2)).tolist()
+    except np.linalg.LinAlgError:
+        out = []
+        for Ji in J:
+            try:
+                out.append(float(np.linalg.cond(Ji - np.eye(2))))
+            except np.linalg.LinAlgError:
+                out.append(math.inf)
+        return out
+
+
 def reality_table(m: MapParams, levels) -> RealityReport:
     """Are all periodic points real?  all real -> full-shift entropy log 2;
     any nonreal point -> strictly smaller entropy expected.
 
-    Reads enumerated levels, one row each.  A nonreal finding stands even
+    Reads enumerated levels, one row each, and the monodromy each census
+    orbit carries (an orbit without one gets it from
+    `derivative_along_orbit`).  A nonreal finding stands even
     when enumeration is incomplete; the all-real verdict needs every level
     complete, else "inconclusive".
     """
@@ -672,19 +757,15 @@ def reality_table(m: MapParams, levels) -> RealityReport:
     for level in levels:
         worst_imag = 0.0
         worst_cond = 0.0
-        for o in level.minimal_orbits:
+        orbits = level.minimal_orbits
+        for o, cond in zip(orbits, _fixed_point_conditions(orbits, m)):
             worst_imag = max(worst_imag, o.max_imag)
-            J = derivative_along_orbit(o.points, m)
-            try:
-                cond = float(np.linalg.cond(J - np.eye(2)))
-            except np.linalg.LinAlgError:
-                cond = math.inf
             worst_cond = max(worst_cond, cond)
             if not o.is_real:
                 any_nonreal = True
                 nonreal.add(o.period)
         rows.append(RealityRow(level.n, level.complete,
-                               len(level.minimal_orbits), worst_imag,
+                               len(orbits), worst_imag,
                                worst_cond))
         all_complete = all_complete and level.complete
     if not rows:

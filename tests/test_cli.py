@@ -288,6 +288,63 @@ def _periodic_report(tmp_path, doc, name, threads=1):
     return rc, files, report
 
 
+@pytest.mark.parametrize("doc, digests", [
+    ({"params": {"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]},
+      "budgets": {"level_max": 6}},
+     {"periodic-66a4a36567ea-orbits.csv":
+      "d3509d4d117a7b8627d5134171921a314c9fdc30cf882ddae8235ba0aa013f60",
+      "periodic-66a4a36567ea-report.json":
+      "0a4f49266e4e12da5274111f3a724f8139810bda778c01da6b25e238cbdaa590",
+      "periodic-66a4a36567ea-saddles.csv":
+      "a60af744d8133ee5c473237fc55e8e79074fbc9257c0e3debc4471c3740dd7a8"}),
+    ({"params": OFF_HORSESHOE, "budgets": {"level_max": 5}},
+     {"periodic-6f93f776d71b-orbits.csv":
+      "6a060bdaf6f1d05476788ee0608d1f2706112df5465ce35a42c6b53e258c16b1",
+      "periodic-6f93f776d71b-report.json":
+      "d05c59eb2e212eae81d30f78e8ad8fd904fcada242f1954d17ec3a7e08de8970",
+      "periodic-6f93f776d71b-saddles.csv":
+      "b0ba10f40251287015a4edc1147150fd88c60865bfae48f465814f214862c8ce"}),
+], ids=["horseshoe", "continued"])
+def test_periodic_report_pinned_bytes(tmp_path, doc, digests):
+    # fixed digests: no change to orbit assembly, the reality table or the
+    # measure comparison may move a byte
+    rc, files, _ = _periodic_report(tmp_path, doc, "out")
+    assert rc == 0
+    assert {name: hashlib.sha256(blob).hexdigest()
+            for name, blob in files.items()} == digests
+
+
+def test_periodic_report_computes_each_quantity_once(tmp_path, monkeypatch):
+    # census orbits carry their monodromy into the reality table, and each
+    # measure integrates each battery probe once for all its comparisons
+    import henonlab.measures as measures
+    import henonlab.periodic2d as periodic2d
+    chain_calls, integrals = [], []
+
+    def no_chain(*args):
+        chain_calls.append(args)
+        raise AssertionError("census orbit monodromy recomputed")
+
+    def counting(mu, values):
+        integrals.append(id(mu))
+        return integrate(mu, values)
+
+    integrate = measures.integrate
+    monkeypatch.setattr(periodic2d, "derivative_along_orbit", no_chain)
+    monkeypatch.setattr(measures, "integrate", counting)
+    for name, doc in (("horseshoe", {"budgets": {"level_max": 6}}),
+                      ("continued", {"params": OFF_HORSESHOE,
+                                     "budgets": {"level_max": 4}})):
+        integrals.clear()
+        rc, _, report = _periodic_report(tmp_path, doc, name)
+        levels = len(report["levels"])
+        assert rc == 0 and len(report["reality"]["rows"]) == levels
+        assert len(integrals) == 10 * levels
+        assert sorted(integrals.count(i) for i in set(integrals)) == \
+            [10] * levels
+    assert chain_calls == []
+
+
 def test_periodic_report_continuation_counters(tmp_path):
     doc = {"params": OFF_HORSESHOE,
            "budgets": {"level_max": 5, "budget": 256}}
@@ -340,6 +397,22 @@ def test_validate_subset_run(tmp_path):
     doc = json.loads(reports[0].read_text())
     assert len(doc["criteria"]) == 1
     assert doc["criteria"][0]["passed"] is True
+
+
+def test_validate_prints_one_line_per_criterion(tmp_path, capsys):
+    # criterion 12 runs `validate` itself; those inner verdict lines stay
+    # out of the outer run's stdout, and the report keeps its bytes
+    cfg_path = write_cfg(tmp_path, {"command": "validate",
+                                    "params": {"criteria": [12]}})
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  12  CLI outputs are byte-identical across thread counts"]
+    report, = out.glob("validate-*.json")
+    assert report.name == "validate-593d4f21ad13.json"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "cdcd02c3ad87c86f07fdce6e805ea43e35a7b3404e4491aa5abf5051625c35a5")
 
 
 def test_validate_unknown_criterion_is_a_contract_error(tmp_path):

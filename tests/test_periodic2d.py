@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -152,6 +153,53 @@ def test_cycle_index_survives_huge_coordinates():
     assert not index.has((PointC2(-1e305 + 0j, 1.0 + 0j),))
 
 
+def _shadowing_cycles(m, n):
+    """Real period-n cycles whose itineraries are long runs of 0 broken by
+    one or two 1s: most of their points shadow the fixed point and share
+    its strips."""
+    words = [[0] * n for _ in range(n // 2 + 1)]
+    words[0][0] = 1
+    for j, w in enumerate(words[1:], start=1):
+        w[0] = w[j] = 1
+    P, ok = _newton_cycles(m, symbolic_orbit_seed(m, np.array(words)))
+    assert ok.all()
+    return [tuple(PointC2(complex(x), complex(y)) for x, y in row)
+            for row in P]
+
+
+def test_cycle_index_crowded_strips_agree_with_pairwise_scan(monkeypatch,
+                                                             horseshoe):
+    pool = _shadowing_cycles(horseshoe, 24)
+    rng = np.random.default_rng(11)
+    index, kept, hits, crowded = _CycleIndex(), [], 0, 0
+    for _ in range(300):
+        base = np.array(pool[int(rng.integers(len(pool)))])
+        # copies within 0.9 tolerances of each other match; half the
+        # candidates move one point by 1 to 3 tolerances, which may or may
+        # not leave them a match
+        arr = base + rng.uniform(-0.45, 0.45, size=base.shape) * DEDUP_TOL
+        if rng.integers(2):
+            arr[int(rng.integers(len(arr))), 0] += (
+                rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3.0) * DEDUP_TOL)
+        # start anywhere on the cycle, mostly on a point near the fixed point
+        arr = np.roll(arr, int(rng.integers(len(arr))), axis=0)
+        cycle = tuple(PointC2(complex(x), complex(y)) for x, y in arr)
+        crowded += sum(map(len, index._around(24, cycle[0].x))) > \
+            periodic2d.CROWDED
+        expected = any(_same_cycle(cycle, k) for k in kept)
+        assert index.has(cycle) == expected
+        # probing from the first point alone gives the same answer
+        monkeypatch.setattr(periodic2d, "CROWDED", 10 ** 9)
+        assert index.has(cycle) == expected
+        monkeypatch.undo()
+        if expected:
+            hits += 1
+        else:
+            kept.append(cycle)
+            index.add(cycle)
+    assert 30 < hits < 270 and crowded > 100
+
+
 def test_symbolic_seed_matches_itinerary(horseshoe):
     for bits in necklaces(5):
         cycle = symbolic_orbit_seed(horseshoe, bits)
@@ -220,6 +268,98 @@ def _assert_rows_match_lone_runs(m, P):
             else:
                 assert lone is None and ref is None
     return ok
+
+
+def ref_build_orbit(points, m, multiplicity=1, degenerate=False):
+    """The one-orbit assembly the stacked pass replaced: Python complex
+    residual, `derivative_along_orbit`, one eigvals per orbit.  Returns the
+    orbit and its monodromy, or (None, None) past the residual gate."""
+    d = len(points)
+    resid = 0.0
+    for j, p in enumerate(points):
+        q = points[(j + 1) % d]
+        fx = -p.x * p.x + m.a - m.b * p.y
+        resid = max(resid, abs(fx - q.x), abs(p.x - q.y))
+    scale = 1.0 + max(max(abs(p.x), abs(p.y)) for p in points) ** 2
+    if resid > 1e-9 * scale:
+        return None, None
+    J = derivative_along_orbit(points, m)
+    eigs = np.linalg.eigvals(J)
+    order = np.lexsort((eigs.imag, eigs.real, np.abs(eigs)))[::-1]
+    eigs = tuple(complex(v) for v in eigs[order])
+    moduli = [abs(v) for v in eigs]
+    if any(abs(mod - 1.0) <= periodic2d.UNIT_BAND for mod in moduli):
+        cls = "nonhyperbolic"
+    elif all(mod < 1.0 for mod in moduli):
+        cls = "sink"
+    elif all(mod > 1.0 for mod in moduli):
+        cls = "source"
+    else:
+        cls = "saddle"
+    is_real = all(abs(p.x.imag) < periodic2d.REALITY_TOL
+                  and abs(p.y.imag) < periodic2d.REALITY_TOL for p in points)
+    return periodic2d.PeriodicOrbit(tuple(points), d, eigs, cls, is_real,
+                                    resid, multiplicity, degenerate), J
+
+
+def _bits(orb):
+    """Every field of an orbit, floats as their bytes (-0.0 != 0.0)."""
+    return (np.array(orb.points, dtype=complex).tobytes(), orb.period,
+            np.array(orb.multiplier_eigenvalues).tobytes(), orb.orbit_class,
+            orb.is_real, float(orb.residual).hex(), orb.multiplicity,
+            orb.degenerate)
+
+
+ASSEMBLY_LEVELS = (
+    [((10.0, 0.3), n, 2048) for n in range(1, 12)]
+    + [((1.4, 0.3), n, 2048) for n in range(1, 8)]
+    + [((1.2 + 0.5j, 0.3 - 0.1j), 6, 2048)]
+    + [((0.1, 0.3), n, 2048) for n in range(1, 4)]
+    + [((3.0, 1.0), 2, 64), ((10.0, 0.3), 9, 40)])
+
+
+def test_stacked_assembly_matches_lone_orbits():
+    # census orbits come from one stacked pass per block; each must be bit
+    # for bit the orbit the per-orbit assembly builds from its points, and
+    # the reality table's conditions those of derivative_along_orbit
+    seen = set()
+    for (a, b), n, budget in ASSEMBLY_LEVELS:
+        m = MapParams(a, b)
+        lv = periodic_points_2d(m, n, budget=budget)
+        seen.add((lv.complete, lv.paths_lost > 0))
+        worst = 0.0
+        for o in lv.orbits:
+            ref, J = ref_build_orbit(o.points, m, o.multiplicity,
+                                     o.degenerate)
+            assert _bits(o) == _bits(ref)
+            assert o.monodromy.tobytes() == J.tobytes()
+            if o.period == n:
+                worst = max(worst, float(np.linalg.cond(J - np.eye(2))))
+        if m.a.imag == 0.0 and m.b.imag == 0.0:
+            row, = reality_table(m, [lv]).rows
+            assert row.worst_condition.hex() == worst.hex()
+    # complete levels, a lost path and a budget shortfall all ran
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
+def test_orbit_monodromy_is_read_only_and_out_of_eq(horseshoe,
+                                                    horseshoe_levels):
+    o = horseshoe_levels[3].orbits[-1]
+    assert not o.monodromy.flags.writeable
+    with pytest.raises(ValueError):
+        o.monodromy[0, 0] = 0.0
+    bare = periodic2d.PeriodicOrbit(*(getattr(o, f) for f in (
+        "points", "period", "multiplier_eigenvalues", "orbit_class",
+        "is_real", "residual", "multiplicity", "degenerate")))
+    assert bare.monodromy is None
+    assert bare == o and hash(bare) == hash(o) and repr(bare) == repr(o)
+    # an orbit without a monodromy gets it from the chain rule
+    lv = horseshoe_levels[3]
+    hand = periodic2d.PeriodicLevel(
+        lv.n, tuple(dataclasses.replace(x, monodromy=None)
+                    for x in lv.orbits),
+        lv.fixed_point_count, lv.complete, lv.attempts)
+    assert reality_table(horseshoe, [hand]) == reality_table(horseshoe, [lv])
 
 
 def test_stacked_newton_rows_match_lone_runs(horseshoe):
@@ -359,6 +499,22 @@ def test_solve_stack_marks_singular_rows():
     x = _solve_stack(A, F)
     assert np.array_equal(x[0], F[0]) and np.array_equal(x[2], 0.5 * F[2])
     assert np.all(np.isnan(x[1]))
+
+
+def test_mu_n_measure_shares_one_weight_per_orbit(horseshoe_levels):
+    lv = horseshoe_levels[6]
+    mu = mu_n_measure(lv)
+    # one Fraction per point, as the measure was once built
+    pts = [[p.x, p.y] for o in lv.orbits for p in o.points]
+    wts = [Fraction(o.multiplicity, 2 ** lv.n)
+           for o in lv.orbits for _ in o.points]
+    assert np.array_equal(mu.points, np.array(pts, dtype=complex))
+    assert mu.weights == tuple(wts)
+    first = 0
+    for o in lv.orbits:
+        shared = mu.weights[first:first + o.period]
+        assert all(w is shared[0] for w in shared)
+        first += o.period
 
 
 def test_mu_n_measure_mass_and_completeness(horseshoe_levels):
