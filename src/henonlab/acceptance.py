@@ -31,8 +31,7 @@ from .periodic2d import (cylinder_point_measure, mu_n_measure,
 from .poly1d import Poly, brolin_measure
 from .potential import (ScalarGrid, discrete_ddc_mass, green_plus_field,
                         green_poly_field, mass_in_disk)
-from .symbolic import (PeriodicSequence, SymbolWord, count_admissible_words,
-                       entropy_estimate)
+from .symbolic import entropy_estimate, itinerary_word_counts
 
 SQUARE = Poly((0.0, 0.0, 1.0))
 HORSESHOE = MapParams(10.0, 0.3)
@@ -243,11 +242,7 @@ def _criterion_09():
     """Word census gives log 2 on the full shift, log phi on the golden mean."""
     t0 = time.perf_counter()
     lv = _horseshoe_level(8)
-    seqs = []
-    for o in lv.orbits:
-        bits = tuple(0 if p.x.real < 0.0 else 1 for p in o.points)
-        seqs.append(PeriodicSequence(SymbolWord(bits)))
-    counts = {n: count_admissible_words(seqs, n) for n in range(1, 9)}
+    counts = itinerary_word_counts(lv.orbits, 8)
     census_ok = all(counts[n] == 2 ** n for n in counts)
     est = entropy_estimate(counts, 8)
     full_err = abs(est.point - math.log(2.0))
@@ -421,7 +416,10 @@ def run_all(workdir=None, only=None) -> list[CriterionResult]:
     report that everything passed.
     """
     results = []
-    wanted = None if not only else {int(k) for k in only}
+    if only and not all(isinstance(k, int) and not isinstance(k, bool)
+                        for k in only):
+        raise ContractError(f"criterion ids must be integers, got {only!r}")
+    wanted = None if not only else set(only)
     unknown = sorted((wanted or set()) - {cid for cid, _, _ in _CRITERIA})
     if unknown:
         raise ContractError(f"unknown acceptance criterion ids {unknown}; "

@@ -23,6 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,72 +36,128 @@ from .periodic2d import (mu_n_measure, periodic_points_2d, reality_table,
 from .poly1d import Poly, julia_render_points
 from .potential import green_minus_field, green_plus_field, green_poly_field
 from .raster import density_counts, grayscale_log, write_pgm
-from .symbolic import (PeriodicSequence, SymbolWord, count_admissible_words,
-                       entropy_estimate)
+from .symbolic import entropy_estimate, itinerary_word_counts
 
 TILE = 128
 # largest pixel raster, and largest julia-cloud walk tree (walks x
 # (depth + 1) points), a config may ask for: 2^24 complex points is 256 MiB
 SIZE_CAP = 2 ** 24
 
-_HENON_DEFAULT = {"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]}
 
-DEFAULTS = {
+class Check(NamedTuple):
+    """A config value check: a predicate and what it asks for."""
+    ok: Callable
+    want: str
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_finite(val) -> bool:
+    # a real a double holds: bools, NaN, +-inf and ints past 1.8e308 fail
+    return ((_is_int(val) or isinstance(val, float))
+            and abs(val) <= sys.float_info.max)
+
+
+def _is_pair(val, is_entry) -> bool:
+    return isinstance(val, list) and len(val) == 2 and all(map(is_entry, val))
+
+
+def _list_of(check: Check) -> Check:
+    return Check(lambda v: isinstance(v, list) and all(map(check.ok, v)),
+                 f"a list, each entry {check.want}")
+
+
+def _choice(*names) -> Check:
+    return Check(lambda v: isinstance(v, str) and v in names,
+                 f"one of {list(names)}")
+
+
+COUNT = Check(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+NONNEG = Check(lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+POSITIVE = Check(lambda v: _is_finite(v) and v > 0, "a finite number > 0")
+COMPLEX = Check(lambda v: _is_finite(v) or _is_pair(v, _is_finite),
+                "a finite real or an [re, im] pair of them")
+COMPLEXES = _list_of(COMPLEX)
+PIXELS = Check(lambda v: _is_pair(v, COUNT.ok), "a pair of integers >= 1")
+
+_HENON = {"kind": ("henon", _choice("henon")),
+          "a": ([10.0, 0.0], COMPLEX), "b": ([0.3, 0.0], COMPLEX)}
+
+
+def _window(width: float) -> dict:
+    return {"center": ([0.0, 0.0], COMPLEX), "width": (width, POSITIVE),
+            "height": (width, POSITIVE), "pixels": ([256, 256], PIXELS)}
+
+
+# Every config value each command reads.  "mode" lists the allowed modes,
+# the first being the default; each section maps a key to (default, check),
+# a default of None marking an optional key.  A section left out holds no
+# keys.
+SCHEMA = {
     "render-green": {
-        "mode": "plus",
-        "params": dict(_HENON_DEFAULT),
-        "slice": {"base": [[0.0, 0.0], [0.0, 0.0]],
-                  "direction": [[1.0, 0.0], [0.0, 0.0]]},
-        "window": {"center": [0.0, 0.0], "width": 16.0, "height": 16.0,
-                   "pixels": [256, 256]},
-        "budgets": {"n_max": 100},
-        "tolerances": {"tol": 1e-9},
+        "mode": ("plus", "minus", "poly"),
+        "params": dict(_HENON, kind=("henon", _choice("henon", "poly")),
+                       coeffs=(None, COMPLEXES)),
+        "slice": {"base": ([[0.0, 0.0], [0.0, 0.0]], COMPLEXES),
+                  "direction": ([[1.0, 0.0], [0.0, 0.0]], COMPLEXES)},
+        "window": _window(16.0),
+        "budgets": {"n_max": (100, COUNT)},
+        "tolerances": {"tol": (1e-9, POSITIVE)},
     },
     "julia-cloud": {
-        "mode": "cloud",
-        "params": {"kind": "poly",
-                   "coeffs": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-                   "c": [1.0, 0.0]},
-        "slice": {},
-        "window": {"center": [0.0, 0.0], "width": 4.0, "height": 4.0,
-                   "pixels": [256, 256]},
-        "budgets": {"walks": 4096, "depth": 40, "burn_in": 10},
-        "tolerances": {},
+        "mode": ("cloud",),
+        "params": {"kind": ("poly", _choice("poly")),
+                   "coeffs": ([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                              COMPLEXES),
+                   "c": ([1.0, 0.0], COMPLEX)},
+        "window": _window(4.0),
+        "budgets": {"walks": (4096, COUNT), "depth": (40, COUNT),
+                    "burn_in": (10, NONNEG)},
     },
     "periodic-report": {
-        "mode": "report",
-        "params": dict(_HENON_DEFAULT),
-        "slice": {},
-        "window": {},
-        "budgets": {"level_max": 5, "budget": 2048},
-        "tolerances": {},
+        "mode": ("report",),
+        "params": _HENON,
+        "budgets": {"level_max": (5, COUNT), "budget": (2048, COUNT)},
     },
     "entropy-report": {
-        "mode": "report",
-        "params": dict(_HENON_DEFAULT),
-        "slice": {},
-        "window": {},
-        "budgets": {"word_max": 10, "reality_n_max": 4, "budget": 2048},
-        "tolerances": {},
+        "mode": ("report",),
+        "params": _HENON,
+        "budgets": {"word_max": (10, COUNT), "reality_n_max": (4, COUNT),
+                    "budget": (2048, COUNT)},
     },
     "validate": {
-        "mode": "all",
-        "params": {},
-        "slice": {},
-        "window": {},
-        "budgets": {},
-        "tolerances": {},
+        "mode": ("all",),
+        "params": {"criteria": (None, _list_of(COUNT))},
     },
 }
 
-_SECTIONS = ("params", "slice", "window", "budgets", "tolerances")
-
-# section keys a config file may set beyond those of its command's
-# defaults: the polynomial of a poly render, the criteria to validate
-_EXTRA_KEYS = {
-    ("render-green", "params"): {"coeffs"},
-    ("validate", "params"): {"criteria"},
+# the fields outside the sections; of these only rng_seed is hashed
+_RUN_FIELDS = {
+    "rng_seed": (0, Check(lambda v: _is_int(v) and -(2 ** 63) <= v < 2 ** 64,
+                          "an integer that fits in 64 bits")),
+    "threads": (1, COUNT),
+    "out": (".", Check(lambda v: isinstance(v, str), "a string")),
 }
+
+
+def _fields(schema: dict) -> dict:
+    """A command's whole config: run fields, mode and the five sections."""
+    modes = schema["mode"]
+    return dict(_RUN_FIELDS, mode=(modes[0], _choice(*modes)),
+                **{s: schema.get(s, {}) for s in
+                   ("params", "slice", "window", "budgets", "tolerances")})
+
+
+def _defaults(fields: dict) -> dict:
+    return {key: _defaults(field) if isinstance(field, dict) else field[0]
+            for key, field in fields.items()
+            if isinstance(field, dict) or field[0] is not None}
+
+
+DEFAULTS = {command: _defaults(_fields(schema))
+            for command, schema in SCHEMA.items()}
 
 
 @dataclass(frozen=True)
@@ -117,16 +174,8 @@ class JobConfig:
     out: str
 
     def semantic_doc(self) -> dict:
-        return {
-            "command": self.command,
-            "mode": self.mode,
-            "params": self.params,
-            "slice": self.slice,
-            "window": self.window,
-            "budgets": self.budgets,
-            "tolerances": self.tolerances,
-            "rng_seed": self.rng_seed,
-        }
+        return {key: val for key, val in vars(self).items()
+                if key not in ("threads", "out")}
 
     def cfg_hash(self) -> str:
         blob = json.dumps(self.semantic_doc(), sort_keys=True,
@@ -147,95 +196,48 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def build_config(command: str, file_doc: dict | None = None,
                  seed: int | None = None, threads: int | None = None,
                  out: str | None = None) -> JobConfig:
-    if command not in DEFAULTS:
+    """Merge defaults, the config file and the flags, then check the
+    merged doc once against SCHEMA; values are checked, never rewritten."""
+    if command not in SCHEMA:
         raise ContractError(f"unknown command {command!r}")
-    doc = copy.deepcopy(DEFAULTS[command])
-    doc.setdefault("rng_seed", 0)
-    doc.setdefault("threads", 1)
-    doc.setdefault("out", ".")
     if file_doc is not None and not isinstance(file_doc, dict):
         raise ContractError("a config file must hold one JSON object")
-    if file_doc:
-        unknown = sorted(set(file_doc) - set(doc) - {"command"})
-        if unknown:
-            raise ContractError(f"unknown config keys {unknown}")
-        if "command" in file_doc and file_doc["command"] != command:
-            raise ContractError("config file names a different command")
-        _check_section_keys(command, file_doc)
-        doc = _deep_merge(doc, {k: v for k, v in file_doc.items()
-                                if k != "command"})
-    if seed is not None:
-        doc["rng_seed"] = seed
-    if threads is not None:
-        doc["threads"] = threads
-    if out is not None:
-        doc["out"] = str(out)
-    for key in _SECTIONS:
-        if not isinstance(doc[key], dict):
-            raise ContractError(f"config field {key} must be an object")
-    for key in ("rng_seed", "threads"):
-        if not _is_int(doc[key]):
-            raise ContractError(f"{key} must be an integer")
-    cfg = JobConfig(command, doc["mode"], doc["params"], doc["slice"],
-                    doc["window"], doc["budgets"], doc["tolerances"],
-                    doc["rng_seed"], doc["threads"], doc["out"])
+    file_doc = dict(file_doc or {})
+    if file_doc.pop("command", command) != command:
+        raise ContractError("config file names a different command")
+    doc = _deep_merge(DEFAULTS[command], file_doc)
+    for key, val in (("rng_seed", seed), ("threads", threads),
+                     ("out", None if out is None else str(out))):
+        if val is not None:
+            doc[key] = val
+    _check_fields(_fields(SCHEMA[command]), doc)
+    cfg = JobConfig(command=command, **doc)
     _validate_config(cfg)
     return cfg
 
 
-def _check_section_keys(command: str, file_doc: dict) -> None:
-    """Reject keys the command does not read in the file's own sections.
-
-    The file is checked, not the merged doc: a poly render inherits the
-    henon default's a and b under params and must still be accepted.
-    """
-    for section in _SECTIONS:
-        given = file_doc.get(section)
-        if not isinstance(given, dict):
-            continue  # a missing section is fine, a non-object one fails later
-        known = set(DEFAULTS[command][section])
-        known |= _EXTRA_KEYS.get((command, section), set())
-        unknown = sorted(set(given) - known)
-        if unknown:
-            raise ContractError(f"unknown {command} {section} keys {unknown}")
-
-
-def _is_real(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
+def _check_fields(fields: dict, given, name: str = "") -> None:
+    """Refuse keys `fields` does not list and values their check refuses;
+    a field that is itself a dict is a section, checked key by key."""
+    if not isinstance(given, dict):
+        raise ContractError(f"{name} must be an object")
+    unknown = sorted(set(given) - set(fields))
+    if unknown:
+        raise ContractError(f"unknown {name or 'config'} keys {unknown}")
+    for key, val in given.items():
+        field, where = fields[key], f"{name}.{key}" if name else key
+        if isinstance(field, dict):
+            _check_fields(field, val, where)
+        elif not field[1].ok(val):
+            raise ContractError(f"{where} must be {field[1].want}")
 
 
 def _validate_config(cfg: JobConfig) -> None:
-    if cfg.threads < 1:
-        raise ContractError("threads must be >= 1")
-    if not -(2 ** 63) <= cfg.rng_seed < 2 ** 64:
-        raise ContractError("rng_seed must fit in 64 bits")
-    for key, val in cfg.budgets.items():
-        if not _is_int(val) or val < 0:
-            raise ContractError(f"budget {key} must be a nonnegative integer")
-        if key in ("n_max", "walks", "depth", "level_max", "budget",
-                   "word_max", "reality_n_max") and val < 1:
-            raise ContractError(f"budget {key} must be >= 1")
-    for key, val in cfg.tolerances.items():
-        if not _is_real(val) or val <= 0:
-            raise ContractError(f"tolerance {key} must be positive")
-    if cfg.window:
-        px = cfg.window.get("pixels", [1, 1])
-        if (not isinstance(px, list) or len(px) != 2
-                or not all(_is_int(v) and v >= 1 for v in px)):
-            raise ContractError("pixels must be a pair of integers >= 1")
-        for key in ("width", "height"):
-            val = cfg.window.get(key, 1.0)
-            if not _is_real(val) or not 0.0 < val < math.inf:
-                raise ContractError(f"window {key} must be a positive number")
+    """Rules across fields: the size caps on rasters and walk trees."""
     sizes = {}
-    if cfg.command in ("render-green", "julia-cloud"):
-        nx, ny = cfg.window["pixels"]
-        sizes["pixel count"] = nx * ny
-    if cfg.command == "julia-cloud":
+    if "pixels" in cfg.window:
+        sizes["pixel count"] = math.prod(cfg.window["pixels"])
+    if "walks" in cfg.budgets:
         sizes["walks x (depth + 1)"] = (cfg.budgets["walks"]
                                         * (cfg.budgets["depth"] + 1))
     for what, size in sizes.items():
@@ -244,31 +246,28 @@ def _validate_config(cfg: JobConfig) -> None:
                            f"{SIZE_CAP}")
 
 
-def _cx(pair) -> complex:
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    if len(pair) != 2:
-        raise ContractError("complex values are [re, im] pairs")
-    return complex(float(pair[0]), float(pair[1]))
+def _cx(val) -> complex:
+    """A checked complex config value: a real or an [re, im] pair."""
+    return complex(*val) if isinstance(val, list) else complex(val)
 
 
 def _slice_points(sl: dict, key: str, count: int) -> list:
-    """The first count [re, im] entries of slice[key]; fewer is an error."""
-    vals = sl.get(key)
-    if not isinstance(vals, list) or len(vals) < count:
+    """The first count entries of slice[key]; fewer is an error."""
+    if len(sl[key]) < count:
         raise ContractError(f"slice.{key} needs {count} [re, im] entries")
-    return [_cx(v) for v in vals[:count]]
+    return [_cx(v) for v in sl[key][:count]]
 
 
 def _map_params(params: dict) -> MapParams:
-    if params.get("kind") != "henon":
+    if params["kind"] != "henon":
         raise ContractError("this command needs params.kind = henon")
     return MapParams(_cx(params["a"]), _cx(params["b"]))
 
 
 def _poly(params: dict) -> Poly:
-    if params.get("kind") != "poly":
-        raise ContractError("this command needs params.kind = poly")
+    if params["kind"] != "poly" or "coeffs" not in params:
+        raise ContractError("this command needs params.kind = poly and "
+                            "params.coeffs")
     return Poly(tuple(_cx(c) for c in params["coeffs"]))
 
 
@@ -276,7 +275,15 @@ def _comments(cfg: JobConfig) -> list:
     return [f"cfg:{cfg.cfg_hash()}", f"tool:henonlab {__version__}"]
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _out_dir(cfg: JobConfig) -> tuple:
+    """The --out directory, made now, and the tag of its artifact names."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out, cfg.cfg_hash()[:12]
+
+
+def _write_json(path: Path, cfg: JobConfig, doc: dict) -> None:
+    doc = {"cfg": cfg.cfg_hash(), "tool": f"henonlab {__version__}", **doc}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -315,22 +322,21 @@ def _render_tiles(eval_field, center: complex, width: float, height: float,
 
 def cmd_render_green(cfg: JobConfig) -> int:
     mode = cfg.mode
-    tol = float(cfg.tolerances.get("tol", 1e-9))
+    tol = float(cfg.tolerances["tol"])
+    n_max = int(cfg.budgets["n_max"])
     nx, ny = (int(v) for v in cfg.window["pixels"])
     center = _cx(cfg.window["center"])
     width = float(cfg.window["width"])
     height = float(cfg.window["height"])
     if mode == "poly":
         f = _poly(cfg.params)
-        n_max = int(cfg.budgets.get("n_max", 200))
         base, = _slice_points(cfg.slice, "base", 1)
         direction, = _slice_points(cfg.slice, "direction", 1)
 
         def eval_field(t):
             return green_poly_field(base + t * direction, f, tol, n_max)
-    elif mode in ("plus", "minus"):
+    else:
         m = _map_params(cfg.params)
-        n_max = int(cfg.budgets.get("n_max", 100))
         base = _slice_points(cfg.slice, "base", 2)
         direction = _slice_points(cfg.slice, "direction", 2)
         field = green_plus_field if mode == "plus" else green_minus_field
@@ -338,22 +344,16 @@ def cmd_render_green(cfg: JobConfig) -> int:
         def eval_field(t):
             return field(base[0] + t * direction[0],
                          base[1] + t * direction[1], m, tol, n_max)
-    else:
-        raise ContractError(f"unknown render mode {mode!r}")
     values, converged, presumed = _render_tiles(
         eval_field, center, width, height, nx, ny)
     gray = grayscale_log(values)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = cfg.cfg_hash()[:12]
+    out, tag = _out_dir(cfg)
     write_pgm(out / f"green-{tag}.pgm", np.flipud(gray), _comments(cfg))
     finite = values[np.isfinite(values)]
     vmax = float(finite.max()) if finite.size else 0.0
     hist_range = (0.0, vmax if vmax > 0 else 1.0)
     counts, edges = np.histogram(finite, bins=32, range=hist_range)
-    _write_json(out / f"green-{tag}-stats.json", {
-        "cfg": cfg.cfg_hash(),
-        "tool": f"henonlab {__version__}",
+    _write_json(out / f"green-{tag}-stats.json", cfg, {
         "mode": mode,
         "min": float(finite.min()) if finite.size else 0.0,
         "max": vmax,
@@ -371,12 +371,10 @@ def cmd_julia_cloud(cfg: JobConfig) -> int:
     c = _cx(cfg.params["c"])
     walks = int(cfg.budgets["walks"])
     depth = int(cfg.budgets["depth"])
-    burn_in = int(cfg.budgets.get("burn_in", 10))
+    burn_in = int(cfg.budgets["burn_in"])
     points, levels = julia_render_points(f, c, walks, depth, burn_in,
                                          cfg.rng_seed)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = cfg.cfg_hash()[:12]
+    out, tag = _out_dir(cfg)
     with open(out / f"julia-{tag}.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow([f"# cfg:{cfg.cfg_hash()}"])
@@ -414,9 +412,7 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
     budget = int(cfg.budgets["budget"])
     levels = [periodic_points_2d(m, n, budget=budget)
               for n in range(1, n_max + 1)]
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = cfg.cfg_hash()[:12]
+    out, tag = _out_dir(cfg)
     with open(out / f"periodic-{tag}-orbits.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow([f"# cfg:{cfg.cfg_hash()}"])
@@ -461,8 +457,6 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
     else:
         reality_doc = {"verdict": "not applicable (complex parameters)"}
     doc = {
-        "cfg": cfg.cfg_hash(),
-        "tool": f"henonlab {__version__}",
         "n_max": n_max,
         "levels": [{"n": lv.n, "complete": lv.complete,
                     "fixed_point_count": lv.fixed_point_count,
@@ -479,7 +473,7 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
         "mu_comparison": matrix,
         "reality": reality_doc,
     }
-    _write_json(out / f"periodic-{tag}-report.json", doc)
+    _write_json(out / f"periodic-{tag}-report.json", cfg, doc)
     return 0 if all(lv.complete for lv in levels) else 3
 
 
@@ -512,12 +506,7 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
                            "expected": 2 ** word_max}
             inconclusive = True
         else:
-            seqs = []
-            for o in level.orbits:
-                bits = tuple(0 if p.x.real < 0 else 1 for p in o.points)
-                seqs.append(PeriodicSequence(SymbolWord(bits)))
-            counts = {n: count_admissible_words(seqs, n)
-                      for n in range(1, word_max + 1)}
+            counts = itinerary_word_counts(level.orbits, word_max)
             est = entropy_estimate(counts, word_max)
             entropy_doc = {
                 "status": "ok",
@@ -535,12 +524,8 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
             inconclusive = True
     else:
         reality_doc = {"verdict": "not applicable (complex parameters)"}
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = cfg.cfg_hash()[:12]
-    _write_json(out / f"entropy-{tag}.json", {
-        "cfg": cfg.cfg_hash(),
-        "tool": f"henonlab {__version__}",
+    out, tag = _out_dir(cfg)
+    _write_json(out / f"entropy-{tag}.json", cfg, {
         "entropy": entropy_doc,
         "reality": reality_doc,
     })
@@ -555,14 +540,11 @@ def _stable_details(details: dict) -> dict:
 
 def cmd_validate(cfg: JobConfig) -> int:
     from .acceptance import run_all
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    only = cfg.params.get("criteria") or None
-    results = run_all(out / "validate-work", only=only)
-    tag = cfg.cfg_hash()[:12]
-    _write_json(out / f"validate-{tag}.json", {
-        "cfg": cfg.cfg_hash(),
-        "tool": f"henonlab {__version__}",
+    # run_all refuses unknown ids before anything runs or --out is made
+    results = run_all(Path(cfg.out) / "validate-work",
+                      only=cfg.params.get("criteria") or None)
+    out, tag = _out_dir(cfg)
+    _write_json(out / f"validate-{tag}.json", cfg, {
         "criteria": [{"id": r.cid, "name": r.name, "passed": r.passed,
                       "details": _stable_details(r.details)} for r in results],
         "all_passed": all(r.passed for r in results),

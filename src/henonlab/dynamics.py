@@ -98,20 +98,24 @@ def henon_derivative(p: PointC2, m: MapParams) -> np.ndarray:
     return np.array([[-2.0 * p.x, -m.b], [1.0, 0.0]], dtype=complex)
 
 
-def derivative_along_orbit(points, m: MapParams) -> np.ndarray:
-    """Chain-rule product Df(p_{n-1}) ... Df(p_0) for consecutive orbit points.
-
-    The factors are henon_derivative's matrices, built as one (n, 2, 2)
-    stack and multiplied from the left in orbit order.
-    """
-    D = np.zeros((len(points), 2, 2), dtype=complex)
-    D[:, 0, 0] = [-2.0 * p.x for p in points]
-    D[:, 0, 1] = -m.b
-    D[:, 1, 0] = 1.0
-    acc = np.eye(2, dtype=complex)
-    for Dj in D:
-        acc = Dj @ acc
+def monodromy_stack(X, b: complex) -> np.ndarray:
+    """Chain-rule products Df(p_{n-1}) ... Df(p_0), shape (k, 2, 2), for a
+    (k, n) stack X of orbit x-coordinates: henon_derivative's factors,
+    multiplied from the left in orbit order, one stacked matmul a step."""
+    X = np.asarray(X, dtype=complex)
+    D = np.zeros(X.shape + (2, 2), dtype=complex)
+    D[..., 0, 0] = -2.0 * X
+    D[..., 0, 1] = -b
+    D[..., 1, 0] = 1.0
+    acc = np.repeat(np.eye(2, dtype=complex)[None], len(X), axis=0)
+    for j in range(X.shape[1]):
+        acc = D[:, j] @ acc
     return acc
+
+
+def derivative_along_orbit(points, m: MapParams) -> np.ndarray:
+    """`monodromy_stack` on one orbit's consecutive points."""
+    return monodromy_stack([[p.x for p in points]], m.b)[0]
 
 
 def classify_region(p: PointC2, R: float) -> Region:

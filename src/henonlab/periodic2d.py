@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import (MapParams, PointC2, derivative_along_orbit,
-                       is_horseshoe_regime)
+                       is_horseshoe_regime, monodromy_stack)
 from .errors import ContractError
 from .measures import DiscreteMeasure
 from .symbolic import necklaces
@@ -102,10 +102,9 @@ def _assemble(m: MapParams, P, multiplicity: int = 1,
     """Orbits of the polished cycles P, shape (k, d, 2), in one pass.
 
     A row whose closure residual exceeds 1e-9 (1 + max|p|^2) gives None.
-    The others get their monodromy Df(p_{d-1}) ... Df(p_0) from one stacked
-    (k, 2, 2) matmul per orbit step, multiplied from the left as in
-    `derivative_along_orbit`, and their multipliers from one eigvals over
-    the stack.  Every row is bit for bit what it gives alone.
+    The others get their monodromy Df(p_{d-1}) ... Df(p_0) from
+    `monodromy_stack`, and their multipliers from one eigvals over the
+    stack.  Every row is bit for bit what it gives alone.
     """
     P = np.asarray(P, dtype=complex)
     k, d, _ = P.shape
@@ -113,14 +112,7 @@ def _assemble(m: MapParams, P, multiplicity: int = 1,
     scale = 1.0 + np.max(np.hypot(P.real, P.imag), axis=(1, 2)) ** 2
     # a nan residual passes, as it did the scalar gate
     good = np.flatnonzero(~(resid > 1e-9 * scale))
-    X = P[good, :, 0]
-    D = np.zeros((len(good), d, 2, 2), dtype=complex)
-    D[..., 0, 0] = -2.0 * X
-    D[..., 0, 1] = -m.b
-    D[..., 1, 0] = 1.0
-    J = np.broadcast_to(np.eye(2, dtype=complex), (len(good), 2, 2))
-    for j in range(d):
-        J = D[:, j] @ J
+    J = monodromy_stack(P[good, :, 0], m.b)
     J.flags.writeable = False
     eigs = (np.linalg.eigvals(J) if len(good)
             else np.empty((0, 2), dtype=complex))

@@ -120,7 +120,7 @@ def _aberth_block(c: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
     z = (radius[:, None] * (0.55 + 0.9 * spread)
          * np.exp(2j * math.pi * (idx + 0.354) / d))
     live = np.arange(k)
-    zl, cl, dcl = z, c, dc
+    zl, cl, dcl, delta = z, c, dc, np.full_like(z, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_sweeps):
             pz = _polyval_rows(cl, zl)
@@ -138,11 +138,26 @@ def _aberth_block(c: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
             if done.any():
                 z[live[done]] = zl[done]
                 keep = ~done
-                live, zl, cl, dcl = live[keep], zl[keep], cl[keep], dcl[keep]
+                live, zl, cl, dcl, delta = (live[keep], zl[keep], cl[keep],
+                                            dcl[keep], delta[keep])
                 if not live.size:
                     return z
-        # live rows stay in input order: row 0 is the first that failed
-        resid = float(np.max(np.abs(_polyval_rows(cl[:1], zl[:1]))))
+        # Out of sweeps.  Near a root of multiplicity m, fixed only to
+        # ~eps^(1/m), the step test never fires.  A row has converged as
+        # far as doubles allow if every root's backward error is at
+        # rounding level, |p(z)| <= 4 d eps sum |c_i| |z|^i, and its last
+        # steps stay under eps^(1/4).  The first failing row is named.
+        eps = np.finfo(float).eps
+        pz = _polyval_rows(cl, zl)
+        bound = 4 * d * eps * _polyval_rows(np.abs(cl), np.abs(zl))
+        stalled = (np.max(np.abs(delta), axis=1)
+                   <= eps ** 0.25 * (1.0 + np.max(np.abs(zl), axis=1)))
+        bad = np.flatnonzero(~(stalled & np.all(
+            (np.abs(pz) <= bound) & (bound < np.inf), axis=1)))
+        if not bad.size:
+            z[live] = zl
+            return z
+        resid = float(np.max(np.abs(pz[bad[0]])))
     raise ConvergenceError(f"simultaneous_roots: no convergence in "
                            f"{max_sweeps} sweeps (max residual {resid:.3e})")
 

@@ -142,6 +142,13 @@ def count_admissible_words(observed_orbits: Iterable, n: int) -> int:
     return len(seen)
 
 
+def itinerary_word_counts(orbits: Iterable, n_max: int) -> dict[int, int]:
+    """S(n), n = 1..n_max, over the orbits' sign itineraries as cycles."""
+    seqs = [PeriodicSequence(SymbolWord(tuple(map(_sign_symbol, o.points))))
+            for o in orbits]
+    return {n: count_admissible_words(seqs, n) for n in range(1, n_max + 1)}
+
+
 @dataclass(frozen=True)
 class EntropyEstimate:
     point: float

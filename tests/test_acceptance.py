@@ -23,6 +23,14 @@ def test_run_all_rejects_unknown_ids(tmp_path):
         run_all(tmp_path, only=[4, 99, 0])
 
 
+@pytest.mark.parametrize("only", ["12", [True], [4.5], [4, 4.0]],
+                         ids=["string", "bool", "float", "int-and-float"])
+def test_run_all_takes_integer_ids_only(tmp_path, only):
+    # "12" used to run criteria 1 and 2, [4.5] criterion 4
+    with pytest.raises(ContractError, match="must be integers"):
+        run_all(tmp_path, only=only)
+
+
 @pytest.mark.parametrize("cid", ALL_IDS)
 def test_criterion(cid, tmp_path):
     results = run_all(tmp_path, only=[cid])

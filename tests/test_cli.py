@@ -1,15 +1,21 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import henonlab
-from henonlab.cli import DEFAULTS, build_config, main
+from henonlab.cli import DEFAULTS, SCHEMA, build_config, main
 from henonlab.errors import CapError, ContractError
 
 TINY_RENDER = {
@@ -184,6 +190,138 @@ def test_bad_render_config_exits_2(tmp_path, capsys, doc):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("render-green", {"params": {"a": [NAN, 0.0]}}, "params.a"),
+    ("render-green", {"params": {"b": [0.3, INF]}}, "params.b"),
+    ("julia-cloud", {"params": {"c": -INF}}, "params.c"),
+    ("julia-cloud", {"window": {"center": [0.0, NAN]}}, "window.center"),
+    ("julia-cloud", {"params": {"coeffs": [[INF, 0.0], 0.0, 1.0]}},
+     "params.coeffs"),
+    ("render-green", {"tolerances": {"tol": INF}}, "tolerances.tol"),
+    ("render-green", {"tolerances": {"tol": NAN}}, "tolerances.tol"),
+    ("render-green", {"params": {"a": True}}, "params.a"),
+    ("render-green", {"mode": "zzz"}, "mode must be one of ['plus', 'minus', "
+                                      "'poly']"),
+    ("julia-cloud", {"mode": "zzz"}, "mode must be one of ['cloud']"),
+    ("periodic-report", {"mode": "zzz"}, "mode must be one of ['report']"),
+    ("entropy-report", {"mode": "zzz"}, "mode must be one of ['report']"),
+    ("validate", {"mode": "zzz"}, "mode must be one of ['all']"),
+    ("periodic-report", {"mode": 5}, "mode must be one of ['report']"),
+    ("validate", {"params": {"criteria": "12"}}, "params.criteria"),
+    ("validate", {"params": {"criteria": [True]}}, "params.criteria"),
+    ("validate", {"params": {"criteria": [4.5]}}, "params.criteria"),
+    ("validate", {"params": {"criteria": [99]}}, "[99]"),
+    ("render-green", {"mode": "poly", "params": {"kind": "poly"}},
+     "params.coeffs"),
+], ids=["nan-a", "inf-b", "inf-c", "nan-center", "inf-coeffs", "inf-tol",
+        "nan-tol", "bool-complex", "render-mode", "cloud-mode",
+        "periodic-mode", "entropy-mode", "validate-mode", "int-mode",
+        "criteria-string", "criteria-bool", "criteria-float",
+        "criteria-unknown", "poly-without-coeffs"])
+def test_config_holes_exit_2(tmp_path, capsys, command, doc, named):
+    # each of these used to run, to fail only after making --out, or to
+    # fail without naming the field and what it takes
+    cfg_path = write_cfg(tmp_path, dict(doc, command=command))
+    rc = main([command, "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
+    assert not (tmp_path / "out").exists()
+
+
+TINY_CONFIGS = [
+    dict(TINY_RENDER, mode="plus", rng_seed=0, threads=1,
+         params={"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]},
+         slice={"base": [[0.0, 0.0], [0.0, 0.0]],
+                "direction": [[1.0, 0.0], [0.0, 0.0]]},
+         tolerances={"tol": 1e-9},
+         window=dict(TINY_RENDER["window"], center=[0.0, 0.0])),
+    dict(TINY_CLOUD, mode="cloud",
+         params={"kind": "poly", "coeffs": [[-1.0, 0.0], 0.0, 1.0],
+                 "c": [1.0, 0.0]},
+         window=dict(TINY_CLOUD["window"], center=[0.0, 0.0], width=4.0,
+                     height=4.0)),
+    {"command": "periodic-report", "mode": "report",
+     "params": {"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]},
+     "budgets": {"level_max": 2, "budget": 64}},
+    {"command": "entropy-report", "mode": "report",
+     "budgets": {"word_max": 3, "reality_n_max": 2, "budget": 64}},
+    {"command": "validate", "mode": "all", "params": {"criteria": [4]}},
+]
+_NAMES = {n for schema in SCHEMA.values() for n in schema["mode"]}
+_NAMES |= {"henon", "poly"}
+# values no config field accepts, however deeply nested
+BAD_ATOMS = st.one_of(st.text(max_size=6).filter(lambda t: t not in _NAMES),
+                      st.none(), st.booleans(),
+                      st.sampled_from([NAN, INF, -INF]))
+BAD_VALUES = st.recursive(BAD_ATOMS, lambda inner: st.one_of(
+    st.lists(inner, min_size=1, max_size=3),
+    st.builds(lambda v: {"zz": v}, inner)), max_leaves=5)
+
+
+def _paths(node, path=()):
+    """Paths to every node below `node` and whether that node is a dict."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,), isinstance(child, dict)
+        yield from _paths(child, path + (key,))
+
+
+def _fuzzed(doc, path, add_key, value):
+    """doc with the node at path replaced by value, or, when add_key is a
+    string, with key "zz" + add_key set to value in the dict at path."""
+    doc = json.loads(json.dumps(doc))
+    if add_key is not None:
+        path += ("zz" + add_key,)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def fuzzed_configs(draw):
+    doc = draw(st.sampled_from(TINY_CONFIGS))
+    paths = list(_paths(doc))
+    add_key = draw(st.one_of(st.none(), st.text(max_size=4)))
+    if add_key is None:
+        path = draw(st.sampled_from([p for p, _ in paths]))
+    else:
+        path = draw(st.sampled_from([()] + [p for p, d in paths if d]))
+    return doc, _fuzzed(doc, path, add_key, draw(BAD_VALUES))
+
+
+@pytest.mark.parametrize("doc", TINY_CONFIGS,
+                         ids=[d["command"] for d in TINY_CONFIGS])
+def test_tiny_fuzz_configs_are_valid(doc):
+    build_config(doc["command"], doc)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(fuzzed_configs())
+def test_fuzzed_config_exits_2_without_output(case):
+    original, doc = case
+    command = original["command"]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "job.json"
+        cfg_path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(cfg_path),
+                       "--out", str(Path(tmp) / "out")])
+        assert rc == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (Path(tmp) / "out").exists()
 
 
 @pytest.mark.parametrize("command, doc", [

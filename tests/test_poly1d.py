@@ -127,25 +127,47 @@ def test_solve_offset_empty_targets():
 
 
 def test_batched_roots_name_first_failing_row():
-    # a triple root stalls the update short of the stopping test
-    bad_a = npp.polyfromroots([0.5j, 0.5j, 0.5j, 1.0]).astype(complex)
-    bad_b = npp.polyfromroots([1j, 1j, 1j, -1.0]).astype(complex)
-    good = offset_rows(QUARTIC, 3, seed=4)
+    # at 4 sweeps rows 0 and 1 have converged and rows 2-5 have not
+    rows = offset_rows(QUARTIC, 6, seed=4)
+    simultaneous_roots(rows[:2], max_sweeps=4)
     with pytest.raises(ConvergenceError) as alone:
-        simultaneous_roots(bad_a)
+        simultaneous_roots(rows[2], max_sweeps=4)
     with pytest.raises(ConvergenceError) as other:
-        simultaneous_roots(bad_b)
+        simultaneous_roots(rows[4], max_sweeps=4)
     assert str(alone.value) != str(other.value)
-    batch = np.array([good[0], good[1], bad_a, good[2], bad_b])
     with pytest.raises(ConvergenceError) as batched:
-        simultaneous_roots(batch)
+        simultaneous_roots(rows[[0, 1, 2, 4]], max_sweeps=4)
     assert str(batched.value) == str(alone.value)
     # too few sweeps: every row fails, the first one is named
     with pytest.raises(ConvergenceError) as first:
-        simultaneous_roots(good[0], max_sweeps=1)
+        simultaneous_roots(rows[0], max_sweeps=1)
     with pytest.raises(ConvergenceError) as batched:
-        simultaneous_roots(good, max_sweeps=1)
+        simultaneous_roots(rows[:3], max_sweeps=1)
     assert str(batched.value) == str(first.value)
+
+
+@pytest.mark.parametrize("roots", [[0.5j] * 3 + [1.0], [1j] * 3 + [-1.0],
+                                   [0.3] * 4 + [2.0]],
+                         ids=["triple-0.5i", "triple-i", "quadruple-0.3"])
+def test_roots_near_a_multiple_root_return_at_rounding_level(roots):
+    # the step test never fires near a multiple root; the sweeps run out
+    # with every root's backward error at rounding level
+    c = npp.polyfromroots(roots).astype(complex)
+    z = simultaneous_roots(c)
+    eps = np.finfo(float).eps
+    scale = npp.polyval(np.abs(z), np.abs(c))
+    assert np.all(np.abs(npp.polyval(z, c)) <= 4 * len(roots) * eps * scale)
+    assert np.allclose(np.sort_complex(z), np.sort_complex(roots), atol=1e-3)
+    # alone or in a batch with a row that converges early: the same bits
+    batch = np.array([npp.polyfromroots(np.arange(len(roots)) + 1j), c])
+    assert np.array_equal(simultaneous_roots(batch)[1], z)
+
+
+def test_wandering_roots_still_raise():
+    # the expanded basilica iterate f^6(z) - z: roots at rounding-level
+    # backward error, but still moving by 3e-3 a sweep
+    with pytest.raises(ConvergenceError, match=r"max residual 5\.564e\+00"):
+        periodic_points_1d(BASILICA, 6)
 
 
 def test_solve_offset_inverts():
