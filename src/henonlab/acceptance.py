@@ -98,9 +98,10 @@ def _criterion_03():
         errs[str(z)] = abs(potential_of_measure(mu, z) - math.log(z))
     dt = time.perf_counter() - t0
     worst = max(errs.values())
-    return mu.complete and worst < 0.01, {
+    return mu.complete and worst < 0.01 and dt < 2.0, {
         "complete": mu.complete, "atoms": len(mu),
         "potential_errors": errs, "worst": worst, "seconds": dt,
+        "time_limit": 2.0,
     }
 
 

@@ -395,14 +395,14 @@ def _orbit_rows(level_n: int, orbits) -> list:
     rows = []
     for oi, o in enumerate(orbits):
         l1, l2 = o.multiplier_eigenvalues
+        # the columns every point of the orbit repeats
+        tail = [repr(l1.real), repr(l1.imag), repr(l2.real), repr(l2.imag),
+                o.orbit_class, int(o.is_real), repr(o.residual),
+                o.multiplicity]
         for j, p in enumerate(o.points):
             rows.append([level_n, oi, o.period, j,
                          repr(p.x.real), repr(p.x.imag),
-                         repr(p.y.real), repr(p.y.imag),
-                         repr(l1.real), repr(l1.imag),
-                         repr(l2.real), repr(l2.imag),
-                         o.orbit_class, int(o.is_real),
-                         repr(o.residual), o.multiplicity])
+                         repr(p.y.real), repr(p.y.imag), *tail])
     return rows
 
 

@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -48,10 +49,10 @@ class DiscreteMeasure:
             raise ContractError("ambient_dim must be 1 or 2")
         if len(self.weights) != len(pts):
             raise ContractError("one weight per atom required")
-        if any(w <= 0 for w in self.weights):
-            raise ContractError("weights must be positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", tuple(self.weights))
+        if any(w <= 0 for w, _ in self._distinct):
+            raise ContractError("weights must be positive")
         if self.complete:
             if abs(float(self.total_mass()) - 1.0) > 1e-12:
                 raise ContractError("complete measure must have total mass 1")
@@ -59,20 +60,28 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return len(self.weights)
 
+    @functools.cached_property
+    def _distinct(self) -> list:
+        """(weight, atom count) per distinct weight object, which the atoms
+        of an orbit or an equal-weight measure share."""
+        objs = dict(zip(map(id, self.weights), self.weights))
+        return [(objs[i], c) for i, c in Counter(map(id, self.weights)).items()]
+
     def total_mass(self):
-        exact = all(isinstance(w, Fraction) for w in self.weights)
-        if exact:
+        if all(isinstance(w, Fraction) for w, _ in self._distinct):
             # one integer sum over the common denominator, not one Fraction
             # addition (with its gcd) per weight
-            den = math.lcm(*(w.denominator for w in self.weights))
-            return Fraction(sum(w.numerator * (den // w.denominator)
-                                for w in self.weights), den)
-        return math.fsum(float(w) for w in self.weights)
+            den = math.lcm(*(w.denominator for w, _ in self._distinct))
+            return Fraction(sum(c * w.numerator * (den // w.denominator)
+                                for w, c in self._distinct), den)
+        return math.fsum(self.weight_array.tolist())
 
     @functools.cached_property
     def weight_array(self) -> np.ndarray:
-        """Float weights, converted once and shared read-only."""
-        w = np.array([float(w) for w in self.weights])
+        """Float weights, converted once per distinct weight, read-only."""
+        floats = {id(w): float(w) for w, _ in self._distinct}
+        w = np.fromiter(map(floats.__getitem__, map(id, self.weights)),
+                        float, len(self.weights))
         w.flags.writeable = False
         return w
 

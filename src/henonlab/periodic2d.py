@@ -1,22 +1,18 @@
 """Periodic orbits of the plane quadratic map.
 
-Enumeration runs damped Newton on the closure system f(p_j) = p_{j+1} of
-a whole cycle, over stacks of cycles: each row has its own line search
-and stop test and comes out bit for bit as it would alone.  Fixed points
-come in closed form.  When the parameters pass the horseshoe test, every
-other cycle comes from one shadowing seed per binary necklace
-(alternating square-root branches along the itinerary); a level seeds all
-its necklaces in one stacked sweep and polishes them in one stacked
-Newton.  Elsewhere the horseshoe level at a start parameter (a0, b) is
-continued to (a, b) along a complex detour in a, all cycles of one period
-in one stacked Newton solve per step ("gamma trick" homotopy of
-Sommese-Wampler, The Numerical Solution of Systems of Polynomials, 2005);
-a lost path leaves the level incomplete.  Orbits are assembled in the
-same stacks, one pass per block for the closure residuals, the monodromy
-matrices and their eigenvalues; they deduplicate by cyclic alignment,
-carry their monodromy, multiplier eigenvalues and a hyperbolicity class,
-and aggregate into equal-weight measures, the saddle-count table, and the
-all-real/entropy report.
+A cycle is its x-sequence (y_j = x_{j-1}); enumeration runs damped Newton
+on the closure system x_{j+1} + b x_{j-1} = a - x_j^2 in x alone, over
+stacks of cycles, through the kernel of `cycles` that the one-variable
+periodic points share.  Fixed points come in closed form.  When the
+parameters pass the horseshoe test, every other cycle comes from one
+shadowing seed per binary necklace (alternating square-root branches along
+the itinerary), a level in one stacked sweep and one stacked Newton.
+Elsewhere the horseshoe level at (a0, b) is continued to (a, b) along a
+complex detour in a ("gamma trick" homotopy of Sommese-Wampler, The
+Numerical Solution of Systems of Polynomials, 2005); a lost path leaves the
+level incomplete.  Orbits are assembled in the same stacks (residuals,
+monodromy matrices, eigenvalues, y_j), deduplicate by cyclic alignment of
+x, and aggregate into measures, saddle tables and reality reports.
 """
 
 from __future__ import annotations
@@ -29,9 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cycles import (block_rows, continue_cycles, cyclic_neighbours,
+                     newton_cycles)
 from .dynamics import (MapParams, PointC2, derivative_along_orbit,
                        is_horseshoe_regime, monodromy_stack)
-from .errors import ContractError
+from .errors import ContractError, MapOverflowError
 from .measures import DiscreteMeasure
 from .symbolic import necklaces
 
@@ -76,43 +74,43 @@ class PeriodicOrbit:
         return max(max(abs(p.x.imag), abs(p.y.imag)) for p in self.points)
 
 
-def _closure_residual(P: np.ndarray, a: complex, b: complex) -> np.ndarray:
-    """max_j max(|f(p_j).x - p_{j+1}.x|, |p_j.x - p_{j+1}.y|) of each cycle
-    in the stack P, shape (k, d, 2).
-
-    Worked in real and imaginary parts with the operation order of Python
-    complex arithmetic, and |.| as hypot: numpy's complex multiply and
-    absolute value round differently, and the residual is reported to the
-    last bit.  A nan term is skipped, as Python's max skips it.
-    """
-    nxt, _ = _cyclic_neighbours(P.shape[1])
-    xr, xi = P[..., 0].real, P[..., 0].imag
-    yr, yi = P[..., 1].real, P[..., 1].imag
+def _closure_residual(X: np.ndarray, a: complex, b: complex) -> np.ndarray:
+    """max_j |f(p_j).x - x_{j+1}| of each cycle of the (k, d) stack X, in
+    real and imaginary parts with the operation order of Python complex
+    arithmetic and |.| as hypot, since the residual is reported to the last
+    bit; a nan term is skipped, as Python's max skips it."""
+    nxt, prv = cyclic_neighbours(X.shape[1])
+    xr, xi = X.real, X.imag
+    yr, yi = xr[:, prv], xi[:, prv]
     # -x*x + a - b*y - x_next, one rounding per Python complex operation
     fr = ((-xr) * xr - (-xi) * xi + a.real) - (b.real * yr - b.imag * yi)
     fi = ((-xr) * xi + (-xi) * xr + a.imag) - (b.real * yi + b.imag * yr)
-    terms = np.concatenate([np.hypot(fr - xr[:, nxt], fi - xi[:, nxt]),
-                            np.hypot(xr - yr[:, nxt], xi - yi[:, nxt])],
-                           axis=1)
-    return np.fmax.reduce(terms, axis=1, initial=0.0)
+    return np.fmax.reduce(np.hypot(fr - xr[:, nxt], fi - xi[:, nxt]),
+                          axis=1, initial=0.0)
 
 
-def _assemble(m: MapParams, P, multiplicity: int = 1,
+def _assemble(m: MapParams, X, multiplicity: int = 1,
               degenerate: bool = False) -> list:
-    """Orbits of the polished cycles P, shape (k, d, 2), in one pass.
-
-    A row whose closure residual exceeds 1e-9 (1 + max|p|^2) gives None.
-    The others get their monodromy Df(p_{d-1}) ... Df(p_0) from
-    `monodromy_stack`, and their multipliers from one eigvals over the
-    stack.  Every row is bit for bit what it gives alone.
-    """
-    P = np.asarray(P, dtype=complex)
-    k, d, _ = P.shape
-    resid = _closure_residual(P, m.a, m.b)
-    scale = 1.0 + np.max(np.hypot(P.real, P.imag), axis=(1, 2)) ** 2
+    """Orbits of the polished (k, d) stack of cycles X in one pass: None
+    for a row whose residual exceeds 1e-9 (1 + max|x|^2), else points
+    (x_j, x_{j-1}), the monodromy from `monodromy_stack` (MapOverflowError
+    past double range) and multipliers from one eigvals over the stack;
+    every row bit for bit what it gives alone."""
+    X = np.asarray(X, dtype=complex)
+    k, d = X.shape
+    _, prv = cyclic_neighbours(d)
+    resid = _closure_residual(X, m.a, m.b)
+    scale = 1.0 + np.max(np.hypot(X.real, X.imag), axis=1) ** 2
     # a nan residual passes, as it did the scalar gate
     good = np.flatnonzero(~(resid > 1e-9 * scale))
-    J = monodromy_stack(P[good, :, 0], m.b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = monodromy_stack(X[good], m.b)
+    bad = ~np.all(np.isfinite(J), axis=(1, 2))
+    if bad.any():
+        x = X[good][bad][0]
+        raise MapOverflowError(PointC2(x[0], x[-1]), (
+            f"monodromy of a period-{d} cycle overflowed "
+            f"(max |x| {np.max(np.abs(x)):.3e})"))
     J.flags.writeable = False
     eigs = (np.linalg.eigvals(J) if len(good)
             else np.empty((0, 2), dtype=complex))
@@ -123,10 +121,10 @@ def _assemble(m: MapParams, P, multiplicity: int = 1,
         np.any(np.abs(moduli - 1.0) <= UNIT_BAND, axis=1), "nonhyperbolic",
         np.where(np.all(moduli < 1.0, axis=1), "sink",
                  np.where(np.all(moduli > 1.0, axis=1), "source", "saddle")))
-    real = np.all(np.abs(P[good].imag) < REALITY_TOL, axis=(1, 2))
+    real = np.all(np.abs(X[good].imag) < REALITY_TOL, axis=1)
     out = [None] * k
     for r, i in enumerate(good.tolist()):
-        points = tuple(PointC2(x, y) for x, y in P[i].tolist())
+        points = tuple(map(PointC2, X[i].tolist(), X[i, prv].tolist()))
         out[i] = PeriodicOrbit(points, d, tuple(eigs[r].tolist()),
                                str(classes[r]), bool(real[r]),
                                float(resid[i]), multiplicity, degenerate,
@@ -134,11 +132,10 @@ def _assemble(m: MapParams, P, multiplicity: int = 1,
     return out
 
 
-def _build_orbit(points, m: MapParams, multiplicity: int = 1,
+def _build_orbit(x, m: MapParams, multiplicity: int = 1,
                  degenerate: bool = False) -> PeriodicOrbit | None:
-    """`_assemble` on the one cycle `points` (PointC2s or an (d, 2) array):
-    its orbit, or None when it fails the residual gate."""
-    return _assemble(m, np.asarray(points, dtype=complex)[None],
+    """`_assemble` on the one cycle x: its orbit, or None past the gate."""
+    return _assemble(m, np.asarray(x, dtype=complex)[None],
                      multiplicity, degenerate)[0]
 
 
@@ -147,138 +144,20 @@ def fixed_points_closed_form(m: MapParams):
     beta = 1.0 + m.b
     disc = beta * beta + 4.0 * m.a
     if disc == 0:
-        x = -0.5 * beta
-        orb = _build_orbit((PointC2(x, x),), m, multiplicity=2, degenerate=True)
-        return [orb]
+        return [_build_orbit([-0.5 * beta], m, multiplicity=2,
+                             degenerate=True)]
     sq = cmath.sqrt(disc)
     if (beta.conjugate() * sq).real < 0.0:
         sq = -sq
     # stable split: the large root first, the small one via the product -a
     r1 = -0.5 * (beta + sq)
     r2 = -m.a / r1 if r1 != 0 else -beta
-    out = []
-    for x in (r1, r2):
-        orb = _build_orbit((PointC2(x, x),), m)
-        if orb is not None:
-            out.append(orb)
-    return out
+    return [o for o in _assemble(m, [[r1], [r2]]) if o is not None]
 
 
-def _divisors(n: int):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _cyclic_neighbours(n: int):
-    """Index arrays of the next and previous cycle slot: x[nxt] and x[prv]
-    are np.roll(x, -1) and np.roll(x, 1) without the per-call overhead."""
-    idx = np.arange(n)
-    return (idx + 1) % n, (idx - 1) % n
-
-
-def _closure_defect(P: np.ndarray, a, b, nxt: np.ndarray) -> np.ndarray:
-    """f(p_j) - p_{j+1} for cycles stacked on the trailing (d, 2) axes."""
-    X, Y = P[..., 0], P[..., 1]
-    F = np.empty_like(P)
-    F[..., 0] = -X * X + a - b * Y - X[..., nxt]
-    F[..., 1] = X - Y[..., nxt]
-    return F
-
-
-def _cycle_jacobian(X: np.ndarray, b: complex) -> np.ndarray:
-    """Jacobian of the closure system at cycles with x-coordinates X[..., j].
-
-    Unknowns interleave (x_j, y_j).  The wrap-around -1 entries are added,
-    not assigned: at period 1 they fall on the diagonal, on top of -2x
-    and 0.
-    """
-    d = X.shape[-1]
-    dim = 2 * d
-    rows = np.arange(d)
-    A = np.zeros(X.shape[:-1] + (dim, dim), dtype=complex)
-    A[..., 2 * rows, 2 * rows] = -2.0 * X
-    A[..., 2 * rows, 2 * rows + 1] = -b
-    A[..., 2 * rows + 1, 2 * rows] = 1.0
-    A[..., 2 * rows, (2 * rows + 2) % dim] += -1.0
-    A[..., 2 * rows + 1, (2 * rows + 3) % dim] += -1.0
-    return A
-
-
-# entries of one (cycles, 2d, 2d) stack of closure Jacobians; a level with
-# many long cycles runs Newton and continuation in blocks of cycles so that
-# their temporaries stay bounded.  A block holds at least one cycle.
-PATHS_BLOCK_ELEMS = 1 << 18
-NEWTON_ITERS = 60
-LINE_SEARCH_HALVINGS = 20
-
-
-def _block_rows(d: int) -> int:
-    """Cycles of period d per block of PATHS_BLOCK_ELEMS Jacobian entries."""
-    return max(1, PATHS_BLOCK_ELEMS // (4 * d * d))
-
-
-def _newton_cycles(m: MapParams, P) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton on the cyclic systems f(p_j) = p_{j+1} of a stack of
-    candidate cycles P, shape (k, n, 2), all points of a cycle at once.
-
-    Solving the closure equations simultaneously keeps the residual at
-    rounding level for any period; composing f^n instead would bury orbits
-    with a strong multiplier under |lambda|^n amplification of rounding
-    noise.  A row stops once max|F| < 1e-12 (1 + max|p|^2), within
-    NEWTON_ITERS iterations.  Every iteration makes one stacked solve over
-    the rows still running, and each row halves its own step up to
-    LINE_SEARCH_HALVINGS times until the step is finite and lowers max|F|.
-    A row fails on a non-finite start, a singular or non-finite step, or an
-    exhausted line search.  Rows never mix, so each row of the result is
-    bit for bit what it gives alone.  Callers pass at most one block of
-    rows (`_block_rows`).  Returns the polished stack and a mask of the
-    rows that converged.
-    """
-    P = np.array(P, dtype=complex)
-    nxt, _ = _cyclic_neighbours(P.shape[1])
-    ok = np.zeros(len(P), dtype=bool)
-    live = np.all(np.isfinite(P), axis=(1, 2))
-    with np.errstate(all="ignore"):
-        for _ in range(NEWTON_ITERS):
-            idx = np.flatnonzero(live)
-            if idx.size == 0:
-                break
-            Q = P[idx]
-            F = _closure_defect(Q, m.a, m.b, nxt)
-            n_f = np.max(np.abs(F), axis=(1, 2))
-            scale = 1.0 + np.max(np.abs(Q), axis=(1, 2)) ** 2
-            done = n_f < 1e-12 * scale
-            ok[idx[done]] = True
-            live[idx[done]] = False
-            idx, Q, F, n_f = idx[~done], Q[~done], F[~done], n_f[~done]
-            if idx.size == 0:
-                break
-            delta = _solve_stack(_cycle_jacobian(Q[..., 0], m.b),
-                                 F.reshape(len(idx), -1)).reshape(Q.shape)
-            good = np.all(np.isfinite(delta), axis=(1, 2))
-            live[idx[~good]] = False
-            idx, Q, delta, n_f = idx[good], Q[good], delta[good], n_f[good]
-            t = 1.0
-            for _ in range(LINE_SEARCH_HALVINGS):
-                if idx.size == 0:
-                    break
-                R = Q - t * delta
-                acc = (np.all(np.isfinite(R), axis=(1, 2))
-                       & (np.max(np.abs(_closure_defect(R, m.a, m.b, nxt)),
-                                 axis=(1, 2)) < n_f))
-                P[idx[acc]] = R[acc]
-                idx, Q, delta = idx[~acc], Q[~acc], delta[~acc]
-                n_f = n_f[~acc]
-                t *= 0.5
-            live[idx] = False
-    return P, ok
-
-
-def _newton_cycle(m: MapParams, init_pts) -> np.ndarray | None:
-    """_newton_cycles on the one cycle init_pts: the polished (n, 2) cycle,
-    or None."""
-    P, ok = _newton_cycles(m, np.asarray(init_pts, dtype=complex)
-                           .reshape(1, -1, 2))
-    return P[0] if ok[0] else None
+def _newton_cycles(m: MapParams, X) -> tuple[np.ndarray, np.ndarray]:
+    """`newton_cycles` on the closure systems of the map m."""
+    return newton_cycles(X, lambda x: -x * x + m.a, lambda x: -2.0 * x, m.b)
 
 
 def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60):
@@ -286,44 +165,38 @@ def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60):
 
     Solves x_j^2 = a - x_{j+1} - b x_{j-1} cyclically by branch-respecting
     square-root sweeps; the branch argument stays off the cut because the
-    horseshoe test guarantees |a| clears (1+|b|)R.  Returns the full
-    candidate cycle as an (n, 2) array of (x_j, y_j) = (x_j, x_{j-1}); a
-    stack of itineraries, shape (k, n), gives one (k, n, 2) stack, each row
-    bit for bit its lone seed.
+    horseshoe test guarantees |a| clears (1+|b|)R.  Returns the candidate
+    cycle's x_j; a (k, n) stack of itineraries gives a (k, n) stack, each
+    row bit for bit its lone seed.
     """
     sign = np.where(np.asarray(bits) == 1, 1.0, -1.0).astype(complex)
-    nxt, prv = _cyclic_neighbours(sign.shape[-1])
+    nxt, prv = cyclic_neighbours(sign.shape[-1])
     x = sign * cmath.sqrt(abs(m.a))
     for _ in range(sweeps):
         x = sign * np.sqrt(m.a - x[..., nxt] - m.b * x[..., prv])
-    return np.stack([x, x[..., prv]], axis=-1)
+    return x
 
 
-def _minimal_period(pts, n: int) -> int:
-    for d in _divisors(n):
-        if d == n:
-            return n
-        ok = True
-        for j in range(n):
-            pa, pb = pts[j], pts[(j + d) % n]
-            if max(abs(pa[0] - pb[0]), abs(pa[1] - pb[1])) > DEDUP_TOL:
-                ok = False
-                break
-        if ok:
+def _minimal_period(x: np.ndarray, n: int) -> int:
+    """The least d | n with x shifted by d within DEDUP_TOL of x (as
+    y_j = x_{j-1}, the y shift moves no further)."""
+    for d in range(1, n):
+        if n % d == 0 and all(abs(x[j] - x[(j + d) % n]) <= DEDUP_TOL
+                              for j in range(n)):
             return d
     return n
 
 
 def _same_cycle(points_a, points_b, tol: float = DEDUP_TOL) -> bool:
+    """Do two cycles of PointC2s match under some cyclic shift?  Their x
+    alone decide, as in `_minimal_period`."""
     d = len(points_a)
     if d != len(points_b):
         return False
-    for shift in range(d):
-        if all(max(abs(points_a[j].x - points_b[(j + shift) % d].x),
-                   abs(points_a[j].y - points_b[(j + shift) % d].y)) <= tol
-               for j in range(d)):
-            return True
-    return False
+    xa = [p.x for p in points_a]
+    xb = [p.x for p in points_b] * 2
+    return any(all(abs(u - v) <= tol for u, v in zip(xa, xb[shift:]))
+               for shift in range(d))
 
 
 def _dedup_cell(z: complex) -> int | float:
@@ -437,17 +310,16 @@ class _Census:
         self.kept.add(orb.points)
         self.count += orb.period * orb.multiplicity
 
-    def try_cycle(self, pts: np.ndarray, orb: PeriodicOrbit | None) -> None:
-        """Admit the polished cycle pts, whose row of its block's
-        `_assemble` pass gave orb."""
-        d = _minimal_period(pts, len(pts))
-        if d < len(pts):
+    def try_cycle(self, x: np.ndarray, orb: PeriodicOrbit | None) -> None:
+        """Admit the polished cycle x, whose `_assemble` row gave orb."""
+        d = _minimal_period(x, len(x))
+        if d < len(x):
             # re-polish at the minimal period: detection tolerance is looser
             # than the orbit residual gate
-            pts = _newton_cycle(self.m, pts[:d])
-            if pts is None:
+            X, ok = _newton_cycles(self.m, x[None, :d])
+            if not ok[0]:
                 return
-            orb = _build_orbit(pts, self.m)
+            orb = _build_orbit(X[0], self.m)
         if orb is not None and not self.kept.has(orb.points):
             self._keep(orb)
 
@@ -459,29 +331,26 @@ class _Census:
 
 
 def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
-    """Newton from one shadowing seed per necklace (horseshoe only).
-
-    The first `budget` necklaces are seeded, polished and assembled in
-    stacks of one block each, so a level whose necklaces fit one block
-    makes one seed call; the polished cycles are admitted in necklace order
-    until the census is complete, and `attempts` counts the necklaces
-    admitted up to there.
+    """Newton from one shadowing seed per necklace (horseshoe only): the
+    first `budget` necklaces are seeded, polished and assembled a block at a
+    time (one seed call when they fit one block) and admitted in necklace
+    order until the census is complete; `attempts` counts those admitted.
     """
     census = _Census(m, n)
     words = itertools.islice(necklaces(n), budget)
     attempts = 0
     while not census.complete:
-        bits = np.array(list(itertools.islice(words, _block_rows(n))))
+        bits = np.array(list(itertools.islice(words, block_rows(n))))
         if bits.size == 0:
             break
-        P, ok = _newton_cycles(m, symbolic_orbit_seed(m, bits))
-        orbs = iter(_assemble(m, P[ok]))
-        for pts, good in zip(P, ok):
+        X, ok = _newton_cycles(m, symbolic_orbit_seed(m, bits))
+        orbs = iter(_assemble(m, X[ok]))
+        for x, good in zip(X, ok):
             if census.complete:
                 break
             attempts += 1
             if good:
-                census.try_cycle(pts, next(orbs))
+                census.try_cycle(x, next(orbs))
     return census.level(attempts)
 
 
@@ -491,11 +360,6 @@ def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
 # plane, where a path meets such a collision only by accident.
 START_A = 10.0
 DETOUR = 2j
-CORRECTOR_ITERS = 3
-STEP_RESIDUAL = 1e-11
-STEP_MOVE = 0.25
-STEP_MAX = 0.1
-STEP_MIN = 1e-6
 
 
 def _start_parameter(b: complex) -> float:
@@ -509,107 +373,37 @@ def _start_parameter(b: complex) -> float:
     return a0
 
 
-def _solve_stack(A: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Solve A[i] x = F[i] for every i; a singular A[i] gives nan."""
-    try:
-        return np.linalg.solve(A, F[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full(F.shape, np.nan, dtype=complex)
-        for i in range(len(A)):
-            try:
-                out[i] = np.linalg.solve(A[i], F[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _continue_cycles(P: np.ndarray, a0: float, a1: complex, b: complex):
-    """Follow the cycles P, shape (k, d, 2), of the map at (a0, b) to
-    (a1, b).
-
-    Every path has its own s and step h.  A step to s + h predicts the
-    cycle along the tangent dP/ds at s (Euler), then runs CORRECTOR_ITERS
-    undamped Newton iterations at a(s + h); it is
-    accepted when the residual ends below STEP_RESIDUAL * scale and the
-    cycle moved less than STEP_MOVE * scale, with scale = 1 + max|p|^2.
-    Acceptance doubles h up to STEP_MAX, rejection halves it, and a path
-    whose h falls below STEP_MIN is lost.  The predictor and each corrector
-    iteration make one stacked solve over the paths still running.  The
-    tangent cuts the rejected steps about sixfold against restarting
-    Newton from the cycle at s.  Returns the end
-    cycles, a mask of the paths that reached s = 1 and the number of
-    step halvings.
-    """
-    k, d, _ = P.shape
-    nxt, _ = _cyclic_neighbours(d)
-    P = P.copy()
-    s = np.zeros(k)
-    h = np.full(k, STEP_MAX)
-    live = np.ones(k, dtype=bool)
-    halvings = 0
-    with np.errstate(all="ignore"):
-        while live.any():
-            idx = np.flatnonzero(live)
-            s_new = np.minimum(s[idx] + h[idx], 1.0)
-            # sin(pi) is not 0 in floating point: pin the end to a1 exactly
-            a = np.where(s_new < 1.0,
-                         a0 + (a1 - a0) * s_new + DETOUR * np.sin(np.pi * s_new),
-                         a1)[:, None]
-            # Euler predictor: J dP/ds = -dF/ds, and dF/ds is a'(s) in the
-            # x rows
-            Q = P[idx]
-            da = ((a1 - a0) + DETOUR * np.pi * np.cos(np.pi * s[idx]))
-            rhs = np.zeros((len(idx), d, 2), dtype=complex)
-            rhs[..., 0] = da[:, None]
-            tangent = _solve_stack(_cycle_jacobian(Q[..., 0], b),
-                                   rhs.reshape(len(idx), 2 * d))
-            Q = Q - (s_new - s[idx])[:, None, None] * tangent.reshape(Q.shape)
-            for _ in range(CORRECTOR_ITERS):
-                F = _closure_defect(Q, a, b, nxt)
-                delta = _solve_stack(_cycle_jacobian(Q[..., 0], b),
-                                     F.reshape(len(idx), 2 * d))
-                Q = Q - delta.reshape(Q.shape)
-            res = np.max(np.abs(_closure_defect(Q, a, b, nxt)), axis=(1, 2))
-            move = np.max(np.abs(Q - P[idx]), axis=(1, 2))
-            scale = 1.0 + np.max(np.abs(Q), axis=(1, 2)) ** 2
-            ok = (res < STEP_RESIDUAL * scale) & (move < STEP_MOVE * scale)
-            acc, rej = idx[ok], idx[~ok]
-            P[acc] = Q[ok]
-            s[acc] = s_new[ok]
-            h[acc] = np.minimum(2.0 * h[acc], STEP_MAX)
-            h[rej] *= 0.5
-            halvings += rej.size
-            live[acc[s[acc] >= 1.0]] = False
-            live[rej[h[rej] < STEP_MIN]] = False
-    return P, s >= 1.0, halvings
-
-
 def _continued_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
-    """Level n off the horseshoe: continue the start level's cycles of
-    period >= 2 to m, one stacked path set per period, polish and assemble
-    the ends of each set in one stacked pass each and admit them in start
-    order.  Fixed points come in closed form."""
+    """Level n off the horseshoe: the start level's cycles of period >= 2,
+    continued to m a period and block at a time, polished, assembled and
+    admitted in start order.  Fixed points come in closed form."""
     a0 = _start_parameter(m.b)
     start = _itinerary_level(MapParams(a0, m.b), n, budget)
+    # sin(pi) is not 0 in floating point: pin the end to m.a exactly
+    detour = (lambda X, s: -X * X + np.where(
+                  s < 1.0, a0 + (m.a - a0) * s + DETOUR * np.sin(np.pi * s),
+                  m.a),
+              lambda X, s: -2.0 * X,
+              lambda X, s: np.broadcast_to(
+                  (m.a - a0) + DETOUR * np.pi * np.cos(np.pi * s), X.shape))
     # one path per start cycle; each came from one of at most `budget` seeds
     paths = [o for o in start.orbits if o.period > 1]
     ends = {}
     lost = halvings = 0
     for d in sorted({o.period for o in paths}):
         group = [i for i, o in enumerate(paths) if o.period == d]
-        step = _block_rows(d)
+        step = block_rows(d)
         for lo in range(0, len(group), step):
             block = group[lo:lo + step]
-            P0 = np.array([[(p.x, p.y) for p in paths[i].points]
-                           for i in block], dtype=complex)
-            P, reached, block_halvings = _continue_cycles(P0, a0, m.a, m.b)
+            X0 = np.array([[q.x for q in paths[i].points] for i in block],
+                          dtype=complex)
+            X, reached, block_halvings = continue_cycles(X0, *detour, m.b)
             halvings += block_halvings
             lost += int(np.count_nonzero(~reached))
-            Q, ok = _newton_cycles(m, P[reached])
-            done = [i for i, r in zip(block, reached) if r]
-            polished = [i for i, good in zip(done, ok) if good]
+            Q, ok = _newton_cycles(m, X[reached])
             Q = Q[ok]
-            ends.update(zip(polished, zip(Q, _assemble(m, Q))))
+            ends.update(zip(np.asarray(block)[reached][ok].tolist(),
+                            zip(Q, _assemble(m, Q))))
     census = _Census(m, n)
     for i in sorted(ends):
         census.try_cycle(*ends[i])

@@ -2,10 +2,13 @@
 sampling, periodic points and the two equilibrium-measure estimators.
 
 Both estimators average point masses with weight d^-n: over the solutions
-of f^n(z) = c (backward tree, c nonexceptional) or of f^n(z) = z
-(periodic points).  Either family converges weakly to the equilibrium
+of f^n(z) = z (periodic points) or of f^n(z) = c (backward tree, c
+nonexceptional).  Either family converges weakly to the equilibrium
 measure of the filled Julia set, which is what the measure comparisons
-downstream exercise.
+downstream exercise.  Periodic points come as cycles of the closure
+system z_{j+1} = f(z_j), the kernel of `cycles` with b = 0, continued from
+the known cycles of z^d; preimages come from Ehrlich-Aberth root finding
+at degree d.
 """
 
 from __future__ import annotations
@@ -17,12 +20,19 @@ from fractions import Fraction
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
+from .cycles import block_rows, continue_cycles, newton_cycles
 from .errors import CapError, ContractError, ConvergenceError
 from .measures import DiscreteMeasure
 
 PREIMAGE_CAP = 1 << 20
 PERIODIC_CAP = 4096
 CLUSTER_TOL = 1e-7
+# periodic points are continued from z^d along
+# f_t = z^d + t (f - z^d), t(s) = s + i KAPPA sin(pi s)
+KAPPA = 0.5
+# ends that meet count as one multiple point only where the multiplier
+# lambda of f^n there has |lambda - 1| <= SINGULAR_TOL (1 + |lambda|)
+SINGULAR_TOL = 1e-4
 # entries of one (rows, d, d) Aberth difference tensor; blocking a big
 # batch (a whole preimage-tree level) keeps its temporaries, not its
 # output, bounded.  A block holds at least one row.
@@ -57,35 +67,6 @@ class Poly:
 
     def lower_coeff_sum(self) -> float:
         return float(sum(abs(v) for v in self.coeffs[:-1]))
-
-    def iterate_coeffs(self, n: int) -> np.ndarray:
-        """Expanded coefficients of f^n (degree d^n)."""
-        if n < 1:
-            raise ContractError("n must be >= 1")
-        if self.degree ** n > PERIODIC_CAP:
-            raise CapError(f"degree {self.degree}^{n} exceeds the expansion cap "
-                           f"{PERIODIC_CAP}; use preimage or sampled modes")
-        cur = np.array([0.0, 1.0], dtype=complex)
-        for _ in range(n):
-            # Horner in the coefficient ring: f(cur)
-            acc = np.array([1.0 + 0.0j])
-            for coef in reversed(self.coeffs[:-1]):
-                acc = npp.polymul(acc, cur)
-                acc[0] += coef
-            cur = acc
-        if not np.all(np.isfinite(cur)):
-            raise CapError("coefficient overflow expanding the iterate; "
-                           "use preimage or sampled modes")
-        return cur
-
-    def iter_eval(self, z, n: int):
-        """(f^n(z), (f^n)'(z)) by forward composition, no expansion."""
-        w = np.asarray(z, dtype=complex)
-        dw = np.ones_like(w)
-        for _ in range(n):
-            dw = self.eval_deriv(w) * dw
-            w = self(w)
-        return w, dw
 
 
 def _polyval_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -298,12 +279,19 @@ def exceptional_check(f: Poly, c: complex, probe_depth: int = 4,
 
 
 def _cluster(points: np.ndarray, tol: float):
-    order = np.lexsort((points.imag, points.real))
+    """Representatives and counts: in (re, im) order, each point joins the
+    first representative within tol, or starts one.  A representative more
+    than tol left of a point matches neither it nor any later point
+    (|z - r| >= re z - re r), so one advancing window holds the candidates.
+    """
     reps: list[complex] = []
     counts: list[int] = []
-    for z in points[order]:
-        for i, r in enumerate(reps):
-            if abs(z - r) <= tol:
+    lo = 0
+    for z in points[np.lexsort((points.imag, points.real))]:
+        while lo < len(reps) and z.real - reps[lo].real > tol:
+            lo += 1
+        for i in range(lo, len(reps)):
+            if abs(z - reps[i]) <= tol:
                 counts[i] += 1
                 break
         else:
@@ -312,33 +300,70 @@ def _cluster(points: np.ndarray, tol: float):
     return np.array(reps), np.array(counts)
 
 
-def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
-    """All d^n solutions of f^n(z) = z: (cluster representatives, multiplicities).
+def _start_cycles(d: int, n: int) -> dict:
+    """{period: (k, period) stack} of the cycles of z^d of periods dividing
+    n: 0, and the (d^n - 1)-th roots of unity w^k in orbits k -> d k led
+    by their least k, each point computed from its own exponent."""
+    N = d ** n - 1
+    K = np.arange(N)[:, None] * d ** np.arange(n) % N
+    exps: dict[int, list] = {}
+    for k in np.flatnonzero(K.min(axis=1) == np.arange(N)):
+        m = len(set(K[k].tolist()))
+        exps.setdefault(m, []).append(K[k, :m])
+    stacks = {m: np.exp(2j * math.pi * np.array(e) / N)
+              for m, e in sorted(exps.items())}
+    stacks[1] = np.concatenate([[[0j]], stacks[1]])
+    return stacks
 
-    Expanded-polynomial simultaneous iteration, then Newton polish through
-    the composed map, then clustering at 1e-7 for multiplicity attribution.
+
+def _multiple(f: Poly, z: np.ndarray, n: int) -> np.ndarray:
+    """Are the z multiple roots of f^n(z) = z: is the multiplier (f^n)'(z),
+    1 + the determinant of the cycle Jacobian, numerically 1?"""
+    lam = np.ones_like(z)
+    for _ in range(n):
+        lam, z = lam * f.eval_deriv(z), f(z)
+    return np.abs(lam - 1.0) <= SINGULAR_TOL * (1.0 + np.abs(lam))
+
+
+def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
+    """Solutions of f^n(z) = z: (cluster representatives, multiplicities).
+
+    The d^n cycles of z^d are continued to f along f_t = z^d + t (f - z^d),
+    t(s) = s + i KAPPA sin(pi s), one stacked path set per period and block
+    ("gamma trick" homotopy, Sommese-Wampler 2005), and every end, a stalled
+    one included, is polished at f.  Points cluster at CLUSTER_TOL for
+    multiplicities; ends that meet count as one multiple point only where
+    the cycle Jacobian is numerically singular, else the extra ends are
+    lost, like ends whose polish fails.  A loss leaves the multiplicities
+    summing below d^n; it is never padded.
     """
     d = f.degree
+    if n < 1:
+        raise ContractError("n must be >= 1")
     if d ** n > cap:
         raise CapError(f"{d}^{n} periodic points exceed the cap {cap}")
-    coeffs = f.iterate_coeffs(n)
-    coeffs = npp.polysub(coeffs, (0.0, 1.0))
-    roots = simultaneous_roots(coeffs)
-    for _ in range(3):
-        w, dw = f.iter_eval(roots, n)
-        denom = dw - 1.0
-        safe = np.abs(denom) > 1e-8
-        roots = np.where(safe, roots - (w - roots) / np.where(safe, denom, 1.0), roots)
-    w, _ = f.iter_eval(roots, n)
-    resid = np.abs(w - roots)
-    # residual scale follows the natural size of f^n at the root
-    log_scale = (d ** n) * np.maximum(0.0, np.log(np.maximum(np.abs(roots), 1e-300)))
-    allowed = 1e-10 * np.exp(np.minimum(log_scale, 600.0))
-    bad = resid > np.maximum(allowed, 1e-10)
-    if np.any(bad):
-        raise ConvergenceError(f"{int(bad.sum())} periodic roots failed the residual "
-                               f"check (worst {float(resid[bad].max()):.3e})")
-    return _cluster(roots, CLUSTER_TOL)
+    low = np.array(f.coeffs[:-1])
+    dlow = npp.polyder(low)
+
+    def t(s):
+        # sin(pi) is not 0 in floating point: pin the end to t = 1 exactly
+        return np.where(s < 1.0, s + 1j * KAPPA * np.sin(np.pi * s), 1.0)
+
+    paths = (lambda X, s: X ** d + t(s) * npp.polyval(X, low),
+             lambda X, s: d * X ** (d - 1) + t(s) * npp.polyval(X, dlow),
+             lambda X, s: ((1.0 + 1j * KAPPA * np.pi * np.cos(np.pi * s))
+                           * npp.polyval(X, low)))
+    ends = []
+    for m, X0 in _start_cycles(d, n).items():
+        step = block_rows(m)
+        for lo in range(0, len(X0), step):
+            X, _, _ = continue_cycles(X0[lo:lo + step], *paths, 0.0)
+            X, ok = newton_cycles(X, f, f.eval_deriv, 0.0)
+            ends.append(X[ok].ravel())
+    reps, counts = _cluster(np.concatenate(ends), CLUSTER_TOL)
+    meet = counts > 1
+    counts[meet] = np.where(_multiple(f, reps[meet], n), counts[meet], 1)
+    return reps, counts
 
 
 def brolin_measure(f: Poly, mode: str, n: int, c: complex | None = None,
@@ -358,7 +383,9 @@ def brolin_measure(f: Poly, mode: str, n: int, c: complex | None = None,
         return DiscreteMeasure(pts, wts, 1, True, f"preimage(c={c}, n={n})")
     if mode == "periodic":
         reps, mult = periodic_points_1d(f, n, cap=cap or PERIODIC_CAP)
-        wts = tuple(Fraction(int(m), d ** n) for m in mult)
+        # one Fraction per multiplicity, shared by its atoms
+        share = {m: Fraction(m, d ** n) for m in set(mult.tolist())}
+        wts = tuple(map(share.__getitem__, mult.tolist()))
         complete = int(mult.sum()) == d ** n
         return DiscreteMeasure(reps, wts, 1, complete, f"periodic(n={n})")
     raise ContractError(f"unknown mode {mode!r}")

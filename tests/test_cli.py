@@ -437,9 +437,9 @@ def _periodic_report(tmp_path, doc, name, threads=1):
       "a60af744d8133ee5c473237fc55e8e79074fbc9257c0e3debc4471c3740dd7a8"}),
     ({"params": OFF_HORSESHOE, "budgets": {"level_max": 5}},
      {"periodic-6f93f776d71b-orbits.csv":
-      "6a060bdaf6f1d05476788ee0608d1f2706112df5465ce35a42c6b53e258c16b1",
+      "f322f1258a413f9a747895254ec9431575a944e6ec69b42dc39604f9304866e3",
       "periodic-6f93f776d71b-report.json":
-      "d05c59eb2e212eae81d30f78e8ad8fd904fcada242f1954d17ec3a7e08de8970",
+      "a44cbc352612da3d64584cf78b78b38b1421f2a65c9b2307ff188c8ceac28843",
       "periodic-6f93f776d71b-saddles.csv":
       "b0ba10f40251287015a4edc1147150fd88c60865bfae48f465814f214862c8ce"}),
 ], ids=["horseshoe", "continued"])
@@ -506,6 +506,30 @@ def test_periodic_report_lost_path_exits_3(tmp_path):
     lv2 = report["levels"][1]
     assert lv2["paths_lost"] == 1 and not lv2["complete"]
     assert lv2["fixed_point_count"] == 2
+
+
+@pytest.mark.parametrize("a, level_max, rc", [(1e300, 5, 2), (1e150, 4, 0)])
+def test_periodic_report_overflowing_monodromy(tmp_path, a, level_max, rc):
+    # at a = 1e300 the period-3 monodromy, ~(2e150)^3, passes double range:
+    # one named error line and no numpy warnings; 1e150 stays in range
+    cfg_path = write_cfg(tmp_path, {
+        "command": "periodic-report",
+        "params": {"kind": "henon", "a": [a, 0.0], "b": [0.3, 0.0]},
+        "budgets": {"level_max": level_max}})
+    src = str(Path(henonlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "henonlab", "periodic-report", "--config",
+         str(cfg_path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == rc
+    if rc:
+        assert proc.stderr.splitlines() == [
+            "error: monodromy of a period-3 cycle overflowed "
+            "(max |x| 1.000e+150)"]
+    else:
+        assert proc.stderr == ""
 
 
 def test_entropy_report_run(tmp_path):

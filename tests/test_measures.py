@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,38 @@ def test_exact_total_mass_on_mixed_denominators():
     third = DiscreteMeasure(np.zeros(3, dtype=complex),
                             (Fraction(1, 3),) * 3, 1)
     assert third.total_mass() == 1
+
+
+def test_per_weight_work_runs_once_per_distinct_weight():
+    calls = Counter()
+
+    class Counted(Fraction):
+        def __le__(self, other):
+            calls["<="] += 1
+            return Fraction.__le__(self, other)
+
+        def __float__(self):
+            calls["float"] += 1
+            return Fraction.__float__(self)
+
+        @property
+        def denominator(self):
+            calls["denominator"] += 1
+            return Fraction.denominator.fget(self)
+
+    eighth, quarter = Counted(1, 8), Counted(1, 4)
+    weights = (eighth, quarter, eighth, eighth, quarter, eighth)
+    mu = DiscreteMeasure(np.zeros(6, dtype=complex), weights, 1)
+    # the positivity check, and the mass check's lcm and scaled numerators
+    assert calls == {"<=": 2, "denominator": 4}
+    calls.clear()
+    assert mu.weight_array.tolist() == [0.125, 0.25, 0.125, 0.125, 0.25,
+                                        0.125]
+    assert calls["float"] == 2
+    assert mu.weights == weights and mu.total_mass() == 1
+    with pytest.raises(ContractError):
+        DiscreteMeasure(np.zeros(3, dtype=complex),
+                        (eighth, Counted(0, 1), eighth), 1, complete=False)
 
 
 def test_weight_array_is_cached_and_read_only():

@@ -7,15 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import henonlab.cycles as cycles
 import henonlab.periodic2d as periodic2d
+from henonlab.cycles import closure_defect, cyclic_neighbours, solve_stack
 from henonlab.dynamics import (MapParams, PointC2, derivative_along_orbit,
                                henon_apply, is_horseshoe_regime)
 from henonlab.errors import ContractError
 from henonlab.measures import TestBattery, compare
-from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _closure_defect,
-                                 _cycle_jacobian, _cyclic_neighbours,
-                                 _dedup_cell, _newton_cycle, _newton_cycles,
-                                 _same_cycle, _solve_stack,
+from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _dedup_cell,
+                                 _newton_cycles, _same_cycle,
                                  _start_parameter, cylinder_point_measure,
                                  fixed_points_closed_form, mu_n_measure,
                                  negative_fixed_point, periodic_points_2d,
@@ -161,10 +161,10 @@ def _shadowing_cycles(m, n):
     words[0][0] = 1
     for j, w in enumerate(words[1:], start=1):
         w[0] = w[j] = 1
-    P, ok = _newton_cycles(m, symbolic_orbit_seed(m, np.array(words)))
+    X, ok = _newton_cycles(m, symbolic_orbit_seed(m, np.array(words)))
     assert ok.all()
-    return [tuple(PointC2(complex(x), complex(y)) for x, y in row)
-            for row in P]
+    return [tuple(PointC2(complex(x), complex(y))
+                  for x, y in zip(row, np.roll(row, 1))) for row in X]
 
 
 def test_cycle_index_crowded_strips_agree_with_pairwise_scan(monkeypatch,
@@ -202,12 +202,11 @@ def test_cycle_index_crowded_strips_agree_with_pairwise_scan(monkeypatch,
 
 def test_symbolic_seed_matches_itinerary(horseshoe):
     for bits in necklaces(5):
-        cycle = symbolic_orbit_seed(horseshoe, bits)
-        assert cycle.shape == (5, 2)
-        signs = tuple(0 if x.real < 0 else 1 for x in cycle[:, 0])
+        x = symbolic_orbit_seed(horseshoe, bits)
+        assert x.shape == (5,)
+        signs = tuple(0 if v.real < 0 else 1 for v in x)
         assert signs == bits
         # shadowing residual: x_{j}^2 + x_{j+1} + b x_{j-1} - a ~ 0
-        x = cycle[:, 0]
         res = x * x - horseshoe.a + np.roll(x, -1) + horseshoe.b * np.roll(x, 1)
         assert float(np.max(np.abs(res))) < 1e-10
 
@@ -215,43 +214,91 @@ def test_symbolic_seed_matches_itinerary(horseshoe):
 def test_stacked_seeds_match_lone_seeds(horseshoe):
     bits = np.array(list(necklaces(7)))
     stack = symbolic_orbit_seed(horseshoe, bits)
-    assert stack.shape == (len(bits), 7, 2)
+    assert stack.shape == (len(bits), 7)
     for row, word in zip(stack, bits):
         assert np.array_equal(row, symbolic_orbit_seed(horseshoe, tuple(word)))
 
 
-def ref_newton_cycle(m, init_pts):
-    """The one-cycle damped Newton loop the stacked kernel replaced."""
-    P = np.array(init_pts, dtype=complex).reshape(-1, 2)
-    n = P.shape[0]
-    nxt, _ = _cyclic_neighbours(n)
+def ref_cycle_jacobian(x, b):
+    """The n x n closure Jacobian of one cycle, entry by entry."""
+    n = len(x)
+    A = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        A[j, j] = -2.0 * x[j]
+        A[j, (j - 1) % n] += -b
+        A[j, (j + 1) % n] += -1.0
+    return A
+
+
+def ref_newton_cycle(m, x0):
+    """The one-cycle damped Newton loop the stacked kernel replaced, on the
+    closure system in x alone."""
+    x = np.array(x0, dtype=complex)
+
+    def defect(v):
+        return -v * v + m.a - m.b * np.roll(v, 1) - np.roll(v, -1)
+
     for _ in range(60):
-        if not np.all(np.isfinite(P)):
+        if not np.all(np.isfinite(x)):
             return None
-        F = _closure_defect(P, m.a, m.b, nxt)
+        F = defect(x)
         n_f = float(np.max(np.abs(F)))
-        scale = 1.0 + float(np.max(np.abs(P))) ** 2
+        scale = 1.0 + float(np.max(np.abs(x))) ** 2
         if n_f < 1e-12 * scale:
-            return P
+            return x
         try:
-            delta = np.linalg.solve(_cycle_jacobian(P[:, 0], m.b), F.ravel())
+            delta = np.linalg.solve(ref_cycle_jacobian(x, m.b), F)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(delta)):
             return None
-        delta = delta.reshape(n, 2)
         step = 1.0
         for _ in range(20):
-            Q = P - step * delta
-            if np.all(np.isfinite(Q)):
-                F2 = _closure_defect(Q, m.a, m.b, nxt)
-                if float(np.max(np.abs(F2))) < n_f:
-                    P = Q
-                    break
+            y = x - step * delta
+            if (np.all(np.isfinite(y))
+                    and float(np.max(np.abs(defect(y)))) < n_f):
+                x = y
+                break
             step *= 0.5
         else:
             return None
     return None
+
+
+def ref_interleaved_jacobian(X, b):
+    """The 2n x 2n Jacobian of the closure system in (x_j, y_j), unknowns
+    interleaved, that the census solved before it ran in x alone."""
+    d = X.shape[-1]
+    dim = 2 * d
+    rows = np.arange(d)
+    A = np.zeros(X.shape[:-1] + (dim, dim), dtype=complex)
+    A[..., 2 * rows, 2 * rows] = -2.0 * X
+    A[..., 2 * rows, 2 * rows + 1] = -b
+    A[..., 2 * rows + 1, 2 * rows] = 1.0
+    A[..., 2 * rows, (2 * rows + 2) % dim] += -1.0
+    A[..., 2 * rows + 1, (2 * rows + 3) % dim] += -1.0
+    return A
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_x_only_newton_step_matches_interleaved_system(n):
+    # on a cycle with y_j = x_{j-1}, the Newton step of the (x, y) system
+    # has dy_j = dx_{j-1}, and its dx solves the n x n system in x alone
+    rng = np.random.default_rng(n)
+    m = MapParams(1.4 + 0.2j, 0.3 - 0.1j)
+    X = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    nxt, prv = cyclic_neighbours(n)
+    Y = X[:, prv]
+    F2 = np.stack([-X * X + m.a - m.b * Y - X[:, nxt], X - Y[:, nxt]],
+                  axis=-1).reshape(5, 2 * n)
+    full = np.linalg.solve(ref_interleaved_jacobian(X, m.b),
+                           F2[..., None])[..., 0].reshape(5, n, 2)
+    reduced = solve_stack(
+        cycles.cycle_jacobian(-2.0 * X, m.b),
+        closure_defect(X, lambda x: -x * x + m.a, m.b))
+    assert np.allclose(full[..., 0], reduced, rtol=1e-12, atol=1e-12)
+    assert np.allclose(full[..., 1], reduced[:, prv], rtol=1e-12,
+                       atol=1e-12)
 
 
 def _assert_rows_match_lone_runs(m, P):
@@ -261,12 +308,11 @@ def _assert_rows_match_lone_runs(m, P):
             Qj, okj = _newton_cycles(m, P[j:j + 1])
             assert ok[j] == okj[0]
             assert np.array_equal(Q[j], Qj[0], equal_nan=True)
-            lone = _newton_cycle(m, P[j])
             ref = ref_newton_cycle(m, P[j])
             if ok[j]:
-                assert np.array_equal(lone, Q[j]) and np.array_equal(ref, Q[j])
+                assert np.array_equal(ref, Q[j])
             else:
-                assert lone is None and ref is None
+                assert ref is None
     return ok
 
 
@@ -363,17 +409,17 @@ def test_orbit_monodromy_is_read_only_and_out_of_eq(horseshoe,
 
 
 def test_stacked_newton_rows_match_lone_runs(horseshoe):
-    # period 1 at b = 0.5: the Jacobian [[-2x - 1, -b], [1, -1]] is exactly
-    # singular at x = -0.75, and one ulp away its huge finite step
-    # overflows the defect at every one of the 20 line-search halvings
+    # period 1 at b = 0.5: the Jacobian -2x - b - 1 is exactly singular at
+    # x = -0.75, and one ulp away its huge finite step fails the line
+    # search at every one of the 20 halvings
     m = MapParams(10.0, 0.5)
     near = -0.75 + 2.0 ** -52
-    A = _cycle_jacobian(np.array([[-0.75 + 0j], [near + 0j]]), m.b)
+    A = cycles.cycle_jacobian(-2.0 * np.array([[-0.75 + 0j], [near + 0j]]),
+                              m.b)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(A[0], np.ones(2))
-    assert np.all(np.isfinite(np.linalg.solve(A[1], np.ones(2))))
-    starts = np.array([[[-3.0, -3.1]], [[-0.75, 0.0]], [[2.4, 2.6]],
-                       [[near, 0.0]], [[np.nan, 0.0]], [[-4.2, -3.9]]],
+        np.linalg.solve(A[0], np.ones(1))
+    assert np.all(np.isfinite(np.linalg.solve(A[1], np.ones(1))))
+    starts = np.array([[-3.0], [-0.75], [2.4], [near], [np.nan], [-4.2]],
                       dtype=complex)
     ok = _assert_rows_match_lone_runs(m, starts)
     assert ok.tolist() == [True, False, True, False, False, True]
@@ -382,15 +428,15 @@ def test_stacked_newton_rows_match_lone_runs(horseshoe):
     rng = np.random.default_rng(3)
     seeds = symbolic_orbit_seed(horseshoe, np.array(list(necklaces(6))))
     seeds = seeds + 0.3 * rng.standard_normal(seeds.shape)
-    seeds[4, 2, 1] = complex(math.inf, 0.0)
+    seeds[4, 2] = complex(math.inf, 0.0)
     ok = _assert_rows_match_lone_runs(horseshoe, seeds)
     assert ok.tolist() == [j != 4 for j in range(len(seeds))]
 
 
 def test_itinerary_blocks_do_not_change_orbits(monkeypatch, horseshoe):
     whole = periodic_points_2d(horseshoe, 7)
-    # three period-7 cycles, (2*7)^2 = 196 entries each, per block
-    monkeypatch.setattr(periodic2d, "PATHS_BLOCK_ELEMS", 600)
+    # three period-7 cycles, 7^2 = 49 entries each, per block
+    monkeypatch.setattr(cycles, "PATHS_BLOCK_ELEMS", 150)
     assert periodic_points_2d(horseshoe, 7) == whole
 
 
@@ -428,9 +474,8 @@ def test_newton_converges_to_a_fixed_point(a, b):
     m = MapParams(a, b)
     x = min((o.points[0].x for o in fixed_points_closed_form(m)),
             key=lambda v: v.real)
-    pts = _newton_cycle(m, [(x + 1e-3, x - 1e-3)])
-    assert pts is not None
-    assert abs(pts[0, 0] - x) < 1e-12 and abs(pts[0, 1] - x) < 1e-12
+    X, ok = _newton_cycles(m, [[x + 1e-3]])
+    assert ok[0] and abs(X[0, 0] - x) < 1e-12
 
 
 @pytest.mark.parametrize("a, b, n", [(1.4, 0.3, 9), (1.4, 0.3, 10),
@@ -470,8 +515,8 @@ def test_continued_census_matches_halton_reference():
 def test_path_blocks_do_not_change_orbits(monkeypatch):
     m = MapParams(1.4, 0.3)
     whole = periodic_points_2d(m, 6)
-    # at most two period-6 paths (2*6)^2 = 144 entries each per block
-    monkeypatch.setattr(periodic2d, "PATHS_BLOCK_ELEMS", 300)
+    # at most two period-6 paths, 6^2 = 36 entries each, per block
+    monkeypatch.setattr(cycles, "PATHS_BLOCK_ELEMS", 75)
     assert periodic_points_2d(m, 6) == whole
 
 
@@ -496,7 +541,7 @@ def test_solve_stack_marks_singular_rows():
     A = np.array([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)],
                  dtype=complex)
     F = np.ones((3, 2), dtype=complex)
-    x = _solve_stack(A, F)
+    x = solve_stack(A, F)
     assert np.array_equal(x[0], F[0]) and np.array_equal(x[2], 0.5 * F[2])
     assert np.all(np.isnan(x[1]))
 

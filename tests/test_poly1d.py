@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henonlab import poly1d
 from henonlab.errors import CapError, ContractError, ConvergenceError
@@ -27,18 +29,11 @@ def test_poly_contract():
     assert f.lower_coeff_sum() == pytest.approx(3.0)
 
 
-def test_iterate_coeffs_small_cases():
-    c2 = SQUARE.iterate_coeffs(2)
-    assert np.allclose(c2, [0, 0, 0, 0, 1])
-    cb = BASILICA.iterate_coeffs(2)  # (z^2-1)^2 - 1 = z^4 - 2 z^2
-    assert np.allclose(cb, [0, 0, -2, 0, 1])
-    ev, dev = BASILICA.iter_eval(np.array([2.0 + 0j]), 2)
-    assert abs(ev[0] - (2 ** 4 - 2 * 2 ** 2)) < 1e-12
-
-
-def test_iterate_coeffs_cap():
+def test_periodic_points_cap():
     with pytest.raises(CapError):
-        SQUARE.iterate_coeffs(13)  # 2^13 past the expansion cap
+        periodic_points_1d(SQUARE, 13)  # 2^13 paths past the cap
+    with pytest.raises(ContractError):
+        periodic_points_1d(SQUARE, 0)
 
 
 def test_simultaneous_roots_against_numpy():
@@ -163,11 +158,24 @@ def test_roots_near_a_multiple_root_return_at_rounding_level(roots):
     assert np.array_equal(simultaneous_roots(batch)[1], z)
 
 
+def expanded_iterate(f, n):
+    """Ascending coefficients of f^n(z) - z, f^n expanded by Horner in the
+    coefficient ring."""
+    cur = np.array([0.0, 1.0], dtype=complex)
+    for _ in range(n):
+        acc = np.array([1.0 + 0.0j])
+        for coef in reversed(f.coeffs[:-1]):
+            acc = npp.polymul(acc, cur)
+            acc[0] += coef
+        cur = acc
+    return npp.polysub(cur, (0.0, 1.0))
+
+
 def test_wandering_roots_still_raise():
     # the expanded basilica iterate f^6(z) - z: roots at rounding-level
     # backward error, but still moving by 3e-3 a sweep
     with pytest.raises(ConvergenceError, match=r"max residual 5\.564e\+00"):
-        periodic_points_1d(BASILICA, 6)
+        simultaneous_roots(expanded_iterate(BASILICA, 6))
 
 
 def test_solve_offset_inverts():
@@ -217,6 +225,130 @@ def test_periodic_points_1d_square_map():
     got = np.sort_complex(np.repeat(reps, mult))
     want = np.sort_complex(np.roots([1, 0, 0, -1, 0]))  # z^4 - z
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def _nearest(a, b):
+    """max over a of the distance to the nearest point of b."""
+    return float(np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_square_map_periodic_points_are_exact(n):
+    # 0 and the (2^n - 1)-th roots of unity, each simple
+    reps, mult = periodic_points_1d(SQUARE, n)
+    want = np.concatenate([[0.0], np.exp(2j * math.pi
+                                          * np.arange(2 ** n - 1)
+                                          / (2 ** n - 1))])
+    assert mult.tolist() == [1] * 2 ** n
+    assert _nearest(reps, want) < 1e-12 and _nearest(want, reps) < 1e-12
+
+
+def _max_periodic_residual(f, z, n):
+    w = z
+    for _ in range(n):
+        w = f(w)
+    return float(np.max(np.abs(w - z)))
+
+
+@pytest.mark.parametrize("f, n", [(BASILICA, 6), (BASILICA, 8),
+                                  (BASILICA, 10),
+                                  (Poly((-0.12 + 0.75j, 0.0, 1.0)), 8),
+                                  (CUBIC, 5)],
+                         ids=["basilica-6", "basilica-8", "basilica-10",
+                              "rabbit-8", "cubic-5"])
+def test_periodic_points_past_the_expanded_iterate(f, n):
+    # cases where Aberth on the expanded f^n(z) - z did not converge
+    reps, mult = periodic_points_1d(f, n)
+    assert int(mult.sum()) == f.degree ** n
+    assert _max_periodic_residual(f, np.repeat(reps, mult), n) <= 1e-10
+
+
+@pytest.mark.parametrize("n, want", [
+    (1, [0.5, 0.5]), (2, [0.5, 0.5, -0.5 + 1j, -0.5 - 1j])])
+def test_parabolic_periodic_points_are_complete(n, want):
+    # z^2 + 1/4: the fixed point 1/2 is double; its two paths stall where
+    # they meet, and their ends polish at the target
+    reps, mult = periodic_points_1d(Poly((0.25, 0.0, 1.0)), n)
+    got = np.repeat(reps, mult)
+    assert len(got) == 2 ** n
+    assert _nearest(got, np.array(want)) < 1e-6
+    assert _nearest(np.array(want), got) < 1e-6
+
+
+def test_ends_that_meet_at_a_simple_cycle_are_lost(monkeypatch):
+    # every path of a period lands on its first path's cycle: the fixed
+    # points and cycles are simple, so the extra ends are lost, not counted
+    continue_cycles = poly1d.continue_cycles
+
+    def jumping(X, *args):
+        X, reached, halvings = continue_cycles(X, *args)
+        return np.repeat(X[:1], len(X), axis=0), reached, halvings
+
+    monkeypatch.setattr(poly1d, "continue_cycles", jumping)
+    reps, mult = periodic_points_1d(BASILICA, 4)
+    # one fixed point, one period-2 cycle and one period-4 cycle survive
+    assert mult.tolist() == [1] * 7
+    mu = brolin_measure(BASILICA, "periodic", 4)
+    assert not mu.complete and mu.total_mass() == Fraction(7, 16)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2,
+                max_size=3),
+       st.integers(1, 6))
+def test_periodic_points_complete_or_short_never_padded(low, n):
+    f = Poly(tuple(low) + (1.0,))
+    d = f.degree
+    reps, mult = periodic_points_1d(f, n)
+    total = int(mult.sum())
+    assert total <= d ** n
+    assert brolin_measure(f, "periodic", n).complete == (total == d ** n)
+    if total < d ** n:
+        return
+    # cyclic residual: f maps every point onto the set
+    assert _nearest(f(reps), reps) <= 1e-10
+    # the roots of f^n(z) - z sum to -d^(n-1) c_(d-1); a root counted
+    # twice in place of a missing one moves the sum
+    if d ** n >= 3:
+        trace = np.sum(np.repeat(reps, mult))
+        assert abs(trace + d ** (n - 1) * f.coeffs[-2]) <= 1e-6 * d ** n
+
+
+def ref_cluster(points, tol):
+    """The cluster pass `_cluster` replaced: each point against every
+    representative so far."""
+    order = np.lexsort((points.imag, points.real))
+    reps, counts = [], []
+    for z in points[order]:
+        for i, r in enumerate(reps):
+            if abs(z - r) <= tol:
+                counts[i] += 1
+                break
+        else:
+            reps.append(complex(z))
+            counts.append(1)
+    return np.array(reps), np.array(counts)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_matches_pairwise_reference(seed):
+    # clouds of near-ties: offsets of exactly tol and one ulp either side,
+    # along the axes and diagonals, chains at 0.6 tol, shared real parts
+    rng = np.random.default_rng(seed)
+    tol = poly1d.CLUSTER_TOL
+    base = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    steps = np.array([0.0, tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0),
+                      0.6 * tol, 1.2 * tol, 1.8 * tol, 2.0 * tol])
+    dirs = np.array([1.0, 1j, -1.0, -1j, np.exp(0.25j * math.pi)])
+    cloud = (base[:, None, None] + steps[None, :, None] * dirs[None, None, :])
+    pts = np.concatenate([cloud.ravel(), np.conj(base), base.real + 0j,
+                          base[:5].real + 0.9 * tol * 1j * np.arange(5)])
+    pts = pts[rng.permutation(len(pts))]
+    reps, counts = poly1d._cluster(pts, tol)
+    want_reps, want_counts = ref_cluster(pts, tol)
+    assert np.array_equal(reps, want_reps)
+    assert np.array_equal(counts, want_counts)
+    assert counts.sum() == len(pts) and (counts > 1).any()
 
 
 def test_brolin_measure_preimage_mode():
