@@ -124,8 +124,10 @@ SCHEMA = {
     "entropy-report": {
         "mode": ("report",),
         "params": _HENON,
-        "budgets": {"word_max": (10, COUNT), "reality_n_max": (4, COUNT),
-                    "budget": (2048, COUNT)},
+        # the entropy slope reads the word counts at word_max - 2..word_max
+        "budgets": {"word_max": (10, Check(lambda v: _is_int(v) and v >= 3,
+                                           "an integer >= 3")),
+                    "reality_n_max": (4, COUNT), "budget": (2048, COUNT)},
     },
     "validate": {
         "mode": ("all",),
@@ -363,7 +365,8 @@ def cmd_render_green(cfg: JobConfig) -> int:
         "histogram": {"edges": [float(e) for e in edges],
                       "counts": [int(c) for c in counts]},
     })
-    return 0
+    # a pixel neither converged nor presumed bounded is a shortfall
+    return 0 if converged.all() else 3
 
 
 def cmd_julia_cloud(cfg: JobConfig) -> int:

@@ -1,10 +1,12 @@
 """Finite atomic measures, logarithmic potentials and weak-convergence probes.
 
 Equilibrium measures are approximated by finite point clouds (preimage
-trees, periodic points, cylinder boxes).  Closeness of two such clouds is
-probed by integrating a fixed battery of smooth windowed test functions
-and taking the worst disagreement, a pseudometric adequate for detecting
-weak-convergence trends without any density estimation.
+trees, periodic points, cylinder boxes), each a normalized counting
+measure: d^-n per preimage, 2^-n per periodic point, 4^-n per box.
+Closeness of two such clouds is probed by integrating a fixed battery of
+smooth windowed test functions and taking the worst disagreement, a
+pseudometric adequate for detecting weak-convergence trends without any
+density estimation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import csv
 import functools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -27,12 +28,14 @@ UNIT_CIRCLE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted atoms in C (ambient_dim 1, points shape (N,)) or C^2 (dim 2,
-    points shape (N, 2)).  Weights may be exact Fractions; complete means the
-    cloud is the whole intended atom set, not a sampled or truncated one."""
+    """Atoms in C (ambient_dim 1, points shape (N,)) or C^2 (dim 2, points
+    shape (N, 2)); atom i weighs counts[i] / denominator exactly.  Complete
+    means the cloud is the whole intended atom set, not a sampled or
+    truncated one, so its counts sum to the denominator."""
 
     points: np.ndarray
-    weights: tuple
+    counts: np.ndarray
+    denominator: int
     ambient_dim: int
     complete: bool = True
     provenance: str = ""
@@ -47,41 +50,30 @@ class DiscreteMeasure:
                 raise ContractError("ambient_dim 2 expects an (N, 2) complex array")
         else:
             raise ContractError("ambient_dim must be 1 or 2")
-        if len(self.weights) != len(pts):
-            raise ContractError("one weight per atom required")
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or len(counts) != len(pts):
+            raise ContractError("one count per atom required")
+        if counts.dtype.kind not in "iu" or np.any(counts <= 0):
+            raise ContractError("counts must be positive integers")
+        if type(self.denominator) is not int or self.denominator < 1:
+            raise ContractError("denominator must be an integer >= 1")
+        counts = counts.astype(np.int64)
+        counts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if any(w <= 0 for w, _ in self._distinct):
-            raise ContractError("weights must be positive")
-        if self.complete:
-            if abs(float(self.total_mass()) - 1.0) > 1e-12:
-                raise ContractError("complete measure must have total mass 1")
+        object.__setattr__(self, "counts", counts)
+        if self.complete and int(counts.sum()) != self.denominator:
+            raise ContractError("complete measure must have total mass 1")
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.counts)
 
-    @functools.cached_property
-    def _distinct(self) -> list:
-        """(weight, atom count) per distinct weight object, which the atoms
-        of an orbit or an equal-weight measure share."""
-        objs = dict(zip(map(id, self.weights), self.weights))
-        return [(objs[i], c) for i, c in Counter(map(id, self.weights)).items()]
-
-    def total_mass(self):
-        if all(isinstance(w, Fraction) for w, _ in self._distinct):
-            # one integer sum over the common denominator, not one Fraction
-            # addition (with its gcd) per weight
-            den = math.lcm(*(w.denominator for w, _ in self._distinct))
-            return Fraction(sum(c * w.numerator * (den // w.denominator)
-                                for w, c in self._distinct), den)
-        return math.fsum(self.weight_array.tolist())
+    def total_mass(self) -> Fraction:
+        return Fraction(int(self.counts.sum()), self.denominator)
 
     @functools.cached_property
     def weight_array(self) -> np.ndarray:
-        """Float weights, converted once per distinct weight, read-only."""
-        floats = {id(w): float(w) for w, _ in self._distinct}
-        w = np.fromiter(map(floats.__getitem__, map(id, self.weights)),
-                        float, len(self.weights))
+        """Float weights counts / denominator, read-only."""
+        w = self.counts / float(self.denominator)
         w.flags.writeable = False
         return w
 
@@ -104,29 +96,27 @@ class DiscreteMeasure:
     def equal_weights(cls, points, ambient_dim: int, complete: bool = True,
                       provenance: str = "") -> "DiscreteMeasure":
         pts = np.asarray(points, dtype=complex)
-        n = len(pts)
-        if n == 0:
+        if len(pts) == 0:
             raise ContractError("measure needs at least one atom")
-        return cls(pts, (Fraction(1, n),) * n, ambient_dim, complete, provenance)
+        return cls(pts, np.ones(len(pts), dtype=np.int64), len(pts),
+                   ambient_dim, complete, provenance)
 
     def save(self, path) -> None:
-        """CSV of atoms plus a JSON sidecar carrying the metadata."""
+        """CSV of atoms and their counts plus a JSON sidecar carrying the
+        denominator and the other metadata."""
         path = Path(path)
+        names = (["re", "im"] if self.ambient_dim == 1
+                 else ["x_re", "x_im", "y_re", "y_im"])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            if self.ambient_dim == 1:
-                w.writerow(["re", "im", "weight"])
-                for p, wt in zip(self.points, self.weights):
-                    w.writerow([repr(float(p.real)), repr(float(p.imag)),
-                                _weight_str(wt)])
-            else:
-                w.writerow(["x_re", "x_im", "y_re", "y_im", "weight"])
-                for p, wt in zip(self.points, self.weights):
-                    w.writerow([repr(float(p[0].real)), repr(float(p[0].imag)),
-                                repr(float(p[1].real)), repr(float(p[1].imag)),
-                                _weight_str(wt)])
+            w.writerow(names + ["count"])
+            pts = self.points.reshape(len(self), self.ambient_dim)
+            for row, c in zip(pts, self.counts.tolist()):
+                w.writerow([repr(float(v)) for z in row
+                            for v in (z.real, z.imag)] + [c])
         sidecar = {"ambient_dim": self.ambient_dim, "complete": self.complete,
-                   "provenance": self.provenance, "count": len(self)}
+                   "provenance": self.provenance, "count": len(self),
+                   "denominator": self.denominator}
         path.with_suffix(path.suffix + ".json").write_text(
             json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
 
@@ -135,26 +125,15 @@ class DiscreteMeasure:
         path = Path(path)
         meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
         dim = meta["ambient_dim"]
-        pts, wts = [], []
         with open(path, newline="") as fh:
-            for row in list(csv.reader(fh))[1:]:
-                if dim == 1:
-                    pts.append(complex(float(row[0]), float(row[1])))
-                    wts.append(_weight_parse(row[2]))
-                else:
-                    pts.append((complex(float(row[0]), float(row[1])),
-                                complex(float(row[2]), float(row[3]))))
-                    wts.append(_weight_parse(row[4]))
-        return cls(np.asarray(pts, dtype=complex), tuple(wts), dim,
-                   meta["complete"], meta.get("provenance", ""))
-
-
-def _weight_str(w) -> str:
-    return str(w) if isinstance(w, Fraction) else repr(float(w))
-
-
-def _weight_parse(s: str):
-    return Fraction(s) if "/" in s else float(s)
+            rows = list(csv.reader(fh))[1:]
+        # (re, im) float pairs read back as complex128, bit for bit
+        pts = np.array([[float(v) for v in row[:-1]] for row in rows],
+                       dtype=float).reshape(len(rows), 2 * dim).view(complex)
+        return cls(pts if dim == 2 else pts.ravel(),
+                   np.array([int(row[-1]) for row in rows], dtype=np.int64),
+                   meta["denominator"], dim, meta["complete"],
+                   meta.get("provenance", ""))
 
 
 class TestBattery:

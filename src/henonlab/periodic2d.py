@@ -21,7 +21,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -430,18 +429,15 @@ def periodic_points_2d(m: MapParams, n: int,
 
 
 def mu_n_measure(level: PeriodicLevel) -> DiscreteMeasure:
-    """Equal weights 2^-n on the fixed points of f^n, multiplicity-weighted;
-    the points of one orbit share one weight."""
-    pts = []
-    wts = []
-    denom = 2 ** level.n
-    for o in level.orbits:
-        pts.extend(o.points)
-        wts.extend((Fraction(o.multiplicity, denom),) * o.period)
+    """Equal weights 2^-n on the fixed points of f^n, multiplicity-weighted:
+    each point of an orbit counts its multiplicity over 2^n."""
+    pts = [p for o in level.orbits for p in o.points]
     if not pts:
         raise ContractError("level carries no points")
-    return DiscreteMeasure(np.array(pts, dtype=complex), tuple(wts), 2,
-                           level.complete, f"mu_n(n={level.n})")
+    counts = np.repeat([o.multiplicity for o in level.orbits],
+                       [o.period for o in level.orbits])
+    return DiscreteMeasure(np.array(pts, dtype=complex), counts, 2 ** level.n,
+                           2, level.complete, f"mu_n(n={level.n})")
 
 
 @dataclass(frozen=True)
@@ -718,5 +714,5 @@ def cylinder_point_measure(m: MapParams, level: int, buffer: int = 15,
         x = signs * np.sqrt(m.a - ext[:, 2:] - m.b * ext[:, :-2])
     mid = buffer + level
     pts = np.stack([x[:, mid], x[:, mid - 1]], axis=1)
-    wts = (Fraction(1, n_words),) * n_words
-    return DiscreteMeasure(pts, wts, 2, True, f"cylinder_push(level={level})")
+    return DiscreteMeasure(pts, np.ones(n_words, dtype=np.int64), n_words, 2,
+                           True, f"cylinder_push(level={level})")

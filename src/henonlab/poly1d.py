@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -379,15 +378,12 @@ def brolin_measure(f: Poly, mode: str, n: int, c: complex | None = None,
                                 "requires a nonexceptional base point")
         tree = preimages(f, c, n, "full", cap=cap or PREIMAGE_CAP)
         pts = tree.levels[n]
-        wts = (Fraction(1, d ** n),) * len(pts)
-        return DiscreteMeasure(pts, wts, 1, True, f"preimage(c={c}, n={n})")
+        return DiscreteMeasure(pts, np.ones(len(pts), dtype=np.int64), d ** n,
+                               1, True, f"preimage(c={c}, n={n})")
     if mode == "periodic":
         reps, mult = periodic_points_1d(f, n, cap=cap or PERIODIC_CAP)
-        # one Fraction per multiplicity, shared by its atoms
-        share = {m: Fraction(m, d ** n) for m in set(mult.tolist())}
-        wts = tuple(map(share.__getitem__, mult.tolist()))
-        complete = int(mult.sum()) == d ** n
-        return DiscreteMeasure(reps, wts, 1, complete, f"periodic(n={n})")
+        return DiscreteMeasure(reps, mult, d ** n, 1, int(mult.sum()) == d ** n,
+                               f"periodic(n={n})")
     raise ContractError(f"unknown mode {mode!r}")
 
 

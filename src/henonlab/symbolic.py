@@ -82,11 +82,8 @@ class PeriodicSequence:
         return self.word.bits[(self.word.anchor + j) % p]
 
     def minimal_period(self) -> int:
-        p = self.period
-        for d in range(1, p + 1):
-            if p % d == 0 and all(self.symbol(j) == self.symbol(j + d) for j in range(p)):
-                return d
-        return p
+        # a rotation of the block: the anchor does not change the period
+        return minimal_period(self.word.bits)
 
     def unroll(self, lo: int, hi: int) -> SymbolWord:
         """Finite window over positions lo..hi-1."""

@@ -169,6 +169,26 @@ def test_render_green_pinned_bytes(tmp_path, doc, digests):
             for f in out.iterdir()} == digests
 
 
+@pytest.mark.parametrize("doc, unresolved", [
+    ({"budgets": {"n_max": 1}}, 0.8),
+    # every orbit overflows before the escape test can fire
+    ({"params": {"a": 1e300, "b": 1e300}}, 1.0),
+], ids=["n_max-1", "overflow"])
+def test_render_green_unresolved_pixels_exit_3(tmp_path, capsys, doc,
+                                               unresolved):
+    # pixels neither converged nor presumed bounded are a shortfall: the
+    # files are written and the exit code says so
+    cfg_path = write_cfg(tmp_path, dict(TINY_RENDER, **doc))
+    out = tmp_path / "out"
+    assert main(["render-green", "--config", str(cfg_path),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    stats, = out.glob("green-*-stats.json")
+    doc = json.loads(stats.read_text())
+    assert 1.0 - doc["converged_fraction"] >= unresolved
+    assert len(list(out.glob("green-*.pgm"))) == 1
+
+
 @pytest.mark.parametrize("doc", [
     {"budgets": {"n_max": True}},
     {"tolerances": {"tol": True}},
@@ -218,11 +238,14 @@ NAN, INF = math.nan, math.inf
     ("validate", {"params": {"criteria": [99]}}, "[99]"),
     ("render-green", {"mode": "poly", "params": {"kind": "poly"}},
      "params.coeffs"),
+    # the entropy slope needs three word lengths
+    ("entropy-report", {"budgets": {"word_max": 2}},
+     "budgets.word_max must be an integer >= 3"),
 ], ids=["nan-a", "inf-b", "inf-c", "nan-center", "inf-coeffs", "inf-tol",
         "nan-tol", "bool-complex", "render-mode", "cloud-mode",
         "periodic-mode", "entropy-mode", "validate-mode", "int-mode",
         "criteria-string", "criteria-bool", "criteria-float",
-        "criteria-unknown", "poly-without-coeffs"])
+        "criteria-unknown", "poly-without-coeffs", "short-word-max"])
 def test_config_holes_exit_2(tmp_path, capsys, command, doc, named):
     # each of these used to run, to fail only after making --out, or to
     # fail without naming the field and what it takes
@@ -322,6 +345,88 @@ def test_fuzzed_config_exits_2_without_output(case):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (Path(tmp) / "out").exists()
+
+
+def _modulus_in(lo, hi):
+    """An [re, im] pair of modulus between lo and hi."""
+    return st.builds(lambda r, t: [r * math.cos(t), r * math.sin(t)],
+                     st.floats(lo, hi), st.floats(0.0, 2.0 * math.pi))
+
+
+SMALL = _modulus_in(0.0, 2.0)
+HENON_PARAMS = st.fixed_dictionaries({
+    "kind": st.just("henon"), "a": _modulus_in(0.0, 100.0),
+    "b": _modulus_in(0.01, 2.0)})
+MONIC = st.builds(lambda low: low + [1.0],
+                  st.lists(SMALL, min_size=2, max_size=3))
+WINDOWS = st.fixed_dictionaries({
+    "center": SMALL, "width": st.floats(0.1, 30.0),
+    "height": st.floats(0.1, 30.0),
+    "pixels": st.lists(st.integers(1, 12), min_size=2, max_size=2)})
+
+
+@st.composite
+def valid_configs(draw):
+    command = draw(st.sampled_from(["render-green", "julia-cloud",
+                                    "periodic-report", "entropy-report"]))
+    doc = {"command": command}
+    if command == "render-green":
+        mode = draw(st.sampled_from(SCHEMA[command]["mode"]))
+        k = 1 if mode == "poly" else 2
+        doc.update(
+            mode=mode,
+            params=({"kind": "poly", "coeffs": draw(MONIC)} if mode == "poly"
+                    else draw(HENON_PARAMS)),
+            slice={key: draw(st.lists(SMALL, min_size=k, max_size=k))
+                   for key in ("base", "direction")},
+            window=draw(WINDOWS), budgets={"n_max": draw(st.integers(1, 60))},
+            tolerances={"tol": draw(st.floats(1e-12, 1e-3))})
+    elif command == "julia-cloud":
+        depth = draw(st.integers(1, 12))
+        doc.update(
+            params={"kind": "poly", "coeffs": draw(MONIC), "c": draw(SMALL)},
+            window=draw(WINDOWS), rng_seed=draw(st.integers(0, 2 ** 32)),
+            budgets={"walks": draw(st.integers(1, 16)), "depth": depth,
+                     "burn_in": draw(st.integers(0, depth - 1))})
+    elif command == "periodic-report":
+        doc.update(params=draw(HENON_PARAMS),
+                   budgets={"level_max": draw(st.integers(1, 4)),
+                            "budget": draw(st.integers(1, 64))})
+    else:
+        doc.update(params=draw(HENON_PARAMS),
+                   budgets={"word_max": draw(st.integers(3, 5)),
+                            "reality_n_max": draw(st.integers(1, 3)),
+                            "budget": draw(st.integers(1, 64))})
+    return doc
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(valid_configs())
+def test_valid_config_exits_honestly_and_reruns_identically(doc):
+    # a valid config runs to a verdict: success or an honest shortfall,
+    # at most one line on stderr, and the same bytes on a rerun
+    command = doc["command"]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "job.json"
+        cfg_path.write_text(json.dumps(doc))
+        runs = []
+        for name in ("o1", "o2"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([command, "--config", str(cfg_path),
+                           "--out", str(Path(tmp) / name)])
+            out = Path(tmp) / name
+            runs.append((rc, err.getvalue(), sorted(
+                (f.name, f.read_bytes()) for f in out.iterdir())
+                if out.exists() else []))
+        (rc, err, files), rerun = runs
+        assert len(err.splitlines()) <= 1
+        if rc == 2:
+            # a backward walk from an exceptional base point collapses
+            assert command == "julia-cloud" and "exceptional" in err
+        else:
+            assert rc in (0, 3), err
+        assert rerun == runs[0]
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -598,6 +703,35 @@ def test_cli_error_paths(tmp_path):
     missing = tmp_path / "nope.json"
     rc = main(["render-green", "--config", str(missing)])
     assert rc == 4
+
+
+CUBIC_CLOUD = {
+    "params": {"kind": "poly", "coeffs": [[0.3, 0.2], [-0.5, 0.0], 0.0, 1.0],
+               "c": 1.0},
+    "budgets": {"walks": 64, "depth": 20, "burn_in": 10},
+    "window": {"width": 4.0, "height": 4.0, "pixels": [40, 24]},
+}
+
+
+@pytest.mark.parametrize("command, doc, digests", [
+    # degree 3: every walk step runs the Aberth solver
+    ("julia-cloud", CUBIC_CLOUD,
+     {"julia-0b304444a71a.csv":
+      "97b1c9dc113dd8eea46cc5893152867b846e549897ed96cc42826188844b5fb0",
+      "julia-0b304444a71a.pgm":
+      "72c034f7bc5b7648d93eebf11ae5a68d652812f9abe4526d88a156efeb344d54"}),
+    ("entropy-report", {},
+     {"entropy-70aa4ae2b05c.json":
+      "c790d54c605c96e171d827c470374bb62102f02ef68fc68ba1ff975a0506937f"}),
+], ids=["julia-cubic", "entropy-default"])
+def test_cloud_and_entropy_pinned_bytes(tmp_path, command, doc, digests):
+    # fixed digests: no change to the Aberth walks, the census or the
+    # entropy estimate may move a byte
+    cfg_path = write_cfg(tmp_path, dict(doc, command=command))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in out.iterdir()} == digests
 
 
 def test_outputs_deterministic_across_reruns(tmp_path):

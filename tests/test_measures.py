@@ -1,14 +1,17 @@
 import math
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from henonlab.dynamics import MapParams
 from henonlab.errors import ContractError
 from henonlab.measures import (DiscreteMeasure, TestBattery,
                                angular_discrepancy, compare, integrate,
                                potential_of_measure)
+from henonlab.periodic2d import (cylinder_point_measure, mu_n_measure,
+                                 periodic_points_2d)
+from henonlab.poly1d import Poly, brolin_measure
 
 
 def unit_circle_measure(n):
@@ -20,61 +23,69 @@ def test_measure_contract():
     mu = unit_circle_measure(8)
     assert len(mu) == 8
     assert mu.total_mass() == Fraction(1)
+    assert mu.counts.tolist() == [1] * 8 and mu.denominator == 8
     assert np.allclose(mu.weight_array, 0.125)
+    one = np.array([1.0 + 0j])
     with pytest.raises(ContractError):
-        DiscreteMeasure(np.array([1.0 + 0j]), (Fraction(1, 2),), 1)  # mass != 1
+        DiscreteMeasure(one, [1], 2, 1)  # mass != 1
     with pytest.raises(ContractError):
-        DiscreteMeasure(np.array([1.0 + 0j]), (Fraction(1), Fraction(1)), 1)
+        DiscreteMeasure(one, [1, 1], 2, 1)  # one count per atom
     with pytest.raises(ContractError):
-        DiscreteMeasure(np.array([[1.0 + 0j, 0j]]), (Fraction(1),), 1)
-    partial = DiscreteMeasure(np.array([1.0 + 0j]), (Fraction(1, 2),), 1,
-                              complete=False)
+        DiscreteMeasure(np.array([[1.0 + 0j, 0j]]), [1], 1, 1)
+    for bad in ([0.5], [0], [-1], [True]):
+        with pytest.raises(ContractError):
+            DiscreteMeasure(one, bad, 1, 1, complete=False)
+    for bad in (0, -2, 2.0, True):
+        with pytest.raises(ContractError):
+            DiscreteMeasure(one, [1], bad, 1, complete=False)
+    partial = DiscreteMeasure(one, [1], 2, 1, complete=False)
     assert float(partial.total_mass()) == 0.5
+    counts = np.array([3])
+    mu = DiscreteMeasure(one, counts, 3, 1)
+    counts[0] = 5  # the measure keeps its own read-only copy
+    assert mu.counts.tolist() == [3] and mu.counts.dtype == np.int64
+    assert not mu.counts.flags.writeable
 
 
-def test_exact_total_mass_on_mixed_denominators():
-    weights = (Fraction(1, 3), Fraction(5, 12), Fraction(1, 2 ** 40),
-               Fraction(7, 9), Fraction(2, 1), Fraction(11, 2 ** 40 * 3))
-    mu = DiscreteMeasure(np.zeros(len(weights), dtype=complex), weights, 1,
+def test_exact_total_mass_over_one_denominator():
+    den = 3 * 2 ** 70  # past int64: the denominator stays a Python int
+    counts = [1, 5, 2 ** 40, 7, 11]
+    mu = DiscreteMeasure(np.zeros(5, dtype=complex), counts, den, 1,
                          complete=False)
     total = mu.total_mass()
     assert isinstance(total, Fraction)
-    assert total == sum(weights, Fraction(0))
-    third = DiscreteMeasure(np.zeros(3, dtype=complex),
-                            (Fraction(1, 3),) * 3, 1)
+    assert total == Fraction(sum(counts), den)
+    assert mu.weight_array.tolist() == [float(Fraction(c, den))
+                                        for c in counts]
+    third = DiscreteMeasure(np.zeros(3, dtype=complex), [1, 1, 1], 3, 1)
     assert third.total_mass() == 1
+    big = 3 * 2 ** 60
+    whole = DiscreteMeasure(np.zeros(2, dtype=complex), [big - 1, 1], big, 1)
+    assert whole.total_mass() == 1
+    # one count short of the denominator is not complete, however close
+    with pytest.raises(ContractError, match="total mass 1"):
+        DiscreteMeasure(np.zeros(2, dtype=complex), [big - 2, 1], big, 1)
 
 
-def test_per_weight_work_runs_once_per_distinct_weight():
-    calls = Counter()
+HORSESHOE = MapParams(10.0, 0.3)
+CUBIC = Poly((0.3 + 0.2j, -0.5, 0.0, 1.0))
 
-    class Counted(Fraction):
-        def __le__(self, other):
-            calls["<="] += 1
-            return Fraction.__le__(self, other)
 
-        def __float__(self):
-            calls["float"] += 1
-            return Fraction.__float__(self)
-
-        @property
-        def denominator(self):
-            calls["denominator"] += 1
-            return Fraction.denominator.fget(self)
-
-    eighth, quarter = Counted(1, 8), Counted(1, 4)
-    weights = (eighth, quarter, eighth, eighth, quarter, eighth)
-    mu = DiscreteMeasure(np.zeros(6, dtype=complex), weights, 1)
-    # the positivity check, and the mass check's lcm and scaled numerators
-    assert calls == {"<=": 2, "denominator": 4}
-    calls.clear()
-    assert mu.weight_array.tolist() == [0.125, 0.25, 0.125, 0.125, 0.25,
-                                        0.125]
-    assert calls["float"] == 2
-    assert mu.weights == weights and mu.total_mass() == 1
-    with pytest.raises(ContractError):
-        DiscreteMeasure(np.zeros(3, dtype=complex),
-                        (eighth, Counted(0, 1), eighth), 1, complete=False)
+@pytest.mark.parametrize("build", [
+    lambda: mu_n_measure(periodic_points_2d(HORSESHOE, 6)),
+    # 2^70 is past int64: the denominator stays an exact Python int
+    lambda: mu_n_measure(periodic_points_2d(HORSESHOE, 70, budget=8)),
+    lambda: brolin_measure(CUBIC, "preimage", 4, c=1.0),
+    lambda: brolin_measure(CUBIC, "periodic", 4),
+    lambda: cylinder_point_measure(HORSESHOE, 3),
+    lambda: DiscreteMeasure.equal_weights(np.arange(7), 1),
+], ids=["mu_6", "mu_70", "preimage", "periodic", "cylinder", "equal_7"])
+def test_weight_array_is_the_exact_weight_rounded(build):
+    mu = build()
+    exact = [float(Fraction(c, mu.denominator)) for c in mu.counts.tolist()]
+    assert mu.weight_array.tolist() == exact
+    assert mu.total_mass() == Fraction(sum(mu.counts.tolist()),
+                                       mu.denominator)
 
 
 def test_weight_array_is_cached_and_read_only():
@@ -87,20 +98,27 @@ def test_weight_array_is_cached_and_read_only():
 
 
 def test_measure_csv_round_trip(tmp_path):
-    mu = unit_circle_measure(6)
-    path = tmp_path / "atoms.csv"
-    mu.save(path)
-    back = DiscreteMeasure.load(path)
-    assert np.array_equal(back.points, mu.points)
-    assert back.weights == mu.weights
-    assert back.complete and back.ambient_dim == 1
-    mu2 = DiscreteMeasure(np.array([[0.1 + 0j, 0.2 + 0j]]), (1.0,), 2,
-                          complete=False, provenance="pair")
-    p2 = tmp_path / "atoms2.csv"
-    mu2.save(p2)
-    back2 = DiscreteMeasure.load(p2)
-    assert back2.ambient_dim == 2 and back2.provenance == "pair"
-    assert np.array_equal(back2.points, mu2.points)
+    mus = [
+        unit_circle_measure(6),
+        # one atom of count 1 over 1: once reloaded as a float weight
+        DiscreteMeasure(np.array([0.25 - 0.0j]), [1], 1, 1),
+        DiscreteMeasure(np.array([[0.1 + 1e-300j, -0.0 + 0.2j],
+                                  [1 / 3 + 0j, 2.0 - 7j]]), [3, 1], 4, 2),
+        DiscreteMeasure(np.array([[0.1 + 0j, 0.2 + 0j]]), [5], 2 ** 70, 2,
+                        complete=False, provenance="pair"),
+    ]
+    for i, mu in enumerate(mus):
+        path = tmp_path / f"atoms{i}.csv"
+        mu.save(path)
+        back = DiscreteMeasure.load(path)
+        assert np.array_equal(back.points, mu.points)
+        assert np.array_equal(np.signbit(back.points.real),
+                              np.signbit(mu.points.real))
+        assert back.counts.tolist() == mu.counts.tolist()
+        assert back.denominator == mu.denominator
+        assert back.total_mass() == mu.total_mass()
+        assert (back.ambient_dim, back.complete, back.provenance) == \
+            (mu.ambient_dim, mu.complete, mu.provenance)
 
 
 def test_integrate_fixed_order():
@@ -137,8 +155,7 @@ def test_compare_detects_separation_and_self_zero():
     moved = compare(mu, shifted, bat)
     assert moved.discrepancy > 0.05
     assert not moved.advisory
-    partial = DiscreteMeasure(mu.points[:8], (Fraction(1, 16),) * 8, 1,
-                              complete=False)
+    partial = DiscreteMeasure(mu.points[:8], [1] * 8, 16, 1, complete=False)
     assert compare(mu, partial, bat).advisory
 
 
@@ -148,7 +165,7 @@ def test_compare_is_symmetric_bit_for_bit():
     bat = TestBattery(1, sigma=1.5)
     mus = [DiscreteMeasure.equal_weights(
         rng.normal(size=n) + 1j * rng.normal(size=n), 1) for n in (9, 16, 33)]
-    mus.append(DiscreteMeasure(mus[1].points[:8], (Fraction(1, 16),) * 8, 1,
+    mus.append(DiscreteMeasure(mus[1].points[:8], [1] * 8, 16, 1,
                                complete=False))
     for a in mus:
         for b in mus:
@@ -157,7 +174,7 @@ def test_compare_is_symmetric_bit_for_bit():
 
 def test_compare_dimension_mismatch():
     mu1 = unit_circle_measure(4)
-    mu2 = DiscreteMeasure(np.array([[0j, 0j]]), (Fraction(1),), 2)
+    mu2 = DiscreteMeasure(np.array([[0j, 0j]]), [1], 1, 2)
     bat = TestBattery(1, sigma=1.0)
     with pytest.raises(ContractError):
         compare(mu1, mu2, bat)

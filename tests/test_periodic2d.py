@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -546,25 +545,14 @@ def test_solve_stack_marks_singular_rows():
     assert np.all(np.isnan(x[1]))
 
 
-def test_mu_n_measure_shares_one_weight_per_orbit(horseshoe_levels):
-    lv = horseshoe_levels[6]
-    mu = mu_n_measure(lv)
-    # one Fraction per point, as the measure was once built
-    pts = [[p.x, p.y] for o in lv.orbits for p in o.points]
-    wts = [Fraction(o.multiplicity, 2 ** lv.n)
-           for o in lv.orbits for _ in o.points]
-    assert np.array_equal(mu.points, np.array(pts, dtype=complex))
-    assert mu.weights == tuple(wts)
-    first = 0
-    for o in lv.orbits:
-        shared = mu.weights[first:first + o.period]
-        assert all(w is shared[0] for w in shared)
-        first += o.period
-
-
 def test_mu_n_measure_mass_and_completeness(horseshoe_levels):
-    mu = mu_n_measure(horseshoe_levels[5])
-    assert mu.total_mass() == Fraction(1)
+    lv = horseshoe_levels[5]
+    mu = mu_n_measure(lv)
+    assert mu.total_mass() == 1 and mu.denominator == 2 ** 5
+    pts = [[p.x, p.y] for o in lv.orbits for p in o.points]
+    assert np.array_equal(mu.points, np.array(pts, dtype=complex))
+    assert mu.counts.tolist() == [o.multiplicity for o in lv.orbits
+                                  for _ in o.points]
     assert mu.complete
     assert len(mu) == 32
     assert mu.ambient_dim == 2
@@ -638,8 +626,8 @@ def test_unstable_disk_rejects_sinks():
 def test_cylinder_point_measure(horseshoe):
     cyl = cylinder_point_measure(horseshoe, 2)
     assert len(cyl) == 16
-    assert cyl.total_mass() == Fraction(1)
-    assert all(w == Fraction(1, 16) for w in cyl.weights)
+    assert cyl.total_mass() == 1
+    assert cyl.counts.tolist() == [1] * 16 and cyl.denominator == 16
     sup = np.maximum(np.abs(cyl.points[:, 0]), np.abs(cyl.points[:, 1]))
     assert float(sup.max()) < horseshoe.R
     with pytest.raises(ContractError):

@@ -36,6 +36,10 @@ def test_periodic_sequence_wraps():
     assert s.period == 3
     assert s.minimal_period() == 3
     assert PeriodicSequence(SymbolWord((0, 1, 0, 1))).minimal_period() == 2
+    # the anchor rotates the block and leaves its minimal period alone
+    for anchor in range(7):
+        rotated = PeriodicSequence(SymbolWord((0, 1, 1) * 2, anchor))
+        assert rotated.minimal_period() == 3
     w = s.unroll(-2, 2)
     assert w.bits == (1, 1, 0, 1)
     assert w.symbol(0) == s.symbol(0)
