@@ -22,9 +22,9 @@ from .measures import (ComparisonResult, DiscreteMeasure, TestBattery,
 from .periodic2d import (PeriodicLevel, PeriodicOrbit, RealityReport,
                          SaddleRatioTable, cylinder_point_measure,
                          fixed_points_closed_form, mu_n_measure,
-                         negative_fixed_point, periodic_points_2d,
-                         reality_conditions_report, reality_table,
-                         saddle_count_ratio, saddle_table,
+                         negative_fixed_point, periodic_levels,
+                         periodic_points_2d, reality_conditions_report,
+                         reality_table, saddle_count_ratio, saddle_table,
                          symbolic_orbit_seed, unstable_disk_sample)
 from .poly1d import (Poly, PreimageTree, brolin_measure, simultaneous_roots,
                      exceptional_check, julia_render_points,

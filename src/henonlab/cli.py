@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -31,7 +30,7 @@ from . import __version__
 from .dynamics import MapParams, is_horseshoe_regime
 from .errors import CapError, ContractError, HenonlabError
 from .measures import TestBattery, compare
-from .periodic2d import (mu_n_measure, periodic_points_2d, reality_table,
+from .periodic2d import (mu_n_measure, periodic_levels, reality_table,
                          saddle_table)
 from .poly1d import Poly, julia_render_points
 from .potential import green_minus_field, green_plus_field, green_poly_field
@@ -359,7 +358,8 @@ def cmd_render_green(cfg: JobConfig) -> int:
         "mode": mode,
         "min": float(finite.min()) if finite.size else 0.0,
         "max": vmax,
-        "zero_fraction": float(np.mean(values == 0.0)),
+        # an overflowed orbit's 0 is a placeholder, not a converged value
+        "zero_fraction": float(np.mean((values == 0.0) & converged)),
         "converged_fraction": float(np.mean(converged)),
         "presumed_bounded_fraction": float(np.mean(presumed)),
         "histogram": {"edges": [float(e) for e in edges],
@@ -413,8 +413,7 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
     m = _map_params(cfg.params)
     n_max = int(cfg.budgets["level_max"])
     budget = int(cfg.budgets["budget"])
-    levels = [periodic_points_2d(m, n, budget=budget)
-              for n in range(1, n_max + 1)]
+    levels = periodic_levels(m, range(1, n_max + 1), budget)
     out, tag = _out_dir(cfg)
     with open(out / f"periodic-{tag}-orbits.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -486,18 +485,19 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
     reality_n = int(cfg.budgets["reality_n_max"])
     budget = int(cfg.budgets["budget"])
     inconclusive = False
-
-    @functools.cache
-    def level_at(n: int):
-        # the word level is also a reality level when word_max <= reality_n
-        return periodic_points_2d(m, n, budget=budget)
-
-    if not is_horseshoe_regime(m):
+    horseshoe = is_horseshoe_regime(m)
+    real_params = m.a.imag == 0.0 and m.b.imag == 0.0
+    # the word level first, then each reality level not asked for yet
+    ns = [word_max] if horseshoe else []
+    if real_params:
+        ns += [n for n in range(1, reality_n + 1) if n not in ns]
+    level_at = dict(zip(ns, periodic_levels(m, ns, budget)))
+    if not horseshoe:
         entropy_doc = {"status": "skipped",
                        "reason": "itinerary coding needs parameters that "
                                  "pass the horseshoe test"}
     else:
-        level = level_at(word_max)
+        level = level_at[word_max]
         if not level.orbits:
             entropy_doc = {"status": "inconclusive",
                            "reason": "no orbits found"}
@@ -518,9 +518,8 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
                 "entropy_slope": est.slope,
                 "log_2": math.log(2.0),
             }
-    real_params = m.a.imag == 0.0 and m.b.imag == 0.0
     if real_params:
-        rep = reality_table(m, [level_at(n) for n in range(1, reality_n + 1)])
+        rep = reality_table(m, [level_at[n] for n in range(1, reality_n + 1)])
         reality_doc = {"verdict": rep.verdict, "all_real": rep.all_real,
                        "nonreal_periods": list(rep.nonreal_periods)}
         if rep.verdict == "inconclusive":

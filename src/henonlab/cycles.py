@@ -4,12 +4,17 @@ A cycle of (x, y) -> (p(x) - b y, x) is its x-sequence (y_j = x_{j-1}),
 closed by x_{j+1} + b x_{j-1} = p(x_j): p(x) = a - x^2 for the Henon map,
 b = 0 and p = f for a polynomial f.  The defect p(x_j) - b x_{j-1} - x_{j+1}
 has an n x n cyclic-tridiagonal Jacobian: p'(x_j) on the diagonal, -b and
--1 off it.  Damped Newton and continuation run over (k, n) stacks of cycles
-of one period, each row bit for bit as alone; callers supply p, p' (and
-dp/ds) as callables on stacks, and b.
+-1 off it.  `ClosureSystem` builds both for (k, n) stacks of cycles
+zero-padded to n slots.  Damped Newton runs over stacks of one period,
+continuation over stacks padded to the longest period; each row bit for
+bit as alone in the same stack width.  Callers supply p, p' (and the
+path parameter and dp/ds) as callables on stacks, and b.
 """
 
 from __future__ import annotations
+
+import copy
+import functools
 
 import numpy as np
 
@@ -37,24 +42,76 @@ def cyclic_neighbours(n: int):
     return (idx + 1) % n, (idx - 1) % n
 
 
-def closure_defect(X: np.ndarray, p, b) -> np.ndarray:
-    """p(x_j) - b x_{j-1} - x_{j+1} for cycles stacked on the last axis."""
-    nxt, prv = cyclic_neighbours(X.shape[-1])
-    return p(X) - b * X[..., prv] - X[..., nxt]
+class ClosureSystem:
+    """The closure systems of a (k, n) stack whose row i holds a cycle of
+    period periods[i] in its first periods[i] slots and zeros after them.
+    A padded slot has zero defect and an identity Jacobian row, so it
+    never moves.  Methods take p(x) or p'(x) on the whole stack; a system
+    of one row is every row of any stack."""
+
+    def __init__(self, periods, n: int, b):
+        d = np.asarray(periods)[:, None]
+        j = np.arange(n)
+        self.n, self.b = n, b
+        self.cyc = j < d
+        # each slot's next and previous slot in its own cycle; a padded
+        # slot points at itself
+        nxt = np.where(self.cyc, (j + 1) % d, j)
+        prv = np.where(self.cyc, (j - 1) % d, j)
+        self._index(nxt, prv)
+        # the Jacobian but for p'(x_j) on the diagonal: the cyclic entries
+        # are added, not assigned, so that at period 1 they land on the
+        # diagonal and at period 2 on one off-diagonal
+        T = np.zeros((len(d), n, n), dtype=complex)
+        I, J = np.nonzero(self.cyc)
+        T[I, J, prv[I, J]] += -b
+        T[I, J, nxt[I, J]] += -1.0
+        I, J = np.nonzero(~self.cyc)
+        T[I, J, J] = 1.0
+        self.template = T
+
+    def _index(self, nxt, prv) -> None:
+        # X[self.next_slot] holds each slot's next slot, X[self.prev_slot]
+        # its previous one
+        self.nxt, self.prv = nxt, prv
+        if len(nxt) == 1:
+            # column indices, which serve every row of a stack
+            self.next_slot = slice(None), nxt[0]
+            self.prev_slot = slice(None), prv[0]
+        else:
+            rows = np.arange(len(nxt))[:, None]
+            self.next_slot, self.prev_slot = (rows, nxt), (rows, prv)
+
+    def rows(self, at) -> ClosureSystem:
+        """The system of the stack's rows `at` (an index array)."""
+        sub = copy.copy(self)
+        sub.cyc, sub.template = self.cyc[at], self.template[at]
+        sub._index(self.nxt[at], self.prv[at])
+        return sub
+
+    def defect(self, X, P) -> np.ndarray:
+        """p(x_j) - b x_{j-1} - x_{j+1} on the cycle slots, P = p(X)."""
+        return self.mask(P - self.b * X[self.prev_slot] - X[self.next_slot])
+
+    def jacobian(self, D) -> np.ndarray:
+        """The Jacobians at p'(x_j) = D[:, j]."""
+        n = self.n
+        A = np.empty((len(D), n, n), dtype=complex)
+        A[...] = self.template
+        diagonal = A.reshape(len(A), n * n)[:, ::n + 1]
+        diagonal += self.mask(D)
+        return A
+
+    def mask(self, V) -> np.ndarray:
+        """V on the cycle slots, 0 on the padded ones."""
+        return np.where(self.cyc, V, 0.0)
 
 
-def cycle_jacobian(D: np.ndarray, b) -> np.ndarray:
-    """Closure Jacobians of cycles with p'(x_j) = D[..., j].  The cyclic
-    entries are added, not assigned: at period 1 they land on the diagonal,
-    at period 2 on one off-diagonal."""
-    n = D.shape[-1]
-    rows = np.arange(n)
-    nxt, prv = cyclic_neighbours(n)
-    A = np.zeros(D.shape + (n,), dtype=complex)
-    A[..., rows, rows] = D
-    A[..., rows, prv] += -b
-    A[..., rows, nxt] += -1.0
-    return A
+@functools.lru_cache(maxsize=64)
+def uniform_system(n: int, b) -> ClosureSystem:
+    """The one-row system of period n, for stacks of that period.  Cached:
+    a census runs Newton once per block, at a handful of (n, b)."""
+    return ClosureSystem([n], n, b)
 
 
 def solve_stack(A: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -78,6 +135,7 @@ def newton_cycles(X, p, dp, b) -> tuple[np.ndarray, np.ndarray]:
     block (`block_rows`); returns the stack and a mask of converged rows.
     """
     X = np.array(X, dtype=complex)
+    system = uniform_system(X.shape[1], b)
     ok = np.zeros(len(X), dtype=bool)
     live = np.all(np.isfinite(X), axis=1)
     with np.errstate(all="ignore"):
@@ -86,7 +144,7 @@ def newton_cycles(X, p, dp, b) -> tuple[np.ndarray, np.ndarray]:
             if idx.size == 0:
                 break
             Q = X[idx]
-            F = closure_defect(Q, p, b)
+            F = system.defect(Q, p(Q))
             n_f = np.max(np.abs(F), axis=1)
             scale = 1.0 + np.max(np.abs(Q), axis=1) ** 2
             done = n_f < 1e-12 * scale
@@ -95,7 +153,7 @@ def newton_cycles(X, p, dp, b) -> tuple[np.ndarray, np.ndarray]:
             idx, Q, F, n_f = idx[~done], Q[~done], F[~done], n_f[~done]
             if idx.size == 0:
                 break
-            delta = solve_stack(cycle_jacobian(dp(Q), b), F)
+            delta = solve_stack(system.jacobian(dp(Q)), F)
             good = np.all(np.isfinite(delta), axis=1)
             live[idx[~good]] = False
             idx, Q, delta, n_f = idx[good], Q[good], delta[good], n_f[good]
@@ -105,7 +163,7 @@ def newton_cycles(X, p, dp, b) -> tuple[np.ndarray, np.ndarray]:
                     break
                 R = Q - t * delta
                 acc = (np.all(np.isfinite(R), axis=1)
-                       & (np.max(np.abs(closure_defect(R, p, b)),
+                       & (np.max(np.abs(system.defect(R, p(R))),
                                  axis=1) < n_f))
                 X[idx[acc]] = R[acc]
                 idx, Q, delta = idx[~acc], Q[~acc], delta[~acc]
@@ -115,9 +173,14 @@ def newton_cycles(X, p, dp, b) -> tuple[np.ndarray, np.ndarray]:
     return X, ok
 
 
-def continue_cycles(X: np.ndarray, p, dp, dp_ds, b):
-    """Follow the (k, n) stack of cycles X of p(., 0) to p(., 1); p, dp and
-    dp_ds take a stack and the column (rows, 1) of its parameters s.
+def continue_cycles(X: np.ndarray, c, p, dp, dp_ds, b, periods=None):
+    """Follow the (k, n) stack of cycles X of p(., c(0)) to p(., c(1)).
+
+    c maps a column (rows, 1) of path parameters s to the family parameter
+    and is evaluated once per step; p and dp take a stack and that column,
+    dp_ds a stack and the column of s.  Row i may hold a cycle of period
+    periods[i] < n in its first slots, padded with zeros: the padded slots
+    have zero defect and identity Jacobian rows, so they never move.
 
     Each path has its own s and step h.  A step predicts along the tangent
     dX/ds (Euler), solved once per point reached and kept across rejected
@@ -126,9 +189,12 @@ def continue_cycles(X: np.ndarray, p, dp, dp_ds, b):
     the cycle moved less than STEP_MOVE * scale (scale = 1 + max|x|^2),
     doubling h up to STEP_MAX; a rejection halves h, and a path with h
     below STEP_MIN is lost.  Returns the ends (where lost paths stalled), a
-    mask of the paths that reached s = 1 and the number of step halvings.
+    mask of the paths that reached s = 1, and each path's step halvings and
+    accepted steps.  Takes at most one block (`block_rows`).
     """
-    k = len(X)
+    k, n = X.shape
+    system = ClosureSystem(np.full(k, n) if periods is None else periods,
+                           n, b)
     X = X.copy()
     s = np.zeros(k)
     h = np.full(k, STEP_MAX)
@@ -136,24 +202,27 @@ def continue_cycles(X: np.ndarray, p, dp, dp_ds, b):
     # J dX/ds = -dp/ds: the predictor subtracts (s_new - s) J^-1 dp/ds
     slope = np.empty_like(X)
     stale = np.ones(k, dtype=bool)
-    halvings = 0
+    halvings = np.zeros(k, dtype=np.int64)
+    accepted = np.zeros(k, dtype=np.int64)
     with np.errstate(all="ignore"):
         while live.any():
             idx = np.flatnonzero(live)
             new = idx[stale[idx]]
             if new.size:
                 S = s[new, None]
-                slope[new] = solve_stack(cycle_jacobian(dp(X[new], S), b),
-                                         dp_ds(X[new], S))
+                tangent = system.rows(new)
+                slope[new] = solve_stack(
+                    tangent.jacobian(dp(X[new], c(S))),
+                    tangent.mask(dp_ds(X[new], S)))
                 stale[new] = False
             s_new = np.minimum(s[idx] + h[idx], 1.0)
-            S = s_new[:, None]
+            C = c(s_new[:, None])
+            step = system.rows(idx)
             Q = X[idx] - (s_new - s[idx])[:, None] * slope[idx]
             for _ in range(CORRECTOR_ITERS):
-                F = closure_defect(Q, lambda Y: p(Y, S), b)
-                Q = Q - solve_stack(cycle_jacobian(dp(Q, S), b), F)
-            res = np.max(np.abs(closure_defect(Q, lambda Y: p(Y, S), b)),
-                         axis=1)
+                Q = Q - solve_stack(step.jacobian(dp(Q, C)),
+                                    step.defect(Q, p(Q, C)))
+            res = np.max(np.abs(step.defect(Q, p(Q, C))), axis=1)
             move = np.max(np.abs(Q - X[idx]), axis=1)
             scale = 1.0 + np.max(np.abs(Q), axis=1) ** 2
             ok = (res < STEP_RESIDUAL * scale) & (move < STEP_MOVE * scale)
@@ -163,7 +232,8 @@ def continue_cycles(X: np.ndarray, p, dp, dp_ds, b):
             stale[acc] = True
             h[acc] = np.minimum(2.0 * h[acc], STEP_MAX)
             h[rej] *= 0.5
-            halvings += rej.size
+            accepted[acc] += 1
+            halvings[rej] += 1
             live[acc[s[acc] >= 1.0]] = False
             live[rej[h[rej] < STEP_MIN]] = False
-    return X, s >= 1.0, halvings
+    return X, s >= 1.0, halvings, accepted

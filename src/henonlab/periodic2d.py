@@ -7,10 +7,11 @@ periodic points share.  Fixed points come in closed form.  When the
 parameters pass the horseshoe test, every other cycle comes from one
 shadowing seed per binary necklace (alternating square-root branches along
 the itinerary), a level in one stacked sweep and one stacked Newton.
-Elsewhere the horseshoe level at (a0, b) is continued to (a, b) along a
+Elsewhere the horseshoe levels at (a0, b) are continued to (a, b) along a
 complex detour in a ("gamma trick" homotopy of Sommese-Wampler, The
-Numerical Solution of Systems of Polynomials, 2005); a lost path leaves the
-level incomplete.  Orbits are assembled in the same stacks (residuals,
+Numerical Solution of Systems of Polynomials, 2005), each start cycle once
+per set of levels; a path lost on both detours leaves its levels
+incomplete.  Orbits are assembled in the same stacks (residuals,
 monodromy matrices, eigenvalues, y_j), deduplicate by cyclic alignment of
 x, and aggregate into measures, saddle tables and reality reports.
 """
@@ -236,7 +237,8 @@ class _CycleIndex:
         c = _dedup_cell(z)
         return [self._cells.get((d, k), ()) for k in (c - 1, c, c + 1)]
 
-    def has(self, cycle) -> bool:
+    def match(self, cycle):
+        """The first kept cycle matching `cycle`, or None."""
         d = len(cycle)
         near = self._around(d, cycle[0].x)
         crowd = sum(map(len, near))
@@ -246,8 +248,11 @@ class _CycleIndex:
                 size = sum(map(len, other))
                 if size < crowd:
                     near, crowd = other, size
-        return any(_same_cycle(cycle, kept)
-                   for bucket in near for kept in bucket)
+        return next((kept for bucket in near for kept in bucket
+                     if _same_cycle(cycle, kept)), None)
+
+    def has(self, cycle) -> bool:
+        return self.match(cycle) is not None
 
 
 @dataclass(frozen=True)
@@ -255,8 +260,10 @@ class PeriodicLevel:
     """All solutions of f^n(p) = p found for one n, grouped into cycles.
 
     attempts counts itinerary seeds in the horseshoe regime and continuation
-    paths elsewhere; paths_lost and step_halvings are continuation counters
-    and stay 0 on the itinerary path.
+    paths elsewhere.  The continuation counters stay 0 on the itinerary
+    path; each sums over the level's own paths: paths_lost (lost on both
+    detours), step_halvings and steps_accepted (both detours), and
+    paths_retried (lost on the first detour).
     """
 
     n: int
@@ -266,6 +273,8 @@ class PeriodicLevel:
     attempts: int
     paths_lost: int = 0
     step_halvings: int = 0
+    paths_retried: int = 0
+    steps_accepted: int = 0
 
     @property
     def minimal_orbits(self) -> tuple:
@@ -322,11 +331,10 @@ class _Census:
         if orb is not None and not self.kept.has(orb.points):
             self._keep(orb)
 
-    def level(self, attempts: int, paths_lost: int = 0,
-              step_halvings: int = 0) -> PeriodicLevel:
+    def level(self, attempts: int, **counters: int) -> PeriodicLevel:
+        """The level, with PeriodicLevel's continuation counters by name."""
         return PeriodicLevel(self.n, tuple(self.orbits), self.count,
-                             self.complete, attempts, paths_lost,
-                             step_halvings)
+                             self.complete, attempts, **counters)
 
 
 def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
@@ -354,11 +362,13 @@ def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
 
 
 # Continuation from a horseshoe start (a0, b) to the target (a1, b) along
-# a(s) = a0 + (a1 - a0) s + DETOUR sin(pi s).  The detour leaves the real
+# a(s) = a0 + (a1 - a0) s + i kappa sin(pi s).  The detour leaves the real
 # line, where periodic orbits collide at bifurcations, for the complex
-# plane, where a path meets such a collision only by accident.
+# plane, where a path meets such a collision only by accident.  A path lost
+# on the first detour is rerun from its start on the second; not on the
+# conjugate detour, which at real parameters loses the same paths.
 START_A = 10.0
-DETOUR = 2j
+DETOURS = (2j, 1j)
 
 
 def _start_parameter(b: complex) -> float:
@@ -372,41 +382,109 @@ def _start_parameter(b: complex) -> float:
     return a0
 
 
-def _continued_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
-    """Level n off the horseshoe: the start level's cycles of period >= 2,
-    continued to m a period and block at a time, polished, assembled and
-    admitted in start order.  Fixed points come in closed form."""
+def _detour(a0: float, m: MapParams, kappa: complex) -> tuple:
+    """(a(s), p, p', dp/ds) of the continuation from (a0, b) to m."""
+    def a(s):
+        # sin(pi) is not 0 in floating point: pin the end to m.a exactly
+        return np.where(s < 1.0,
+                        a0 + (m.a - a0) * s + kappa * np.sin(np.pi * s), m.a)
+
+    return (a,
+            lambda X, A: -X * X + A,
+            lambda X, A: -2.0 * X,
+            lambda X, s: np.broadcast_to(
+                (m.a - a0) + kappa * np.pi * np.cos(np.pi * s), X.shape))
+
+
+def _continue_paths(m: MapParams, a0: float, X0: np.ndarray,
+                    periods: np.ndarray, kappa: complex):
+    """`continue_cycles` on the zero-padded (k, N) stack X0 along one
+    detour, a block of `block_rows(N)` rows at a time."""
+    step = block_rows(X0.shape[1])
+    # an empty stack runs as one empty block
+    runs = [continue_cycles(X0[lo:lo + step], *_detour(a0, m, kappa), m.b,
+                            periods[lo:lo + step])
+            for lo in range(0, len(X0) or 1, step)]
+    return tuple(np.concatenate(parts) for parts in zip(*runs))
+
+
+def _continued_levels(m: MapParams, ns, budget: int) -> list:
+    """Levels ns off the horseshoe.  The start levels' cycles of period
+    >= 2, each kept once across levels, are continued to m in one padded
+    stack (rerunning lost rows on the second detour), polished and
+    assembled a period at a time, and admitted into each level in the order
+    of its own start level.  Fixed points come in closed form."""
     a0 = _start_parameter(m.b)
-    start = _itinerary_level(MapParams(a0, m.b), n, budget)
-    # sin(pi) is not 0 in floating point: pin the end to m.a exactly
-    detour = (lambda X, s: -X * X + np.where(
-                  s < 1.0, a0 + (m.a - a0) * s + DETOUR * np.sin(np.pi * s),
-                  m.a),
-              lambda X, s: -2.0 * X,
-              lambda X, s: np.broadcast_to(
-                  (m.a - a0) + DETOUR * np.pi * np.cos(np.pi * s), X.shape))
-    # one path per start cycle; each came from one of at most `budget` seeds
-    paths = [o for o in start.orbits if o.period > 1]
+    start = MapParams(a0, m.b)
+    index = _CycleIndex()
+    path_of = {}
+    starts = []
+    level_paths = []
+    for n in ns:
+        ids = []
+        for o in _itinerary_level(start, n, budget).orbits:
+            if o.period == 1:
+                continue
+            kept = index.match(o.points)
+            if kept is None:
+                kept = o.points
+                index.add(kept)
+                path_of[kept] = len(starts)
+                starts.append([q.x for q in kept])
+            ids.append(path_of[kept])
+        level_paths.append(ids)
+    periods = np.array([len(x) for x in starts], dtype=np.int64)
+    X0 = np.zeros((len(starts), max(periods, default=1)), dtype=complex)
+    for i, x in enumerate(starts):
+        X0[i, :len(x)] = x
+    X, reached, halvings, accepted = _continue_paths(m, a0, X0, periods,
+                                                     DETOURS[0])
+    retried = ~reached
+    if retried.any():
+        again = _continue_paths(m, a0, X0[retried], periods[retried],
+                                DETOURS[1])
+        X[retried], reached[retried] = again[:2]
+        halvings[retried] += again[2]
+        accepted[retried] += again[3]
     ends = {}
-    lost = halvings = 0
-    for d in sorted({o.period for o in paths}):
-        group = [i for i, o in enumerate(paths) if o.period == d]
+    for d in sorted(set(periods.tolist())):
+        rows = np.flatnonzero(reached & (periods == d))
+        Q = np.empty((len(rows), d), dtype=complex)
+        ok = np.empty(len(rows), dtype=bool)
         step = block_rows(d)
-        for lo in range(0, len(group), step):
-            block = group[lo:lo + step]
-            X0 = np.array([[q.x for q in paths[i].points] for i in block],
-                          dtype=complex)
-            X, reached, block_halvings = continue_cycles(X0, *detour, m.b)
-            halvings += block_halvings
-            lost += int(np.count_nonzero(~reached))
-            Q, ok = _newton_cycles(m, X[reached])
-            Q = Q[ok]
-            ends.update(zip(np.asarray(block)[reached][ok].tolist(),
-                            zip(Q, _assemble(m, Q))))
-    census = _Census(m, n)
-    for i in sorted(ends):
-        census.try_cycle(*ends[i])
-    return census.level(len(paths), lost, halvings)
+        for lo in range(0, len(rows), step):
+            Q[lo:lo + step], ok[lo:lo + step] = _newton_cycles(
+                m, X[rows[lo:lo + step], :d])
+        Q = Q[ok]
+        ends.update(zip(rows[ok].tolist(), zip(Q, _assemble(m, Q))))
+    levels = []
+    for n, ids in zip(ns, level_paths):
+        census = _Census(m, n)
+        for i in ids:
+            if i in ends:
+                census.try_cycle(*ends[i])
+        levels.append(census.level(
+            len(ids), paths_lost=int(np.count_nonzero(~reached[ids])),
+            step_halvings=int(halvings[ids].sum()),
+            paths_retried=int(np.count_nonzero(retried[ids])),
+            steps_accepted=int(accepted[ids].sum())))
+    return levels
+
+
+def periodic_levels(m: MapParams, ns, budget: int = 2048) -> list:
+    """`periodic_points_2d(m, n, budget)` for each n in ns, in order, built
+    together: in the horseshoe regime level by level, elsewhere with each
+    start cycle continued once for all levels."""
+    ns = list(ns)
+    if is_horseshoe_regime(m):
+        # looked up in this module at call time, so that a wrapper bound
+        # here sees every level; each call checks its own arguments
+        return [periodic_points_2d(m, n, budget=budget) for n in ns]
+    if any(n < 1 for n in ns):
+        raise ContractError("n must be >= 1")
+    if budget < 1:
+        raise ContractError("budget must be >= 1")
+    return _continued_levels(m, ns, budget) if ns else []
 
 
 def periodic_points_2d(m: MapParams, n: int,
@@ -425,7 +503,7 @@ def periodic_points_2d(m: MapParams, n: int,
         raise ContractError("budget must be >= 1")
     if is_horseshoe_regime(m):
         return _itinerary_level(m, n, budget)
-    return _continued_level(m, n, budget)
+    return _continued_levels(m, [n], budget)[0]
 
 
 def mu_n_measure(level: PeriodicLevel) -> DiscreteMeasure:
@@ -479,8 +557,7 @@ def saddle_count_ratio(m: MapParams, n_max: int,
     """Enumerate levels 1..n_max and tabulate saddle counts and ratios."""
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
-    levels = [periodic_points_2d(m, n, budget=budget)
-              for n in range(1, n_max + 1)]
+    levels = periodic_levels(m, range(1, n_max + 1), budget)
     return saddle_table(levels)
 
 
@@ -569,8 +646,7 @@ def reality_conditions_report(m: MapParams, n_max: int,
         raise ContractError("reality report needs real parameters")
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
-    levels = [periodic_points_2d(m, n, budget=budget)
-              for n in range(1, n_max + 1)]
+    levels = periodic_levels(m, range(1, n_max + 1), budget)
     return reality_table(m, levels)
 
 

@@ -348,15 +348,16 @@ def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
         # sin(pi) is not 0 in floating point: pin the end to t = 1 exactly
         return np.where(s < 1.0, s + 1j * KAPPA * np.sin(np.pi * s), 1.0)
 
-    paths = (lambda X, s: X ** d + t(s) * npp.polyval(X, low),
-             lambda X, s: d * X ** (d - 1) + t(s) * npp.polyval(X, dlow),
+    paths = (t,
+             lambda X, T: X ** d + T * npp.polyval(X, low),
+             lambda X, T: d * X ** (d - 1) + T * npp.polyval(X, dlow),
              lambda X, s: ((1.0 + 1j * KAPPA * np.pi * np.cos(np.pi * s))
                            * npp.polyval(X, low)))
     ends = []
     for m, X0 in _start_cycles(d, n).items():
         step = block_rows(m)
         for lo in range(0, len(X0), step):
-            X, _, _ = continue_cycles(X0[lo:lo + step], *paths, 0.0)
+            X, _, _, _ = continue_cycles(X0[lo:lo + step], *paths, 0.0)
             X, ok = newton_cycles(X, f, f.eval_deriv, 0.0)
             ends.append(X[ok].ravel())
     reps, counts = _cluster(np.concatenate(ends), CLUSTER_TOL)

@@ -189,6 +189,21 @@ def test_render_green_unresolved_pixels_exit_3(tmp_path, capsys, doc,
     assert len(list(out.glob("green-*.pgm"))) == 1
 
 
+def test_render_green_overflowed_pixels_are_not_zeros(tmp_path):
+    # every orbit overflows: the 0 written for it is a placeholder, so no
+    # pixel counts toward zero_fraction
+    cfg_path = write_cfg(tmp_path, dict(TINY_RENDER,
+                                        params={"a": 1e300, "b": 1e300}))
+    out = tmp_path / "out"
+    assert main(["render-green", "--config", str(cfg_path),
+                 "--out", str(out)]) == 3
+    stats, = out.glob("green-*-stats.json")
+    doc = json.loads(stats.read_text())
+    assert doc["converged_fraction"] == 0.0
+    assert doc["presumed_bounded_fraction"] == 0.0
+    assert doc["zero_fraction"] == 0.0
+
+
 @pytest.mark.parametrize("doc", [
     {"budgets": {"n_max": True}},
     {"tolerances": {"tol": True}},
@@ -542,9 +557,9 @@ def _periodic_report(tmp_path, doc, name, threads=1):
       "a60af744d8133ee5c473237fc55e8e79074fbc9257c0e3debc4471c3740dd7a8"}),
     ({"params": OFF_HORSESHOE, "budgets": {"level_max": 5}},
      {"periodic-6f93f776d71b-orbits.csv":
-      "f322f1258a413f9a747895254ec9431575a944e6ec69b42dc39604f9304866e3",
+      "13b2abbe211248729848bab52b1025a2ca14ec19bfdcc0755f7cf7b2602899cc",
       "periodic-6f93f776d71b-report.json":
-      "a44cbc352612da3d64584cf78b78b38b1421f2a65c9b2307ff188c8ceac28843",
+      "6116e6b06d9357a54d49ec1571cf15d6a5d7793598941948b94e41c668b95842",
       "periodic-6f93f776d71b-saddles.csv":
       "b0ba10f40251287015a4edc1147150fd88c60865bfae48f465814f214862c8ce"}),
 ], ids=["horseshoe", "continued"])
@@ -649,6 +664,25 @@ def test_entropy_report_run(tmp_path):
     assert len(reports) == 1
     doc = json.loads(reports[0].read_text())
     assert doc["reality"]["verdict"] == "log 2"
+
+
+@pytest.mark.parametrize("word_max, reality_n_max", [(3, 3), (4, 4),
+                                                      (3, 4)])
+def test_entropy_report_off_horseshoe_reality_levels(tmp_path, word_max,
+                                                     reality_n_max):
+    # real parameters that fail the horseshoe test: the entropy is skipped,
+    # and the reality table still needs every level, word_max included
+    cfg_path = write_cfg(tmp_path, {
+        "command": "entropy-report", "params": {"a": 1.4, "b": 0.3},
+        "budgets": {"word_max": word_max, "reality_n_max": reality_n_max}})
+    rc = main(["entropy-report", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc in (0, 3)
+    report, = (tmp_path / "out").glob("entropy-*.json")
+    doc = json.loads(report.read_text())
+    assert doc["entropy"]["status"] == "skipped"
+    assert doc["reality"]["verdict"] in ("log 2", "inconclusive",
+                                         "entropy < log 2 expected")
 
 
 def test_validate_subset_run(tmp_path):

@@ -14,9 +14,9 @@ def test_continuation_solves_one_tangent_per_point_reached(monkeypatch):
     X0 = np.array([[p.x for p in o.points] for o in start.orbits
                    if o.period == 7])
 
-    def p(X, s):
-        a = np.where(s < 1.0, a0 + (a1 - a0) * s + 2j * np.sin(np.pi * s), a1)
-        return -X * X + a
+    def a(s):
+        return np.where(s < 1.0, a0 + (a1 - a0) * s + 2j * np.sin(np.pi * s),
+                        a1)
 
     tangent_rows, solved_rows = [], []
 
@@ -32,19 +32,19 @@ def test_continuation_solves_one_tangent_per_point_reached(monkeypatch):
         return solve(A, F)
 
     monkeypatch.setattr(cycles, "solve_stack", counting)
-    X, reached, halvings = cycles.continue_cycles(
-        X0, p, lambda X, s: -2.0 * X, dp_ds, b)
+    X, reached, halvings, accepted = cycles.continue_cycles(
+        X0, a, lambda X, A: -X * X + A, lambda X, A: -2.0 * X, dp_ds, b)
     k = len(X0)
     corrector = sum(solved_rows) - sum(tangent_rows)
     assert corrector % cycles.CORRECTOR_ITERS == 0
     # every step tried, accepted or not, runs the corrector once per path
-    accepted = corrector // cycles.CORRECTOR_ITERS - halvings
-    assert reached.all() and halvings > 0 and accepted >= k
+    assert corrector // cycles.CORRECTOR_ITERS == (halvings + accepted).sum()
+    assert reached.all() and halvings.sum() > 0 and np.all(accepted >= 1)
     # one tangent at each start and at each point reached short of s = 1;
     # a solve per step tried would make `halvings` more
-    assert sum(tangent_rows) == k + accepted - int(reached.sum())
+    assert sum(tangent_rows) == k + accepted.sum() - int(reached.sum())
     # the ends close the target system
-    res = np.max(np.abs(cycles.closure_defect(X, lambda x: -x * x + a1, b)),
-                 axis=1)
+    system = cycles.ClosureSystem(np.full(k, X.shape[1]), X.shape[1], b)
+    res = np.max(np.abs(system.defect(X, -X * X + a1)), axis=1)
     scale = 1.0 + np.max(np.abs(X), axis=1) ** 2
     assert np.all(res < cycles.STEP_RESIDUAL * scale)

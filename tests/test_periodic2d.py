@@ -8,7 +8,7 @@ import pytest
 
 import henonlab.cycles as cycles
 import henonlab.periodic2d as periodic2d
-from henonlab.cycles import closure_defect, cyclic_neighbours, solve_stack
+from henonlab.cycles import ClosureSystem, cyclic_neighbours, solve_stack
 from henonlab.dynamics import (MapParams, PointC2, derivative_along_orbit,
                                henon_apply, is_horseshoe_regime)
 from henonlab.errors import ContractError
@@ -17,10 +17,10 @@ from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _dedup_cell,
                                  _newton_cycles, _same_cycle,
                                  _start_parameter, cylinder_point_measure,
                                  fixed_points_closed_form, mu_n_measure,
-                                 negative_fixed_point, periodic_points_2d,
-                                 reality_conditions_report, reality_table,
-                                 saddle_count_ratio, symbolic_orbit_seed,
-                                 unstable_disk_sample)
+                                 negative_fixed_point, periodic_levels,
+                                 periodic_points_2d, reality_conditions_report,
+                                 reality_table, saddle_count_ratio,
+                                 symbolic_orbit_seed, unstable_disk_sample)
 from henonlab.symbolic import necklaces
 
 HALTON_REF = (Path(__file__).resolve().parents[1]
@@ -292,9 +292,9 @@ def test_x_only_newton_step_matches_interleaved_system(n):
                   axis=-1).reshape(5, 2 * n)
     full = np.linalg.solve(ref_interleaved_jacobian(X, m.b),
                            F2[..., None])[..., 0].reshape(5, n, 2)
-    reduced = solve_stack(
-        cycles.cycle_jacobian(-2.0 * X, m.b),
-        closure_defect(X, lambda x: -x * x + m.a, m.b))
+    system = ClosureSystem(np.full(5, n), n, m.b)
+    reduced = solve_stack(system.jacobian(-2.0 * X),
+                          system.defect(X, -X * X + m.a))
     assert np.allclose(full[..., 0], reduced, rtol=1e-12, atol=1e-12)
     assert np.allclose(full[..., 1], reduced[:, prv], rtol=1e-12,
                        atol=1e-12)
@@ -413,8 +413,8 @@ def test_stacked_newton_rows_match_lone_runs(horseshoe):
     # search at every one of the 20 halvings
     m = MapParams(10.0, 0.5)
     near = -0.75 + 2.0 ** -52
-    A = cycles.cycle_jacobian(-2.0 * np.array([[-0.75 + 0j], [near + 0j]]),
-                              m.b)
+    A = ClosureSystem([1, 1], 1, m.b).jacobian(
+        -2.0 * np.array([[-0.75 + 0j], [near + 0j]]))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(A[0], np.ones(1))
     assert np.all(np.isfinite(np.linalg.solve(A[1], np.ones(1))))
@@ -457,6 +457,15 @@ def test_enumeration_rejects_bad_inputs(horseshoe):
         periodic_points_2d(horseshoe, 0)
     with pytest.raises(ContractError):
         periodic_points_2d(horseshoe, 3, budget=0)
+    # off the horseshoe, both entries check before any continuation
+    off = MapParams(1.4, 0.3)
+    for call in (lambda: periodic_points_2d(off, 0),
+                 lambda: periodic_points_2d(off, 3, budget=0),
+                 lambda: periodic_levels(off, [2, 0]),
+                 lambda: periodic_levels(off, [2], budget=0),
+                 lambda: periodic_levels(horseshoe, [2, 0])):
+        with pytest.raises(ContractError):
+            call()
 
 
 def test_incomplete_census_is_flagged():
@@ -517,6 +526,90 @@ def test_path_blocks_do_not_change_orbits(monkeypatch):
     # at most two period-6 paths, 6^2 = 36 entries each, per block
     monkeypatch.setattr(cycles, "PATHS_BLOCK_ELEMS", 75)
     assert periodic_points_2d(m, 6) == whole
+
+
+@pytest.mark.parametrize("a, b, top", [(1.4, 0.3, 7),
+                                       (1.2 + 0.5j, 0.3 - 0.1j, 6)])
+def test_levels_built_together_match_lone_levels(a, b, top):
+    # a cycle shared by several start levels is continued once, from the
+    # lowest level's copy: the same census, up to rounding, and each level
+    # still counts the steps of all its own paths
+    m = MapParams(a, b)
+    together = periodic_levels(m, range(1, top + 1))
+    assert [lv.n for lv in together] == list(range(1, top + 1))
+    for lv in together:
+        lone = periodic_points_2d(m, lv.n)
+        for f in ("fixed_point_count", "complete", "attempts", "paths_lost",
+                  "paths_retried", "step_halvings", "steps_accepted"):
+            assert getattr(lv, f) == getattr(lone, f)
+        assert [o.period for o in lv.orbits] == \
+            [o.period for o in lone.orbits]
+        for o, ref in zip(lv.orbits, lone.orbits):
+            x = np.array([q.x for q in o.points])
+            y = np.array([q.x for q in ref.points])
+            assert np.max(np.abs(x - y)) <= 1e-10 * (
+                1.0 + np.max(np.abs(x)) ** 2)
+
+
+def test_levels_continue_each_cycle_once(monkeypatch):
+    # levels 1-7 at (1.4, 0.3) start from 43 cycles of period >= 2, 39 of
+    # them distinct: one call, one row each, on the first detour
+    calls = []
+    run = periodic2d.continue_cycles
+
+    def counting(X, a, *args):
+        calls.append((len(X), complex(a(np.array([[0.5]]))[0, 0]).imag))
+        return run(X, a, *args)
+
+    monkeypatch.setattr(periodic2d, "continue_cycles", counting)
+    levels = periodic_levels(MapParams(1.4, 0.3), range(1, 8))
+    assert all(lv.complete for lv in levels)
+    assert sum(lv.attempts for lv in levels) == 43
+    assert calls == [(39, periodic2d.DETOURS[0].imag)]
+
+
+def test_padded_rows_match_unpadded_runs():
+    # cycles of periods 3, 5 and 7 continued in one stack padded to 7 end
+    # where each period's own stack takes them, with the same step counts
+    b = 0.3
+    a0 = _start_parameter(b)
+    m = MapParams(1.4, b)
+    groups = [np.array([[q.x for q in o.points] for o in periodic_points_2d(
+        MapParams(a0, b), n).orbits if o.period == n][:4]) for n in (3, 5, 7)]
+    periods = np.repeat([3, 5, 7], [len(g) for g in groups])
+    X0 = np.zeros((len(periods), 7), dtype=complex)
+    for i, x in enumerate(row for g in groups for row in g):
+        X0[i, :len(x)] = x
+    detour = periodic2d._detour(a0, m, periodic2d.DETOURS[0])
+    X, reached, halvings, accepted = cycles.continue_cycles(
+        X0, *detour, b, periods)
+    # padded slots never move
+    assert np.all(X[np.arange(7) >= periods[:, None]] == 0.0)
+    lo = 0
+    for g in groups:
+        d = g.shape[1]
+        Y, r, h, acc = cycles.continue_cycles(g, *detour, b)
+        rows = slice(lo, lo + len(g))
+        scale = 1.0 + np.max(np.abs(Y), axis=1) ** 2
+        assert np.all(np.max(np.abs(X[rows, :d] - Y), axis=1)
+                      <= 1e-12 * scale)
+        assert r.all() and np.array_equal(reached[rows], r)
+        assert np.array_equal(halvings[rows], h)
+        assert np.array_equal(accepted[rows], acc)
+        lo += len(g)
+
+
+def test_lost_paths_are_retried_on_the_second_detour():
+    # near this branch point both the 2i detour and its conjugate lose
+    # two period-8 paths; the 1i detour loses none
+    lv = periodic_points_2d(MapParams(0.02431, -0.44608), 8)
+    assert lv.complete and lv.fixed_point_count == 256
+    assert lv.paths_lost == 0 and lv.paths_retried == 2
+    assert lv.attempts == 34 and lv.steps_accepted > 0
+    # at (3, 1) the cycles really collide: the retry loses the path too
+    lv = periodic_points_2d(MapParams(3.0, 1.0), 2)
+    assert lv.paths_retried == 1 and lv.paths_lost == 1
+    assert not lv.complete
 
 
 def test_lost_path_leaves_level_incomplete():

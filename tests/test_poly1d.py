@@ -281,8 +281,8 @@ def test_ends_that_meet_at_a_simple_cycle_are_lost(monkeypatch):
     continue_cycles = poly1d.continue_cycles
 
     def jumping(X, *args):
-        X, reached, halvings = continue_cycles(X, *args)
-        return np.repeat(X[:1], len(X), axis=0), reached, halvings
+        X, *counters = continue_cycles(X, *args)
+        return (np.repeat(X[:1], len(X), axis=0), *counters)
 
     monkeypatch.setattr(poly1d, "continue_cycles", jumping)
     reps, mult = periodic_points_1d(BASILICA, 4)
