@@ -297,9 +297,12 @@ def _render_tiles(eval_field, center: complex, width: float, height: float,
     Tiles are independent pure evaluations written into preallocated
     slots in a fixed order.  The escape-rate loop works on live points
     only, so the tile size sets just how often its per-step Python
-    overhead is paid: on 512x512 rasters 128 measured faster than 64 on
-    the basilica and faster than 256 on `plus`, and whole-raster calls
-    would hold several raster-sized transient arrays at once.  Tiles run
+    overhead is paid.  On the 512x512 `plus` and basilica rasters
+    (medians of 11 interleaved runs on a 2-core machine) 128 took 0.095
+    and 0.113 s, 64 took 0.101 and 0.131 s, and 256 0.137 and 0.121 s;
+    whole-raster calls would hold several raster-sized transient arrays
+    at once.  A start point past the float range reaches eval_field as
+    inf or NaN without a numpy warning, for eval_field to refuse.  Tiles run
     one after another: a thread pool over the tiles measured slower than
     this loop (a 512x512 `plus` raster took 0.86 s on two threads against
     0.47 s on one), so `--threads` is validated but changes nothing.
@@ -310,15 +313,30 @@ def _render_tiles(eval_field, center: complex, width: float, height: float,
     for i0 in range(0, ny, TILE):
         for j0 in range(0, nx, TILE):
             i1, j1 = min(i0 + TILE, ny), min(j0 + TILE, nx)
-            ii, jj = np.mgrid[i0:i1, j0:j1]
-            t = (center
-                 + width * ((jj + 0.5) / nx - 0.5)
-                 + 1j * height * ((ii + 0.5) / ny - 0.5))
+            # one row of columns and one column of rows, summed by
+            # broadcasting: the bits of the full-grid expression
+            jj = np.arange(j0, j1)[None, :]
+            ii = np.arange(i0, i1)[:, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = (center
+                     + width * ((jj + 0.5) / nx - 0.5)
+                     + 1j * height * ((ii + 0.5) / ny - 0.5))
             gf = eval_field(t)
             values[i0:i1, j0:j1] = gf.values
             converged[i0:i1, j0:j1] = gf.converged
             presumed[i0:i1, j0:j1] = gf.presumed_bounded
     return values, converged, presumed
+
+
+def _start_points(t, base, direction) -> list:
+    """The slice coordinates base + t * direction at the pixels t; a start
+    point that overflows is a bad config, not a pixel to iterate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = [b + t * d for b, d in zip(base, direction)]
+    if not all(np.isfinite(c).all() for c in coords):
+        raise ContractError("slice start points base + t * direction "
+                            "overflow inside the window")
+    return coords
 
 
 def cmd_render_green(cfg: JobConfig) -> int:
@@ -335,7 +353,8 @@ def cmd_render_green(cfg: JobConfig) -> int:
         direction, = _slice_points(cfg.slice, "direction", 1)
 
         def eval_field(t):
-            return green_poly_field(base + t * direction, f, tol, n_max)
+            return green_poly_field(*_start_points(t, [base], [direction]),
+                                    f, tol, n_max)
     else:
         m = _map_params(cfg.params)
         base = _slice_points(cfg.slice, "base", 2)
@@ -343,8 +362,7 @@ def cmd_render_green(cfg: JobConfig) -> int:
         field = green_plus_field if mode == "plus" else green_minus_field
 
         def eval_field(t):
-            return field(base[0] + t * direction[0],
-                         base[1] + t * direction[1], m, tol, n_max)
+            return field(*_start_points(t, base, direction), m, tol, n_max)
     values, converged, presumed = _render_tiles(
         eval_field, center, width, height, nx, ny)
     gray = grayscale_log(values)
@@ -466,7 +484,9 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
                     "minimal_orbit_count": len(lv.minimal_orbits),
                     "attempts": lv.attempts,
                     "paths_lost": lv.paths_lost,
-                    "step_halvings": lv.step_halvings}
+                    "step_halvings": lv.step_halvings,
+                    "steps_accepted": lv.steps_accepted,
+                    "paths_retried": lv.paths_retried}
                    for lv in levels],
         "saddle_table": [{"n": r.n, "saddle_count": r.saddle_count,
                           "ratio": r.ratio, "complete": r.complete}

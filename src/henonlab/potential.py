@@ -4,9 +4,10 @@ The escape-rate estimators run one loop over arrays of start points,
 compacted to the points still iterating: iterate until the orbit enters a
 region of strict quadratic growth, read off log-norm over d^n, and
 certify the answer with an a-posteriori geometric tail bound.  Orbits
-that never reach the growth region within the budget are reported as
-presumed bounded, value 0; no exact membership claim is made.  The
-scalar estimators are the field kernels evaluated at one point.
+that never reach the growth region within the budget, or that repeat a
+float state exactly before it, are reported as presumed bounded, value
+0; no exact membership claim is made.  The scalar estimators are the
+field kernels evaluated at one point.
 
 The plane-measure side discretizes the Laplacian with the five-point
 stencil; cell mass is stencil-sum over 2*pi (the h^2 of the stencil and
@@ -78,24 +79,33 @@ class GreenField(NamedTuple):
     n_used: np.ndarray
 
 
-def _escape_rate(coords, shape, lead, tail, advance, tol: float,
+def _escape_rate(coords, shape, lead, bound, value, advance, tol: float,
                  n_max: int, safe_norm: float = SAFE_NORM) -> GreenField:
     """The one escape-rate loop, run on the live points only.
 
     The loop keeps live, the flat indices of the points still iterating,
     and cur, their coordinates compacted in the same order.  Per step n,
     lead(*cur) gives the escaping magnitude, the max-norm and the escape
-    test of every live point; tail(magnitude, n) gives value and tail bound
-    of the escaped ones, which retire once the bound is below tol, the
-    magnitude is past safe_norm, or the budget is spent.  A point whose
-    norm passes safe_norm without the escape test firing retires with
-    bound inf, neither converged nor presumed bounded; points still live
-    at n_max are presumed bounded.  Retiring points are scattered through
-    live into the full-size results, and live and cur shrink by one keep
-    mask on the steps where some point retired.  advance(*cur) is pure: it
-    returns the coordinates of the live points one map step on.  The loop
+    test of every live point; bound(magnitude, n) gives the tail bound of
+    the escaped ones, which retire once the bound is below tol, the
+    magnitude is past safe_norm, or the budget is spent, and only then is
+    value(magnitude, n) taken.  A point whose norm passes safe_norm
+    without the escape test firing retires with bound inf, neither
+    converged nor presumed bounded.  A point is presumed bounded (value 0,
+    bound 0, n_used n_max) when it is still live at n_max, or when its
+    coordinates repeat exactly: at n = 16, 32, 64, ... the loop keeps the
+    live coordinates as a snapshot, and a point equal (==) to its snapshot
+    that has not passed the escape test since retires at once.  Its orbit
+    is then periodic in every magnitude the loop reads (a +-0 difference
+    changes no later magnitude, and NaN never compares equal), so the
+    budget would end it the same way.  Retiring points are scattered
+    through live into the full-size results, and live, cur and the
+    snapshot shrink by one keep mask on the steps where some point
+    retired.  advance(*cur) is pure: it returns the coordinates of the
+    live points one map step on, so a snapshot needs no copy.  The loop
     ends early once no point is live, so its work is the live points'
-    summed orbit lengths, not the input size times the steps.
+    summed orbit lengths up to their first exact repeat, not the input
+    size times the steps.
     """
     if tol <= 0.0:
         raise ContractError("tol must be positive")
@@ -109,23 +119,29 @@ def _escape_rate(coords, shape, lead, tail, advance, tol: float,
     n_used = np.zeros(size, dtype=np.int32)
     live = np.arange(size)
     cur = tuple(coords)
+    snap = None    # the live coordinates at step snap_at
+    seen = None    # live points that passed the escape test since snap_at
+    snap_at = 16
     for n in range(n_max + 1):
         mag, norm, esc = lead(*cur)
         keep = None
         if esc.any():
             ei = np.flatnonzero(esc)
+            if seen is not None:
+                seen[ei] = True
             mag_e = mag[ei]
-            val, bnd = tail(mag_e, n)
+            bnd = bound(mag_e, n)
             ok = bnd < tol
             stop = ok | (mag_e > safe_norm) | (n == n_max)
             if stop.any():
-                fi = live[ei[stop]]
-                values[fi] = val[stop]
+                si = ei[stop]
+                fi = live[si]
+                values[fi] = value(mag_e[stop], n)
                 bounds[fi] = bnd[stop]
                 conv[fi] = ok[stop]
                 n_used[fi] = n
                 keep = np.ones(live.size, dtype=bool)
-                keep[ei[stop]] = False
+                keep[si] = False
         over = norm > safe_norm
         if keep is not None:
             over &= keep
@@ -134,16 +150,36 @@ def _escape_rate(coords, shape, lead, tail, advance, tol: float,
             bounds[oi] = np.inf
             n_used[oi] = n
             keep = ~over if keep is None else keep & ~over
-        if keep is not None:
-            live = live[keep]
-            cur = tuple(c[keep] for c in cur)
         if n == n_max:
+            live = live if keep is None else live[keep]
             conv[live] = True
             presumed[live] = True
             n_used[live] = n_max
             break
+        if snap is not None:
+            # the first coordinate alone rules out nearly every point
+            same = cur[0] == snap[0]
+            if same.any():
+                same &= ~seen
+                for c, s in zip(cur[1:], snap[1:]):
+                    same &= c == s
+                ri = live[same]
+                conv[ri] = True
+                presumed[ri] = True
+                n_used[ri] = n_max
+                keep = ~same if keep is None else keep & ~same
+        if keep is not None:
+            live = live[keep]
+            cur = tuple(c[keep] for c in cur)
+            if snap is not None:
+                snap = tuple(s[keep] for s in snap)
+                seen = seen[keep]
         if live.size == 0:
             break
+        if n == snap_at:
+            snap = cur
+            seen = np.zeros(live.size, dtype=bool)
+            snap_at *= 2
         cur = advance(*cur)
     return GreenField(values.reshape(shape), bounds.reshape(shape),
                       conv.reshape(shape), presumed.reshape(shape),
@@ -173,14 +209,26 @@ def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
         aw = np.abs(w)
         return aw, aw, aw > w_esc
 
-    def tail(aw, n):
-        scale = float(d) ** n
-        return np.log(aw) / scale, 2.0 * csum / (aw * scale * (d - 1.0))
+    def bound(aw, n):
+        return 2.0 * csum / (aw * float(d) ** n * (d - 1.0))
+
+    def value(aw, n):
+        return np.log(aw) / float(d) ** n
+
+    # Horner from the monic top: the operations of f(w) less its first
+    # step 1 * w, which is exact up to the sign of a zero while w is
+    # finite; a live w is finite or NaN, so every magnitude the loop reads
+    # is that of f(w) bit for bit
+    rest = f.coeffs[-3::-1]
+    top = f.coeffs[-2]
 
     def advance(w):
-        return (f(w),)
+        acc = w + top
+        for ck in rest:
+            acc = acc * w + ck
+        return (acc,)
 
-    return _escape_rate((z.ravel(),), z.shape, lead, tail, advance,
+    return _escape_rate((z.ravel(),), z.shape, lead, bound, value, advance,
                         tol, n_max, min(SAFE_NORM, 10.0 ** (300.0 / d)))
 
 
@@ -223,16 +271,17 @@ def green_plus_field(xs, ys, m: MapParams, tol: float = 1e-9,
     thr = 2.0 * m.R
     a, b = m.a, m.b
 
-    def tail(ax, n):
-        scale = 2.0 ** n
-        return (np.log(ax) / scale,
-                2.0 * (abs(a) / ax ** 2 + abs(b) / ax) / scale)
+    def bound(ax, n):
+        return 2.0 * (abs(a) / ax ** 2 + abs(b) / ax) / 2.0 ** n
+
+    def value(ax, n):
+        return np.log(ax) / 2.0 ** n
 
     def advance(x, y):
         return -x * x + a - b * y, x
 
     return _escape_rate(coords, shape, lambda x, y: _dominant(x, y, thr),
-                        tail, advance, tol, n_max)
+                        bound, value, advance, tol, n_max)
 
 
 def green_minus_field(xs, ys, m: MapParams, tol: float = 1e-9,
@@ -249,16 +298,17 @@ def green_minus_field(xs, ys, m: MapParams, tol: float = 1e-9,
     a, b = m.a, m.b
     log_b = math.log(abs(b))
 
-    def tail(ay, n):
-        scale = 2.0 ** n
-        return ((np.log(ay) - log_b) / scale,
-                2.0 * (abs(a) / ay ** 2 + 1.0 / ay) / scale)
+    def bound(ay, n):
+        return 2.0 * (abs(a) / ay ** 2 + 1.0 / ay) / 2.0 ** n
+
+    def value(ay, n):
+        return (np.log(ay) - log_b) / 2.0 ** n
 
     def advance(x, y):
         return y, (a - y * y - x) / b
 
     return _escape_rate(coords, shape, lambda x, y: _dominant(y, x, thr),
-                        tail, advance, tol, n_max)
+                        bound, value, advance, tol, n_max)
 
 
 def green_plus(p, m: MapParams, tol: float = 1e-9, n_max: int = 100) -> GreenEstimate:

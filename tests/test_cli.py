@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,35 @@ def test_bad_render_config_exits_2(tmp_path, capsys, doc):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+HUGE_WINDOW = {"width": 1e10, "height": 1e10, "pixels": [8, 8]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"mode": "poly", "params": BASILICA_PARAMS,
+     "slice": {"base": [[0.0, 0.0]], "direction": [[1e300, 1e300]]},
+     "window": HUGE_WINDOW},
+    {"mode": "plus", "slice": {"base": [[0.0, 0.0], [0.0, 0.0]],
+                               "direction": [[1.0, 0.0], [1e300, 0.0]]},
+     "window": HUGE_WINDOW},
+    # t itself overflows; a zero direction turns it into NaN
+    {"mode": "minus", "window": {"center": [1.5e308, 0.0], "width": 1e308,
+                                 "pixels": [8, 8]}},
+], ids=["poly", "plus", "minus-window"])
+def test_render_green_overflowing_start_points_exit_2(tmp_path, capsys, doc):
+    # a schema-valid slice whose start points overflow is refused before
+    # any artifact, with one named line and no numpy warning
+    cfg_path = write_cfg(tmp_path, dict(doc, command="render-green"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["render-green", "--config", str(cfg_path),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: slice start points")
+    assert not out.exists()
 
 
 NAN, INF = math.nan, math.inf
@@ -552,14 +582,14 @@ def _periodic_report(tmp_path, doc, name, threads=1):
      {"periodic-66a4a36567ea-orbits.csv":
       "d3509d4d117a7b8627d5134171921a314c9fdc30cf882ddae8235ba0aa013f60",
       "periodic-66a4a36567ea-report.json":
-      "0a4f49266e4e12da5274111f3a724f8139810bda778c01da6b25e238cbdaa590",
+      "defb547e8e6088ab9bd8f1748830c9a8cc886a67f1a3a526d04fc26e930b6810",
       "periodic-66a4a36567ea-saddles.csv":
       "a60af744d8133ee5c473237fc55e8e79074fbc9257c0e3debc4471c3740dd7a8"}),
     ({"params": OFF_HORSESHOE, "budgets": {"level_max": 5}},
      {"periodic-6f93f776d71b-orbits.csv":
       "13b2abbe211248729848bab52b1025a2ca14ec19bfdcc0755f7cf7b2602899cc",
       "periodic-6f93f776d71b-report.json":
-      "6116e6b06d9357a54d49ec1571cf15d6a5d7793598941948b94e41c668b95842",
+      "7ea60962ac55c8fd85d283c55572caa7de9e0b97d5024a73432eaeae46436663",
       "periodic-6f93f776d71b-saddles.csv":
       "b0ba10f40251287015a4edc1147150fd88c60865bfae48f465814f214862c8ce"}),
 ], ids=["horseshoe", "continued"])

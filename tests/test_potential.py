@@ -18,6 +18,9 @@ from henonlab.potential import (SAFE_NORM, GreenEstimate, GreenField,
 SQUARE = Poly((0.0, 0.0, 1.0))
 CHEB = Poly((-2.0, 0.0, 1.0))
 BASILICA = Poly((-1.0, 0.0, 1.0))
+# period-3 bulb; like the basilica and z^2, its bounded starts land on an
+# exact float cycle well inside a 200-step budget
+RABBIT = Poly((-0.12256116687665362 + 0.74486176661974424j, 0.0, 1.0))
 
 
 # Per-point reference: the scalar escape-rate loops in plain complex
@@ -152,8 +155,11 @@ def ref_escape_rate(coords, shape, lead, tail, advance, tol: float,
                       n_used.reshape(shape))
 
 
-def _masked_escape_rate(coords, shape, lead, tail, advance, *args):
+def _masked_escape_rate(coords, shape, lead, bound, value, advance, *args):
     """ref_escape_rate driven by a kernel's pure advance, moved in place."""
+    def tail(mag, n):
+        return value(mag, n), bound(mag, n)
+
     def in_place(*coords_and_index):
         *cs, i = coords_and_index
         for c, new in zip(cs, advance(*(c[i] for c in cs))):
@@ -174,13 +180,14 @@ def _with_edges(rng, scale, count, edges):
 
 
 @pytest.mark.parametrize("kernel, setting", [
-    ("poly", BASILICA), ("poly", Poly((0.1, 0.0, 0.0, 1.0))),
+    ("poly", BASILICA), ("poly", SQUARE), ("poly", RABBIT),
+    ("poly", Poly((0.1, 0.0, 0.0, 1.0))),
     ("poly", Poly((0.1 - 0.3j, 0.2, -0.7 + 0.1j, 0.0, 1.0))),
     ("plus", (10.0, 0.3)), ("plus", (1.4, 0.3)),
     ("plus", (1.2 + 0.5j, 0.3 - 0.1j)),
     ("minus", (10.0, 0.3)), ("minus", (1.4, 0.3)),
     ("minus", (1.2 + 0.5j, 0.3 - 0.1j)),
-], ids=["poly2", "poly3", "poly4", "plus-10", "plus-1.4", "plus-complex",
+], ids=["poly2", "square", "rabbit", "poly3", "poly4", "plus-10", "plus-1.4", "plus-complex",
         "minus-10", "minus-1.4", "minus-complex"])
 def test_live_set_loop_matches_masked_reference(monkeypatch, kernel, setting):
     rng = np.random.default_rng(17)
@@ -211,27 +218,127 @@ def test_live_set_loop_matches_masked_reference(monkeypatch, kernel, setting):
                 assert np.array_equal(got, want, equal_nan=True)
 
 
-def test_live_set_loop_advances_live_points_only(monkeypatch):
+def _counting(monkeypatch):
+    """Patch the loop to record the live-set size of every advance call."""
     sizes = []
     live_set_loop = potential._escape_rate
 
-    def counted_loop(coords, shape, lead, tail, advance, *args):
+    def counted_loop(coords, shape, lead, bound, value, advance, *args):
         def counted(*cur):
             sizes.append(cur[0].size)
             return advance(*cur)
 
-        return live_set_loop(coords, shape, lead, tail, counted, *args)
+        return live_set_loop(coords, shape, lead, bound, value, counted, *args)
 
     monkeypatch.setattr(potential, "_escape_rate", counted_loop)
+    return sizes
+
+
+def test_live_set_loop_advances_live_points_only(monkeypatch):
+    sizes = _counting(monkeypatch)
     ii, jj = np.mgrid[0:48, 0:48]
     zs = (jj + 0.5) / 12.0 - 2.0 + 1j * ((ii + 0.5) / 16.0 - 1.5)
     before = zs.copy()
     fld = green_poly_field(zs, BASILICA, n_max=200)
-    assert fld.presumed_bounded.any() and not fld.presumed_bounded.all()
-    # each point is advanced once per step it stays live, n_used times
-    assert sum(sizes) == int(fld.n_used.sum())
+    bounded = fld.presumed_bounded
+    assert bounded.any() and not bounded.all()
+    assert np.all(fld.n_used[bounded] == 200)
     assert all(b <= a for a, b in zip(sizes, sizes[1:]))
     assert np.array_equal(zs, before)  # the caller's array is not moved
+    # every bounded start lands on the exact float cycle {0, -1} early: the
+    # loop retires it there, not at n_max, and stops after 34 advances
+    assert len(sizes) == 34 and sum(sizes) == 20440
+    # each escaping point is advanced once per step it stays live, n_used
+    # times, whatever else shares its loop
+    sizes.clear()
+    alone = green_poly_field(zs[~bounded], BASILICA, n_max=200)
+    assert sum(sizes) == int(alone.n_used.sum())
+    for got, want in zip(alone, fld):
+        assert np.array_equal(got, want[~bounded])
+
+
+def _identity_run(monkeypatch, w0, n_max, tol=1e-9):
+    """_escape_rate and its masked reference on the map w -> w, escaping
+    at |w| > 1 with the tail bound 2^-n; returns both fields and the
+    number of advance calls of the live-set loop."""
+    sizes = _counting(monkeypatch)
+    coords = (np.asarray(w0, dtype=complex),)
+
+    def lead(w):
+        aw = np.abs(w)
+        return aw, aw, aw > 1.0
+
+    def bound(aw, n):
+        return np.full(aw.shape, 0.5 ** n)
+
+    def value(aw, n):
+        return np.log(aw) * 0.5 ** n
+
+    def advance(w):
+        return (w.copy(),)
+
+    args = (coords, coords[0].shape, lead, bound, value, advance, tol, n_max)
+    with np.errstate(invalid="ignore"):  # the NaN start
+        got = potential._escape_rate(*args)
+        want = _masked_escape_rate(*args)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w, equal_nan=True)
+    return got, len(sizes)
+
+
+def test_repeating_orbit_retires_early_with_budget_outputs(monkeypatch):
+    # a fixed point is caught at the first snapshot (n = 16) one step later
+    fld, advances = _identity_run(monkeypatch, [0.5, -0.25j, 0.0, -0.0], 200)
+    assert advances == 17
+    assert fld.presumed_bounded.all() and fld.converged.all()
+    assert np.all(fld.n_used == 200)
+    assert np.all(fld.values == 0.0) and np.all(fld.bounds == 0.0)
+
+
+def test_repeating_orbit_that_escapes_retires_through_its_bound(monkeypatch):
+    # the state repeats from step 16 on, but the escape test fires every
+    # step, so only the shrinking bound may end it: at n = 30, 2^-30 < 1e-9
+    fld, advances = _identity_run(monkeypatch, [3.0, -2.0j], 200)
+    assert advances == 30
+    assert not fld.presumed_bounded.any() and fld.converged.all()
+    assert np.all(fld.n_used == 30)
+    assert np.array_equal(fld.values, np.log([3.0, 2.0]) * 0.5 ** 30)
+
+
+def test_nan_start_never_retires_by_repetition(monkeypatch):
+    fld, advances = _identity_run(monkeypatch, [math.nan, complex(0.5, math.nan)],
+                                  200)
+    assert advances == 200
+    assert fld.presumed_bounded.all() and np.all(fld.n_used == 200)
+
+
+@pytest.mark.parametrize("n_max", [1, 15, 16, 17])
+def test_short_budget_takes_no_snapshot(monkeypatch, n_max):
+    # the first snapshot is at n = 16 and the first compare one step later,
+    # so a budget below 18 runs every step
+    fld, advances = _identity_run(monkeypatch, [0.5, 0.0], n_max)
+    assert advances == n_max
+    assert fld.presumed_bounded.all() and np.all(fld.n_used == n_max)
+
+
+@pytest.mark.parametrize("f", [BASILICA, RABBIT, Poly((0.1, 0.0, 0.0, 1.0)),
+                               Poly((0.1 - 0.3j, 0.2, -0.7 + 0.1j, 0.0, 1.0))],
+                         ids=["basilica", "rabbit", "cubic", "quartic"])
+def test_poly_advance_keeps_poly_call_magnitudes(monkeypatch, f):
+    # the kernel's Horner drops polyval's exact first step 1 * w; on finite
+    # points every magnitude the loop reads is the same bit for bit
+    seen = []
+    monkeypatch.setattr(potential, "_escape_rate",
+                        lambda coords, *rest: seen.append(rest[4]))
+    green_poly_field([0.0], f)
+    advance, = seen
+    rng = np.random.default_rng(21)
+    w = rng.normal(scale=3.0, size=400) + 1j * rng.normal(scale=3.0, size=400)
+    w = np.concatenate([w, [0.0, -0.0, complex(0.0, -0.0), -1.0, 1e60j,
+                            -1e60 + 1e-300j, 1e-320]])
+    got, = advance(w)
+    assert np.array_equal(np.abs(got), np.abs(f(w)))
 
 
 def test_potential_kernel_values():
