@@ -19,8 +19,9 @@ from .errors import (CapError, CodingError, ContractError, ConvergenceError,
 from .measures import (ComparisonResult, DiscreteMeasure, TestBattery,
                        angular_discrepancy, compare, integrate,
                        potential_of_measure)
-from .periodic2d import (PeriodicLevel, PeriodicOrbit, RealityReport,
-                         SaddleRatioTable, cylinder_point_measure,
+from .periodic2d import (OrbitColumns, PeriodicLevel, PeriodicOrbit,
+                         RealityReport, SaddleRatioTable,
+                         cylinder_point_measure,
                          fixed_points_closed_form, mu_n_measure,
                          negative_fixed_point, periodic_levels,
                          periodic_points_2d, reality_conditions_report,

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from . import __version__
 from .dynamics import MapParams, is_horseshoe_regime
 from .errors import CapError, ContractError, HenonlabError
 from .measures import TestBattery, compare
-from .periodic2d import (mu_n_measure, periodic_levels, reality_table,
-                         saddle_table)
+from .periodic2d import (ORBIT_CLASSES, mu_n_measure, periodic_levels,
+                         reality_table, saddle_table)
 from .poly1d import Poly, julia_render_points
 from .potential import green_minus_field, green_plus_field, green_poly_field
 from .raster import density_counts, grayscale_log, write_pgm
@@ -283,6 +283,19 @@ def _out_dir(cfg: JobConfig) -> tuple:
     return out, cfg.cfg_hash()[:12]
 
 
+def _comment_lines(cfg: JobConfig) -> list:
+    return [f"# {c}" for c in _comments(cfg)]
+
+
+def _write_csv(path: Path, lines: Iterable[str]) -> None:
+    """Write CSV lines as csv.writer writes rows: each ended by \\r\\n.
+    The fields of this program's CSVs, numbers, reprs, class names and the
+    # comment lines, hold no comma, quote or line break, so none needs
+    quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(f"{line}\r\n" for line in lines))
+
+
 def _write_json(path: Path, cfg: JobConfig, doc: dict) -> None:
     doc = {"cfg": cfg.cfg_hash(), "tool": f"henonlab {__version__}", **doc}
     with open(path, "w") as fh:
@@ -368,13 +381,16 @@ def cmd_render_green(cfg: JobConfig) -> int:
     gray = grayscale_log(values)
     out, tag = _out_dir(cfg)
     write_pgm(out / f"green-{tag}.pgm", np.flipud(gray), _comments(cfg))
-    finite = values[np.isfinite(values)]
-    vmax = float(finite.max()) if finite.size else 0.0
-    hist_range = (0.0, vmax if vmax > 0 else 1.0)
-    counts, edges = np.histogram(finite, bins=32, range=hist_range)
+    # an unconverged pixel's value is a placeholder: the range and the
+    # histogram cover converged pixels only
+    settled = values[np.isfinite(values) & converged]
+    vmin, vmax = ((float(settled.min()), float(settled.max()))
+                  if settled.size else (None, None))
+    counts, edges = np.histogram(settled, bins=32, range=(
+        0.0, vmax if vmax and vmax > 0 else 1.0))
     _write_json(out / f"green-{tag}-stats.json", cfg, {
         "mode": mode,
-        "min": float(finite.min()) if finite.size else 0.0,
+        "min": vmin,
         "max": vmax,
         # an overflowed orbit's 0 is a placeholder, not a converged value
         "zero_fraction": float(np.mean((values == 0.0) & converged)),
@@ -396,13 +412,11 @@ def cmd_julia_cloud(cfg: JobConfig) -> int:
     points, levels = julia_render_points(f, c, walks, depth, burn_in,
                                          cfg.rng_seed)
     out, tag = _out_dir(cfg)
-    with open(out / f"julia-{tag}.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([f"# cfg:{cfg.cfg_hash()}"])
-        wr.writerow([f"# tool:henonlab {__version__}"])
-        wr.writerow(["re", "im", "level"])
-        for p, lvl in zip(points, levels):
-            wr.writerow([repr(float(p.real)), repr(float(p.imag)), int(lvl)])
+    _write_csv(out / f"julia-{tag}.csv", itertools.chain(
+        _comment_lines(cfg), ["re,im,level"],
+        map(",".join, zip(map(repr, points.real.tolist()),
+                          map(repr, points.imag.tolist()),
+                          map(str, levels.tolist())))))
     nx, ny = (int(v) for v in cfg.window["pixels"])
     counts = density_counts(points, _cx(cfg.window["center"]),
                             float(cfg.window["width"]),
@@ -412,19 +426,31 @@ def cmd_julia_cloud(cfg: JobConfig) -> int:
     return 0
 
 
-def _orbit_rows(level_n: int, orbits) -> list:
-    rows = []
-    for oi, o in enumerate(orbits):
-        l1, l2 = o.multiplier_eigenvalues
-        # the columns every point of the orbit repeats
-        tail = [repr(l1.real), repr(l1.imag), repr(l2.real), repr(l2.imag),
-                o.orbit_class, int(o.is_real), repr(o.residual),
-                o.multiplicity]
-        for j, p in enumerate(o.points):
-            rows.append([level_n, oi, o.period, j,
-                         repr(p.x.real), repr(p.x.imag),
-                         repr(p.y.real), repr(p.y.imag), *tail])
-    return rows
+def _orbit_lines(level) -> Iterator[str]:
+    """One orbit CSV line per point of the level, built a column at a
+    time: each column formatted once, and the fields of an orbit repeated
+    over its points."""
+    c = level.columns
+    periods = c.period.tolist()
+
+    def per_point(fields):
+        return [f for f, d in zip(fields, periods) for _ in range(d)]
+
+    def reprs(*cols):
+        return map(",".join, zip(*(map(repr, col.tolist()) for col in cols)))
+
+    lam = c.multipliers
+    heads = per_point(f"{level.n},{oi},{d}" for oi, d in enumerate(periods))
+    tails = per_point(map(",".join, zip(
+        reprs(lam[:, 0].real, lam[:, 0].imag, lam[:, 1].real, lam[:, 1].imag),
+        map(ORBIT_CLASSES.__getitem__, c.orbit_class.tolist()),
+        ("1" if r else "0" for r in c.is_real.tolist()),
+        map(repr, c.residual.tolist()), map(str, c.multiplicity.tolist()))))
+    index = np.arange(len(c.x)) - np.repeat(c.starts(), c.period)
+    # y_j = x_{j-1}: a point's y fields are its predecessor's x fields
+    xs = list(reprs(c.x.real, c.x.imag))
+    ys = [xs[i] for i in c.prev().tolist()]
+    return map(",".join, zip(heads, map(str, index.tolist()), xs, ys, tails))
 
 
 def cmd_periodic_report(cfg: JobConfig) -> int:
@@ -433,25 +459,16 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
     budget = int(cfg.budgets["budget"])
     levels = periodic_levels(m, range(1, n_max + 1), budget)
     out, tag = _out_dir(cfg)
-    with open(out / f"periodic-{tag}-orbits.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([f"# cfg:{cfg.cfg_hash()}"])
-        wr.writerow([f"# tool:henonlab {__version__}"])
-        wr.writerow(["n", "orbit", "period", "index", "x_re", "x_im",
-                     "y_re", "y_im", "lam1_re", "lam1_im", "lam2_re",
-                     "lam2_im", "class", "is_real", "residual",
-                     "multiplicity"])
-        for level in levels:
-            for row in _orbit_rows(level.n, level.orbits):
-                wr.writerow(row)
+    _write_csv(out / f"periodic-{tag}-orbits.csv", itertools.chain(
+        _comment_lines(cfg),
+        ["n,orbit,period,index,x_re,x_im,y_re,y_im,lam1_re,lam1_im,lam2_re,"
+         "lam2_im,class,is_real,residual,multiplicity"],
+        *map(_orbit_lines, levels)))
     table = saddle_table(levels)
-    with open(out / f"periodic-{tag}-saddles.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([f"# cfg:{cfg.cfg_hash()}"])
-        wr.writerow(["n", "saddle_count", "ratio", "complete"])
-        for row in table.rows:
-            wr.writerow([row.n, row.saddle_count, repr(row.ratio),
-                         int(row.complete)])
+    _write_csv(out / f"periodic-{tag}-saddles.csv", itertools.chain(
+        _comment_lines(cfg)[:1], ["n,saddle_count,ratio,complete"],
+        (f"{r.n},{r.saddle_count},{r.ratio!r},{int(r.complete)}"
+         for r in table.rows)))
     battery = TestBattery(2, sigma=float(m.R))
     mus = [mu_n_measure(level) for level in levels]
     # |int f dmu_i - int f dmu_j| is symmetric bit for bit, and so are the
@@ -480,9 +497,13 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
         "n_max": n_max,
         "levels": [{"n": lv.n, "complete": lv.complete,
                     "fixed_point_count": lv.fixed_point_count,
-                    "orbit_count": len(lv.orbits),
-                    "minimal_orbit_count": len(lv.minimal_orbits),
+                    "orbit_count": len(lv.columns.period),
+                    "minimal_orbit_count": int(np.count_nonzero(
+                        lv.columns.period == lv.n)),
                     "attempts": lv.attempts,
+                    "lower_period": lv.lower_period,
+                    "residual_rejected": lv.residual_rejected,
+                    "duplicates": lv.duplicates,
                     "paths_lost": lv.paths_lost,
                     "step_halvings": lv.step_halvings,
                     "steps_accepted": lv.steps_accepted,

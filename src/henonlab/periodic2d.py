@@ -11,17 +11,21 @@ Elsewhere the horseshoe levels at (a0, b) are continued to (a, b) along a
 complex detour in a ("gamma trick" homotopy of Sommese-Wampler, The
 Numerical Solution of Systems of Polynomials, 2005), each start cycle once
 per set of levels; a path lost on both detours leaves its levels
-incomplete.  Orbits are assembled in the same stacks (residuals,
-monodromy matrices, eigenvalues, y_j), deduplicate by cyclic alignment of
-x, and aggregate into measures, saddle tables and reality reports.
+incomplete.  Cycles are assembled in the same stacks (residuals,
+monodromy matrices, eigenvalues), deduplicate by cyclic alignment of x,
+and are kept as columns (`OrbitColumns`), which the measures, saddle
+tables and reality reports read; `PeriodicOrbit` objects are built only
+when a caller asks for a level's orbits.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,25 +93,110 @@ def _closure_residual(X: np.ndarray, a: complex, b: complex) -> np.ndarray:
                           axis=1, initial=0.0)
 
 
+class OrbitColumns(NamedTuple):
+    """Assembled cycles as columns, one cycle after another.  x holds every
+    cycle's x-sequence back to back (y_j = x_{j-1} within a cycle, see
+    `y`); the other columns hold one entry per cycle: period, the
+    multipliers (largest modulus first), orbit_class as an index into
+    ORBIT_CLASSES, is_real, residual, multiplicity, degenerate, and the
+    read-only monodromy, shape (k, 2, 2)."""
+
+    x: np.ndarray
+    period: np.ndarray
+    multipliers: np.ndarray
+    orbit_class: np.ndarray
+    is_real: np.ndarray
+    residual: np.ndarray
+    multiplicity: np.ndarray
+    degenerate: np.ndarray
+    monodromy: np.ndarray
+
+    def starts(self) -> np.ndarray:
+        """The offset of each cycle's first point in x."""
+        return np.cumsum(self.period) - self.period
+
+    def prev(self) -> np.ndarray:
+        """The index in x of each point's predecessor, cyclically within
+        its cycle."""
+        prev = np.arange(len(self.x)) - 1
+        starts = self.starts()
+        prev[starts] = starts + self.period - 1
+        return prev
+
+    def y(self) -> np.ndarray:
+        """y_j = x_{j-1} of every point."""
+        return self.x[self.prev()]
+
+    def take(self, rows) -> OrbitColumns:
+        """The cycles `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        period = self.period[rows]
+        # each taken cycle's points, shifted from its old offset to its new
+        shift = self.starts()[rows] - (np.cumsum(period) - period)
+        points = np.repeat(shift, period) + np.arange(period.sum())
+        return OrbitColumns(self.x[points], *(col[rows] for col in self[1:]))
+
+
+def _orbits(c: OrbitColumns) -> list:
+    """The PeriodicOrbit of every cycle of the columns c, with points
+    (x_j, x_{j-1}) and every field a Python scalar."""
+    xs = c.x.tolist()
+    out = []
+    start = 0
+    for i, (d, eigs, code, real, resid, mult, degen) in enumerate(zip(
+            c.period.tolist(), c.multipliers.tolist(), c.orbit_class.tolist(),
+            c.is_real.tolist(), c.residual.tolist(), c.multiplicity.tolist(),
+            c.degenerate.tolist())):
+        x = xs[start:start + d]
+        start += d
+        out.append(PeriodicOrbit(tuple(map(PointC2, x, x[-1:] + x[:-1])), d,
+                                 tuple(eigs), ORBIT_CLASSES[code], real,
+                                 resid, mult, degen, c.monodromy[i]))
+    return out
+
+
+def _dedup_cells(X) -> list:
+    """Strip of width 2*DEDUP_TOL holding Re x, for every x of the array X,
+    as (nested) lists of floats.  A point within DEDUP_TOL of x lies in the
+    same strip or a neighbouring one.  Past strip 2^53 (|Re x| > 1.8e9),
+    where c + 1 may round to c, adjacent doubles lie more than DEDUP_TOL
+    apart, so points that match share their strip."""
+    # past ~3.6e301 the quotient overflows; such points match only
+    # themselves, so the infinite quotient serves as its own key
+    with np.errstate(over="ignore"):
+        return np.floor(np.real(X) / (2.0 * DEDUP_TOL)).tolist()
+
+
+class _Block(NamedTuple):
+    """A polished (k, d) stack of cycles, assembled: every row's x and
+    dedup strips as Python lists, and its row in the columns of the rows
+    that passed the residual gate (-1 for a row that did not)."""
+
+    xs: list
+    cells: list
+    slot: list
+    cols: OrbitColumns
+
+
 def _assemble(m: MapParams, X, multiplicity: int = 1,
-              degenerate: bool = False) -> list:
-    """Orbits of the polished (k, d) stack of cycles X in one pass: None
-    for a row whose residual exceeds 1e-9 (1 + max|x|^2), else points
-    (x_j, x_{j-1}), the monodromy from `monodromy_stack` (MapOverflowError
-    past double range) and multipliers from one eigvals over the stack;
-    every row bit for bit what it gives alone."""
+              degenerate: bool = False) -> _Block:
+    """The block of the polished (k, d) stack of cycles X, in one pass: a
+    row whose residual exceeds 1e-9 (1 + max|x|^2) is rejected; the rest
+    get the monodromy from `monodromy_stack` (MapOverflowError past double
+    range) and multipliers from one eigvals over the stack; every row bit
+    for bit what it gives alone."""
     X = np.asarray(X, dtype=complex)
     k, d = X.shape
-    _, prv = cyclic_neighbours(d)
     resid = _closure_residual(X, m.a, m.b)
     scale = 1.0 + np.max(np.hypot(X.real, X.imag), axis=1) ** 2
     # a nan residual passes, as it did the scalar gate
     good = np.flatnonzero(~(resid > 1e-9 * scale))
+    G = X[good]
     with np.errstate(over="ignore", invalid="ignore"):
-        J = monodromy_stack(X[good], m.b)
+        J = monodromy_stack(G, m.b)
     bad = ~np.all(np.isfinite(J), axis=(1, 2))
     if bad.any():
-        x = X[good][bad][0]
+        x = G[bad][0]
         raise MapOverflowError(PointC2(x[0], x[-1]), (
             f"monodromy of a period-{d} cycle overflowed "
             f"(max |x| {np.max(np.abs(x)):.3e})"))
@@ -117,42 +206,41 @@ def _assemble(m: MapParams, X, multiplicity: int = 1,
     order = np.lexsort((eigs.imag, eigs.real, np.abs(eigs)))[:, ::-1]
     eigs = np.take_along_axis(eigs, order, axis=1)
     moduli = np.hypot(eigs.real, eigs.imag)
+    # codes into ORBIT_CLASSES
     classes = np.where(
-        np.any(np.abs(moduli - 1.0) <= UNIT_BAND, axis=1), "nonhyperbolic",
-        np.where(np.all(moduli < 1.0, axis=1), "sink",
-                 np.where(np.all(moduli > 1.0, axis=1), "source", "saddle")))
-    real = np.all(np.abs(X[good].imag) < REALITY_TOL, axis=1)
-    out = [None] * k
-    for r, i in enumerate(good.tolist()):
-        points = tuple(map(PointC2, X[i].tolist(), X[i, prv].tolist()))
-        out[i] = PeriodicOrbit(points, d, tuple(eigs[r].tolist()),
-                               str(classes[r]), bool(real[r]),
-                               float(resid[i]), multiplicity, degenerate,
-                               J[r])
-    return out
+        np.any(np.abs(moduli - 1.0) <= UNIT_BAND, axis=1), 3,
+        np.where(np.all(moduli < 1.0, axis=1), 1,
+                 np.where(np.all(moduli > 1.0, axis=1), 2, 0))).astype(np.int8)
+    slot = np.full(k, -1)
+    slot[good] = np.arange(len(good))
+    kept = len(good)
+    cols = OrbitColumns(G.ravel(), np.full(kept, d), eigs, classes,
+                        np.all(np.abs(G.imag) < REALITY_TOL, axis=1),
+                        resid[good], np.full(kept, multiplicity),
+                        np.full(kept, degenerate), J)
+    return _Block(X.tolist(), _dedup_cells(X), slot.tolist(), cols)
 
 
-def _build_orbit(x, m: MapParams, multiplicity: int = 1,
-                 degenerate: bool = False) -> PeriodicOrbit | None:
-    """`_assemble` on the one cycle x: its orbit, or None past the gate."""
-    return _assemble(m, np.asarray(x, dtype=complex)[None],
-                     multiplicity, degenerate)[0]
-
-
-def fixed_points_closed_form(m: MapParams):
-    """Fixed points from x = y, x^2 + (1+b)x - a = 0, with classification."""
+def _fixed_points(m: MapParams) -> _Block:
+    """The block of the fixed points, from x = y, x^2 + (1+b)x - a = 0: a
+    double root is one cycle of multiplicity 2, flagged degenerate."""
     beta = 1.0 + m.b
     disc = beta * beta + 4.0 * m.a
     if disc == 0:
-        return [_build_orbit([-0.5 * beta], m, multiplicity=2,
-                             degenerate=True)]
+        return _assemble(m, [[-0.5 * beta]], multiplicity=2, degenerate=True)
     sq = cmath.sqrt(disc)
     if (beta.conjugate() * sq).real < 0.0:
         sq = -sq
     # stable split: the large root first, the small one via the product -a
     r1 = -0.5 * (beta + sq)
     r2 = -m.a / r1 if r1 != 0 else -beta
-    return [o for o in _assemble(m, [[r1], [r2]]) if o is not None]
+    return _assemble(m, [[r1], [r2]])
+
+
+def fixed_points_closed_form(m: MapParams) -> list:
+    """Fixed points in closed form, with classification: the orbits that
+    pass the residual gate."""
+    return _orbits(_fixed_points(m).cols)
 
 
 def _newton_cycles(m: MapParams, X) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +265,7 @@ def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60):
     return x
 
 
-def _minimal_period(x: np.ndarray, n: int) -> int:
+def _minimal_period(x: list, n: int) -> int:
     """The least d | n with x shifted by d within DEDUP_TOL of x (as
     y_j = x_{j-1}, the y shift moves no further)."""
     for d in range(1, n):
@@ -187,25 +275,15 @@ def _minimal_period(x: np.ndarray, n: int) -> int:
     return n
 
 
-def _same_cycle(points_a, points_b, tol: float = DEDUP_TOL) -> bool:
-    """Do two cycles of PointC2s match under some cyclic shift?  Their x
-    alone decide, as in `_minimal_period`."""
-    d = len(points_a)
-    if d != len(points_b):
+def _same_cycle(xa, xb, tol: float = DEDUP_TOL) -> bool:
+    """Do two cycles, given by their x-sequences, match under some cyclic
+    shift?  x alone decides, as in `_minimal_period`."""
+    d = len(xa)
+    if d != len(xb):
         return False
-    xa = [p.x for p in points_a]
-    xb = [p.x for p in points_b] * 2
+    xb = list(xb) * 2
     return any(all(abs(u - v) <= tol for u, v in zip(xa, xb[shift:]))
                for shift in range(d))
-
-
-def _dedup_cell(z: complex) -> int | float:
-    """Strip of width 2*DEDUP_TOL holding Re z.  A point within DEDUP_TOL of
-    z lies in the same strip or a neighbouring one."""
-    q = z.real / (2.0 * DEDUP_TOL)
-    # past ~3.6e301 the quotient overflows; such points match only
-    # themselves, so the infinite quotient serves as its own key
-    return math.floor(q) if math.isfinite(q) else q
 
 
 # kept cycles around a candidate's first point past which `_CycleIndex.has`
@@ -216,125 +294,171 @@ CROWDED = 8
 class _CycleIndex:
     """Kept cycles bucketed by (period, strip of Re x) of each of their points.
 
-    A match under any shift puts every candidate point within DEDUP_TOL of
-    a point of the kept cycle, so the kept cycle sits in that point's strip
-    or a neighbour, whichever candidate point is taken.  `has` probes from
-    the first point, or, when more than CROWDED kept cycles surround it
-    (long cycles that shadow a fixed point share its strips), from the
-    candidate point with the fewest around it, and runs `_same_cycle` only
-    on those; the answer equals a scan over every kept cycle.
+    A cycle is its x-sequence, a list, with the strips `_dedup_cells` gives
+    it.  A match under any shift puts every candidate point within
+    DEDUP_TOL of a point of the kept cycle, so the kept cycle sits in that
+    point's strip or a neighbour, whichever candidate point is taken.
+    `has` probes from the first point, or, when more than CROWDED kept
+    cycles surround it (long cycles that shadow a fixed point share its
+    strips), from the candidate point with the fewest around it, and runs
+    `_same_cycle` only on those; the answer equals a scan over every kept
+    cycle.
     """
 
     def __init__(self):
+        self._kept: list[list] = []
         self._cells: dict[tuple, list] = {}
 
-    def add(self, points) -> None:
-        d = len(points)
-        for c in {_dedup_cell(p.x) for p in points}:
-            self._cells.setdefault((d, c), []).append(points)
+    def add(self, x, cells) -> None:
+        d = len(x)
+        i = len(self._kept)
+        self._kept.append(x)
+        for c in set(cells):
+            self._cells.setdefault((d, c), []).append(i)
 
-    def _around(self, d: int, z: complex) -> list:
-        c = _dedup_cell(z)
+    def _around(self, d: int, c: float) -> list:
         return [self._cells.get((d, k), ()) for k in (c - 1, c, c + 1)]
 
-    def match(self, cycle):
-        """The first kept cycle matching `cycle`, or None."""
-        d = len(cycle)
-        near = self._around(d, cycle[0].x)
+    def match(self, x, cells) -> int | None:
+        """The position, in the order added, of the first kept cycle
+        matching x, or None."""
+        d = len(x)
+        near = self._around(d, cells[0])
         crowd = sum(map(len, near))
         if crowd > CROWDED:
-            for p in cycle[1:]:
-                other = self._around(d, p.x)
+            for c in cells[1:]:
+                other = self._around(d, c)
                 size = sum(map(len, other))
                 if size < crowd:
                     near, crowd = other, size
-        return next((kept for bucket in near for kept in bucket
-                     if _same_cycle(cycle, kept)), None)
+        return next((i for bucket in near for i in bucket
+                     if _same_cycle(x, self._kept[i])), None)
 
-    def has(self, cycle) -> bool:
-        return self.match(cycle) is not None
+    def has(self, x, cells) -> bool:
+        return self.match(x, cells) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicLevel:
     """All solutions of f^n(p) = p found for one n, grouped into cycles.
 
+    columns holds the cycles in the order the census admitted them;
+    `orbits` builds their PeriodicOrbits on first access.  Two levels are
+    equal when their counts and columns are, the monodromy aside, as
+    PeriodicOrbit compares.
+
     attempts counts itinerary seeds in the horseshoe regime and continuation
-    paths elsewhere.  The continuation counters stay 0 on the itinerary
-    path; each sums over the level's own paths: paths_lost (lost on both
-    detours), step_halvings and steps_accepted (both detours), and
-    paths_retried (lost on the first detour).
+    paths elsewhere.  The census counters: lower_period (cycles re-polished
+    at a lower period), residual_rejected (rows past the residual gate of
+    `_assemble`) and duplicates (cycles the dedup index matched).  The
+    continuation counters stay 0 on the itinerary path; each sums over the
+    level's own paths: paths_lost (lost on both detours), step_halvings and
+    steps_accepted (both detours), and paths_retried (lost on the first
+    detour).
     """
 
     n: int
-    orbits: tuple
+    columns: OrbitColumns
     fixed_point_count: int
     complete: bool
     attempts: int
+    lower_period: int = 0
+    residual_rejected: int = 0
+    duplicates: int = 0
     paths_lost: int = 0
     step_halvings: int = 0
     paths_retried: int = 0
     steps_accepted: int = 0
 
+    @functools.cached_property
+    def orbits(self) -> tuple:
+        return tuple(_orbits(self.columns))
+
     @property
     def minimal_orbits(self) -> tuple:
         return tuple(o for o in self.orbits if o.period == self.n)
 
-    @property
-    def fixed_points(self) -> list:
-        return [p for o in self.orbits for p in o.points]
-
     def minimal_point_count(self, saddles_only: bool = False) -> int:
-        total = 0
-        for o in self.minimal_orbits:
-            if saddles_only and o.orbit_class != "saddle":
-                continue
-            total += o.period * o.multiplicity
-        return total
+        c = self.columns
+        keep = c.period == self.n
+        if saddles_only:
+            keep &= c.orbit_class == ORBIT_CLASSES.index("saddle")
+        return int(np.sum(c.period[keep] * c.multiplicity[keep]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PeriodicLevel):
+            return NotImplemented
+        return (all(getattr(self, f.name) == getattr(other, f.name)
+                    for f in fields(self) if f.name != "columns")
+                and all(np.array_equal(getattr(self.columns, name),
+                                       getattr(other.columns, name))
+                        for name in OrbitColumns._fields
+                        if name != "monodromy"))
 
 
 class _Census:
-    """One level's orbits as they are admitted: the closed-form fixed
+    """One level's cycles as they are admitted: the closed-form fixed
     points first, then every Newton-polished cycle that survives the
     minimal-period check, the residual gate of `_assemble` and the dedup
-    index."""
+    index, counting the cycles each step turns away.  Admission records
+    each kept cycle's block and row; `level` takes the columns once."""
 
     def __init__(self, m: MapParams, n: int):
         self.m = m
         self.n = n
-        self.orbits: list[PeriodicOrbit] = []
         self.kept = _CycleIndex()
         self.count = 0
-        for orb in fixed_points_closed_form(m):
-            if orb is not None:
-                self._keep(orb)
+        self.lower_period = self.residual_rejected = self.duplicates = 0
+        fixed = _fixed_points(m)
+        # runs of (block, columns rows), in admission order
+        self._taken = [(fixed, [])]
+        for i, r in enumerate(fixed.slot):
+            if r < 0:
+                self.residual_rejected += 1
+            else:
+                self._keep(fixed, i)
 
     @property
     def complete(self) -> bool:
         return self.count >= 2 ** self.n
 
-    def _keep(self, orb: PeriodicOrbit) -> None:
-        self.orbits.append(orb)
-        self.kept.add(orb.points)
-        self.count += orb.period * orb.multiplicity
+    def _keep(self, block: _Block, i: int) -> None:
+        if self._taken[-1][0] is not block:
+            self._taken.append((block, []))
+        r = block.slot[i]
+        self._taken[-1][1].append(r)
+        self.kept.add(block.xs[i], block.cells[i])
+        self.count += len(block.xs[i]) * int(block.cols.multiplicity[r])
 
-    def try_cycle(self, x: np.ndarray, orb: PeriodicOrbit | None) -> None:
-        """Admit the polished cycle x, whose `_assemble` row gave orb."""
+    def try_cycle(self, block: _Block, i: int) -> None:
+        """Admit row i of the polished block."""
+        x = block.xs[i]
         d = _minimal_period(x, len(x))
         if d < len(x):
             # re-polish at the minimal period: detection tolerance is looser
             # than the orbit residual gate
-            X, ok = _newton_cycles(self.m, x[None, :d])
+            self.lower_period += 1
+            X, ok = _newton_cycles(self.m, [x[:d]])
             if not ok[0]:
                 return
-            orb = _build_orbit(X[0], self.m)
-        if orb is not None and not self.kept.has(orb.points):
-            self._keep(orb)
+            block, i = _assemble(self.m, X), 0
+        if block.slot[i] < 0:
+            self.residual_rejected += 1
+        elif self.kept.has(block.xs[i], block.cells[i]):
+            self.duplicates += 1
+        else:
+            self._keep(block, i)
 
     def level(self, attempts: int, **counters: int) -> PeriodicLevel:
         """The level, with PeriodicLevel's continuation counters by name."""
-        return PeriodicLevel(self.n, tuple(self.orbits), self.count,
-                             self.complete, attempts, **counters)
+        parts = [block.cols.take(rows) for block, rows in self._taken]
+        cols = OrbitColumns(*map(np.concatenate, zip(*parts)))
+        for col in cols:
+            col.flags.writeable = False
+        return PeriodicLevel(self.n, cols, self.count, self.complete,
+                             attempts, self.lower_period,
+                             self.residual_rejected, self.duplicates,
+                             **counters)
 
 
 def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
@@ -351,13 +475,13 @@ def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
         if bits.size == 0:
             break
         X, ok = _newton_cycles(m, symbolic_orbit_seed(m, bits))
-        orbs = iter(_assemble(m, X[ok]))
-        for x, good in zip(X, ok):
+        block = _assemble(m, X[ok])
+        for i, good in zip(np.cumsum(ok).tolist(), ok.tolist()):
             if census.complete:
                 break
             attempts += 1
             if good:
-                census.try_cycle(x, next(orbs))
+                census.try_cycle(block, i - 1)
     return census.level(attempts)
 
 
@@ -416,22 +540,24 @@ def _continued_levels(m: MapParams, ns, budget: int) -> list:
     of its own start level.  Fixed points come in closed form."""
     a0 = _start_parameter(m.b)
     start = MapParams(a0, m.b)
+    # the index keeps the start cycles, so a match is a path id
     index = _CycleIndex()
-    path_of = {}
     starts = []
     level_paths = []
     for n in ns:
         ids = []
-        for o in _itinerary_level(start, n, budget).orbits:
-            if o.period == 1:
+        c = _itinerary_level(start, n, budget).columns
+        xs, cells = c.x.tolist(), _dedup_cells(c.x)
+        for s, d in zip(c.starts().tolist(), c.period.tolist()):
+            if d == 1:
                 continue
-            kept = index.match(o.points)
-            if kept is None:
-                kept = o.points
-                index.add(kept)
-                path_of[kept] = len(starts)
-                starts.append([q.x for q in kept])
-            ids.append(path_of[kept])
+            x, cell = xs[s:s + d], cells[s:s + d]
+            i = index.match(x, cell)
+            if i is None:
+                i = len(starts)
+                index.add(x, cell)
+                starts.append(x)
+            ids.append(i)
         level_paths.append(ids)
     periods = np.array([len(x) for x in starts], dtype=np.int64)
     X0 = np.zeros((len(starts), max(periods, default=1)), dtype=complex)
@@ -455,8 +581,8 @@ def _continued_levels(m: MapParams, ns, budget: int) -> list:
         for lo in range(0, len(rows), step):
             Q[lo:lo + step], ok[lo:lo + step] = _newton_cycles(
                 m, X[rows[lo:lo + step], :d])
-        Q = Q[ok]
-        ends.update(zip(rows[ok].tolist(), zip(Q, _assemble(m, Q))))
+        block = _assemble(m, Q[ok])
+        ends.update((r, (block, i)) for i, r in enumerate(rows[ok].tolist()))
     levels = []
     for n, ids in zip(ns, level_paths):
         census = _Census(m, n)
@@ -509,12 +635,11 @@ def periodic_points_2d(m: MapParams, n: int,
 def mu_n_measure(level: PeriodicLevel) -> DiscreteMeasure:
     """Equal weights 2^-n on the fixed points of f^n, multiplicity-weighted:
     each point of an orbit counts its multiplicity over 2^n."""
-    pts = [p for o in level.orbits for p in o.points]
-    if not pts:
+    c = level.columns
+    if not len(c.x):
         raise ContractError("level carries no points")
-    counts = np.repeat([o.multiplicity for o in level.orbits],
-                       [o.period for o in level.orbits])
-    return DiscreteMeasure(np.array(pts, dtype=complex), counts, 2 ** level.n,
+    return DiscreteMeasure(np.stack([c.x, c.y()], axis=1),
+                           np.repeat(c.multiplicity, c.period), 2 ** level.n,
                            2, level.complete, f"mu_n(n={level.n})")
 
 
@@ -578,13 +703,12 @@ class RealityReport:
     verdict: str
 
 
-def _fixed_point_conditions(orbits, m: MapParams) -> list:
-    """cond(J - I) of each orbit's monodromy J, one stacked call; an SVD
-    that fails to converge counts as infinitely ill-conditioned."""
-    if not orbits:
+def _fixed_point_conditions(J: np.ndarray) -> list:
+    """cond(J - I) of each monodromy of the (k, 2, 2) stack J, one stacked
+    call; an SVD that fails to converge counts as infinitely
+    ill-conditioned."""
+    if not len(J):
         return []
-    J = np.stack([derivative_along_orbit(o.points, m)
-                  if o.monodromy is None else o.monodromy for o in orbits])
     try:
         return np.linalg.cond(J - np.eye(2)).tolist()
     except np.linalg.LinAlgError:
@@ -601,9 +725,9 @@ def reality_table(m: MapParams, levels) -> RealityReport:
     """Are all periodic points real?  all real -> full-shift entropy log 2;
     any nonreal point -> strictly smaller entropy expected.
 
-    Reads enumerated levels, one row each, and the monodromy each census
-    orbit carries (an orbit without one gets it from
-    `derivative_along_orbit`).  A nonreal finding stands even
+    Reads the columns of enumerated levels, one row each: the minimal
+    cycles' x (a cycle's y are its x in another order, so max_imag is the
+    largest |Im x|), is_real and monodromy.  A nonreal finding stands even
     when enumeration is incomplete; the all-real verdict needs every level
     complete, else "inconclusive".
     """
@@ -614,17 +738,17 @@ def reality_table(m: MapParams, levels) -> RealityReport:
     all_complete = True
     any_nonreal = False
     for level in levels:
-        worst_imag = 0.0
-        worst_cond = 0.0
-        orbits = level.minimal_orbits
-        for o, cond in zip(orbits, _fixed_point_conditions(orbits, m)):
-            worst_imag = max(worst_imag, o.max_imag)
-            worst_cond = max(worst_cond, cond)
-            if not o.is_real:
-                any_nonreal = True
-                nonreal.add(o.period)
+        c = level.columns
+        minimal = c.period == level.n
+        on_minimal = np.repeat(minimal, c.period)
+        worst_imag = float(np.max(np.abs(c.x[on_minimal].imag), initial=0.0))
+        # Python's max passes over a nan condition; np.max would return it
+        worst_cond = max([0.0, *_fixed_point_conditions(c.monodromy[minimal])])
+        if not c.is_real[minimal].all():
+            any_nonreal = True
+            nonreal.add(level.n)
         rows.append(RealityRow(level.n, level.complete,
-                               len(orbits), worst_imag,
+                               int(np.count_nonzero(minimal)), worst_imag,
                                worst_cond))
         all_complete = all_complete and level.complete
     if not rows:

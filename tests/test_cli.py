@@ -206,6 +206,29 @@ def test_render_green_overflowed_pixels_are_not_zeros(tmp_path):
 
 
 @pytest.mark.parametrize("doc", [
+    {"budgets": {"n_max": 1}},
+    {"params": {"a": 1e300, "b": 1e300}},
+], ids=["n_max-1", "overflow"])
+def test_render_green_stats_cover_converged_pixels_only(tmp_path, doc):
+    # an unconverged pixel's value is a placeholder: it enters neither the
+    # histogram nor the range; with no pixel converged the range is null
+    cfg_path = write_cfg(tmp_path, dict(TINY_RENDER, **doc))
+    out = tmp_path / "out"
+    assert main(["render-green", "--config", str(cfg_path),
+                 "--out", str(out)]) == 3
+    stats, = out.glob("green-*-stats.json")
+    doc = json.loads(stats.read_text())
+    converged = round(doc["converged_fraction"] * 24 * 16)
+    assert converged < 24 * 16
+    assert sum(doc["histogram"]["counts"]) == converged
+    if converged:
+        assert 0.0 <= doc["min"] <= doc["max"]
+        assert doc["histogram"]["edges"][-1] == (doc["max"] or 1.0)
+    else:
+        assert doc["min"] is None and doc["max"] is None
+
+
+@pytest.mark.parametrize("doc", [
     {"budgets": {"n_max": True}},
     {"tolerances": {"tol": True}},
     {"window": {"pixels": [1.5, 2]}},
@@ -582,14 +605,14 @@ def _periodic_report(tmp_path, doc, name, threads=1):
      {"periodic-66a4a36567ea-orbits.csv":
       "d3509d4d117a7b8627d5134171921a314c9fdc30cf882ddae8235ba0aa013f60",
       "periodic-66a4a36567ea-report.json":
-      "defb547e8e6088ab9bd8f1748830c9a8cc886a67f1a3a526d04fc26e930b6810",
+      "a2c94cb2eb44388420371c4b5230156986af348f696b7175d9ac7adcdeb4508e",
       "periodic-66a4a36567ea-saddles.csv":
       "a60af744d8133ee5c473237fc55e8e79074fbc9257c0e3debc4471c3740dd7a8"}),
     ({"params": OFF_HORSESHOE, "budgets": {"level_max": 5}},
      {"periodic-6f93f776d71b-orbits.csv":
       "13b2abbe211248729848bab52b1025a2ca14ec19bfdcc0755f7cf7b2602899cc",
       "periodic-6f93f776d71b-report.json":
-      "7ea60962ac55c8fd85d283c55572caa7de9e0b97d5024a73432eaeae46436663",
+      "9bb793ad76fb3038926f53b6de55921b3e99adde29d6e471eb1c93379284d979",
       "periodic-6f93f776d71b-saddles.csv":
       "b0ba10f40251287015a4edc1147150fd88c60865bfae48f465814f214862c8ce"}),
 ], ids=["horseshoe", "continued"])
@@ -631,6 +654,63 @@ def test_periodic_report_computes_each_quantity_once(tmp_path, monkeypatch):
         assert sorted(integrals.count(i) for i in set(integrals)) == \
             [10] * levels
     assert chain_calls == []
+
+
+def test_periodic_report_builds_no_orbit_objects(tmp_path, monkeypatch):
+    # the report reads the levels' columns: no PeriodicOrbit or PointC2 is
+    # ever built, on the horseshoe or off it
+    import henonlab.dynamics as dynamics
+    import henonlab.periodic2d as periodic2d
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("object built")
+
+    for module, name in ((periodic2d, "PeriodicOrbit"),
+                         (periodic2d, "PointC2"), (dynamics, "PointC2")):
+        monkeypatch.setattr(module, name, refuse)
+    for name, doc in (("horseshoe", {"budgets": {"level_max": 6}}),
+                      ("continued", {"params": OFF_HORSESHOE,
+                                     "budgets": {"level_max": 4}})):
+        rc, files, _ = _periodic_report(tmp_path, doc, name)
+        assert rc == 0 and len(files) == 3
+
+
+@pytest.mark.parametrize("doc, want", [
+    ({"budgets": {"level_max": 6}},
+     [(0, 0, 0), (1, 0, 1), (1, 0, 1), (2, 0, 1), (1, 0, 1), (4, 0, 1)]),
+    ({"params": OFF_HORSESHOE, "budgets": {"level_max": 4}},
+     [(0, 0, 0)] * 4),
+], ids=["horseshoe", "continued"])
+def test_periodic_report_census_counters(tmp_path, monkeypatch, doc, want):
+    # lower_period, residual_rejected and duplicates per level: the same
+    # in a rerun, at another thread count and with smaller Newton blocks
+    import henonlab.cycles as cycles
+    keys = ("lower_period", "residual_rejected", "duplicates")
+    rc, files, report = _periodic_report(tmp_path, doc, "first")
+    assert rc == 0
+    assert [tuple(lv[k] for k in keys) for lv in report["levels"]] == want
+    monkeypatch.setattr(cycles, "PATHS_BLOCK_ELEMS", 100)
+    for name, threads in (("again", 1), ("t4", 4)):
+        rc2, files2, _ = _periodic_report(tmp_path, doc, name, threads)
+        assert rc2 == 0 and files2 == files
+
+
+def test_csv_lines_match_csv_writer(tmp_path):
+    # the one CSV writer joins preformatted fields; for every kind of field
+    # the CSVs hold, the bytes are those csv.writer writes
+    from henonlab.cli import _write_csv
+    values = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324,
+              1.7976931348623157e308, 1.2345678901234567e-05, 1e16, -2.5]
+    rows = [["# cfg:" + "0123456789abcdef" * 4], ["# tool:henonlab 0.1.0"],
+            ["n", "orbit", "class", "is_real"]]
+    rows += [[3, i, repr(v), repr(-v), "nonhyperbolic", int(i % 2)]
+             for i, v in enumerate(values)]
+    with open(tmp_path / "writer.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    _write_csv(tmp_path / "lines.csv",
+               (",".join(map(str, row)) for row in rows))
+    assert ((tmp_path / "lines.csv").read_bytes()
+            == (tmp_path / "writer.csv").read_bytes())
 
 
 def test_periodic_report_continuation_counters(tmp_path):

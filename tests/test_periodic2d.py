@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -9,11 +10,11 @@ import pytest
 import henonlab.cycles as cycles
 import henonlab.periodic2d as periodic2d
 from henonlab.cycles import ClosureSystem, cyclic_neighbours, solve_stack
-from henonlab.dynamics import (MapParams, PointC2, derivative_along_orbit,
+from henonlab.dynamics import (MapParams, derivative_along_orbit,
                                henon_apply, is_horseshoe_regime)
 from henonlab.errors import ContractError
 from henonlab.measures import TestBattery, compare
-from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _dedup_cell,
+from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _dedup_cells,
                                  _newton_cycles, _same_cycle,
                                  _start_parameter, cylinder_point_measure,
                                  fixed_points_closed_form, mu_n_measure,
@@ -84,7 +85,7 @@ def _assert_no_duplicates(lv):
     # the pairwise scan the cell index replaced is the reference here
     for i, a in enumerate(lv.orbits):
         for b in lv.orbits[:i]:
-            assert not _same_cycle(a.points, b.points)
+            assert not _same_cycle(*([p.x for p in o.points] for o in (a, b)))
     pts = [(round(p.x.real, 5), round(p.x.imag, 5),
             round(p.y.real, 5), round(p.y.imag, 5))
            for o in lv.orbits for p in o.points]
@@ -101,25 +102,27 @@ def test_no_duplicate_cycles(horseshoe_levels):
     _assert_no_duplicates(continued)
 
 
-def _shifted(cycle, dx):
-    return tuple(PointC2(p.x + dx, p.y) for p in cycle)
+def _keyed(x):
+    """A cycle's x-sequence as `_CycleIndex` takes it: with its strips."""
+    return list(x), _dedup_cells(x)
 
 
 def test_cycle_index_across_strip_boundary(horseshoe_levels):
-    base = horseshoe_levels[3].minimal_orbits[0].points
+    base = [p.x for p in horseshoe_levels[3].minimal_orbits[0].points]
     # place the first Re x just below a strip boundary, the copy just above
-    edge = (_dedup_cell(base[0].x) + 1) * 2.0 * DEDUP_TOL
-    lo = _shifted(base, edge - 0.4 * DEDUP_TOL - base[0].x.real)
-    hi = _shifted(lo, 0.8 * DEDUP_TOL)
-    assert _dedup_cell(hi[0].x) == _dedup_cell(lo[0].x) + 1
+    edge = (_dedup_cells(base[0]) + 1) * 2.0 * DEDUP_TOL
+    lo = [x + (edge - 0.4 * DEDUP_TOL - base[0].real) for x in base]
+    hi = [x + 0.8 * DEDUP_TOL for x in lo]
+    assert _dedup_cells(hi[0]) == _dedup_cells(lo[0]) + 1
     index = _CycleIndex()
-    index.add(lo)
-    assert index.has(hi)
-    assert index.has(hi[1:] + hi[:1])  # same cycle, other starting point
-    far = _shifted(lo, 10.0 * DEDUP_TOL)
-    assert not index.has(far)
-    index.add(far)
-    assert index.has(far) and index.has(lo)
+    index.add(*_keyed(lo))
+    assert index.has(*_keyed(hi))
+    assert index.has(*_keyed(hi[1:] + hi[:1]))  # other starting point
+    far = [x + 10.0 * DEDUP_TOL for x in lo]
+    assert not index.has(*_keyed(far))
+    index.add(*_keyed(far))
+    assert index.has(*_keyed(far)) and index.has(*_keyed(lo))
+    assert index.match(*_keyed(far)) == 1
 
 
 def test_cycle_index_agrees_with_pairwise_scan():
@@ -132,24 +135,24 @@ def test_cycle_index_agrees_with_pairwise_scan():
         # threshold and of the strip boundaries
         arr = base + rng.uniform(-1.5, 1.5, size=base.shape) * DEDUP_TOL
         arr = np.roll(arr, int(rng.integers(len(arr))), axis=0)
-        cycle = tuple(PointC2(complex(r[0], r[1]), complex(r[2], r[3]))
-                      for r in arr)
+        # columns 2 and 3 once held y, which takes no part in a match
+        cycle = (arr[:, 0] + 1j * arr[:, 1]).tolist()
         expected = any(_same_cycle(cycle, k) for k in kept)
-        assert index.has(cycle) == expected
+        assert index.has(*_keyed(cycle)) == expected
         if expected:
             hits += 1
         else:
             kept.append(cycle)
-            index.add(cycle)
+            index.add(*_keyed(cycle))
     assert 50 < hits < 550  # both outcomes exercised
 
 
 def test_cycle_index_survives_huge_coordinates():
     index = _CycleIndex()
-    huge = (PointC2(1e305 + 0j, 1.0 + 0j),)
-    index.add(huge)
-    assert index.has(huge)
-    assert not index.has((PointC2(-1e305 + 0j, 1.0 + 0j),))
+    huge = [1e305 + 0j]
+    index.add(*_keyed(huge))
+    assert index.has(*_keyed(huge))
+    assert not index.has(*_keyed([-1e305 + 0j]))
 
 
 def _shadowing_cycles(m, n):
@@ -162,8 +165,8 @@ def _shadowing_cycles(m, n):
         w[0] = w[j] = 1
     X, ok = _newton_cycles(m, symbolic_orbit_seed(m, np.array(words)))
     assert ok.all()
-    return [tuple(PointC2(complex(x), complex(y))
-                  for x, y in zip(row, np.roll(row, 1))) for row in X]
+    # (x_j, y_j) rows; y takes no part in a match
+    return [np.stack([row, np.roll(row, 1)], axis=1) for row in X]
 
 
 def test_cycle_index_crowded_strips_agree_with_pairwise_scan(monkeypatch,
@@ -172,7 +175,7 @@ def test_cycle_index_crowded_strips_agree_with_pairwise_scan(monkeypatch,
     rng = np.random.default_rng(11)
     index, kept, hits, crowded = _CycleIndex(), [], 0, 0
     for _ in range(300):
-        base = np.array(pool[int(rng.integers(len(pool)))])
+        base = pool[int(rng.integers(len(pool)))]
         # copies within 0.9 tolerances of each other match; half the
         # candidates move one point by 1 to 3 tolerances, which may or may
         # not leave them a match
@@ -182,20 +185,20 @@ def test_cycle_index_crowded_strips_agree_with_pairwise_scan(monkeypatch,
                 rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3.0) * DEDUP_TOL)
         # start anywhere on the cycle, mostly on a point near the fixed point
         arr = np.roll(arr, int(rng.integers(len(arr))), axis=0)
-        cycle = tuple(PointC2(complex(x), complex(y)) for x, y in arr)
-        crowded += sum(map(len, index._around(24, cycle[0].x))) > \
+        cycle, cells = _keyed(arr[:, 0])
+        crowded += sum(map(len, index._around(24, cells[0]))) > \
             periodic2d.CROWDED
         expected = any(_same_cycle(cycle, k) for k in kept)
-        assert index.has(cycle) == expected
+        assert index.has(cycle, cells) == expected
         # probing from the first point alone gives the same answer
         monkeypatch.setattr(periodic2d, "CROWDED", 10 ** 9)
-        assert index.has(cycle) == expected
+        assert index.has(cycle, cells) == expected
         monkeypatch.undo()
         if expected:
             hits += 1
         else:
             kept.append(cycle)
-            index.add(cycle)
+            index.add(cycle, cells)
     assert 30 < hits < 270 and crowded > 100
 
 
@@ -387,6 +390,103 @@ def test_stacked_assembly_matches_lone_orbits():
     assert seen == {(True, False), (False, True), (False, False)}
 
 
+def _orbits_digest(orbits):
+    """sha256 over every field of the orbits, monodromy included."""
+    h = hashlib.sha256()
+    for o in orbits:
+        h.update(repr(_bits(o) + (o.monodromy.tobytes(),)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("a, b, ns, digest", [
+    (10.0, 0.3, range(1, 9),
+     "3b5146c08c9c18192ee773868a70504fb771d33a04bbe5db4d4290f7517ff87a"),
+    (1.4, 0.3, range(1, 7),
+     "3df1cd2648d97e3a7d54d4d7e130be49199308d8fcffa87abe5bd9cbfd7ccd87"),
+    # fixed-point discriminant 0: one degenerate orbit of multiplicity 2
+    (-0.5625, 0.5, [1],
+     "48d00613714fe1342e44356ca16dfb1db4c3f086e51a610842a363d5e0c9da95"),
+], ids=["horseshoe", "continued", "degenerate"])
+def test_level_orbits_match_object_census(a, b, ns, digest):
+    # the digests were taken from the census that built PeriodicOrbits as
+    # it admitted them: the orbits built from the columns on access are
+    # those, field by field and every monodromy byte
+    m = MapParams(a, b)
+    levels = periodic_levels(m, ns)
+    orbits = [o for lv in levels for o in lv.orbits]
+    assert _orbits_digest(orbits) == digest
+    for lv in levels:
+        assert lv.orbits is lv.orbits  # built once
+        for o in lv.orbits:
+            assert isinstance(o.multiplicity, int)
+            assert isinstance(o.is_real, bool)
+            assert not o.monodromy.flags.writeable
+    if len(ns) == 1:
+        assert _orbits_digest(fixed_points_closed_form(m)) == digest
+        assert levels[0].orbits[0].degenerate
+
+
+def _census_reference(m, calls):
+    """Census counters by the pairwise scan, replaying the candidate rows
+    one `_Census` was offered: (lower_period, residual_rejected,
+    duplicates) and the x of each cycle kept."""
+    fixed = periodic2d._fixed_points(m)
+    kept = [x for x, r in zip(fixed.xs, fixed.slot) if r >= 0]
+    lower = rejected = duplicates = 0
+    for block, i in calls:
+        x = block.xs[i]
+        d = periodic2d._minimal_period(x, len(x))
+        if d < len(x):
+            lower += 1
+            X, ok = _newton_cycles(m, np.array([x[:d]]))
+            if not ok[0]:
+                continue
+            block, i = periodic2d._assemble(m, X), 0
+            x = block.xs[0]
+        if block.slot[i] < 0:
+            rejected += 1
+        elif any(_same_cycle(x, k) for k in kept):
+            duplicates += 1
+        else:
+            kept.append(x)
+    return (lower, rejected, duplicates), kept
+
+
+@pytest.mark.parametrize("a, b, n, gate_period, counts", [
+    (10.0, 0.3, 8, None, (5, 0, 1)),
+    (1.4, 0.3, 6, None, (0, 0, 0)),
+    # period-3 rows pushed past the residual gate
+    (1.4, 0.3, 6, 3, (0, 2, 0)),
+], ids=["horseshoe", "continued", "continued-gate"])
+def test_census_counters_match_pairwise_reference(monkeypatch, a, b, n,
+                                                  gate_period, counts):
+    offered = {}
+
+    class Recording(periodic2d._Census):
+        def try_cycle(self, block, i):
+            offered.setdefault(self.m, []).append((block, i))
+            super().try_cycle(block, i)
+
+    residual = periodic2d._closure_residual
+
+    def gated(X, a_, b_):
+        # only at the target: the start level keeps its period-3 cycles
+        r = residual(X, a_, b_)
+        return r + 1.0 if (X.shape[1], a_) == (gate_period, a) else r
+
+    monkeypatch.setattr(periodic2d, "_Census", Recording)
+    monkeypatch.setattr(periodic2d, "_closure_residual", gated)
+    m = MapParams(a, b)
+    lv = periodic_points_2d(m, n)
+    got = (lv.lower_period, lv.residual_rejected, lv.duplicates)
+    want, kept = _census_reference(m, offered[m])
+    assert got == want == counts
+    c = lv.columns
+    assert [c.x[s:s + d].tolist() for s, d in
+            zip(c.starts().tolist(), c.period.tolist())] == kept
+    assert lv.complete == (gate_period is None)
+
+
 def test_orbit_monodromy_is_read_only_and_out_of_eq(horseshoe,
                                                     horseshoe_levels):
     o = horseshoe_levels[3].orbits[-1]
@@ -398,13 +498,13 @@ def test_orbit_monodromy_is_read_only_and_out_of_eq(horseshoe,
         "is_real", "residual", "multiplicity", "degenerate")))
     assert bare.monodromy is None
     assert bare == o and hash(bare) == hash(o) and repr(bare) == repr(o)
-    # an orbit without a monodromy gets it from the chain rule
+    # the level's monodromy column is read-only too, and out of its ==
     lv = horseshoe_levels[3]
-    hand = periodic2d.PeriodicLevel(
-        lv.n, tuple(dataclasses.replace(x, monodromy=None)
-                    for x in lv.orbits),
-        lv.fixed_point_count, lv.complete, lv.attempts)
-    assert reality_table(horseshoe, [hand]) == reality_table(horseshoe, [lv])
+    assert not lv.columns.monodromy.flags.writeable
+    other = dataclasses.replace(lv, columns=lv.columns._replace(
+        monodromy=np.zeros_like(lv.columns.monodromy)))
+    assert other == lv
+    assert dataclasses.replace(lv, duplicates=lv.duplicates + 1) != lv
 
 
 def test_stacked_newton_rows_match_lone_runs(horseshoe):
@@ -509,9 +609,9 @@ def test_continued_census_matches_halton_reference():
     m = MapParams(1.4, 0.3)
     assert sorted(ref, key=int) == [str(n) for n in range(1, 8)]
     for n in range(1, 8):
-        lv = periodic_points_2d(m, n)
-        got = np.array([[p.x.real, p.x.imag, p.y.real, p.y.imag]
-                        for p in lv.fixed_points])
+        c = periodic_points_2d(m, n).columns
+        y = c.y()
+        got = np.stack([c.x.real, c.x.imag, y.real, y.imag], axis=1)
         want = np.array(ref[str(n)])
         assert got.shape == want.shape
         dist = np.max(np.abs(want[:, None, :] - got[None, :, :]), axis=2)
