@@ -26,16 +26,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import __version__
-from .dynamics import MapParams, is_horseshoe_regime
+# the library modules are read through their names at call time, so a
+# command runs only the modules it calls (see henonlab/__init__)
+from . import (__version__, dynamics, measures, periodic2d, poly1d, potential,
+               symbolic)
 from .errors import CapError, ContractError, HenonlabError
-from .measures import TestBattery, compare
-from .periodic2d import (ORBIT_CLASSES, mu_n_measure, periodic_levels,
-                         reality_table, saddle_table)
-from .poly1d import Poly, julia_render_points
-from .potential import green_minus_field, green_plus_field, green_poly_field
 from .raster import density_counts, grayscale_log, write_pgm
-from .symbolic import entropy_estimate, itinerary_word_counts
 
 TILE = 128
 # largest pixel raster, and largest julia-cloud walk tree (walks x
@@ -259,17 +255,17 @@ def _slice_points(sl: dict, key: str, count: int) -> list:
     return [_cx(v) for v in sl[key][:count]]
 
 
-def _map_params(params: dict) -> MapParams:
+def _map_params(params: dict) -> dynamics.MapParams:
     if params["kind"] != "henon":
         raise ContractError("this command needs params.kind = henon")
-    return MapParams(_cx(params["a"]), _cx(params["b"]))
+    return dynamics.MapParams(_cx(params["a"]), _cx(params["b"]))
 
 
-def _poly(params: dict) -> Poly:
+def _poly(params: dict) -> poly1d.Poly:
     if params["kind"] != "poly" or "coeffs" not in params:
         raise ContractError("this command needs params.kind = poly and "
                             "params.coeffs")
-    return Poly(tuple(_cx(c) for c in params["coeffs"]))
+    return poly1d.Poly(tuple(_cx(c) for c in params["coeffs"]))
 
 
 def _comments(cfg: JobConfig) -> list:
@@ -366,13 +362,14 @@ def cmd_render_green(cfg: JobConfig) -> int:
         direction, = _slice_points(cfg.slice, "direction", 1)
 
         def eval_field(t):
-            return green_poly_field(*_start_points(t, [base], [direction]),
-                                    f, tol, n_max)
+            return potential.green_poly_field(
+                *_start_points(t, [base], [direction]), f, tol, n_max)
     else:
         m = _map_params(cfg.params)
         base = _slice_points(cfg.slice, "base", 2)
         direction = _slice_points(cfg.slice, "direction", 2)
-        field = green_plus_field if mode == "plus" else green_minus_field
+        field = (potential.green_plus_field if mode == "plus"
+                 else potential.green_minus_field)
 
         def eval_field(t):
             return field(*_start_points(t, base, direction), m, tol, n_max)
@@ -409,8 +406,8 @@ def cmd_julia_cloud(cfg: JobConfig) -> int:
     walks = int(cfg.budgets["walks"])
     depth = int(cfg.budgets["depth"])
     burn_in = int(cfg.budgets["burn_in"])
-    points, levels = julia_render_points(f, c, walks, depth, burn_in,
-                                         cfg.rng_seed)
+    points, levels = poly1d.julia_render_points(f, c, walks, depth, burn_in,
+                                                cfg.rng_seed)
     out, tag = _out_dir(cfg)
     _write_csv(out / f"julia-{tag}.csv", itertools.chain(
         _comment_lines(cfg), ["re,im,level"],
@@ -443,7 +440,7 @@ def _orbit_lines(level) -> Iterator[str]:
     heads = per_point(f"{level.n},{oi},{d}" for oi, d in enumerate(periods))
     tails = per_point(map(",".join, zip(
         reprs(lam[:, 0].real, lam[:, 0].imag, lam[:, 1].real, lam[:, 1].imag),
-        map(ORBIT_CLASSES.__getitem__, c.orbit_class.tolist()),
+        map(periodic2d.ORBIT_CLASSES.__getitem__, c.orbit_class.tolist()),
         ("1" if r else "0" for r in c.is_real.tolist()),
         map(repr, c.residual.tolist()), map(str, c.multiplicity.tolist()))))
     index = np.arange(len(c.x)) - np.repeat(c.starts(), c.period)
@@ -457,30 +454,30 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
     m = _map_params(cfg.params)
     n_max = int(cfg.budgets["level_max"])
     budget = int(cfg.budgets["budget"])
-    levels = periodic_levels(m, range(1, n_max + 1), budget)
+    levels = periodic2d.periodic_levels(m, range(1, n_max + 1), budget)
     out, tag = _out_dir(cfg)
     _write_csv(out / f"periodic-{tag}-orbits.csv", itertools.chain(
         _comment_lines(cfg),
         ["n,orbit,period,index,x_re,x_im,y_re,y_im,lam1_re,lam1_im,lam2_re,"
          "lam2_im,class,is_real,residual,multiplicity"],
         *map(_orbit_lines, levels)))
-    table = saddle_table(levels)
+    table = periodic2d.saddle_table(levels)
     _write_csv(out / f"periodic-{tag}-saddles.csv", itertools.chain(
         _comment_lines(cfg)[:1], ["n,saddle_count,ratio,complete"],
         (f"{r.n},{r.saddle_count},{r.ratio!r},{int(r.complete)}"
          for r in table.rows)))
-    battery = TestBattery(2, sigma=float(m.R))
-    mus = [mu_n_measure(level) for level in levels]
+    battery = measures.TestBattery(2, sigma=float(m.R))
+    mus = [periodic2d.mu_n_measure(level) for level in levels]
     # |int f dmu_i - int f dmu_j| is symmetric bit for bit, and so are the
     # worst probe and the advisory flag: compare each pair once, mirror it
     matrix = [[0.0] * len(mus) for _ in mus]
     for i in range(len(mus)):
         for j in range(i + 1, len(mus)):
             matrix[i][j] = matrix[j][i] = float(
-                compare(mus[i], mus[j], battery))
+                measures.compare(mus[i], mus[j], battery))
     real_params = m.a.imag == 0.0 and m.b.imag == 0.0
     if real_params:
-        reality = reality_table(m, levels)
+        reality = periodic2d.reality_table(m, levels)
         reality_doc = {
             "verdict": reality.verdict,
             "all_real": reality.all_real,
@@ -526,13 +523,13 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
     reality_n = int(cfg.budgets["reality_n_max"])
     budget = int(cfg.budgets["budget"])
     inconclusive = False
-    horseshoe = is_horseshoe_regime(m)
+    horseshoe = dynamics.is_horseshoe_regime(m)
     real_params = m.a.imag == 0.0 and m.b.imag == 0.0
     # the word level first, then each reality level not asked for yet
     ns = [word_max] if horseshoe else []
     if real_params:
         ns += [n for n in range(1, reality_n + 1) if n not in ns]
-    level_at = dict(zip(ns, periodic_levels(m, ns, budget)))
+    level_at = dict(zip(ns, periodic2d.periodic_levels(m, ns, budget)))
     if not horseshoe:
         entropy_doc = {"status": "skipped",
                        "reason": "itinerary coding needs parameters that "
@@ -550,8 +547,8 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
                            "expected": 2 ** word_max}
             inconclusive = True
         else:
-            counts = itinerary_word_counts(level.orbits, word_max)
-            est = entropy_estimate(counts, word_max)
+            counts = symbolic.itinerary_word_counts(level.orbits, word_max)
+            est = symbolic.entropy_estimate(counts, word_max)
             entropy_doc = {
                 "status": "ok",
                 "word_counts": {str(k): v for k, v in counts.items()},
@@ -560,7 +557,8 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
                 "log_2": math.log(2.0),
             }
     if real_params:
-        rep = reality_table(m, [level_at[n] for n in range(1, reality_n + 1)])
+        rep = periodic2d.reality_table(
+            m, [level_at[n] for n in range(1, reality_n + 1)])
         reality_doc = {"verdict": rep.verdict, "all_real": rep.all_real,
                        "nonreal_periods": list(rep.nonreal_periods)}
         if rep.verdict == "inconclusive":

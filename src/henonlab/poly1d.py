@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .cycles import block_rows, continue_cycles, newton_cycles
+# cycles and measures are read at call time: the Julia cloud runs neither
+from . import cycles, measures
 from .errors import CapError, ContractError, ConvergenceError
-from .measures import DiscreteMeasure
 
 PREIMAGE_CAP = 1 << 20
 PERIODIC_CAP = 4096
@@ -355,10 +355,11 @@ def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
                            * npp.polyval(X, low)))
     ends = []
     for m, X0 in _start_cycles(d, n).items():
-        step = block_rows(m)
+        step = cycles.block_rows(m)
         for lo in range(0, len(X0), step):
-            X, _, _, _ = continue_cycles(X0[lo:lo + step], *paths, 0.0)
-            X, ok = newton_cycles(X, f, f.eval_deriv, 0.0)
+            X, _, _, _ = cycles.continue_cycles(X0[lo:lo + step], *paths,
+                                                0.0)
+            X, ok = cycles.newton_cycles(X, f, f.eval_deriv, 0.0)
             ends.append(X[ok].ravel())
     reps, counts = _cluster(np.concatenate(ends), CLUSTER_TOL)
     meet = counts > 1
@@ -367,7 +368,7 @@ def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
 
 
 def brolin_measure(f: Poly, mode: str, n: int, c: complex | None = None,
-                   cap: int | None = None) -> DiscreteMeasure:
+                   cap: int | None = None) -> measures.DiscreteMeasure:
     """Equal-weight measure (weight d^-n) on preimages of c or on periodic points."""
     d = f.degree
     if mode == "preimage":
@@ -379,12 +380,14 @@ def brolin_measure(f: Poly, mode: str, n: int, c: complex | None = None,
                                 "requires a nonexceptional base point")
         tree = preimages(f, c, n, "full", cap=cap or PREIMAGE_CAP)
         pts = tree.levels[n]
-        return DiscreteMeasure(pts, np.ones(len(pts), dtype=np.int64), d ** n,
-                               1, True, f"preimage(c={c}, n={n})")
+        return measures.DiscreteMeasure(
+            pts, np.ones(len(pts), dtype=np.int64), d ** n, 1, True,
+            f"preimage(c={c}, n={n})")
     if mode == "periodic":
         reps, mult = periodic_points_1d(f, n, cap=cap or PERIODIC_CAP)
-        return DiscreteMeasure(reps, mult, d ** n, 1, int(mult.sum()) == d ** n,
-                               f"periodic(n={n})")
+        return measures.DiscreteMeasure(reps, mult, d ** n, 1,
+                                        int(mult.sum()) == d ** n,
+                                        f"periodic(n={n})")
     raise ContractError(f"unknown mode {mode!r}")
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -518,12 +519,15 @@ def test_unknown_section_key_exits_2(tmp_path, capsys, command, doc):
     assert not (tmp_path / "out").exists()
 
 
+# each stage where the CLI looks it up: cli reads julia_render_points
+# through poly1d at call time
 @pytest.mark.parametrize("command, doc, stage", [
-    ("julia-cloud", {"budgets": {"walks": 1000000000}}, "julia_render_points"),
+    ("julia-cloud", {"budgets": {"walks": 1000000000}},
+     "henonlab.poly1d.julia_render_points"),
     ("julia-cloud", {"window": {"pixels": [100000, 100000]}},
-     "julia_render_points"),
+     "henonlab.poly1d.julia_render_points"),
     ("render-green", {"window": {"pixels": [100000, 100000]}},
-     "_render_tiles"),
+     "henonlab.cli._render_tiles"),
 ], ids=["cloud-walks", "cloud-pixels", "render-pixels"])
 def test_size_cap_refuses_before_allocation(tmp_path, monkeypatch, capsys,
                                             command, doc, stage):
@@ -533,7 +537,7 @@ def test_size_cap_refuses_before_allocation(tmp_path, monkeypatch, capsys,
         calls.append(stage)
         raise MemoryError("allocating stage reached")
 
-    monkeypatch.setattr(henonlab.cli, stage, allocating_stage)
+    monkeypatch.setattr(stage, allocating_stage)
     with pytest.raises(CapError):
         build_config(command, doc)
     cfg_path = write_cfg(tmp_path, doc)
@@ -541,6 +545,10 @@ def test_size_cap_refuses_before_allocation(tmp_path, monkeypatch, capsys,
                "--out", str(tmp_path / "out")])
     assert rc == 2 and calls == []
     assert "SIZE_CAP" in capsys.readouterr().err
+    # the default config, under the cap, reaches the stub: it sits where
+    # the CLI looks the stage up
+    assert main([command, "--out", str(tmp_path / "small")]) == 2
+    assert calls == [stage]
 
 
 def test_julia_cloud_run(tmp_path):
@@ -890,14 +898,19 @@ def test_outputs_deterministic_across_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _run_without_scipy_stats(code: str) -> None:
+def _run_fresh(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports henonlab from here."""
     src = str(Path(henonlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code += "\nassert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_without_scipy_stats(code: str) -> None:
+    _run_fresh(code + "\nassert 'scipy.stats' not in sys.modules, "
+               "'scipy.stats loaded'")
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -913,3 +926,60 @@ def test_off_horseshoe_census_leaves_scipy_stats_unloaded(tmp_path):
         "import sys\nfrom henonlab.cli import main\n"
         f"assert main(['periodic-report', '--config', {str(cfg_path)!r}, "
         f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+
+
+# the submodules `import henonlab` registers without running their bodies
+LAZY = ("dynamics", "cycles", "measures", "symbolic", "periodic2d", "poly1d",
+        "potential")
+# a lazily registered module has run once its class is plain ModuleType
+# again; type() reads the class without triggering the load
+_RAN = ("import sys, types\n"
+        "def ran(*names):\n"
+        "    return [n for n in names if type(sys.modules['henonlab.' + n])"
+        " is types.ModuleType]\n")
+
+
+def _traced_layers() -> list:
+    """The henonlab modules the benchmark tracer looks up in sys.modules."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return list(spans.LAYERS)
+
+
+def test_cli_import_runs_no_library_module():
+    layers = _traced_layers()
+    assert {"potential", "poly1d", "periodic2d"} <= set(layers)
+    _run_fresh(_RAN + "import henonlab.cli\n"
+               f"assert ran(*{LAZY!r}) == [], ran(*{LAZY!r})\n"
+               # the tracer indexes sys.modules for each layer
+               f"for layer in {layers!r}:\n"
+               "    assert 'henonlab.' + layer in sys.modules, layer\n")
+
+
+@pytest.mark.parametrize("jobs, unrun", [
+    ([dict(TINY_RENDER, mode="plus"),
+      {"command": "render-green", "mode": "poly", "params": BASILICA_PARAMS,
+       "window": {"width": 4.0, "height": 3.0, "pixels": [24, 16]},
+       "budgets": {"n_max": 200}}],
+     ("periodic2d", "symbolic", "measures", "cycles")),
+    ([TINY_CLOUD],
+     ("periodic2d", "symbolic", "measures", "cycles", "dynamics",
+      "potential")),
+    ([{"command": "periodic-report", "budgets": {"level_max": 3,
+                                                 "budget": 64}}],
+     ("potential", "poly1d")),
+], ids=["render-green", "julia-cloud", "periodic-report"])
+def test_command_runs_only_its_modules(tmp_path, jobs, unrun):
+    # a CLI call executes just the library modules its command calls
+    argvs = []
+    for i, doc in enumerate(jobs):
+        cfg_path = tmp_path / f"job{i}.json"
+        cfg_path.write_text(json.dumps(doc))
+        argvs.append([doc["command"], "--config", str(cfg_path),
+                      "--out", str(tmp_path / f"out{i}")])
+    _run_fresh(_RAN + "from henonlab.cli import main\n"
+               f"for argv in {argvs!r}:\n"
+               "    assert main(argv) == 0, argv\n"
+               f"assert ran(*{unrun!r}) == [], ran(*{unrun!r})\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from henonlab import poly1d
+from henonlab import cycles, poly1d
 from henonlab.errors import CapError, ContractError, ConvergenceError
 from henonlab.poly1d import (Poly, brolin_measure, exceptional_check,
                              julia_render_points, periodic_points_1d,
@@ -278,13 +278,14 @@ def test_parabolic_periodic_points_are_complete(n, want):
 def test_ends_that_meet_at_a_simple_cycle_are_lost(monkeypatch):
     # every path of a period lands on its first path's cycle: the fixed
     # points and cycles are simple, so the extra ends are lost, not counted
-    continue_cycles = poly1d.continue_cycles
+    continue_cycles = cycles.continue_cycles
 
     def jumping(X, *args):
         X, *counters = continue_cycles(X, *args)
         return (np.repeat(X[:1], len(X), axis=0), *counters)
 
-    monkeypatch.setattr(poly1d, "continue_cycles", jumping)
+    # poly1d reads continue_cycles through cycles at call time
+    monkeypatch.setattr(cycles, "continue_cycles", jumping)
     reps, mult = periodic_points_1d(BASILICA, 4)
     # one fixed point, one period-2 cycle and one period-4 cycle survive
     assert mult.tolist() == [1] * 7
