@@ -30,25 +30,24 @@ _EXPORTS = {
     "measures": ("ComparisonResult", "DiscreteMeasure", "TestBattery",
                  "angular_discrepancy", "compare", "integrate",
                  "potential_of_measure"),
-    "symbolic": ("CylinderMeasure", "EntropyEstimate", "PeriodicSequence",
-                 "SymbolWord", "code_orbit", "count_admissible_words",
-                 "cylinder_mass", "entropy_estimate", "necklaces",
-                 "sequence_metric", "shift"),
+    "symbolic": ("EntropyEstimate", "PeriodicSequence", "SymbolWord",
+                 "code_orbit", "count_admissible_words", "entropy_estimate",
+                 "necklaces", "sequence_metric", "shift"),
     "periodic2d": ("OrbitColumns", "PeriodicLevel", "PeriodicOrbit",
                    "RealityReport", "SaddleRatioTable",
                    "cylinder_point_measure", "fixed_points_closed_form",
                    "mu_n_measure", "negative_fixed_point", "periodic_levels",
                    "periodic_points_2d", "reality_conditions_report",
-                   "reality_table", "saddle_count_ratio", "saddle_table",
-                   "symbolic_orbit_seed", "unstable_disk_sample"),
+                   "reality_table", "saddle_table", "symbolic_orbit_seed",
+                   "unstable_disk_sample"),
     "poly1d": ("Poly", "PreimageTree", "brolin_measure", "simultaneous_roots",
                "exceptional_check", "julia_render_points",
                "periodic_points_1d", "preimages"),
     "potential": ("GreenEstimate", "GreenField", "ScalarGrid",
                   "discrete_ddc_mass", "green_minus", "green_minus_field",
                   "green_plus", "green_plus_field", "green_poly",
-                  "green_poly_field", "mass_in_disk", "mass_total",
-                  "potential_kernel", "subaverage_check"),
+                  "green_poly_field", "mass_in_disk", "potential_kernel",
+                  "subaverage_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

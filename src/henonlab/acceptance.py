@@ -14,6 +14,9 @@ import contextlib
 import functools
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -320,14 +323,43 @@ def _criterion_11():
     }
 
 
+def _other_hash_seed() -> str:
+    """A PYTHONHASHSEED unlike this process's: one more than a fixed seed,
+    else 0 (this process's own seed is random)."""
+    own = os.environ.get("PYTHONHASHSEED", "")
+    return str((int(own) + 1) % 2 ** 32) if own.isdigit() else "0"
+
+
+def _fresh_cli(args: list, cwd: Path) -> int:
+    """`python -m henonlab *args` in a new interpreter run from cwd, with
+    this henonlab first on its path and another hash seed; its output is
+    captured and dropped."""
+    package_parent = str(Path(__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=_other_hash_seed(),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [package_parent,
+                                 os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "henonlab", *args],
+                          cwd=cwd, env=env, capture_output=True,
+                          timeout=600).returncode
+
+
+def _files(out_dir: Path) -> dict:
+    """Every file under out_dir, relative path -> bytes."""
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
 def _criterion_12(workdir):
-    """Every subcommand yields byte-identical files across thread counts."""
+    """Every subcommand writes the same files in this process (--threads 1)
+    as in a fresh interpreter with another hash seed (--threads 4)."""
     from .cli import main as cli_main
 
     base = Path(workdir) if workdir is not None else None
     if base is None:
         base = Path(tempfile.mkdtemp(prefix="determinism-"))
     base.mkdir(parents=True, exist_ok=True)
+    base = base.resolve()
 
     jobs = {
         "render-green": {
@@ -363,27 +395,20 @@ def _criterion_12(workdir):
     for name, doc in jobs.items():
         cfg_path = base / f"{name}.json"
         cfg_path.write_text(_json.dumps(doc))
-        outputs = []
-        rcs = []
-        for threads, tag in ((1, "t1"), (4, "t4")):
-            out_dir = base / f"{name}-{tag}"
-            # the inner runs' stdout (validate's verdict lines) belongs to
-            # no one: only their files are compared
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli_main([name, "--config", str(cfg_path),
-                               "--threads", str(threads),
-                               "--out", str(out_dir)])
-            rcs.append(rc)
-            listing = {}
-            for p in sorted(out_dir.rglob("*")):
-                if p.is_file():
-                    listing[str(p.relative_to(out_dir))] = p.read_bytes()
-            outputs.append(listing)
-        same = (outputs[0].keys() == outputs[1].keys()
-                and all(outputs[0][k] == outputs[1][k] for k in outputs[0]))
+        here, fresh = base / f"{name}-t1", base / f"{name}-t4"
+        # the inner run's stdout (validate's verdict lines) belongs to no
+        # one: only its files are compared
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc_here = cli_main([name, "--config", str(cfg_path),
+                                "--threads", "1", "--out", str(here)])
+        cwd = base / f"{name}-cwd"
+        cwd.mkdir(exist_ok=True)
+        rc_fresh = _fresh_cli([name, "--config", str(cfg_path),
+                               "--threads", "4", "--out", str(fresh)], cwd)
+        same = _files(here) == _files(fresh)
         identical[name] = same
-        codes[name] = rcs
-        all_ok = all_ok and same and rcs[0] == rcs[1] == 0
+        codes[name] = [rc_here, rc_fresh]
+        all_ok = all_ok and same and rc_here == rc_fresh == 0
     return all_ok, {"identical": identical, "exit_codes": codes,
                     "workdir": str(base)}
 
@@ -403,7 +428,7 @@ _CRITERIA = (
      _criterion_09),
     (10, "outgoing cone absorbs orbits with growing |x|", _criterion_10),
     (11, "unstable manifold cloud shadows every short saddle", _criterion_11),
-    (12, "CLI outputs are byte-identical across thread counts",
+    (12, "CLI outputs are byte-identical in a fresh interpreter",
      _criterion_12),
 )
 

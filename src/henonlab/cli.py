@@ -536,7 +536,7 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
                                  "pass the horseshoe test"}
     else:
         level = level_at[word_max]
-        if not level.orbits:
+        if not len(level.columns.period):
             entropy_doc = {"status": "inconclusive",
                            "reason": "no orbits found"}
             inconclusive = True

@@ -11,13 +11,10 @@ density estimation.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -92,49 +89,6 @@ class DiscreteMeasure:
                 for vals in battery.evaluate_all(self.points))
         return self._probe_integrals[key]
 
-    @classmethod
-    def equal_weights(cls, points, ambient_dim: int, complete: bool = True,
-                      provenance: str = "") -> "DiscreteMeasure":
-        pts = np.asarray(points, dtype=complex)
-        if len(pts) == 0:
-            raise ContractError("measure needs at least one atom")
-        return cls(pts, np.ones(len(pts), dtype=np.int64), len(pts),
-                   ambient_dim, complete, provenance)
-
-    def save(self, path) -> None:
-        """CSV of atoms and their counts plus a JSON sidecar carrying the
-        denominator and the other metadata."""
-        path = Path(path)
-        names = (["re", "im"] if self.ambient_dim == 1
-                 else ["x_re", "x_im", "y_re", "y_im"])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(names + ["count"])
-            pts = self.points.reshape(len(self), self.ambient_dim)
-            for row, c in zip(pts, self.counts.tolist()):
-                w.writerow([repr(float(v)) for z in row
-                            for v in (z.real, z.imag)] + [c])
-        sidecar = {"ambient_dim": self.ambient_dim, "complete": self.complete,
-                   "provenance": self.provenance, "count": len(self),
-                   "denominator": self.denominator}
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "DiscreteMeasure":
-        path = Path(path)
-        meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        dim = meta["ambient_dim"]
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        # (re, im) float pairs read back as complex128, bit for bit
-        pts = np.array([[float(v) for v in row[:-1]] for row in rows],
-                       dtype=float).reshape(len(rows), 2 * dim).view(complex)
-        return cls(pts if dim == 2 else pts.ravel(),
-                   np.array([int(row[-1]) for row in rows], dtype=np.int64),
-                   meta["denominator"], dim, meta["complete"],
-                   meta.get("provenance", ""))
-
 
 class TestBattery:
     """Gaussian-windowed polynomial moments, normalized to sup norm <= 1.
@@ -194,25 +148,16 @@ class TestBattery:
             coords = (pts,)
         return coords, np.exp(-r2 / (2.0 * self.sigma ** 2))
 
-    def evaluate(self, test_id: str, points: np.ndarray) -> np.ndarray:
-        for name, fn, norm in self._probes:
-            if name == test_id:
-                coords, window = self._coords_and_window(points)
-                return fn(*coords) * window / norm
-        raise ContractError(f"unknown test id {test_id!r}")
-
     def evaluate_all(self, points: np.ndarray) -> list:
         """Every probe at points, in id order, over one shared window."""
         coords, window = self._coords_and_window(points)
         return [fn(*coords) * window / norm for _, fn, norm in self._probes]
 
 
-def integrate(mu: DiscreteMeasure, values_or_fn) -> float:
-    """Integral of a test function against mu, summed in fixed atom order."""
-    if callable(values_or_fn):
-        vals = np.asarray(values_or_fn(mu.points), dtype=float)
-    else:
-        vals = np.asarray(values_or_fn, dtype=float)
+def integrate(mu: DiscreteMeasure, values) -> float:
+    """Integral of test-function values (one per atom) against mu, summed in
+    fixed atom order."""
+    vals = np.asarray(values, dtype=float)
     if vals.shape != (len(mu),):
         raise ContractError("need one test value per atom")
     return math.fsum((mu.weight_array * vals).tolist())

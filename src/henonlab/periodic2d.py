@@ -677,15 +677,6 @@ def saddle_table(levels) -> SaddleRatioTable:
     return SaddleRatioTable(tuple(rows), verdict)
 
 
-def saddle_count_ratio(m: MapParams, n_max: int,
-                       budget: int = 2048) -> SaddleRatioTable:
-    """Enumerate levels 1..n_max and tabulate saddle counts and ratios."""
-    if n_max < 1:
-        raise ContractError("n_max must be >= 1")
-    levels = periodic_levels(m, range(1, n_max + 1), budget)
-    return saddle_table(levels)
-
-
 @dataclass(frozen=True)
 class RealityRow:
     n: int
@@ -881,7 +872,7 @@ def unstable_disk_sample(orbit: PeriodicOrbit, m: MapParams, steps: int,
 def negative_fixed_point(m: MapParams) -> PeriodicOrbit:
     """The fixed-point orbit on the symbol-0 side (x.real < 0)."""
     for orb in fixed_points_closed_form(m):
-        if orb is not None and orb.points[0].x.real < 0:
+        if orb.points[0].x.real < 0:
             return orb
     raise ContractError("no fixed point with negative real part")
 

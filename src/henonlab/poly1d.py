@@ -220,17 +220,6 @@ class PreimageTree:
     mode: str
     branching: int
 
-    def max_parent_residual(self, f: Poly) -> float:
-        worst = 0.0
-        for k in range(1, len(self.levels)):
-            child = self.levels[k]
-            if self.mode == "full":
-                parent = np.repeat(self.levels[k - 1], self.branching)
-            else:
-                parent = self.levels[k - 1]
-            worst = max(worst, float(np.max(np.abs(f(child) - parent))))
-        return worst
-
 
 def preimages(f: Poly, c: complex, n: int, mode: str = "full",
               k: int | None = None, rng_seed: int | None = None,

@@ -18,7 +18,6 @@ neighbors excluded rather than clipped.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -272,7 +271,7 @@ def green_plus_field(xs, ys, m: MapParams, tol: float = 1e-9,
     a, b = m.a, m.b
 
     def bound(ax, n):
-        return 2.0 * (abs(a) / ax ** 2 + abs(b) / ax) / 2.0 ** n
+        return 2.0 * (abs(a) / ax / ax + abs(b) / ax) / 2.0 ** n
 
     def value(ax, n):
         return np.log(ax) / 2.0 ** n
@@ -299,7 +298,7 @@ def green_minus_field(xs, ys, m: MapParams, tol: float = 1e-9,
     log_b = math.log(abs(b))
 
     def bound(ay, n):
-        return 2.0 * (abs(a) / ay ** 2 + 1.0 / ay) / 2.0 ** n
+        return 2.0 * (abs(a) / ay / ay + 1.0 / ay) / 2.0 ** n
 
     def value(ay, n):
         return (np.log(ay) - log_b) / 2.0 ** n
@@ -379,31 +378,6 @@ class ScalarGrid:
         origin = complex(xmin + 0.5 * spacing, ymin + 0.5 * spacing)
         return cls.sample(fn, origin, float(spacing), nx, ny)
 
-    def to_bytes(self) -> bytes:
-        head = struct.pack("<5d", float(self.width), float(self.height),
-                           self.origin.real, self.origin.imag, self.spacing)
-        return head + self.values.astype("<f8").tobytes(order="C")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ScalarGrid":
-        if len(data) < 40:
-            raise ContractError("grid blob shorter than its header")
-        w, h, ore, oim, sp = struct.unpack("<5d", data[:40])
-        width, height = int(round(w)), int(round(h))
-        body = np.frombuffer(data[40:], dtype="<f8")
-        if body.size != width * height:
-            raise ContractError("grid blob size does not match its header")
-        return cls(complex(ore, oim), sp, body.reshape(height, width).copy())
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "ScalarGrid":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
-
     def interpolate(self, z: complex) -> float:
         """Bilinear value at an interior point; singular corners are an error."""
         fx = (z.real - self.origin.real) / self.spacing
@@ -446,10 +420,6 @@ def discrete_ddc_mass(grid: ScalarGrid) -> ScalarGrid:
     mass = np.full(v.shape, np.nan)
     mass[1:-1, 1:-1] = np.where(ok, stencil / TWO_PI, np.nan)
     return ScalarGrid(grid.origin, grid.spacing, mass)
-
-
-def mass_total(mass_grid: ScalarGrid) -> float:
-    return float(np.nansum(mass_grid.values))
 
 
 def mass_in_disk(mass_grid: ScalarGrid, center: complex, radius: float) -> float:

@@ -1,4 +1,4 @@
-"""Deterministic binary raster output: P5 grayscale and P6 color.
+"""Deterministic binary raster output: P5 grayscale.
 
 Headers carry caller-supplied comment lines (config hash, tool version);
 no timestamps, so equal inputs give byte-identical files.
@@ -11,8 +11,8 @@ import numpy as np
 from .errors import ContractError
 
 
-def _header(magic: str, comments, width: int, height: int) -> bytes:
-    lines = [magic]
+def _header(comments, width: int, height: int) -> bytes:
+    lines = ["P5"]
     for c in comments:
         text = str(c)
         if "\n" in text or "\r" in text:
@@ -23,13 +23,10 @@ def _header(magic: str, comments, width: int, height: int) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _as_bytes_image(img, channels: int) -> np.ndarray:
+def _as_bytes_image(img) -> np.ndarray:
     arr = np.asarray(img)
-    want = 2 if channels == 1 else 3
-    if arr.ndim != want:
-        raise ContractError(f"image must be {want}-dimensional")
-    if channels == 3 and arr.shape[2] != 3:
-        raise ContractError("color image needs exactly 3 channels")
+    if arr.ndim != 2:
+        raise ContractError("image must be 2-dimensional")
     if arr.dtype != np.uint8:
         if np.issubdtype(arr.dtype, np.integer):
             if arr.min() < 0 or arr.max() > 255:
@@ -41,23 +38,13 @@ def _as_bytes_image(img, channels: int) -> np.ndarray:
 
 
 def pgm_bytes(img, comments=()) -> bytes:
-    arr = _as_bytes_image(img, 1)
-    return _header("P5", comments, arr.shape[1], arr.shape[0]) + arr.tobytes(order="C")
-
-
-def ppm_bytes(rgb, comments=()) -> bytes:
-    arr = _as_bytes_image(rgb, 3)
-    return _header("P6", comments, arr.shape[1], arr.shape[0]) + arr.tobytes(order="C")
+    arr = _as_bytes_image(img)
+    return _header(comments, arr.shape[1], arr.shape[0]) + arr.tobytes(order="C")
 
 
 def write_pgm(path, img, comments=()) -> None:
     with open(path, "wb") as fh:
         fh.write(pgm_bytes(img, comments))
-
-
-def write_ppm(path, rgb, comments=()) -> None:
-    with open(path, "wb") as fh:
-        fh.write(ppm_bytes(rgb, comments))
 
 
 def grayscale_log(values) -> np.ndarray:

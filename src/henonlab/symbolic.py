@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .dynamics import MapParams, PointC2, Region, classify_region, henon_apply, \
@@ -20,8 +19,6 @@ from .errors import CodingError, ContractError
 # Support cutoff for metric sums over bi-infinite sequences; the tail beyond
 # |j| = 64 is bounded by 2^-63, beneath double resolution of the sum.
 _METRIC_CUTOFF = 64
-
-ANCHOR_MARK = "."
 
 
 @dataclass(frozen=True)
@@ -48,21 +45,6 @@ class SymbolWord:
             raise ContractError(f"position {j} outside support")
         return self.bits[self.anchor + j]
 
-    def to_text(self) -> str:
-        s = "".join(str(b) for b in self.bits)
-        return s[: self.anchor] + ANCHOR_MARK + s[self.anchor:]
-
-    @classmethod
-    def from_text(cls, text: str) -> "SymbolWord":
-        if text.count(ANCHOR_MARK) != 1:
-            raise ContractError("word text needs exactly one anchor mark")
-        head, tail = text.split(ANCHOR_MARK)
-        digits = head + tail
-        if not digits or set(digits) - {"0", "1"}:
-            raise ContractError(f"not a binary word: {text!r}")
-        return cls(tuple(int(c) for c in digits), anchor=len(head))
-
-
 @dataclass(frozen=True)
 class PeriodicSequence:
     """Bi-infinite periodic extension of a word; s_j = bits[(anchor + j) mod p]."""
@@ -80,17 +62,6 @@ class PeriodicSequence:
     def symbol(self, j: int) -> int:
         p = self.period
         return self.word.bits[(self.word.anchor + j) % p]
-
-    def minimal_period(self) -> int:
-        # a rotation of the block: the anchor does not change the period
-        return minimal_period(self.word.bits)
-
-    def unroll(self, lo: int, hi: int) -> SymbolWord:
-        """Finite window over positions lo..hi-1."""
-        if hi <= lo:
-            raise ContractError("empty window")
-        return SymbolWord(tuple(self.symbol(j) for j in range(lo, hi)), anchor=-lo)
-
 
 def shift(s, k: int = 1):
     """Left shift by k: the new symbol at position j is the old one at j + k."""
@@ -172,40 +143,6 @@ def entropy_estimate(word_counts: Mapping[int, int], n_max: int) -> EntropyEstim
     )
 
 
-def cylinder_mass(word: SymbolWord, level: int) -> Fraction:
-    """Mass 4^-level of the itinerary box pinned down by a length-2*level word."""
-    if level < 1:
-        raise ContractError("level must be >= 1")
-    if len(word) != 2 * level:
-        raise ContractError(f"level-{level} box needs a word of length {2 * level}")
-    return Fraction(1, 4 ** level)
-
-
-@dataclass(frozen=True)
-class CylinderMeasure:
-    """Equal weight on the 2^(2n) level-n itinerary boxes."""
-
-    level: int
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ContractError("level must be >= 1")
-
-    @property
-    def box_count(self) -> int:
-        return 4 ** self.level
-
-    @property
-    def weight_per_box(self) -> Fraction:
-        return Fraction(1, self.box_count)
-
-    def mass(self, word: SymbolWord) -> Fraction:
-        return cylinder_mass(word, self.level)
-
-    def total_mass(self) -> Fraction:
-        return self.weight_per_box * self.box_count
-
-
 def code_orbit(p: PointC2, m: MapParams, n_back: int, n_fwd: int) -> SymbolWord:
     """Itinerary of p over positions -n_back .. n_fwd-1; symbol 1 iff Re(x) >= 0.
 
@@ -267,11 +204,3 @@ def _fkm_necklaces(n: int) -> Iterator[tuple[int, ...]]:
             a[j] = a[j - p]
         if n % p == 0:
             yield tuple(a)
-
-
-def minimal_period(bits: tuple[int, ...]) -> int:
-    n = len(bits)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(bits[i] == bits[(i + d) % n] for i in range(n)):
-            return d
-    return n

@@ -160,13 +160,37 @@ PINNED_WINDOW = {"center": [0.0, 0.0], "width": 14.0, "height": 10.0,
       "642ceea2ecdfeed538abab23f970d232c649b9e3f1189c3455c55b6f57d347bc",
       "green-ab842378f080-stats.json":
       "9b849a167fba036a60d7f4e2539d790216408788802114b42cf60de7c70a353f"}),
-], ids=["plus", "minus", "poly", "plus-tile-edges"])
-def test_render_green_pinned_bytes(tmp_path, doc, digests):
-    # fixed digests: no change to the escape-rate kernels may move a byte
+    # orbits retire at |x| or |y| past 1e154, where the squared magnitude
+    # in the tail bound would overflow
+    (dict(TINY_RENDER, mode="plus", params={"a": 1e200, "b": 0.3}),
+     {"green-fe58425cb4a6.pgm":
+      "373fbd4cd3a8239f0409fa9767bd937a96286f21febcdd555567e7215cc15266",
+      "green-fe58425cb4a6-stats.json":
+      "7d9ac1f130e18822a7f460fbf7d96a82c3f3851e0e8508814c6b757cc4b8b36e"}),
+    (dict(TINY_RENDER, mode="minus", params={"a": 1e300, "b": 0.3}),
+     {"green-a8d893c6e809.pgm":
+      "47676d0dc255fe6119d483e8a5d0b7faf6e713ee8eb885a96dc82ebc52b9f222",
+      "green-a8d893c6e809-stats.json":
+      "6f29a25b557b639a834fc9b2d4ea5dd8eee7e14b882a81c297c808a34b46c607"}),
+    (dict(TINY_RENDER, mode="minus", params={"a": 10.0, "b": 1e-200}),
+     {"green-29a978e9c3f7.pgm":
+      "67bd8e2f7f728fddf8745b8858fe647a4162e04103787f5809e0d6b88125b477",
+      "green-29a978e9c3f7-stats.json":
+      "c960161dcb573cf217dc8fba70a8807c4cd9f54e7c21d98b7c92835f91979150"}),
+], ids=["plus", "minus", "poly", "plus-tile-edges", "plus-a-1e200",
+        "minus-a-1e300", "minus-b-1e-200"])
+def test_render_green_pinned_bytes(tmp_path, capsys, doc, digests):
+    # fixed digests: no change to the escape-rate kernels may move a byte;
+    # and no numpy warning reaches the user
     cfg_path = write_cfg(tmp_path, dict(doc, command="render-green"))
     out = tmp_path / "out"
-    assert main(["render-green", "--config", str(cfg_path),
-                 "--out", str(out)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["render-green", "--config", str(cfg_path),
+                   "--out", str(out)])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in out.iterdir()} == digests
 
@@ -827,11 +851,23 @@ def test_validate_prints_one_line_per_criterion(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg_path),
                  "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "PASS  12  CLI outputs are byte-identical across thread counts"]
+        "PASS  12  CLI outputs are byte-identical in a fresh interpreter"]
     report, = out.glob("validate-*.json")
     assert report.name == "validate-593d4f21ad13.json"
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "cdcd02c3ad87c86f07fdce6e805ea43e35a7b3404e4491aa5abf5051625c35a5")
+        "6f0ff387a7f7e32fd8098034af568888eeea793abd3ace3520ff03d7be08e69b")
+
+
+def test_fresh_interpreter_check_can_fail(tmp_path, monkeypatch):
+    # a version string patched into this process only reaches the
+    # in-process run's `tool:` lines; the fresh interpreter writes the real
+    # one, so criterion 12 must see the files differ
+    from henonlab.acceptance import run_all
+    monkeypatch.setattr("henonlab.cli.__version__", "0.0.0-patched")
+    r, = run_all(tmp_path, only=[12])
+    assert not r.passed
+    assert not any(r.details["identical"].values())
+    assert all(rcs == [0, 0] for rcs in r.details["exit_codes"].values())
 
 
 def test_validate_unknown_criterion_is_a_contract_error(tmp_path):
@@ -939,17 +975,26 @@ _RAN = ("import sys, types\n"
         " is types.ModuleType]\n")
 
 
-def _traced_layers() -> list:
-    """The henonlab modules the benchmark tracer looks up in sys.modules."""
+def _traced_layers() -> dict:
+    """The henonlab modules the benchmark tracer looks up in sys.modules,
+    each with the names it wraps there."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("_bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return list(spans.LAYERS)
+    return spans.LAYERS
+
+
+def test_traced_names_exist():
+    # the tracer wraps getattr(henonlab.<layer>, name) for every listed
+    # name: deleting one breaks every traced benchmark run
+    for layer, names in _traced_layers().items():
+        home = importlib.import_module(f"henonlab.{layer}")
+        assert [n for n in names if not hasattr(home, n)] == [], layer
 
 
 def test_cli_import_runs_no_library_module():
-    layers = _traced_layers()
+    layers = list(_traced_layers())
     assert {"potential", "poly1d", "periodic2d"} <= set(layers)
     _run_fresh(_RAN + "import henonlab.cli\n"
                f"assert ran(*{LAZY!r}) == [], ran(*{LAZY!r})\n"

@@ -8,28 +8,26 @@ import henonlab
 # the package's public names; the lazy export table must keep every one
 EXPORTED = [
     "CapError", "CodingError", "ComparisonResult", "ContractError",
-    "ConvergenceError", "CylinderMeasure", "DiscreteMeasure",
-    "EntropyEstimate", "GreenEstimate", "GreenField", "HenonlabError",
-    "MapOverflowError", "MapParams", "OrbitColumns", "OrbitRecord",
-    "PeriodicLevel", "PeriodicOrbit", "PeriodicSequence", "PointC2", "Poly",
-    "PreimageTree", "RealityReport", "Region", "SaddleRatioTable",
-    "ScalarGrid", "SymbolWord", "TestBattery", "angular_discrepancy",
-    "brolin_measure", "classify_orbit", "classify_region", "code_orbit",
-    "compare", "count_admissible_words", "cycles", "cylinder_mass",
-    "cylinder_point_measure", "derivative_along_orbit", "discrete_ddc_mass",
-    "dynamics", "entropy_estimate", "errors", "escape_radius",
-    "exceptional_check", "fixed_points_closed_form", "green_minus",
-    "green_minus_field", "green_plus", "green_plus_field", "green_poly",
-    "green_poly_field", "henon_apply", "henon_apply_factored",
+    "ConvergenceError", "DiscreteMeasure", "EntropyEstimate", "GreenEstimate",
+    "GreenField", "HenonlabError", "MapOverflowError", "MapParams",
+    "OrbitColumns", "OrbitRecord", "PeriodicLevel", "PeriodicOrbit",
+    "PeriodicSequence", "PointC2", "Poly", "PreimageTree", "RealityReport",
+    "Region", "SaddleRatioTable", "ScalarGrid", "SymbolWord", "TestBattery",
+    "angular_discrepancy", "brolin_measure", "classify_orbit",
+    "classify_region", "code_orbit", "compare", "count_admissible_words",
+    "cycles", "cylinder_point_measure", "derivative_along_orbit",
+    "discrete_ddc_mass", "dynamics", "entropy_estimate", "errors",
+    "escape_radius", "exceptional_check", "fixed_points_closed_form",
+    "green_minus", "green_minus_field", "green_plus", "green_plus_field",
+    "green_poly", "green_poly_field", "henon_apply", "henon_apply_factored",
     "henon_derivative", "henon_inverse", "integrate", "is_horseshoe_regime",
-    "julia_render_points", "mass_in_disk", "mass_total", "measures",
-    "mu_n_measure", "necklaces", "negative_fixed_point", "periodic2d",
-    "periodic_levels", "periodic_points_1d", "periodic_points_2d", "poly1d",
-    "potential", "potential_kernel", "potential_of_measure", "preimages",
-    "reality_conditions_report", "reality_table", "saddle_count_ratio",
-    "saddle_table", "sequence_metric", "shift", "simultaneous_roots",
-    "subaverage_check", "symbolic", "symbolic_orbit_seed",
-    "unstable_disk_sample",
+    "julia_render_points", "mass_in_disk", "measures", "mu_n_measure",
+    "necklaces", "negative_fixed_point", "periodic2d", "periodic_levels",
+    "periodic_points_1d", "periodic_points_2d", "poly1d", "potential",
+    "potential_kernel", "potential_of_measure", "preimages",
+    "reality_conditions_report", "reality_table", "saddle_table",
+    "sequence_metric", "shift", "simultaneous_roots", "subaverage_check",
+    "symbolic", "symbolic_orbit_seed", "unstable_disk_sample",
 ]
 SUBMODULES = {"cycles", "dynamics", "errors", "measures", "periodic2d",
               "poly1d", "potential", "symbolic"}

@@ -20,7 +20,7 @@ from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _dedup_cells,
                                  fixed_points_closed_form, mu_n_measure,
                                  negative_fixed_point, periodic_levels,
                                  periodic_points_2d, reality_conditions_report,
-                                 reality_table, saddle_count_ratio,
+                                 reality_table, saddle_table,
                                  symbolic_orbit_seed, unstable_disk_sample)
 from henonlab.symbolic import necklaces
 
@@ -752,7 +752,7 @@ def test_mu_n_measure_mass_and_completeness(horseshoe_levels):
 
 
 def test_saddle_ratio_table(horseshoe):
-    tab = saddle_count_ratio(horseshoe, 6)
+    tab = saddle_table(periodic_levels(horseshoe, range(1, 7)))
     counts = [row.saddle_count for row in tab.rows]
     assert counts == [2, 2, 6, 12, 30, 54]
     ratios = [row.ratio for row in tab.rows]

@@ -197,7 +197,9 @@ def test_preimage_tree_full_shapes():
         prev = tree.levels[k - 1]
         d = np.min(np.abs(parents[:, None] - prev[None, :]), axis=1)
         assert float(d.max()) < 1e-9
-    assert tree.max_parent_residual(BASILICA) < 1e-9
+        # full mode: the parent of levels[k][i] is levels[k - 1][i // 2]
+        residual = BASILICA(tree.levels[k]) - np.repeat(prev, tree.branching)
+        assert float(np.max(np.abs(residual))) < 1e-9
 
 
 def test_preimage_tree_sampled_shapes():

@@ -12,7 +12,7 @@ from henonlab.potential import (SAFE_NORM, GreenEstimate, GreenField,
                                 green_minus,
                                 green_minus_field, green_plus,
                                 green_plus_field, green_poly,
-                                green_poly_field, mass_in_disk, mass_total,
+                                green_poly_field, mass_in_disk,
                                 potential_kernel, subaverage_check)
 
 SQUARE = Poly((0.0, 0.0, 1.0))
@@ -532,21 +532,6 @@ def test_green_poly_cubic_tiny_tol_is_not_inf_converged():
                            n_max=50)
 
 
-def test_scalar_grid_round_trip(tmp_path):
-    g = ScalarGrid.over_window(lambda z: z.real + 2.0 * z.imag,
-                               -1.0, 1.0, -0.5, 0.5, 0.125)
-    blob = g.to_bytes()
-    g2 = ScalarGrid.from_bytes(blob)
-    assert g2.origin == g.origin and g2.spacing == g.spacing
-    assert np.array_equal(g2.values, g.values)
-    path = tmp_path / "field.grid"
-    g.save(path)
-    g3 = ScalarGrid.load(path)
-    assert np.array_equal(g3.values, g.values)
-    with pytest.raises(ContractError):
-        ScalarGrid.from_bytes(blob[:17])
-
-
 def test_scalar_grid_window_avoids_origin():
     g = ScalarGrid.over_window(lambda z: np.log(np.abs(z)),
                                -1.0, 1.0, -1.0, 1.0, 0.01)
@@ -568,14 +553,14 @@ def test_ddc_mass_log_kernel():
     mass = discrete_ddc_mass(g)
     inside = mass_in_disk(mass, 0.0, 0.5)
     assert abs(inside - 1.0) < 0.01
-    assert abs(mass_total(mass) - 1.0) < 0.02
+    assert abs(np.nansum(mass.values) - 1.0) < 0.02
 
 
 def test_ddc_mass_harmonic_function_vanishes():
     g = ScalarGrid.over_window(lambda z: (z * z).real, -1.0, 1.0, -1.0, 1.0,
                                0.05)
     mass = discrete_ddc_mass(g)
-    assert abs(mass_total(mass)) < 1e-9
+    assert abs(np.nansum(mass.values)) < 1e-9
 
 
 def test_ddc_degenerate_grid_rejected():

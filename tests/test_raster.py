@@ -3,7 +3,7 @@ import pytest
 
 from henonlab.errors import ContractError
 from henonlab.raster import (density_counts, grayscale_log, pgm_bytes,
-                             ppm_bytes, write_pgm, write_ppm)
+                             write_pgm)
 
 
 def test_pgm_header_and_payload():
@@ -19,16 +19,6 @@ def test_pgm_header_and_payload():
     assert len(blob) == len(head) + 4 + 12
 
 
-def test_ppm_header_and_payload():
-    rgb = np.zeros((2, 5, 3), dtype=np.uint8)
-    rgb[0, 0] = (255, 0, 7)
-    blob = ppm_bytes(rgb)
-    head = b"P6\n5 2\n255\n"
-    assert blob.startswith(head)
-    assert len(blob) == len(head) + 2 * 5 * 3
-    assert blob[len(head):len(head) + 3] == bytes((255, 0, 7))
-
-
 def test_raster_rejects_bad_input():
     with pytest.raises(ContractError):
         pgm_bytes(np.zeros((2, 2)), comments=("two\nlines",))
@@ -38,8 +28,6 @@ def test_raster_rejects_bad_input():
         pgm_bytes(np.full((2, 2), 300, dtype=np.int32))
     with pytest.raises(ContractError):
         pgm_bytes(np.zeros((2, 2, 3), dtype=np.uint8))
-    with pytest.raises(ContractError):
-        ppm_bytes(np.zeros((2, 2, 4), dtype=np.uint8))
 
 
 def test_write_round_trip(tmp_path):
@@ -47,10 +35,6 @@ def test_write_round_trip(tmp_path):
     p5 = tmp_path / "a.pgm"
     write_pgm(p5, img, comments=("x",))
     assert p5.read_bytes() == pgm_bytes(img, comments=("x",))
-    rgb = np.dstack([img, img, img])
-    p6 = tmp_path / "a.ppm"
-    write_ppm(p6, rgb)
-    assert p6.read_bytes() == ppm_bytes(rgb)
 
 
 def test_grayscale_log_mapping():

@@ -1,24 +1,19 @@
 import itertools
 import math
 import time
-from fractions import Fraction
 
 import pytest
 
 from henonlab.dynamics import MapParams, PointC2
 from henonlab.errors import CodingError, ContractError
 from henonlab.periodic2d import negative_fixed_point
-from henonlab.symbolic import (CylinderMeasure, PeriodicSequence, SymbolWord,
-                               code_orbit, count_admissible_words,
-                               cylinder_mass, entropy_estimate,
-                               minimal_period, necklaces, sequence_metric,
-                               shift)
+from henonlab.symbolic import (PeriodicSequence, SymbolWord, code_orbit,
+                               count_admissible_words, entropy_estimate,
+                               necklaces, sequence_metric, shift)
 
 
-def test_word_text_round_trip():
+def test_symbol_word_positions():
     w = SymbolWord((0, 1, 1, 0, 1), anchor=2)
-    assert w.to_text() == "01.101"
-    assert SymbolWord.from_text("01.101") == w
     assert w.symbol(0) == 1
     assert w.symbol(-2) == 0
     assert list(w.support()) == [-2, -1, 0, 1, 2]
@@ -26,23 +21,12 @@ def test_word_text_round_trip():
         w.symbol(3)
     with pytest.raises(ContractError):
         SymbolWord((0, 2, 1))
-    with pytest.raises(ContractError):
-        SymbolWord.from_text("0121")
 
 
 def test_periodic_sequence_wraps():
     s = PeriodicSequence(SymbolWord((0, 1, 1)))
     assert [s.symbol(j) for j in range(-3, 6)] == [0, 1, 1, 0, 1, 1, 0, 1, 1]
     assert s.period == 3
-    assert s.minimal_period() == 3
-    assert PeriodicSequence(SymbolWord((0, 1, 0, 1))).minimal_period() == 2
-    # the anchor rotates the block and leaves its minimal period alone
-    for anchor in range(7):
-        rotated = PeriodicSequence(SymbolWord((0, 1, 1) * 2, anchor))
-        assert rotated.minimal_period() == 3
-    w = s.unroll(-2, 2)
-    assert w.bits == (1, 1, 0, 1)
-    assert w.symbol(0) == s.symbol(0)
 
 
 def test_shift_moves_positions():
@@ -98,17 +82,6 @@ def test_entropy_estimate_golden_mean():
     assert abs(est.point - math.log(phi)) / math.log(phi) < 0.05
 
 
-def test_cylinder_masses():
-    w = SymbolWord((0, 1, 1, 0), anchor=2)
-    assert cylinder_mass(w, 2) == Fraction(1, 16)
-    with pytest.raises(ContractError):
-        cylinder_mass(w, 3)
-    cm = CylinderMeasure(3)
-    assert cm.box_count == 64
-    assert cm.total_mass() == 1
-    assert cm.weight_per_box == Fraction(1, 64)
-
-
 def test_necklace_counts_and_minimality():
     counts = [len(list(necklaces(n))) for n in range(1, 7)]
     assert counts == [2, 3, 4, 6, 8, 14]
@@ -119,8 +92,6 @@ def test_necklace_counts_and_minimality():
             # representative is the least rotation of its class
             rots = [bits[k:] + bits[:k] for k in range(n)]
             assert bits == min(rots)
-    assert minimal_period((0, 1, 0, 1)) == 2
-    assert minimal_period((0, 1, 1)) == 3
 
 
 def _necklaces_by_filter(n):
