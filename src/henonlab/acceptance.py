@@ -330,18 +330,23 @@ def _other_hash_seed() -> str:
     return str((int(own) + 1) % 2 ** 32) if own.isdigit() else "0"
 
 
-def _fresh_cli(args: list, cwd: Path) -> int:
-    """`python -m henonlab *args` in a new interpreter run from cwd, with
-    this henonlab first on its path and another hash seed; its output is
-    captured and dropped."""
+# seconds a fresh interpreter of criterion 12 may take, from its start
+FRESH_TIMEOUT = 600
+
+
+def _fresh_cli(args: list, cwd: Path) -> subprocess.Popen:
+    """Start `python -m henonlab *args` in a new interpreter run from cwd,
+    with this henonlab first on its path and another hash seed; its output
+    is dropped."""
     package_parent = str(Path(__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=_other_hash_seed(),
                PYTHONPATH=os.pathsep.join(
                    filter(None, [package_parent,
                                  os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "henonlab", *args],
-                          cwd=cwd, env=env, capture_output=True,
-                          timeout=600).returncode
+    return subprocess.Popen([sys.executable, "-m", "henonlab", *args],
+                            cwd=cwd, env=env, stdin=subprocess.DEVNULL,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
 
 
 def _files(out_dir: Path) -> dict:
@@ -389,26 +394,39 @@ def _criterion_12(workdir):
     }
 
     import json as _json
-    identical = {}
-    codes = {}
-    all_ok = True
-    for name, doc in jobs.items():
-        cfg_path = base / f"{name}.json"
-        cfg_path.write_text(_json.dumps(doc))
-        here, fresh = base / f"{name}-t1", base / f"{name}-t4"
-        # the inner run's stdout (validate's verdict lines) belongs to no
-        # one: only its files are compared
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc_here = cli_main([name, "--config", str(cfg_path),
-                                "--threads", "1", "--out", str(here)])
-        cwd = base / f"{name}-cwd"
-        cwd.mkdir(exist_ok=True)
-        rc_fresh = _fresh_cli([name, "--config", str(cfg_path),
-                               "--threads", "4", "--out", str(fresh)], cwd)
-        same = _files(here) == _files(fresh)
-        identical[name] = same
-        codes[name] = [rc_here, rc_fresh]
-        all_ok = all_ok and same and rc_here == rc_fresh == 0
+    # the fresh interpreters run while this process runs the same jobs; a
+    # crash or a timeout on either side kills the ones still running
+    fresh = {}
+    try:
+        for name, doc in jobs.items():
+            cfg_path = base / f"{name}.json"
+            cfg_path.write_text(_json.dumps(doc))
+            cwd = base / f"{name}-cwd"
+            cwd.mkdir(exist_ok=True)
+            fresh[name] = _fresh_cli(
+                [name, "--config", str(cfg_path), "--threads", "4",
+                 "--out", str(base / f"{name}-t4")], cwd)
+        deadline = time.monotonic() + FRESH_TIMEOUT
+        codes = {}
+        for name in jobs:
+            # the inner run's stdout (validate's verdict lines) belongs to
+            # no one: only its files are compared
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes[name] = [cli_main(
+                    [name, "--config", str(base / f"{name}.json"),
+                     "--threads", "1", "--out", str(base / f"{name}-t1")])]
+        for name, proc in fresh.items():
+            codes[name].append(
+                proc.wait(timeout=max(0.0, deadline - time.monotonic())))
+    finally:
+        for proc in fresh.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    identical = {name: _files(base / f"{name}-t1")
+                 == _files(base / f"{name}-t4") for name in jobs}
+    all_ok = all(identical.values()) and all(
+        rcs == [0, 0] for rcs in codes.values())
     return all_ok, {"identical": identical, "exit_codes": codes,
                     "workdir": str(base)}
 

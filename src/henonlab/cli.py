@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -581,9 +582,13 @@ def _stable_details(details: dict) -> dict:
 
 def cmd_validate(cfg: JobConfig) -> int:
     from .acceptance import run_all
-    # run_all refuses unknown ids before anything runs or --out is made
-    results = run_all(Path(cfg.out) / "validate-work",
-                      only=cfg.params.get("criteria") or None)
+    work = Path(cfg.out) / "validate-work"
+    try:
+        # run_all refuses unknown ids before anything runs or --out is made
+        results = run_all(work, only=cfg.params.get("criteria") or None)
+    finally:
+        # criterion 12's configs and outputs, compared and done with
+        shutil.rmtree(work, ignore_errors=True)
     out, tag = _out_dir(cfg)
     _write_json(out / f"validate-{tag}.json", cfg, {
         "criteria": [{"id": r.cid, "name": r.name, "passed": r.passed,

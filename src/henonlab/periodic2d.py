@@ -3,19 +3,23 @@
 A cycle is its x-sequence (y_j = x_{j-1}); enumeration runs damped Newton
 on the closure system x_{j+1} + b x_{j-1} = a - x_j^2 in x alone, over
 stacks of cycles, through the kernel of `cycles` that the one-variable
-periodic points share.  Fixed points come in closed form.  When the
-parameters pass the horseshoe test, every other cycle comes from one
-shadowing seed per binary necklace (alternating square-root branches along
-the itinerary), a level in one stacked sweep and one stacked Newton.
-Elsewhere the horseshoe levels at (a0, b) are continued to (a, b) along a
-complex detour in a ("gamma trick" homotopy of Sommese-Wampler, The
-Numerical Solution of Systems of Polynomials, 2005), each start cycle once
-per set of levels; a path lost on both detours leaves its levels
-incomplete.  Cycles are assembled in the same stacks (residuals,
-monodromy matrices, eigenvalues), deduplicate by cyclic alignment of x,
-and are kept as columns (`OrbitColumns`), which the measures, saddle
-tables and reality reports read; `PeriodicOrbit` objects are built only
-when a caller asks for a level's orbits.
+periodic points share.  Fixed points come in closed form.  The levels a
+command asks for are one census (`_Census`): each cycle is polished,
+assembled (residuals, monodromy matrices, eigenvalues, a period at a
+time), checked for its numerical minimal period and deduplicated by
+cyclic alignment of x once, and each level reads its cycles from there.
+When the parameters pass the horseshoe test, the cycles come from binary
+necklaces: a necklace w = r^(n/d) shadows the cycle of its primitive root
+r, so every distinct root is seeded once (alternating square-root branches
+along the itinerary), all in one padded sweep, and polished at its
+minimal period d.  Elsewhere the cycles of the horseshoe census at
+(a0, b) are continued to (a, b) along a complex detour in a ("gamma
+trick" homotopy of Sommese-Wampler, The Numerical Solution of Systems of
+Polynomials, 2005), each once; a path lost on both detours leaves its
+levels incomplete.  A level holds its cycles as columns
+(`OrbitColumns`), which the measures, saddle tables and reality reports
+read; `PeriodicOrbit` objects are built only when a caller asks for a
+level's orbits.
 """
 
 from __future__ import annotations
@@ -167,31 +171,21 @@ def _dedup_cells(X) -> list:
         return np.floor(np.real(X) / (2.0 * DEDUP_TOL)).tolist()
 
 
-class _Block(NamedTuple):
-    """A polished (k, d) stack of cycles, assembled: every row's x and
-    dedup strips as Python lists, and its row in the columns of the rows
-    that passed the residual gate (-1 for a row that did not)."""
-
-    xs: list
-    cells: list
-    slot: list
-    cols: OrbitColumns
-
-
 def _assemble(m: MapParams, X, multiplicity: int = 1,
-              degenerate: bool = False) -> _Block:
-    """The block of the polished (k, d) stack of cycles X, in one pass: a
-    row whose residual exceeds 1e-9 (1 + max|x|^2) is rejected; the rest
-    get the monodromy from `monodromy_stack` (MapOverflowError past double
+              degenerate: bool = False) -> tuple[np.ndarray, OrbitColumns]:
+    """The polished (k, d) stack of cycles X, assembled in one pass: a row
+    whose residual exceeds 1e-9 (1 + max|x|^2) is rejected; the rest get
+    the monodromy from `monodromy_stack` (MapOverflowError past double
     range) and multipliers from one eigvals over the stack; every row bit
-    for bit what it gives alone."""
+    for bit what it gives alone.  Returns the mask of rows that passed the
+    gate and their columns."""
     X = np.asarray(X, dtype=complex)
-    k, d = X.shape
+    d = X.shape[1]
     resid = _closure_residual(X, m.a, m.b)
     scale = 1.0 + np.max(np.hypot(X.real, X.imag), axis=1) ** 2
     # a nan residual passes, as it did the scalar gate
-    good = np.flatnonzero(~(resid > 1e-9 * scale))
-    G = X[good]
+    passed = ~(resid > 1e-9 * scale)
+    G = X[passed]
     with np.errstate(over="ignore", invalid="ignore"):
         J = monodromy_stack(G, m.b)
     bad = ~np.all(np.isfinite(J), axis=(1, 2))
@@ -201,7 +195,7 @@ def _assemble(m: MapParams, X, multiplicity: int = 1,
             f"monodromy of a period-{d} cycle overflowed "
             f"(max |x| {np.max(np.abs(x)):.3e})"))
     J.flags.writeable = False
-    eigs = (np.linalg.eigvals(J) if len(good)
+    eigs = (np.linalg.eigvals(J) if len(G)
             else np.empty((0, 2), dtype=complex))
     order = np.lexsort((eigs.imag, eigs.real, np.abs(eigs)))[:, ::-1]
     eigs = np.take_along_axis(eigs, order, axis=1)
@@ -211,18 +205,15 @@ def _assemble(m: MapParams, X, multiplicity: int = 1,
         np.any(np.abs(moduli - 1.0) <= UNIT_BAND, axis=1), 3,
         np.where(np.all(moduli < 1.0, axis=1), 1,
                  np.where(np.all(moduli > 1.0, axis=1), 2, 0))).astype(np.int8)
-    slot = np.full(k, -1)
-    slot[good] = np.arange(len(good))
-    kept = len(good)
-    cols = OrbitColumns(G.ravel(), np.full(kept, d), eigs, classes,
-                        np.all(np.abs(G.imag) < REALITY_TOL, axis=1),
-                        resid[good], np.full(kept, multiplicity),
-                        np.full(kept, degenerate), J)
-    return _Block(X.tolist(), _dedup_cells(X), slot.tolist(), cols)
+    kept = len(G)
+    return passed, OrbitColumns(
+        G.ravel(), np.full(kept, d), eigs, classes,
+        np.all(np.abs(G.imag) < REALITY_TOL, axis=1), resid[passed],
+        np.full(kept, multiplicity), np.full(kept, degenerate), J)
 
 
-def _fixed_points(m: MapParams) -> _Block:
-    """The block of the fixed points, from x = y, x^2 + (1+b)x - a = 0: a
+def _fixed_points(m: MapParams) -> tuple[np.ndarray, OrbitColumns]:
+    """The fixed points from x = y, x^2 + (1+b)x - a = 0, assembled: a
     double root is one cycle of multiplicity 2, flagged degenerate."""
     beta = 1.0 + m.b
     disc = beta * beta + 4.0 * m.a
@@ -240,7 +231,7 @@ def _fixed_points(m: MapParams) -> _Block:
 def fixed_points_closed_form(m: MapParams) -> list:
     """Fixed points in closed form, with classification: the orbits that
     pass the residual gate."""
-    return _orbits(_fixed_points(m).cols)
+    return _orbits(_fixed_points(m)[1])
 
 
 def _newton_cycles(m: MapParams, X) -> tuple[np.ndarray, np.ndarray]:
@@ -248,36 +239,65 @@ def _newton_cycles(m: MapParams, X) -> tuple[np.ndarray, np.ndarray]:
     return newton_cycles(X, lambda x: -x * x + m.a, lambda x: -2.0 * x, m.b)
 
 
-def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60):
+def _polish(m: MapParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_newton_cycles` on the (k, d) stack X, a block at a time."""
+    Q = np.empty_like(X)
+    ok = np.empty(len(X), dtype=bool)
+    step = block_rows(X.shape[1])
+    for lo in range(0, len(X), step):
+        Q[lo:lo + step], ok[lo:lo + step] = _newton_cycles(m, X[lo:lo + step])
+    return Q, ok
+
+
+def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60, periods=None):
     """Shadowing seed for the cycle with itinerary `bits` (horseshoe only).
 
     Solves x_j^2 = a - x_{j+1} - b x_{j-1} cyclically by branch-respecting
     square-root sweeps; the branch argument stays off the cut because the
     horseshoe test guarantees |a| clears (1+|b|)R.  Returns the candidate
-    cycle's x_j; a (k, n) stack of itineraries gives a (k, n) stack, each
-    row bit for bit its lone seed.
+    cycle's x_j; a (k, n) stack of itineraries gives a (k, n) stack.  With
+    `periods`, row i holds an itinerary of period periods[i] in its first
+    slots, and its seed there, 0 in the padded slots after them.  The
+    sweeps run over the cycle slots alone, each with its own neighbours,
+    so each row is bit for bit its lone seed.
     """
-    sign = np.where(np.asarray(bits) == 1, 1.0, -1.0).astype(complex)
-    nxt, prv = cyclic_neighbours(sign.shape[-1])
+    bits = np.asarray(bits)
+    rows = bits.reshape(-1, bits.shape[-1])
+    if periods is None:
+        periods = np.full(len(rows), rows.shape[1])
+    # the cycle slots back to back, as OrbitColumns lays out x, each with
+    # its neighbours in its own cycle
+    periods = np.asarray(periods)
+    cyc = np.arange(rows.shape[1]) < periods[:, None]
+    starts = np.repeat(np.cumsum(periods) - periods, periods)
+    length = np.repeat(periods, periods)
+    j = np.arange(len(starts)) - starts
+    nxt, prv = starts + (j + 1) % length, starts + (j - 1) % length
+    sign = np.where(rows[cyc] == 1, 1.0, -1.0).astype(complex)
     x = sign * cmath.sqrt(abs(m.a))
     for _ in range(sweeps):
-        x = sign * np.sqrt(m.a - x[..., nxt] - m.b * x[..., prv])
-    return x
+        x = sign * np.sqrt(m.a - x[nxt] - m.b * x[prv])
+    out = np.zeros(rows.shape, dtype=complex)
+    out[cyc] = x
+    return out.reshape(bits.shape)
 
 
-def _minimal_period(x: list, n: int) -> int:
-    """The least d | n with x shifted by d within DEDUP_TOL of x (as
+def _minimal_periods(X: np.ndarray) -> np.ndarray:
+    """For each row of the (k, d) stack X, the least e | d with the row
+    shifted by e within DEDUP_TOL of itself, |.| as hypot (as
     y_j = x_{j-1}, the y shift moves no further)."""
-    for d in range(1, n):
-        if n % d == 0 and all(abs(x[j] - x[(j + d) % n]) <= DEDUP_TOL
-                              for j in range(n)):
-            return d
-    return n
+    k, d = X.shape
+    low = np.full(k, d)
+    for e in range(d - 1, 0, -1):
+        if d % e == 0:
+            D = X - np.roll(X, -e, axis=1)
+            low[np.all(np.hypot(D.real, D.imag) <= DEDUP_TOL, axis=1)] = e
+    return low
 
 
 def _same_cycle(xa, xb, tol: float = DEDUP_TOL) -> bool:
     """Do two cycles, given by their x-sequences, match under some cyclic
-    shift?  x alone decides, as in `_minimal_period`."""
+    shift?  x alone decides, as in `_minimal_periods`."""
     d = len(xa)
     if d != len(xb):
         return False
@@ -319,9 +339,8 @@ class _CycleIndex:
     def _around(self, d: int, c: float) -> list:
         return [self._cells.get((d, k), ()) for k in (c - 1, c, c + 1)]
 
-    def match(self, x, cells) -> int | None:
-        """The position, in the order added, of the first kept cycle
-        matching x, or None."""
+    def has(self, x, cells) -> bool:
+        """Does a kept cycle match x?"""
         d = len(x)
         near = self._around(d, cells[0])
         crowd = sum(map(len, near))
@@ -331,11 +350,52 @@ class _CycleIndex:
                 size = sum(map(len, other))
                 if size < crowd:
                     near, crowd = other, size
-        return next((i for bucket in near for i in bucket
-                     if _same_cycle(x, self._kept[i])), None)
+        return any(_same_cycle(x, self._kept[i])
+                   for bucket in near for i in bucket)
 
-    def has(self, x, cells) -> bool:
-        return self.match(x, cells) is not None
+
+# bound on the rounding of a computed sum of d terms, relative to the sum
+# of their moduli: (d - 1) 2^-53 for any order of summation, taken 8 d
+# times larger to cover the rounding of the bounds themselves
+SUM_SLACK = 2.0 ** -50
+
+
+def _crowded(X: np.ndarray) -> np.ndarray:
+    """Which cycles of the (k, d) stack X may match another.  A match moves
+    each Re x by at most DEDUP_TOL, their sum by at most d DEDUP_TOL, so
+    cycles whose computed sums, each widened by d DEDUP_TOL and its
+    rounding, fall in disjoint intervals cannot match; a cycle is crowded
+    when its interval meets another's, or is not finite."""
+    d = X.shape[1]
+    s = X.real.sum(axis=1)
+    r = d * DEDUP_TOL + d * SUM_SLACK * np.abs(X.real).sum(axis=1)
+    lo, hi = s - r, s + r
+    order = np.argsort(lo)
+    # a sorted interval that starts within the reach of those before it
+    # joins their cluster
+    joins = lo[order][1:] <= np.maximum.accumulate(hi[order])[:-1]
+    cluster = np.concatenate([[0], np.cumsum(~joins)])
+    crowded = np.empty(len(X), dtype=bool)
+    crowded[order] = np.bincount(cluster)[cluster] > 1
+    return crowded | ~np.isfinite(lo + hi)
+
+
+def _first_of_each(kept: np.ndarray, X: np.ndarray) -> list:
+    """Which of the (k, d) cycles X a census keeps when it checks each, in
+    order, against the cycles `kept` and the ones of X it kept before.
+    Only crowded cycles (`_crowded`) go through a `_CycleIndex`: a match
+    lies within one crowd."""
+    A = np.concatenate([kept, X])
+    at = np.flatnonzero(_crowded(A))
+    keep = [True] * len(X)
+    index = _CycleIndex()
+    for i, x, cells in zip(at.tolist(), A[at].tolist(), _dedup_cells(A[at])):
+        j = i - len(kept)
+        if j >= 0 and index.has(x, cells):
+            keep[j] = False
+        else:
+            index.add(x, cells)
+    return keep
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,12 +407,14 @@ class PeriodicLevel:
     equal when their counts and columns are, the monodromy aside, as
     PeriodicOrbit compares.
 
-    attempts counts itinerary seeds in the horseshoe regime and continuation
-    paths elsewhere.  The census counters: lower_period (cycles re-polished
-    at a lower period), residual_rejected (rows past the residual gate of
-    `_assemble`) and duplicates (cycles the dedup index matched).  The
-    continuation counters stay 0 on the itinerary path; each sums over the
-    level's own paths: paths_lost (lost on both detours), step_halvings and
+    attempts counts necklaces in the horseshoe regime and continuation
+    paths elsewhere.  The census counters: lower_period (necklaces whose
+    primitive period is below n, and cycles that Newton brought to a lower
+    period than they were polished at; each is taken at that period),
+    residual_rejected (rows past the residual gate of `_assemble`) and
+    duplicates (cycles that matched one kept before).  The continuation
+    counters stay 0 on the itinerary path; each sums over the level's own
+    paths: paths_lost (lost on both detours), step_halvings and
     steps_accepted (both detours), and paths_retried (lost on the first
     detour).
     """
@@ -396,93 +458,183 @@ class PeriodicLevel:
                         if name != "monodromy"))
 
 
+# a candidate's pool row when it has no cycle: not reached or not polished
+# (at its own period, or at the lower one it was re-polished at), or past
+# the residual gate
+NO_CYCLE = -1
+REJECTED = -2
+
+
 class _Census:
-    """One level's cycles as they are admitted: the closed-form fixed
-    points first, then every Newton-polished cycle that survives the
-    minimal-period check, the residual gate of `_assemble` and the dedup
-    index, counting the cycles each step turns away.  Admission records
-    each kept cycle's block and row; `level` takes the columns once."""
+    """One command's cycles, each admitted once, and the levels read from
+    them.
 
-    def __init__(self, m: MapParams, n: int):
-        self.m = m
-        self.n = n
-        self.kept = _CycleIndex()
-        self.count = 0
-        self.lower_period = self.residual_rejected = self.duplicates = 0
-        fixed = _fixed_points(m)
-        # runs of (block, columns rows), in admission order
-        self._taken = [(fixed, [])]
-        for i, r in enumerate(fixed.slot):
-            if r < 0:
-                self.residual_rejected += 1
-            else:
-                self._keep(fixed, i)
+    Candidates are itinerary roots or continuation paths, numbered in the
+    order levels offer them.  `polished` gives them a period at a time:
+    their numbers, their polished (k, d) stack and its mask of converged
+    rows.  Each candidate's admission is decided once: its numerical
+    minimal period (a cycle below the period it was polished at is
+    re-polished there), the residual gate of `_assemble`, and the dedup
+    against the closed-form fixed points and the earlier candidates of its
+    period.  Every admitted cycle is a row of one pool of columns.
 
-    @property
-    def complete(self) -> bool:
-        return self.count >= 2 ** self.n
-
-    def _keep(self, block: _Block, i: int) -> None:
-        if self._taken[-1][0] is not block:
-            self._taken.append((block, []))
-        r = block.slot[i]
-        self._taken[-1][1].append(r)
-        self.kept.add(block.xs[i], block.cells[i])
-        self.count += len(block.xs[i]) * int(block.cols.multiplicity[r])
-
-    def try_cycle(self, block: _Block, i: int) -> None:
-        """Admit row i of the polished block."""
-        x = block.xs[i]
-        d = _minimal_period(x, len(x))
-        if d < len(x):
-            # re-polish at the minimal period: detection tolerance is looser
-            # than the orbit residual gate
-            self.lower_period += 1
-            X, ok = _newton_cycles(self.m, [x[:d]])
-            if not ok[0]:
-                return
-            block, i = _assemble(self.m, X), 0
-        if block.slot[i] < 0:
-            self.residual_rejected += 1
-        elif self.kept.has(block.xs[i], block.cells[i]):
-            self.duplicates += 1
-        else:
-            self._keep(block, i)
-
-    def level(self, attempts: int, **counters: int) -> PeriodicLevel:
-        """The level, with PeriodicLevel's continuation counters by name."""
-        parts = [block.cols.take(rows) for block, rows in self._taken]
-        cols = OrbitColumns(*map(np.concatenate, zip(*parts)))
-        for col in cols:
-            col.flags.writeable = False
-        return PeriodicLevel(self.n, cols, self.count, self.complete,
-                             attempts, self.lower_period,
-                             self.residual_rejected, self.duplicates,
-                             **counters)
-
-
-def _itinerary_level(m: MapParams, n: int, budget: int) -> PeriodicLevel:
-    """Newton from one shadowing seed per necklace (horseshoe only): the
-    first `budget` necklaces are seeded, polished and assembled a block at a
-    time (one seed call when they fit one block) and admitted in necklace
-    order until the census is complete; `attempts` counts those admitted.
+    A level walks its own candidates through those decisions.  While the
+    candidates of a period it has met are the first ones of that period,
+    the decided dedup is its own.  Otherwise (a re-polished cycle, or a
+    level that skipped one) it checks that period against its own kept
+    cycles with a `_CycleIndex`, as a census of that level alone does.
     """
-    census = _Census(m, n)
-    words = itertools.islice(necklaces(n), budget)
-    attempts = 0
-    while not census.complete:
-        bits = np.array(list(itertools.islice(words, block_rows(n))))
-        if bits.size == 0:
-            break
-        X, ok = _newton_cycles(m, symbolic_orbit_seed(m, bits))
-        block = _assemble(m, X[ok])
-        for i, good in zip(np.cumsum(ok).tolist(), ok.tolist()):
-            if census.complete:
+
+    def __init__(self, m: MapParams, count: int, polished):
+        passed, fixed = _fixed_points(m)
+        self.fixed_rejected = int(np.count_nonzero(~passed))
+        # per candidate: the period it was polished at, its cycle's
+        # numerical minimal period (0 when not polished), pool row, place
+        # among the admitted cycles of its period (-1: each level decides)
+        # and the decided dedup
+        length = np.zeros(count, dtype=np.int64)
+        low = np.zeros(count, dtype=np.int64)
+        row = np.full(count, NO_CYCLE)
+        rank = np.full(count, -1)
+        keep = np.ones(count, dtype=bool)
+        parts = [fixed]
+        size = len(fixed.period)
+        lower = []
+        for ids, Q, ok in polished:
+            d = Q.shape[1]
+            length[ids] = d
+            ids, G = ids[ok], Q[ok]
+            e = _minimal_periods(G)
+            low[ids] = e
+            lower += zip(ids[e < d].tolist(), G[e < d], e[e < d].tolist())
+            ids, G = ids[e == d], G[e == d]
+            passed, cols = _assemble(m, G)
+            row[ids[~passed]] = REJECTED
+            ids = ids[passed]
+            row[ids] = size + np.arange(len(ids))
+            rank[ids] = np.arange(len(ids))
+            if len(ids):
+                keep[ids] = _first_of_each(
+                    fixed.x[:, None] if d == 1 else np.empty((0, d)),
+                    G[passed])
+            parts.append(cols)
+            size += len(ids)
+        # cycles that Newton brought below the period they were polished
+        # at, re-polished at their numerical period
+        for e in sorted({e for _, _, e in lower}):
+            ids = np.array([c for c, _, f in lower if f == e])
+            Q, ok = _polish(m, np.array([x[:e] for _, x, f in lower if f == e]))
+            passed, cols = _assemble(m, Q[ok])
+            ids = ids[ok]
+            row[ids[~passed]] = REJECTED
+            row[ids[passed]] = size + np.arange(len(cols.period))
+            parts.append(cols)
+            size += len(cols.period)
+        self.pool = OrbitColumns(*map(np.concatenate, zip(*parts)))
+        self._starts = self.pool.starts().tolist()
+        self._period = self.pool.period.tolist()
+        self._mult = self.pool.multiplicity.tolist()
+        self._fixed = list(range(len(fixed.period)))
+        self._length, self._low, self._row, self._rank, self._keep = (
+            length.tolist(), low.tolist(), row.tolist(), rank.tolist(),
+            keep.tolist())
+
+    def _cycle(self, r: int) -> tuple:
+        """Pool row r's x-sequence and strips, as `_CycleIndex` takes them."""
+        x = self.pool.x[self._starts[r]:self._starts[r] + self._period[r]]
+        return x.tolist(), _dedup_cells(x)
+
+    def walk(self, n: int, cands, paths: bool = False) -> tuple[list, dict]:
+        """Level n's census: the fixed points, then each candidate's cycle
+        in order.  Necklaces of length n are offered at period n and stop
+        once the level is complete; paths are offered at their own period
+        and all run.  Returns the pool rows kept, in admission order, and
+        the census counters of PeriodicLevel by name."""
+        period, mult = self._period, self._mult
+        rows = list(self._fixed)
+        count = sum(mult[r] for r in rows)
+        attempts = lower = duplicates = 0
+        rejected = self.fixed_rejected
+        # per period: the admitted candidates met while they are the first
+        # ones, or the level's own index once they are not
+        met = {}
+        own = {}
+        for c in cands:
+            if not paths and count >= 2 ** n:
                 break
             attempts += 1
-            if good:
-                census.try_cycle(block, i - 1)
-    return census.level(attempts)
+            if not self._low[c]:
+                continue
+            lower += self._low[c] < (self._length[c] if paths else n)
+            r = self._row[c]
+            rejected += r == REJECTED
+            if r < 0:
+                continue
+            d = period[r]
+            if d not in own and met.get(d, 0) == self._rank[c]:
+                met[d] = self._rank[c] + 1
+                kept = self._keep[c]
+            else:
+                if d not in own:
+                    own[d] = _CycleIndex()
+                    for q in rows:
+                        if period[q] == d:
+                            own[d].add(*self._cycle(q))
+                cycle = self._cycle(r)
+                kept = not own[d].has(*cycle)
+                if kept:
+                    own[d].add(*cycle)
+            if kept:
+                rows.append(r)
+                count += d * mult[r]
+            else:
+                duplicates += 1
+        return rows, {"fixed_point_count": count, "complete": count >= 2 ** n,
+                      "attempts": attempts, "lower_period": lower,
+                      "residual_rejected": rejected,
+                      "duplicates": duplicates}
+
+    def level(self, n: int, walked: tuple, **counters) -> PeriodicLevel:
+        """Level n from its `walk`, the columns in one gather, with further
+        counters of PeriodicLevel by name."""
+        rows, walk_counters = walked
+        cols = self.pool.take(rows)
+        for col in cols:
+            col.flags.writeable = False
+        return PeriodicLevel(n, cols, **walk_counters, **counters)
+
+
+def _roots(words, n: int) -> list:
+    """The primitive root r of each word w = r^(n/d) of length n."""
+    below = [d for d in range(1, n) if n % d == 0]
+    return [next((w[:d] for d in below if w[:d] * (n // d) == w), w)
+            for w in words]
+
+
+def _itinerary_census(m: MapParams, ns, budget: int) -> tuple:
+    """The census of levels ns in the horseshoe regime: the first `budget`
+    necklaces of each level, each reduced to its primitive root r
+    (w = r^(n/d), which shadows the cycle of r), every distinct root
+    seeded in one padded sweep, then polished and assembled a period at a
+    time.  Returns the census and each level's root numbers in necklace
+    order.  w -> w^k keeps necklace order, so the roots of period d a level
+    offers are the first ones of the command's, in the same order."""
+    words = {n: _roots(itertools.islice(necklaces(n), budget), n)
+             for n in ns}
+    roots = sorted({r for rs in words.values() for r in rs},
+                   key=lambda r: (len(r), r))
+    number = {r: i for i, r in enumerate(roots)}
+    periods = np.array([len(r) for r in roots])
+    bits = np.zeros((len(roots), periods[-1]), dtype=np.int8)
+    for i, r in enumerate(roots):
+        bits[i, :len(r)] = r
+    X = symbolic_orbit_seed(m, bits, periods=periods)
+    polished = []
+    for d in sorted(set(periods.tolist())):
+        ids = np.flatnonzero(periods == d)
+        polished.append((ids, *_polish(m, X[ids, :d])))
+    return (_Census(m, len(roots), polished),
+            {n: [number[r] for r in rs] for n, rs in words.items()})
 
 
 # Continuation from a horseshoe start (a0, b) to the target (a1, b) along
@@ -534,35 +686,20 @@ def _continue_paths(m: MapParams, a0: float, X0: np.ndarray,
 
 def _continued_levels(m: MapParams, ns, budget: int) -> list:
     """Levels ns off the horseshoe.  The start levels' cycles of period
-    >= 2, each kept once across levels, are continued to m in one padded
-    stack (rerunning lost rows on the second detour), polished and
-    assembled a period at a time, and admitted into each level in the order
-    of its own start level.  Fixed points come in closed form."""
+    >= 2 at (a0, b) are the paths, one per cycle of the start census,
+    continued to m in one padded stack (rerunning lost rows on the second
+    detour), then polished, assembled and admitted as one census at m,
+    each level offered its paths in the order of its own start level."""
     a0 = _start_parameter(m.b)
-    start = MapParams(a0, m.b)
-    # the index keeps the start cycles, so a match is a path id
-    index = _CycleIndex()
-    starts = []
-    level_paths = []
-    for n in ns:
-        ids = []
-        c = _itinerary_level(start, n, budget).columns
-        xs, cells = c.x.tolist(), _dedup_cells(c.x)
-        for s, d in zip(c.starts().tolist(), c.period.tolist()):
-            if d == 1:
-                continue
-            x, cell = xs[s:s + d], cells[s:s + d]
-            i = index.match(x, cell)
-            if i is None:
-                i = len(starts)
-                index.add(x, cell)
-                starts.append(x)
-            ids.append(i)
-        level_paths.append(ids)
-    periods = np.array([len(x) for x in starts], dtype=np.int64)
-    X0 = np.zeros((len(starts), max(periods, default=1)), dtype=complex)
-    for i, x in enumerate(starts):
-        X0[i, :len(x)] = x
+    start, words = _itinerary_census(MapParams(a0, m.b), ns, budget)
+    kept = [[r for r in start.walk(n, words[n])[0]
+             if start.pool.period[r] > 1] for n in ns]
+    rows = sorted({r for rs in kept for r in rs})
+    path = {r: i for i, r in enumerate(rows)}
+    firsts = start.pool.take(rows)
+    periods = firsts.period
+    X0 = np.zeros((len(rows), max(periods, default=1)), dtype=complex)
+    X0[np.arange(X0.shape[1]) < periods[:, None]] = firsts.x
     X, reached, halvings, accepted = _continue_paths(m, a0, X0, periods,
                                                      DETOURS[0])
     retried = ~reached
@@ -572,25 +709,21 @@ def _continued_levels(m: MapParams, ns, budget: int) -> list:
         X[retried], reached[retried] = again[:2]
         halvings[retried] += again[2]
         accepted[retried] += again[3]
-    ends = {}
+    polished = []
     for d in sorted(set(periods.tolist())):
-        rows = np.flatnonzero(reached & (periods == d))
-        Q = np.empty((len(rows), d), dtype=complex)
-        ok = np.empty(len(rows), dtype=bool)
-        step = block_rows(d)
-        for lo in range(0, len(rows), step):
-            Q[lo:lo + step], ok[lo:lo + step] = _newton_cycles(
-                m, X[rows[lo:lo + step], :d])
-        block = _assemble(m, Q[ok])
-        ends.update((r, (block, i)) for i, r in enumerate(rows[ok].tolist()))
+        ids = np.flatnonzero(periods == d)
+        Q = X[ids, :d]
+        live = reached[ids]
+        ok = np.zeros(len(ids), dtype=bool)
+        Q[live], ok[live] = _polish(m, Q[live])
+        polished.append((ids, Q, ok))
+    census = _Census(m, len(rows), polished)
     levels = []
-    for n, ids in zip(ns, level_paths):
-        census = _Census(m, n)
-        for i in ids:
-            if i in ends:
-                census.try_cycle(*ends[i])
+    for n, rs in zip(ns, kept):
+        ids = [path[r] for r in rs]
         levels.append(census.level(
-            len(ids), paths_lost=int(np.count_nonzero(~reached[ids])),
+            n, census.walk(n, ids, paths=True),
+            paths_lost=int(np.count_nonzero(~reached[ids])),
             step_halvings=int(halvings[ids].sum()),
             paths_retried=int(np.count_nonzero(retried[ids])),
             steps_accepted=int(accepted[ids].sum())))
@@ -599,18 +732,20 @@ def _continued_levels(m: MapParams, ns, budget: int) -> list:
 
 def periodic_levels(m: MapParams, ns, budget: int = 2048) -> list:
     """`periodic_points_2d(m, n, budget)` for each n in ns, in order, built
-    together: in the horseshoe regime level by level, elsewhere with each
-    start cycle continued once for all levels."""
+    as one census: in the horseshoe regime each primitive itinerary is
+    seeded, polished and assembled once, elsewhere each start cycle is
+    continued once, for all levels."""
     ns = list(ns)
-    if is_horseshoe_regime(m):
-        # looked up in this module at call time, so that a wrapper bound
-        # here sees every level; each call checks its own arguments
-        return [periodic_points_2d(m, n, budget=budget) for n in ns]
     if any(n < 1 for n in ns):
         raise ContractError("n must be >= 1")
     if budget < 1:
         raise ContractError("budget must be >= 1")
-    return _continued_levels(m, ns, budget) if ns else []
+    if not ns:
+        return []
+    if is_horseshoe_regime(m):
+        census, words = _itinerary_census(m, ns, budget)
+        return [census.level(n, census.walk(n, words[n])) for n in ns]
+    return _continued_levels(m, ns, budget)
 
 
 def periodic_points_2d(m: MapParams, n: int,
@@ -623,13 +758,7 @@ def periodic_points_2d(m: MapParams, n: int,
     reaches 2^n; elsewhere the horseshoe level is continued to m.  A
     shortfall is flagged, never padded.
     """
-    if n < 1:
-        raise ContractError("n must be >= 1")
-    if budget < 1:
-        raise ContractError("budget must be >= 1")
-    if is_horseshoe_regime(m):
-        return _itinerary_level(m, n, budget)
-    return _continued_levels(m, [n], budget)[0]
+    return periodic_levels(m, [n], budget)[0]
 
 
 def mu_n_measure(level: PeriodicLevel) -> DiscreteMeasure:

@@ -842,20 +842,37 @@ def test_validate_subset_run(tmp_path):
     assert doc["criteria"][0]["passed"] is True
 
 
-def test_validate_prints_one_line_per_criterion(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def validate_12(tmp_path_factory):
+    """One `validate` run of criterion 12: exit code, stdout and --out."""
+    tmp = tmp_path_factory.mktemp("validate-12")
+    cfg_path = write_cfg(tmp, {"command": "validate",
+                               "params": {"criteria": [12]}})
+    out = tmp / "out"
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        rc = main(["validate", "--config", str(cfg_path), "--out", str(out)])
+    return rc, stdout.getvalue(), out
+
+
+def test_validate_prints_one_line_per_criterion(validate_12):
     # criterion 12 runs `validate` itself; those inner verdict lines stay
     # out of the outer run's stdout, and the report keeps its bytes
-    cfg_path = write_cfg(tmp_path, {"command": "validate",
-                                    "params": {"criteria": [12]}})
-    out = tmp_path / "out"
-    assert main(["validate", "--config", str(cfg_path),
-                 "--out", str(out)]) == 0
-    assert capsys.readouterr().out.splitlines() == [
+    rc, stdout, out = validate_12
+    assert rc == 0
+    assert stdout.splitlines() == [
         "PASS  12  CLI outputs are byte-identical in a fresh interpreter"]
     report, = out.glob("validate-*.json")
     assert report.name == "validate-593d4f21ad13.json"
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
         "6f0ff387a7f7e32fd8098034af568888eeea793abd3ace3520ff03d7be08e69b")
+
+
+def test_validate_leaves_only_its_report(validate_12):
+    # criterion 12's configs, outputs and working directories go once it
+    # has compared them
+    rc, _, out = validate_12
+    assert rc == 0
+    assert [p.name for p in out.iterdir()] == ["validate-593d4f21ad13.json"]
 
 
 def test_fresh_interpreter_check_can_fail(tmp_path, monkeypatch):

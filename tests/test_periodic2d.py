@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -122,7 +123,6 @@ def test_cycle_index_across_strip_boundary(horseshoe_levels):
     assert not index.has(*_keyed(far))
     index.add(*_keyed(far))
     assert index.has(*_keyed(far)) and index.has(*_keyed(lo))
-    assert index.match(*_keyed(far)) == 1
 
 
 def test_cycle_index_agrees_with_pairwise_scan():
@@ -426,30 +426,133 @@ def test_level_orbits_match_object_census(a, b, ns, digest):
         assert levels[0].orbits[0].degenerate
 
 
-def _census_reference(m, calls):
-    """Census counters by the pairwise scan, replaying the candidate rows
-    one `_Census` was offered: (lower_period, residual_rejected,
-    duplicates) and the x of each cycle kept."""
-    fixed = periodic2d._fixed_points(m)
-    kept = [x for x, r in zip(fixed.xs, fixed.slot) if r >= 0]
-    lower = rejected = duplicates = 0
-    for block, i in calls:
-        x = block.xs[i]
-        d = periodic2d._minimal_period(x, len(x))
+def _ref_minimal_period(x, n):
+    """The least d | n with x shifted by d within DEDUP_TOL of x."""
+    for d in range(1, n):
+        if n % d == 0 and all(abs(x[j] - x[(j + d) % n]) <= DEDUP_TOL
+                              for j in range(n)):
+            return d
+    return n
+
+
+def _matches_kept(x, kept):
+    """Does the cycle x match a kept one under some shift, pairwise?"""
+    K = np.array([k for k in kept if len(k) == len(x)]).reshape(-1, 1, len(x))
+    shifts = np.array([np.roll(x, -s) for s in range(len(x))])
+    return bool(np.any(np.all(np.abs(K - shifts) <= DEDUP_TOL, axis=2)))
+
+
+def _ref_census(m, n, offered, stop):
+    """One level's census on its own, by the pairwise scan: the closed-form
+    fixed points, then each offered cycle (polished at its own period, or
+    None where Newton failed) in order, until the level is complete if
+    `stop`.  A cycle below its period is re-polished there alone.  Returns
+    the level and the x of each cycle kept."""
+    passed, fixed = periodic2d._fixed_points(m)
+    parts, kept = [fixed], [[x] for x in fixed.x.tolist()]
+    count = int(fixed.multiplicity.sum())
+    counts = dict(attempts=0, lower_period=0, duplicates=0,
+                  residual_rejected=int(np.count_nonzero(~passed)))
+    for x in offered:
+        if stop and count >= 2 ** n:
+            break
+        counts["attempts"] += 1
+        if x is None:
+            continue
+        d = _ref_minimal_period(x.tolist(), len(x))
         if d < len(x):
-            lower += 1
-            X, ok = _newton_cycles(m, np.array([x[:d]]))
+            counts["lower_period"] += 1
+            X, ok = _newton_cycles(m, x[None, :d])
             if not ok[0]:
                 continue
-            block, i = periodic2d._assemble(m, X), 0
-            x = block.xs[0]
-        if block.slot[i] < 0:
-            rejected += 1
-        elif any(_same_cycle(x, k) for k in kept):
-            duplicates += 1
+            x = X[0]
+        passed, cols = periodic2d._assemble(m, x[None])
+        if not passed[0]:
+            counts["residual_rejected"] += 1
+        elif _matches_kept(x, kept):
+            counts["duplicates"] += 1
         else:
-            kept.append(x)
-    return (lower, rejected, duplicates), kept
+            kept.append(x.tolist())
+            parts.append(cols)
+            count += len(x)
+    cols = periodic2d.OrbitColumns(*map(np.concatenate, zip(*parts)))
+    return periodic2d.PeriodicLevel(n, cols, count, count >= 2 ** n,
+                                    **counts), kept
+
+
+def _ref_itinerary_level(m, n, budget):
+    """A horseshoe level on its own: one seed per necklace of length n,
+    polished at period n."""
+    words = np.array(list(itertools.islice(necklaces(n), budget)))
+    X, ok = _newton_cycles(m, periodic2d.symbolic_orbit_seed(m, words))
+    return _ref_census(m, n, [x if good else None
+                              for x, good in zip(X, ok)], stop=True)
+
+
+def _ref_continued_levels(m, ns, budget):
+    """Levels off the horseshoe, each start level on its own: a start
+    cycle matching one of an earlier level is the same path."""
+    a0 = _start_parameter(m.b)
+    starts, paths = [], []
+    for n in ns:
+        ids = []
+        for x in _ref_itinerary_level(MapParams(a0, m.b), n, budget)[1]:
+            if len(x) > 1:
+                i = next((i for i, s in enumerate(starts)
+                          if _same_cycle(x, s)), len(starts))
+                starts[i:i + 1] = [starts[i] if i < len(starts) else x]
+                ids.append(i)
+        paths.append(ids)
+    periods = np.array([len(x) for x in starts], dtype=np.int64)
+    X0 = np.zeros((len(starts), max(periods, default=1)), dtype=complex)
+    for i, x in enumerate(starts):
+        X0[i, :len(x)] = x
+    detours = periodic2d.DETOURS
+    X, reached, halvings, accepted = periodic2d._continue_paths(
+        m, a0, X0, periods, detours[0])
+    retried = ~reached
+    if retried.any():
+        again = periodic2d._continue_paths(m, a0, X0[retried],
+                                           periods[retried], detours[1])
+        X[retried], reached[retried] = again[:2]
+        halvings[retried] += again[2]
+        accepted[retried] += again[3]
+    ends = []
+    for x, d, r in zip(X, periods, reached):
+        Q, ok = _newton_cycles(m, x[None, :d])
+        ends.append(Q[0] if r and ok[0] else None)
+    return [dataclasses.replace(
+        _ref_census(m, n, [ends[i] for i in ids], stop=False)[0],
+        paths_lost=int(np.count_nonzero(~reached[ids])),
+        step_halvings=int(halvings[ids].sum()),
+        paths_retried=int(np.count_nonzero(retried[ids])),
+        steps_accepted=int(accepted[ids].sum())) for n, ids in zip(ns, paths)]
+
+
+def _ref_levels(m, ns, budget=2048):
+    if is_horseshoe_regime(m):
+        return [_ref_itinerary_level(m, n, budget)[0] for n in ns]
+    return _ref_continued_levels(m, ns, budget)
+
+
+def _assert_levels_equal(got, want):
+    assert len(got) == len(want)
+    for lv, ref in zip(got, want):
+        assert lv == ref
+        assert lv.columns.monodromy.tobytes() == ref.columns.monodromy.tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(10.0, 0.3), (6.0, -0.3), (10.0, 0.3j),
+                                  (20.0, 1.0), (5.0 + 1.0j, 0.2),
+                                  (30.0, 0.01)])
+def test_levels_match_sequential_reference(a, b):
+    # one census for levels 1-10, each primitive cycle polished once at its
+    # minimal period, against each level on its own, polished at n
+    m = MapParams(a, b)
+    assert is_horseshoe_regime(m)
+    for budget in (1, 2, 3, 5, 17, 2048):
+        _assert_levels_equal(periodic_levels(m, range(1, 11), budget),
+                             _ref_levels(m, range(1, 11), budget))
 
 
 @pytest.mark.parametrize("a, b, n, gate_period, counts", [
@@ -460,13 +563,6 @@ def _census_reference(m, calls):
 ], ids=["horseshoe", "continued", "continued-gate"])
 def test_census_counters_match_pairwise_reference(monkeypatch, a, b, n,
                                                   gate_period, counts):
-    offered = {}
-
-    class Recording(periodic2d._Census):
-        def try_cycle(self, block, i):
-            offered.setdefault(self.m, []).append((block, i))
-            super().try_cycle(block, i)
-
     residual = periodic2d._closure_residual
 
     def gated(X, a_, b_):
@@ -474,17 +570,41 @@ def test_census_counters_match_pairwise_reference(monkeypatch, a, b, n,
         r = residual(X, a_, b_)
         return r + 1.0 if (X.shape[1], a_) == (gate_period, a) else r
 
-    monkeypatch.setattr(periodic2d, "_Census", Recording)
     monkeypatch.setattr(periodic2d, "_closure_residual", gated)
     m = MapParams(a, b)
     lv = periodic_points_2d(m, n)
-    got = (lv.lower_period, lv.residual_rejected, lv.duplicates)
-    want, kept = _census_reference(m, offered[m])
-    assert got == want == counts
-    c = lv.columns
-    assert [c.x[s:s + d].tolist() for s, d in
-            zip(c.starts().tolist(), c.period.tolist())] == kept
+    assert (lv.lower_period, lv.residual_rejected, lv.duplicates) == counts
+    _assert_levels_equal([lv], _ref_levels(m, [n]))
     assert lv.complete == (gate_period is None)
+
+
+@pytest.mark.parametrize("a, b, top", [(10.0, 0.3, 8), (1.4, 0.3, 6)])
+def test_forced_lower_period_cycles_match_reference(monkeypatch, a, b, top):
+    # the itinerary 0001 (and its powers) seeded on the period-2 cycle 01:
+    # Newton keeps it there, so its cycle is re-polished at period 2 and
+    # checked against the level's own period-2 cycles, where 0101 then
+    # finds it
+    seed = periodic2d.symbolic_orbit_seed
+
+    def forced(m, bits, sweeps=60, periods=None):
+        x = seed(m, bits, sweeps, periods)
+        rows = np.atleast_2d(np.asarray(bits))
+        for i, row in enumerate(rows):
+            d = rows.shape[1] if periods is None else periods[i]
+            if d % 4 == 0 and row[:d].tolist() == [0, 0, 0, 1] * (d // 4):
+                x.reshape(rows.shape)[i, :d] = seed(m, [0, 1] * (d // 2))
+        return x
+
+    monkeypatch.setattr(periodic2d, "symbolic_orbit_seed", forced)
+    m = MapParams(a, b)
+    levels = periodic_levels(m, range(1, top + 1))
+    _assert_levels_equal(levels, _ref_levels(m, range(1, top + 1)))
+    # level 4 finds 0000, 0001, 0101 and 1111 below period 4, the period-2
+    # cycle once, and falls one period-4 cycle short
+    four = levels[3]
+    assert four.fixed_point_count == 12 and not four.complete
+    if is_horseshoe_regime(m):
+        assert (four.lower_period, four.duplicates) == (4, 3)
 
 
 def test_orbit_monodromy_is_read_only_and_out_of_eq(horseshoe,
@@ -540,16 +660,55 @@ def test_itinerary_blocks_do_not_change_orbits(monkeypatch, horseshoe):
 
 
 def test_itinerary_level_seeds_once(monkeypatch, horseshoe):
-    calls = []
+    calls = {"seed": [], "fixed": 0, "assemble": []}
     seed = periodic2d.symbolic_orbit_seed
+    fixed = periodic2d._fixed_points
+    assemble = periodic2d._assemble
 
-    def counting(m, bits, *args):
-        calls.append(np.shape(bits))
-        return seed(m, bits, *args)
+    def counting_seed(m, bits, *args, **kwargs):
+        calls["seed"].append(np.shape(bits))
+        return seed(m, bits, *args, **kwargs)
 
-    monkeypatch.setattr(periodic2d, "symbolic_orbit_seed", counting)
+    def counting_fixed(m):
+        calls["fixed"] += 1
+        return fixed(m)
+
+    def counting_assemble(m, X, *args, **kwargs):
+        calls["assemble"].append(np.shape(X)[1])
+        return assemble(m, X, *args, **kwargs)
+
+    monkeypatch.setattr(periodic2d, "symbolic_orbit_seed", counting_seed)
+    monkeypatch.setattr(periodic2d, "_fixed_points", counting_fixed)
+    monkeypatch.setattr(periodic2d, "_assemble", counting_assemble)
     lv = periodic_points_2d(horseshoe, 8)
-    assert lv.complete and calls == [(36, 8)]
+    # the roots of the 36 necklaces: 2 of period 1, 1 of 2, 3 of 4, 30 of 8
+    assert lv.complete and calls["seed"] == [(36, 8)]
+    assert calls["fixed"] == 1 and calls["assemble"] == [1, 1, 2, 4, 8]
+    for key in calls:
+        calls[key] = [] if key != "fixed" else 0
+    # levels 1-8 together: one padded seed sweep over the 71 distinct
+    # roots, the fixed points once, one assembly per period
+    levels = periodic_levels(horseshoe, range(1, 9))
+    assert all(lv.complete for lv in levels)
+    assert calls["seed"] == [(71, 8)] and calls["fixed"] == 1
+    assert calls["assemble"] == [1, *range(1, 9)]
+
+
+def test_padded_seeds_match_lone_seeds():
+    # itineraries of periods 1-9 in one stack padded to 9 slots: each row's
+    # first slots hold its lone seed, bit for bit, its padded slots 0
+    words = [w for n in range(1, 10) for w in necklaces(n)][::3]
+    periods = np.array([len(w) for w in words])
+    bits = np.zeros((len(words), 9), dtype=np.int8)
+    for i, w in enumerate(words):
+        bits[i, :len(w)] = w
+    for m in (MapParams(10.0, 0.3), MapParams(5.0 + 1.0j, 0.2)):
+        stack = symbolic_orbit_seed(m, bits, periods=periods)
+        assert stack.shape == bits.shape
+        for row, w in zip(stack, words):
+            assert row[:len(w)].tobytes() == \
+                symbolic_orbit_seed(m, w).tobytes()
+            assert np.all(row[len(w):] == 0.0)
 
 
 def test_enumeration_rejects_bad_inputs(horseshoe):
