@@ -29,8 +29,8 @@ from .errors import ContractError
 from .measures import TestBattery, angular_discrepancy, compare, \
     potential_of_measure
 from .periodic2d import (cylinder_point_measure, mu_n_measure,
-                         negative_fixed_point, periodic_points_2d,
-                         saddle_table, unstable_disk_sample)
+                         negative_fixed_point, periodic_levels, saddle_table,
+                         unstable_disk_sample)
 from .poly1d import Poly, brolin_measure
 from .potential import (ScalarGrid, discrete_ddc_mass, green_plus_field,
                         green_poly_field, mass_in_disk)
@@ -41,10 +41,14 @@ HORSESHOE = MapParams(10.0, 0.3)
 
 
 @functools.cache
+def _horseshoe_levels() -> tuple:
+    """Levels 1-8 of the (10, 0.3) census, enumerated once per process as
+    one census and shared by criteria 6-9 and 11 (levels are frozen)."""
+    return tuple(periodic_levels(HORSESHOE, range(1, 9)))
+
+
 def _horseshoe_level(n: int):
-    """Level n of the (10, 0.3) census, enumerated once per process and
-    shared by criteria 6-9 and 11 (levels are frozen; n stays <= 8)."""
-    return periodic_points_2d(HORSESHOE, n)
+    return _horseshoe_levels()[n - 1]
 
 
 @dataclass(frozen=True)
@@ -360,9 +364,10 @@ def _criterion_12(workdir):
     as in a fresh interpreter with another hash seed (--threads 4)."""
     from .cli import main as cli_main
 
-    base = Path(workdir) if workdir is not None else None
-    if base is None:
-        base = Path(tempfile.mkdtemp(prefix="determinism-"))
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="determinism-") as tmp:
+            return _criterion_12(tmp)
+    base = Path(workdir)
     base.mkdir(parents=True, exist_ok=True)
     base = base.resolve()
 
@@ -454,7 +459,8 @@ _CRITERIA = (
 def run_all(workdir=None, only=None) -> list[CriterionResult]:
     """Run the acceptance criteria in order, catching per-criterion crashes.
 
-    `workdir` hosts scratch output for the CLI determinism check; `only`
+    `workdir` hosts scratch output for the CLI determinism check (without
+    one, a temporary directory that is removed on return); `only`
     restricts the run to the listed criterion ids.  An id outside the
     registry raises ContractError: a run that checks nothing must not
     report that everything passed.

@@ -6,8 +6,10 @@ stacks of cycles, through the kernel of `cycles` that the one-variable
 periodic points share.  Fixed points come in closed form.  The levels a
 command asks for are one census (`_Census`): each cycle is polished,
 assembled (residuals, monodromy matrices, eigenvalues, a period at a
-time), checked for its numerical minimal period and deduplicated by
-cyclic alignment of x once, and each level reads its cycles from there.
+time), checked for its numerical minimal period and matched, by cyclic
+alignment of x, against the other cycles of its period once.  Each level
+reads its cycles from there and keeps a cycle that matches none it kept
+before.
 When the parameters pass the horseshoe test, the cycles come from binary
 necklaces: a necklace w = r^(n/d) shadows the cycle of its primitive root
 r, so every distinct root is seeded once (alternating square-root branches
@@ -159,18 +161,6 @@ def _orbits(c: OrbitColumns) -> list:
     return out
 
 
-def _dedup_cells(X) -> list:
-    """Strip of width 2*DEDUP_TOL holding Re x, for every x of the array X,
-    as (nested) lists of floats.  A point within DEDUP_TOL of x lies in the
-    same strip or a neighbouring one.  Past strip 2^53 (|Re x| > 1.8e9),
-    where c + 1 may round to c, adjacent doubles lie more than DEDUP_TOL
-    apart, so points that match share their strip."""
-    # past ~3.6e301 the quotient overflows; such points match only
-    # themselves, so the infinite quotient serves as its own key
-    with np.errstate(over="ignore"):
-        return np.floor(np.real(X) / (2.0 * DEDUP_TOL)).tolist()
-
-
 def _assemble(m: MapParams, X, multiplicity: int = 1,
               degenerate: bool = False) -> tuple[np.ndarray, OrbitColumns]:
     """The polished (k, d) stack of cycles X, assembled in one pass: a row
@@ -306,96 +296,40 @@ def _same_cycle(xa, xb, tol: float = DEDUP_TOL) -> bool:
                for shift in range(d))
 
 
-# kept cycles around a candidate's first point past which `_CycleIndex.has`
-# looks for a less crowded point to probe from
-CROWDED = 8
-
-
-class _CycleIndex:
-    """Kept cycles bucketed by (period, strip of Re x) of each of their points.
-
-    A cycle is its x-sequence, a list, with the strips `_dedup_cells` gives
-    it.  A match under any shift puts every candidate point within
-    DEDUP_TOL of a point of the kept cycle, so the kept cycle sits in that
-    point's strip or a neighbour, whichever candidate point is taken.
-    `has` probes from the first point, or, when more than CROWDED kept
-    cycles surround it (long cycles that shadow a fixed point share its
-    strips), from the candidate point with the fewest around it, and runs
-    `_same_cycle` only on those; the answer equals a scan over every kept
-    cycle.
-    """
-
-    def __init__(self):
-        self._kept: list[list] = []
-        self._cells: dict[tuple, list] = {}
-
-    def add(self, x, cells) -> None:
-        d = len(x)
-        i = len(self._kept)
-        self._kept.append(x)
-        for c in set(cells):
-            self._cells.setdefault((d, c), []).append(i)
-
-    def _around(self, d: int, c: float) -> list:
-        return [self._cells.get((d, k), ()) for k in (c - 1, c, c + 1)]
-
-    def has(self, x, cells) -> bool:
-        """Does a kept cycle match x?"""
-        d = len(x)
-        near = self._around(d, cells[0])
-        crowd = sum(map(len, near))
-        if crowd > CROWDED:
-            for c in cells[1:]:
-                other = self._around(d, c)
-                size = sum(map(len, other))
-                if size < crowd:
-                    near, crowd = other, size
-        return any(_same_cycle(x, self._kept[i])
-                   for bucket in near for i in bucket)
-
-
 # bound on the rounding of a computed sum of d terms, relative to the sum
 # of their moduli: (d - 1) 2^-53 for any order of summation, taken 8 d
 # times larger to cover the rounding of the bounds themselves
 SUM_SLACK = 2.0 ** -50
 
 
-def _crowded(X: np.ndarray) -> np.ndarray:
-    """Which cycles of the (k, d) stack X may match another.  A match moves
-    each Re x by at most DEDUP_TOL, their sum by at most d DEDUP_TOL, so
-    cycles whose computed sums, each widened by d DEDUP_TOL and its
-    rounding, fall in disjoint intervals cannot match; a cycle is crowded
-    when its interval meets another's, or is not finite."""
-    d = X.shape[1]
-    s = X.real.sum(axis=1)
-    r = d * DEDUP_TOL + d * SUM_SLACK * np.abs(X.real).sum(axis=1)
-    lo, hi = s - r, s + r
-    order = np.argsort(lo)
-    # a sorted interval that starts within the reach of those before it
-    # joins their cluster
-    joins = lo[order][1:] <= np.maximum.accumulate(hi[order])[:-1]
-    cluster = np.concatenate([[0], np.cumsum(~joins)])
-    crowded = np.empty(len(X), dtype=bool)
-    crowded[order] = np.bincount(cluster)[cluster] > 1
-    return crowded | ~np.isfinite(lo + hi)
-
-
-def _first_of_each(kept: np.ndarray, X: np.ndarray) -> list:
-    """Which of the (k, d) cycles X a census keeps when it checks each, in
-    order, against the cycles `kept` and the ones of X it kept before.
-    Only crowded cycles (`_crowded`) go through a `_CycleIndex`: a match
-    lies within one crowd."""
-    A = np.concatenate([kept, X])
-    at = np.flatnonzero(_crowded(A))
-    keep = [True] * len(X)
-    index = _CycleIndex()
-    for i, x, cells in zip(at.tolist(), A[at].tolist(), _dedup_cells(A[at])):
-        j = i - len(kept)
-        if j >= 0 and index.has(x, cells):
-            keep[j] = False
-        else:
-            index.add(x, cells)
-    return keep
+def _matches(X: np.ndarray) -> dict:
+    """Which cycles of the (k, d) stack X match which: row i -> the other
+    rows j with `_same_cycle(X[i], X[j])`, for the rows that match one.
+    A match moves each Re x by at most DEDUP_TOL, their sum by at most
+    d DEDUP_TOL, so cycles whose computed sums, each widened by d DEDUP_TOL
+    and its rounding, fall in disjoint intervals cannot match; only rows
+    whose intervals overlap are compared, and a row whose interval is not
+    finite is taken to span the line."""
+    k, d = X.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = X.real.sum(axis=1)
+        r = d * DEDUP_TOL + d * SUM_SLACK * np.abs(X.real).sum(axis=1)
+        lo, hi = s - r, s + r
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    lo = np.where(finite, lo, -np.inf)
+    hi = np.where(finite, hi, np.inf)
+    order = np.argsort(lo, kind="stable")
+    # the sorted intervals after the p-th that start by its end overlap it
+    after = (np.searchsorted(lo[order], hi[order], side="right")
+             - np.arange(1, k + 1))
+    p = np.repeat(np.arange(k), after)
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(after) - after, after)
+    near = {}
+    for i, j in zip(order[p].tolist(), order[q].tolist()):
+        if _same_cycle(X[i].tolist(), X[j].tolist()):
+            near.setdefault(i, []).append(j)
+            near.setdefault(j, []).append(i)
+    return near
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,29 +408,24 @@ class _Census:
     their numbers, their polished (k, d) stack and its mask of converged
     rows.  Each candidate's admission is decided once: its numerical
     minimal period (a cycle below the period it was polished at is
-    re-polished there), the residual gate of `_assemble`, and the dedup
-    against the closed-form fixed points and the earlier candidates of its
-    period.  Every admitted cycle is a row of one pool of columns.
+    re-polished there) and the residual gate of `_assemble`.  Every
+    admitted cycle is a row of one pool of columns, the closed-form fixed
+    points first, and `_matches` relates each pool row to the rows of its
+    period it matches, once.
 
-    A level walks its own candidates through those decisions.  While the
-    candidates of a period it has met are the first ones of that period,
-    the decided dedup is its own.  Otherwise (a re-polished cycle, or a
-    level that skipped one) it checks that period against its own kept
-    cycles with a `_CycleIndex`, as a census of that level alone does.
+    A level walks its own candidates through those decisions and keeps a
+    cycle that matches none it kept before, as a census of that level
+    alone does.
     """
 
     def __init__(self, m: MapParams, count: int, polished):
         passed, fixed = _fixed_points(m)
         self.fixed_rejected = int(np.count_nonzero(~passed))
         # per candidate: the period it was polished at, its cycle's
-        # numerical minimal period (0 when not polished), pool row, place
-        # among the admitted cycles of its period (-1: each level decides)
-        # and the decided dedup
+        # numerical minimal period (0 when not polished) and pool row
         length = np.zeros(count, dtype=np.int64)
         low = np.zeros(count, dtype=np.int64)
         row = np.full(count, NO_CYCLE)
-        rank = np.full(count, -1)
-        keep = np.ones(count, dtype=bool)
         parts = [fixed]
         size = len(fixed.period)
         lower = []
@@ -512,11 +441,6 @@ class _Census:
             row[ids[~passed]] = REJECTED
             ids = ids[passed]
             row[ids] = size + np.arange(len(ids))
-            rank[ids] = np.arange(len(ids))
-            if len(ids):
-                keep[ids] = _first_of_each(
-                    fixed.x[:, None] if d == 1 else np.empty((0, d)),
-                    G[passed])
             parts.append(cols)
             size += len(ids)
         # cycles that Newton brought below the period they were polished
@@ -531,18 +455,20 @@ class _Census:
             parts.append(cols)
             size += len(cols.period)
         self.pool = OrbitColumns(*map(np.concatenate, zip(*parts)))
-        self._starts = self.pool.starts().tolist()
-        self._period = self.pool.period.tolist()
+        # the pool rows each row matches, for the rows that match one
+        self._near = {}
+        period, starts = self.pool.period, self.pool.starts()
+        for d in np.unique(period).tolist():
+            rows = np.flatnonzero(period == d)
+            near = _matches(self.pool.x[starts[rows, None] + np.arange(d)])
+            rows = rows.tolist()
+            self._near.update((rows[i], [rows[j] for j in js])
+                              for i, js in near.items())
+        self._period = period.tolist()
         self._mult = self.pool.multiplicity.tolist()
         self._fixed = list(range(len(fixed.period)))
-        self._length, self._low, self._row, self._rank, self._keep = (
-            length.tolist(), low.tolist(), row.tolist(), rank.tolist(),
-            keep.tolist())
-
-    def _cycle(self, r: int) -> tuple:
-        """Pool row r's x-sequence and strips, as `_CycleIndex` takes them."""
-        x = self.pool.x[self._starts[r]:self._starts[r] + self._period[r]]
-        return x.tolist(), _dedup_cells(x)
+        self._length, self._low, self._row = (
+            length.tolist(), low.tolist(), row.tolist())
 
     def walk(self, n: int, cands, paths: bool = False) -> tuple[list, dict]:
         """Level n's census: the fixed points, then each candidate's cycle
@@ -550,15 +476,12 @@ class _Census:
         once the level is complete; paths are offered at their own period
         and all run.  Returns the pool rows kept, in admission order, and
         the census counters of PeriodicLevel by name."""
-        period, mult = self._period, self._mult
+        period, mult, near = self._period, self._mult, self._near
         rows = list(self._fixed)
+        kept = set(rows)
         count = sum(mult[r] for r in rows)
         attempts = lower = duplicates = 0
         rejected = self.fixed_rejected
-        # per period: the admitted candidates met while they are the first
-        # ones, or the level's own index once they are not
-        met = {}
-        own = {}
         for c in cands:
             if not paths and count >= 2 ** n:
                 break
@@ -570,23 +493,10 @@ class _Census:
             rejected += r == REJECTED
             if r < 0:
                 continue
-            d = period[r]
-            if d not in own and met.get(d, 0) == self._rank[c]:
-                met[d] = self._rank[c] + 1
-                kept = self._keep[c]
-            else:
-                if d not in own:
-                    own[d] = _CycleIndex()
-                    for q in rows:
-                        if period[q] == d:
-                            own[d].add(*self._cycle(q))
-                cycle = self._cycle(r)
-                kept = not own[d].has(*cycle)
-                if kept:
-                    own[d].add(*cycle)
-            if kept:
+            if kept.isdisjoint(near.get(r, ())):
                 rows.append(r)
-                count += d * mult[r]
+                kept.add(r)
+                count += period[r] * mult[r]
             else:
                 duplicates += 1
         return rows, {"fixed_point_count": count, "complete": count >= 2 ** n,

@@ -4,6 +4,8 @@ Each test prints a single PASS/FAIL line (run pytest -s to see them all);
 tolerances are pinned inside henonlab.acceptance next to each check.
 """
 
+import tempfile
+
 import pytest
 
 from henonlab.acceptance import _CRITERIA, run_all
@@ -38,3 +40,12 @@ def test_criterion(cid, tmp_path):
     r = results[0]
     print(f"criterion {cid:02d} {'PASS' if r.passed else 'FAIL'}: {r.name}")
     assert r.passed, f"criterion {cid:02d} ({r.name}) failed: {r.details}"
+
+
+def test_run_all_without_workdir_leaves_nothing(tmp_path, monkeypatch):
+    # criterion 12's configs, outputs and working directories go with the
+    # temporary directory that hosted them
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    r, = run_all(only=[12])
+    assert r.passed, r.details
+    assert list(tmp_path.iterdir()) == []

@@ -15,7 +15,7 @@ from henonlab.dynamics import (MapParams, derivative_along_orbit,
                                henon_apply, is_horseshoe_regime)
 from henonlab.errors import ContractError
 from henonlab.measures import TestBattery, compare
-from henonlab.periodic2d import (DEDUP_TOL, _CycleIndex, _dedup_cells,
+from henonlab.periodic2d import (DEDUP_TOL, SUM_SLACK, _matches,
                                  _newton_cycles, _same_cycle,
                                  _start_parameter, cylinder_point_measure,
                                  fixed_points_closed_form, mu_n_measure,
@@ -83,7 +83,7 @@ def test_horseshoe_orbits_are_real_saddles(horseshoe_levels):
 
 
 def _assert_no_duplicates(lv):
-    # the pairwise scan the cell index replaced is the reference here
+    # the scan over every pair of orbits is the reference here
     for i, a in enumerate(lv.orbits):
         for b in lv.orbits[:i]:
             assert not _same_cycle(*([p.x for p in o.points] for o in (a, b)))
@@ -103,103 +103,117 @@ def test_no_duplicate_cycles(horseshoe_levels):
     _assert_no_duplicates(continued)
 
 
-def _keyed(x):
-    """A cycle's x-sequence as `_CycleIndex` takes it: with its strips."""
-    return list(x), _dedup_cells(x)
+def _pairwise_matches(X):
+    """The match relation of the rows of X by the scan over every pair,
+    as `_matches` gives it: row -> sorted matching rows, for rows that
+    match one."""
+    xs = np.asarray(X).tolist()
+    near = {}
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        if _same_cycle(xs[i], xs[j]):
+            near.setdefault(i, []).append(j)
+            near.setdefault(j, []).append(i)
+    return near
 
 
-def test_cycle_index_across_strip_boundary(horseshoe_levels):
-    base = [p.x for p in horseshoe_levels[3].minimal_orbits[0].points]
-    # place the first Re x just below a strip boundary, the copy just above
-    edge = (_dedup_cells(base[0]) + 1) * 2.0 * DEDUP_TOL
-    lo = [x + (edge - 0.4 * DEDUP_TOL - base[0].real) for x in base]
-    hi = [x + 0.8 * DEDUP_TOL for x in lo]
-    assert _dedup_cells(hi[0]) == _dedup_cells(lo[0]) + 1
-    index = _CycleIndex()
-    index.add(*_keyed(lo))
-    assert index.has(*_keyed(hi))
-    assert index.has(*_keyed(hi[1:] + hi[:1]))  # other starting point
-    far = [x + 10.0 * DEDUP_TOL for x in lo]
-    assert not index.has(*_keyed(far))
-    index.add(*_keyed(far))
-    assert index.has(*_keyed(far)) and index.has(*_keyed(lo))
+def _sorted(near):
+    return {i: sorted(js) for i, js in near.items()}
 
 
-def test_cycle_index_agrees_with_pairwise_scan():
+def test_matches_agree_with_pairwise_scan():
     rng = np.random.default_rng(5)
-    pool = [rng.uniform(-3.0, 3.0, size=(d, 4)) for d in (1, 2, 2, 3, 3, 3)]
-    index, kept, hits = _CycleIndex(), [], 0
-    for _ in range(600):
+    pool = [rng.uniform(-3.0, 3.0, size=(d, 2)) for d in (1, 2, 2, 3, 3, 3)]
+    stacks = {}
+    for _ in range(300):
         base = pool[int(rng.integers(len(pool)))]
         # jitter of up to 1.5 tolerances lands on both sides of the match
-        # threshold and of the strip boundaries
+        # threshold
         arr = base + rng.uniform(-1.5, 1.5, size=base.shape) * DEDUP_TOL
         arr = np.roll(arr, int(rng.integers(len(arr))), axis=0)
-        # columns 2 and 3 once held y, which takes no part in a match
-        cycle = (arr[:, 0] + 1j * arr[:, 1]).tolist()
-        expected = any(_same_cycle(cycle, k) for k in kept)
-        assert index.has(*_keyed(cycle)) == expected
-        if expected:
-            hits += 1
-        else:
-            kept.append(cycle)
-            index.add(*_keyed(cycle))
-    assert 50 < hits < 550  # both outcomes exercised
-
-
-def test_cycle_index_survives_huge_coordinates():
-    index = _CycleIndex()
-    huge = [1e305 + 0j]
-    index.add(*_keyed(huge))
-    assert index.has(*_keyed(huge))
-    assert not index.has(*_keyed([-1e305 + 0j]))
+        stacks.setdefault(len(arr), []).append(arr[:, 0] + 1j * arr[:, 1])
+    linked = unlinked = 0
+    for rows in stacks.values():
+        want = _pairwise_matches(rows)
+        assert _sorted(_matches(np.array(rows))) == want
+        linked += len(want)
+        unlinked += len(rows) - len(want)
+    assert linked > 50 and unlinked > 10  # both outcomes exercised
 
 
 def _shadowing_cycles(m, n):
     """Real period-n cycles whose itineraries are long runs of 0 broken by
-    one or two 1s: most of their points shadow the fixed point and share
-    its strips."""
+    one or two 1s: most of their points shadow the fixed point."""
     words = [[0] * n for _ in range(n // 2 + 1)]
     words[0][0] = 1
     for j, w in enumerate(words[1:], start=1):
         w[0] = w[j] = 1
     X, ok = _newton_cycles(m, symbolic_orbit_seed(m, np.array(words)))
     assert ok.all()
-    # (x_j, y_j) rows; y takes no part in a match
-    return [np.stack([row, np.roll(row, 1)], axis=1) for row in X]
+    return X
 
 
-def test_cycle_index_crowded_strips_agree_with_pairwise_scan(monkeypatch,
-                                                             horseshoe):
+def test_matches_of_shadowing_cycles_agree_with_pairwise_scan(horseshoe):
     pool = _shadowing_cycles(horseshoe, 24)
     rng = np.random.default_rng(11)
-    index, kept, hits, crowded = _CycleIndex(), [], 0, 0
-    for _ in range(300):
-        base = pool[int(rng.integers(len(pool)))]
+    rows, bases = [], []
+    for _ in range(150):
+        bases.append(int(rng.integers(len(pool))))
+        base = pool[bases[-1]]
         # copies within 0.9 tolerances of each other match; half the
-        # candidates move one point by 1 to 3 tolerances, which may or may
-        # not leave them a match
-        arr = base + rng.uniform(-0.45, 0.45, size=base.shape) * DEDUP_TOL
+        # copies move one point by 1 to 3 tolerances, which may or may not
+        # leave them a match
+        x = base + rng.uniform(-0.45, 0.45, size=base.shape) * DEDUP_TOL
         if rng.integers(2):
-            arr[int(rng.integers(len(arr))), 0] += (
+            x[int(rng.integers(len(x)))] += (
                 rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3.0) * DEDUP_TOL)
         # start anywhere on the cycle, mostly on a point near the fixed point
-        arr = np.roll(arr, int(rng.integers(len(arr))), axis=0)
-        cycle, cells = _keyed(arr[:, 0])
-        crowded += sum(map(len, index._around(24, cells[0]))) > \
-            periodic2d.CROWDED
-        expected = any(_same_cycle(cycle, k) for k in kept)
-        assert index.has(cycle, cells) == expected
-        # probing from the first point alone gives the same answer
-        monkeypatch.setattr(periodic2d, "CROWDED", 10 ** 9)
-        assert index.has(cycle, cells) == expected
-        monkeypatch.undo()
-        if expected:
-            hits += 1
-        else:
-            kept.append(cycle)
-            index.add(cycle, cells)
-    assert 30 < hits < 270 and crowded > 100
+        rows.append(np.roll(x, int(rng.integers(len(x)))))
+    want = _pairwise_matches(rows)
+    assert _sorted(_matches(np.array(rows))) == want
+    # copies of one cycle that match, and ones that do not
+    pairs = sum(map(len, want.values())) // 2
+    copies = sum(c * (c - 1) // 2 for c in np.bincount(bases))
+    assert 100 < pairs < copies - 100
+
+
+def test_matches_at_the_edges_of_the_sum_interval(monkeypatch,
+                                                   horseshoe_levels):
+    base = np.array([p.x for p in horseshoe_levels[3].minimal_orbits[0].points])
+    d = len(base)
+    # the half-width of base's interval, as it is for any copy moved by
+    # a few tolerances
+    reach = d * DEDUP_TOL + d * SUM_SLACK * np.abs(base.real).sum()
+    compared = []
+    same = periodic2d._same_cycle
+
+    def spy(xa, xb, tol=DEDUP_TOL):
+        compared.append((xa, xb))
+        return same(xa, xb, tol)
+
+    monkeypatch.setattr(periodic2d, "_same_cycle", spy)
+    for move, match, meets in [
+            # the copy's sum just inside base's interval, and just outside
+            (reach / d * (1.0 - 1e-6), True, True),
+            (reach / d * (1.0 + 1e-6), False, True),
+            # the two intervals just overlap, and just miss
+            (2.0 * reach / d * (1.0 - 1e-6), False, True),
+            (2.0 * reach / d * (1.0 + 1e-6), False, False)]:
+        compared.clear()
+        copy = np.roll(base + move, 1)
+        assert _matches(np.stack([base, copy])) == (
+            {0: [1], 1: [0]} if match else {})
+        assert bool(compared) == meets
+
+
+def test_matches_survive_huge_coordinates():
+    X = np.array([[1e305 + 0j], [1e305 + 0j], [-1e305 + 0j]])
+    assert _matches(X) == {0: [1], 1: [0]}
+    # sums past double range, and nan, span the line: every pair is scanned
+    X = np.array([[1e308, 1e308], [1e308, 1e308], [-1e308, -1e308],
+                  [1.0, 2.0], [2.0, 1.0], [np.nan, 1.0]], dtype=complex)
+    want = _pairwise_matches(X)
+    assert want == {0: [1], 1: [0], 3: [4], 4: [3]}
+    assert _sorted(_matches(X)) == want
 
 
 def test_symbolic_seed_matches_itinerary(horseshoe):
