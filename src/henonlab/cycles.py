@@ -6,9 +6,15 @@ b = 0 and p = f for a polynomial f.  The defect p(x_j) - b x_{j-1} - x_{j+1}
 has an n x n cyclic-tridiagonal Jacobian: p'(x_j) on the diagonal, -b and
 -1 off it.  `ClosureSystem` builds both for (k, n) stacks of cycles
 zero-padded to n slots.  Damped Newton runs over stacks of one period,
-continuation over stacks padded to the longest period; each row bit for
-bit as alone in the same stack width.  Callers supply p, p' (and the
-path parameter and dp/ds) as callables on stacks, and b.
+continuation over stacks padded to the longest period, each a block of
+`block_rows` rows at a time; each row bit for bit as alone in the same
+stack width.  Callers supply p, p' (and the path parameter and dp/ds) as
+callables on stacks, and b.
+
+This module also decides which cycles are one: a cycle's numerical
+minimal period (`minimal_periods`), the pairwise rule (`same_cycle`: x
+within DEDUP_TOL under a cyclic shift) and the match relation of a stack
+of one period (`matches`), which both censuses apply.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ import functools
 
 import numpy as np
 
-# entries of one (cycles, n, n) stack of Jacobians: callers run blocks of
-# at least one cycle each, so that temporaries stay bounded
+# entries of one (cycles, n, n) stack of Jacobians: Newton and continuation
+# run blocks of at least one cycle each, so that temporaries stay bounded
 PATHS_BLOCK_ELEMS = 1 << 18
 NEWTON_ITERS = 60
 LINE_SEARCH_HALVINGS = 20
@@ -28,6 +34,11 @@ STEP_RESIDUAL = 1e-11
 STEP_MOVE = 0.25
 STEP_MAX = 0.1
 STEP_MIN = 1e-6
+DEDUP_TOL = 1e-7
+# bound on the rounding of a computed sum of d terms, relative to the sum
+# of their moduli: (d - 1) 2^-53 for any order of summation, taken 8 d
+# times larger to cover the rounding of the bounds themselves
+SUM_SLACK = 2.0 ** -50
 
 
 def block_rows(n: int) -> int:
@@ -125,16 +136,32 @@ def solve_stack(A: np.ndarray, F: np.ndarray) -> np.ndarray:
                                for i in range(len(A))])
 
 
+def _by_blocks(run, stacks: tuple, *args) -> tuple:
+    """run(*stacks, *args) on each block of `block_rows` rows of the
+    row-aligned stacks, the first a (k, n) stack of cycles, its outputs
+    concatenated.  An empty stack runs as one empty block."""
+    step = block_rows(stacks[0].shape[1])
+    runs = [run(*(a[lo:lo + step] for a in stacks), *args)
+            for lo in range(0, len(stacks[0]) or 1, step)]
+    return tuple(np.concatenate(parts) for parts in zip(*runs))
+
+
 def newton_cycles(X, p, dp, b) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on the whole-cycle closure systems of the (k, n) stack
     X (composing the map would amplify rounding by |multiplier|).  A row
     stops once max|F| < 1e-12 (1 + max|x|^2), within NEWTON_ITERS stacked
     solves, halving its own step up to LINE_SEARCH_HALVINGS times until it
     is finite and lowers max|F|; it fails on a non-finite start, a singular
-    or non-finite step, or an exhausted line search.  Takes at most one
-    block (`block_rows`); returns the stack and a mask of converged rows.
+    or non-finite step, or an exhausted line search.  Returns the stack and
+    a mask of converged rows.
     """
-    X = np.array(X, dtype=complex)
+    return _by_blocks(_newton_block, (np.asarray(X, dtype=complex),),
+                      p, dp, b)
+
+
+def _newton_block(X, p, dp, b) -> tuple[np.ndarray, np.ndarray]:
+    """`newton_cycles` on one block."""
+    X = X.copy()
     system = uniform_system(X.shape[1], b)
     ok = np.zeros(len(X), dtype=bool)
     live = np.all(np.isfinite(X), axis=1)
@@ -190,11 +217,17 @@ def continue_cycles(X: np.ndarray, c, p, dp, dp_ds, b, periods=None):
     doubling h up to STEP_MAX; a rejection halves h, and a path with h
     below STEP_MIN is lost.  Returns the ends (where lost paths stalled), a
     mask of the paths that reached s = 1, and each path's step halvings and
-    accepted steps.  Takes at most one block (`block_rows`).
+    accepted steps.
     """
+    if periods is None:
+        periods = np.full(len(X), X.shape[1])
+    return _by_blocks(_continue_block, (X, periods), c, p, dp, dp_ds, b)
+
+
+def _continue_block(X, periods, c, p, dp, dp_ds, b):
+    """`continue_cycles` on one block."""
     k, n = X.shape
-    system = ClosureSystem(np.full(k, n) if periods is None else periods,
-                           n, b)
+    system = ClosureSystem(periods, n, b)
     X = X.copy()
     s = np.zeros(k)
     h = np.full(k, STEP_MAX)
@@ -237,3 +270,57 @@ def continue_cycles(X: np.ndarray, c, p, dp, dp_ds, b, periods=None):
             live[acc[s[acc] >= 1.0]] = False
             live[rej[h[rej] < STEP_MIN]] = False
     return X, s >= 1.0, halvings, accepted
+
+
+def minimal_periods(X: np.ndarray) -> np.ndarray:
+    """For each row of the (k, d) stack X, the least e | d with the row
+    shifted by e within DEDUP_TOL of itself, |.| as hypot (as
+    y_j = x_{j-1}, the y shift moves no further)."""
+    k, d = X.shape
+    low = np.full(k, d)
+    for e in range(d - 1, 0, -1):
+        if d % e == 0:
+            D = X - np.roll(X, -e, axis=1)
+            low[np.all(np.hypot(D.real, D.imag) <= DEDUP_TOL, axis=1)] = e
+    return low
+
+
+def same_cycle(xa, xb, tol: float = DEDUP_TOL) -> bool:
+    """Do two cycles, given by their x-sequences, match under some cyclic
+    shift?  x alone decides, as in `minimal_periods`."""
+    d = len(xa)
+    if d != len(xb):
+        return False
+    xb = list(xb) * 2
+    return any(all(abs(u - v) <= tol for u, v in zip(xa, xb[shift:]))
+               for shift in range(d))
+
+
+def matches(X: np.ndarray) -> dict:
+    """Which cycles of the (k, d) stack X match which: row i -> the other
+    rows j with `same_cycle(X[i], X[j])`, for the rows that match one.
+    A match moves each Re x by at most DEDUP_TOL, their sum by at most
+    d DEDUP_TOL, so cycles whose computed sums, each widened by d DEDUP_TOL
+    and its rounding, fall in disjoint intervals cannot match; only rows
+    whose intervals overlap are compared, and a row whose interval is not
+    finite is taken to span the line."""
+    k, d = X.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = X.real.sum(axis=1)
+        r = d * DEDUP_TOL + d * SUM_SLACK * np.abs(X.real).sum(axis=1)
+        lo, hi = s - r, s + r
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    lo = np.where(finite, lo, -np.inf)
+    hi = np.where(finite, hi, np.inf)
+    order = np.argsort(lo, kind="stable")
+    # the sorted intervals after the p-th that start by its end overlap it
+    after = (np.searchsorted(lo[order], hi[order], side="right")
+             - np.arange(1, k + 1))
+    p = np.repeat(np.arange(k), after)
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(after) - after, after)
+    near = {}
+    for i, j in zip(order[p].tolist(), order[q].tolist()):
+        if same_cycle(X[i].tolist(), X[j].tolist()):
+            near.setdefault(i, []).append(j)
+            near.setdefault(j, []).append(i)
+    return near

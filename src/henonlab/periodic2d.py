@@ -3,7 +3,8 @@
 A cycle is its x-sequence (y_j = x_{j-1}); enumeration runs damped Newton
 on the closure system x_{j+1} + b x_{j-1} = a - x_j^2 in x alone, over
 stacks of cycles, through the kernel of `cycles` that the one-variable
-periodic points share.  Fixed points come in closed form.  The levels a
+periodic points share; that kernel also blocks the stacks and decides
+which cycles are one.  Fixed points come in closed form.  The levels a
 command asks for are one census (`_Census`): each cycle is polished,
 assembled (residuals, monodromy matrices, eigenvalues, a period at a
 time), checked for its numerical minimal period and matched, by cyclic
@@ -35,15 +36,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cycles import (block_rows, continue_cycles, cyclic_neighbours,
-                     newton_cycles)
+from .cycles import (continue_cycles, cyclic_neighbours, matches,
+                     minimal_periods, newton_cycles)
 from .dynamics import (MapParams, PointC2, derivative_along_orbit,
                        is_horseshoe_regime, monodromy_stack)
 from .errors import ContractError, MapOverflowError
 from .measures import DiscreteMeasure
 from .symbolic import necklaces
 
-DEDUP_TOL = 1e-7
 REALITY_TOL = 1e-7
 UNIT_BAND = 1e-8
 ORBIT_CLASSES = ("saddle", "sink", "source", "nonhyperbolic")
@@ -229,16 +229,6 @@ def _newton_cycles(m: MapParams, X) -> tuple[np.ndarray, np.ndarray]:
     return newton_cycles(X, lambda x: -x * x + m.a, lambda x: -2.0 * x, m.b)
 
 
-def _polish(m: MapParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_newton_cycles` on the (k, d) stack X, a block at a time."""
-    Q = np.empty_like(X)
-    ok = np.empty(len(X), dtype=bool)
-    step = block_rows(X.shape[1])
-    for lo in range(0, len(X), step):
-        Q[lo:lo + step], ok[lo:lo + step] = _newton_cycles(m, X[lo:lo + step])
-    return Q, ok
-
-
 def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60, periods=None):
     """Shadowing seed for the cycle with itinerary `bits` (horseshoe only).
 
@@ -270,66 +260,6 @@ def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60, periods=None):
     out = np.zeros(rows.shape, dtype=complex)
     out[cyc] = x
     return out.reshape(bits.shape)
-
-
-def _minimal_periods(X: np.ndarray) -> np.ndarray:
-    """For each row of the (k, d) stack X, the least e | d with the row
-    shifted by e within DEDUP_TOL of itself, |.| as hypot (as
-    y_j = x_{j-1}, the y shift moves no further)."""
-    k, d = X.shape
-    low = np.full(k, d)
-    for e in range(d - 1, 0, -1):
-        if d % e == 0:
-            D = X - np.roll(X, -e, axis=1)
-            low[np.all(np.hypot(D.real, D.imag) <= DEDUP_TOL, axis=1)] = e
-    return low
-
-
-def _same_cycle(xa, xb, tol: float = DEDUP_TOL) -> bool:
-    """Do two cycles, given by their x-sequences, match under some cyclic
-    shift?  x alone decides, as in `_minimal_periods`."""
-    d = len(xa)
-    if d != len(xb):
-        return False
-    xb = list(xb) * 2
-    return any(all(abs(u - v) <= tol for u, v in zip(xa, xb[shift:]))
-               for shift in range(d))
-
-
-# bound on the rounding of a computed sum of d terms, relative to the sum
-# of their moduli: (d - 1) 2^-53 for any order of summation, taken 8 d
-# times larger to cover the rounding of the bounds themselves
-SUM_SLACK = 2.0 ** -50
-
-
-def _matches(X: np.ndarray) -> dict:
-    """Which cycles of the (k, d) stack X match which: row i -> the other
-    rows j with `_same_cycle(X[i], X[j])`, for the rows that match one.
-    A match moves each Re x by at most DEDUP_TOL, their sum by at most
-    d DEDUP_TOL, so cycles whose computed sums, each widened by d DEDUP_TOL
-    and its rounding, fall in disjoint intervals cannot match; only rows
-    whose intervals overlap are compared, and a row whose interval is not
-    finite is taken to span the line."""
-    k, d = X.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = X.real.sum(axis=1)
-        r = d * DEDUP_TOL + d * SUM_SLACK * np.abs(X.real).sum(axis=1)
-        lo, hi = s - r, s + r
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    lo = np.where(finite, lo, -np.inf)
-    hi = np.where(finite, hi, np.inf)
-    order = np.argsort(lo, kind="stable")
-    # the sorted intervals after the p-th that start by its end overlap it
-    after = (np.searchsorted(lo[order], hi[order], side="right")
-             - np.arange(1, k + 1))
-    p = np.repeat(np.arange(k), after)
-    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(after) - after, after)
-    near = {}
-    for i, j in zip(order[p].tolist(), order[q].tolist()):
-        if _same_cycle(X[i].tolist(), X[j].tolist()):
-            near.setdefault(i, []).append(j)
-            near.setdefault(j, []).append(i)
-    return near
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,7 +340,7 @@ class _Census:
     minimal period (a cycle below the period it was polished at is
     re-polished there) and the residual gate of `_assemble`.  Every
     admitted cycle is a row of one pool of columns, the closed-form fixed
-    points first, and `_matches` relates each pool row to the rows of its
+    points first, and `matches` relates each pool row to the rows of its
     period it matches, once.
 
     A level walks its own candidates through those decisions and keeps a
@@ -433,7 +363,7 @@ class _Census:
             d = Q.shape[1]
             length[ids] = d
             ids, G = ids[ok], Q[ok]
-            e = _minimal_periods(G)
+            e = minimal_periods(G)
             low[ids] = e
             lower += zip(ids[e < d].tolist(), G[e < d], e[e < d].tolist())
             ids, G = ids[e == d], G[e == d]
@@ -447,7 +377,7 @@ class _Census:
         # at, re-polished at their numerical period
         for e in sorted({e for _, _, e in lower}):
             ids = np.array([c for c, _, f in lower if f == e])
-            Q, ok = _polish(m, np.array([x[:e] for _, x, f in lower if f == e]))
+            Q, ok = _newton_cycles(m, [x[:e] for _, x, f in lower if f == e])
             passed, cols = _assemble(m, Q[ok])
             ids = ids[ok]
             row[ids[~passed]] = REJECTED
@@ -460,7 +390,7 @@ class _Census:
         period, starts = self.pool.period, self.pool.starts()
         for d in np.unique(period).tolist():
             rows = np.flatnonzero(period == d)
-            near = _matches(self.pool.x[starts[rows, None] + np.arange(d)])
+            near = matches(self.pool.x[starts[rows, None] + np.arange(d)])
             rows = rows.tolist()
             self._near.update((rows[i], [rows[j] for j in js])
                               for i, js in near.items())
@@ -542,7 +472,7 @@ def _itinerary_census(m: MapParams, ns, budget: int) -> tuple:
     polished = []
     for d in sorted(set(periods.tolist())):
         ids = np.flatnonzero(periods == d)
-        polished.append((ids, *_polish(m, X[ids, :d])))
+        polished.append((ids, *_newton_cycles(m, X[ids, :d])))
     return (_Census(m, len(roots), polished),
             {n: [number[r] for r in rs] for n, rs in words.items()})
 
@@ -582,18 +512,6 @@ def _detour(a0: float, m: MapParams, kappa: complex) -> tuple:
                 (m.a - a0) + kappa * np.pi * np.cos(np.pi * s), X.shape))
 
 
-def _continue_paths(m: MapParams, a0: float, X0: np.ndarray,
-                    periods: np.ndarray, kappa: complex):
-    """`continue_cycles` on the zero-padded (k, N) stack X0 along one
-    detour, a block of `block_rows(N)` rows at a time."""
-    step = block_rows(X0.shape[1])
-    # an empty stack runs as one empty block
-    runs = [continue_cycles(X0[lo:lo + step], *_detour(a0, m, kappa), m.b,
-                            periods[lo:lo + step])
-            for lo in range(0, len(X0) or 1, step)]
-    return tuple(np.concatenate(parts) for parts in zip(*runs))
-
-
 def _continued_levels(m: MapParams, ns, budget: int) -> list:
     """Levels ns off the horseshoe.  The start levels' cycles of period
     >= 2 at (a0, b) are the paths, one per cycle of the start census,
@@ -610,12 +528,12 @@ def _continued_levels(m: MapParams, ns, budget: int) -> list:
     periods = firsts.period
     X0 = np.zeros((len(rows), max(periods, default=1)), dtype=complex)
     X0[np.arange(X0.shape[1]) < periods[:, None]] = firsts.x
-    X, reached, halvings, accepted = _continue_paths(m, a0, X0, periods,
-                                                     DETOURS[0])
+    X, reached, halvings, accepted = continue_cycles(
+        X0, *_detour(a0, m, DETOURS[0]), m.b, periods)
     retried = ~reached
     if retried.any():
-        again = _continue_paths(m, a0, X0[retried], periods[retried],
-                                DETOURS[1])
+        again = continue_cycles(X0[retried], *_detour(a0, m, DETOURS[1]),
+                                m.b, periods[retried])
         X[retried], reached[retried] = again[:2]
         halvings[retried] += again[2]
         accepted[retried] += again[3]
@@ -625,7 +543,7 @@ def _continued_levels(m: MapParams, ns, budget: int) -> list:
         Q = X[ids, :d]
         live = reached[ids]
         ok = np.zeros(len(ids), dtype=bool)
-        Q[live], ok[live] = _polish(m, Q[live])
+        Q[live], ok[live] = _newton_cycles(m, Q[live])
         polished.append((ids, Q, ok))
     census = _Census(m, len(rows), polished)
     levels = []

@@ -7,8 +7,9 @@ nonexceptional).  Either family converges weakly to the equilibrium
 measure of the filled Julia set, which is what the measure comparisons
 downstream exercise.  Periodic points come as cycles of the closure
 system z_{j+1} = f(z_j), the kernel of `cycles` with b = 0, continued from
-the known cycles of z^d; preimages come from Ehrlich-Aberth root finding
-at degree d.
+the known cycles of z^d and matched as cycles under the rule the C^2
+census applies; preimages come from Ehrlich-Aberth root finding at
+degree d.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import CapError, ContractError, ConvergenceError
 
 PREIMAGE_CAP = 1 << 20
 PERIODIC_CAP = 4096
-CLUSTER_TOL = 1e-7
 # periodic points are continued from z^d along
 # f_t = z^d + t (f - z^d), t(s) = s + i KAPPA sin(pi s)
 KAPPA = 0.5
@@ -266,28 +266,6 @@ def exceptional_check(f: Poly, c: complex, probe_depth: int = 4,
     return True
 
 
-def _cluster(points: np.ndarray, tol: float):
-    """Representatives and counts: in (re, im) order, each point joins the
-    first representative within tol, or starts one.  A representative more
-    than tol left of a point matches neither it nor any later point
-    (|z - r| >= re z - re r), so one advancing window holds the candidates.
-    """
-    reps: list[complex] = []
-    counts: list[int] = []
-    lo = 0
-    for z in points[np.lexsort((points.imag, points.real))]:
-        while lo < len(reps) and z.real - reps[lo].real > tol:
-            lo += 1
-        for i in range(lo, len(reps)):
-            if abs(z - reps[i]) <= tol:
-                counts[i] += 1
-                break
-        else:
-            reps.append(complex(z))
-            counts.append(1)
-    return np.array(reps), np.array(counts)
-
-
 def _start_cycles(d: int, n: int) -> dict:
     """{period: (k, period) stack} of the cycles of z^d of periods dividing
     n: 0, and the (d^n - 1)-th roots of unity w^k in orbits k -> d k led
@@ -314,16 +292,18 @@ def _multiple(f: Poly, z: np.ndarray, n: int) -> np.ndarray:
 
 
 def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
-    """Solutions of f^n(z) = z: (cluster representatives, multiplicities).
+    """Solutions of f^n(z) = z: (distinct points, multiplicities).
 
     The d^n cycles of z^d are continued to f along f_t = z^d + t (f - z^d),
-    t(s) = s + i KAPPA sin(pi s), one stacked path set per period and block
-    ("gamma trick" homotopy, Sommese-Wampler 2005), and every end, a stalled
-    one included, is polished at f.  Points cluster at CLUSTER_TOL for
-    multiplicities; ends that meet count as one multiple point only where
-    the cycle Jacobian is numerically singular, else the extra ends are
-    lost, like ends whose polish fails.  A loss leaves the multiplicities
-    summing below d^n; it is never padded.
+    t(s) = s + i KAPPA sin(pi s), one stacked path set per period ("gamma
+    trick" homotopy, Sommese-Wampler 2005), and every end, a stalled one
+    included, is polished at f.  An end of start period m is taken at its
+    numerical minimal period e and stands for m/e ends on each point of
+    that cycle; in period order it joins the first kept cycle it matches
+    (`cycles.matches`) or is kept.  Ends that meet count as one multiple
+    point only where the cycle Jacobian is numerically singular, else the
+    extra ends are lost, like ends whose polish fails.  A loss leaves the
+    multiplicities summing below d^n; it is never padded.
     """
     d = f.degree
     if n < 1:
@@ -342,15 +322,28 @@ def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
              lambda X, T: d * X ** (d - 1) + T * npp.polyval(X, dlow),
              lambda X, s: ((1.0 + 1j * KAPPA * np.pi * np.cos(np.pi * s))
                            * npp.polyval(X, low)))
-    ends = []
+    # per minimal period e: each end's cycle and the ends it stands for
+    ends: dict[int, list] = {}
     for m, X0 in _start_cycles(d, n).items():
-        step = cycles.block_rows(m)
-        for lo in range(0, len(X0), step):
-            X, _, _, _ = cycles.continue_cycles(X0[lo:lo + step], *paths,
-                                                0.0)
-            X, ok = cycles.newton_cycles(X, f, f.eval_deriv, 0.0)
-            ends.append(X[ok].ravel())
-    reps, counts = _cluster(np.concatenate(ends), CLUSTER_TOL)
+        X, _, _, _ = cycles.continue_cycles(X0, *paths, 0.0)
+        X, ok = cycles.newton_cycles(X, f, f.eval_deriv, 0.0)
+        X = X[ok]
+        for x, e in zip(X, cycles.minimal_periods(X).tolist()):
+            ends.setdefault(e, []).append((x[:e], m // e))
+    points, counts = [np.zeros(0, dtype=complex)], [np.zeros(0, np.int64)]
+    for e, group in sorted(ends.items()):
+        X = np.array([x for x, _ in group])
+        near = cycles.matches(X)
+        # kept cycle -> the ends it stands for, in the order kept
+        kept: dict[int, int] = {}
+        for i, (_, w) in enumerate(group):
+            j = min((j for j in near.get(i, ()) if j in kept), default=i)
+            kept[j] = kept.get(j, 0) + w
+        points.append(X[list(kept)].ravel())
+        counts.append(np.repeat(list(kept.values()), e))
+    points, counts = np.concatenate(points), np.concatenate(counts)
+    order = np.lexsort((points.imag, points.real))
+    reps, counts = points[order], counts[order]
     meet = counts > 1
     counts[meet] = np.where(_multiple(f, reps[meet], n), counts[meet], 1)
     return reps, counts

@@ -10,14 +10,15 @@ import pytest
 
 import henonlab.cycles as cycles
 import henonlab.periodic2d as periodic2d
-from henonlab.cycles import ClosureSystem, cyclic_neighbours, solve_stack
+from henonlab.cycles import (DEDUP_TOL, SUM_SLACK, ClosureSystem,
+                             cyclic_neighbours, matches, same_cycle,
+                             solve_stack)
 from henonlab.dynamics import (MapParams, derivative_along_orbit,
                                henon_apply, is_horseshoe_regime)
 from henonlab.errors import ContractError
 from henonlab.measures import TestBattery, compare
-from henonlab.periodic2d import (DEDUP_TOL, SUM_SLACK, _matches,
-                                 _newton_cycles, _same_cycle,
-                                 _start_parameter, cylinder_point_measure,
+from henonlab.periodic2d import (_newton_cycles, _start_parameter,
+                                 cylinder_point_measure,
                                  fixed_points_closed_form, mu_n_measure,
                                  negative_fixed_point, periodic_levels,
                                  periodic_points_2d, reality_conditions_report,
@@ -86,7 +87,7 @@ def _assert_no_duplicates(lv):
     # the scan over every pair of orbits is the reference here
     for i, a in enumerate(lv.orbits):
         for b in lv.orbits[:i]:
-            assert not _same_cycle(*([p.x for p in o.points] for o in (a, b)))
+            assert not same_cycle(*([p.x for p in o.points] for o in (a, b)))
     pts = [(round(p.x.real, 5), round(p.x.imag, 5),
             round(p.y.real, 5), round(p.y.imag, 5))
            for o in lv.orbits for p in o.points]
@@ -105,12 +106,12 @@ def test_no_duplicate_cycles(horseshoe_levels):
 
 def _pairwise_matches(X):
     """The match relation of the rows of X by the scan over every pair,
-    as `_matches` gives it: row -> sorted matching rows, for rows that
+    as `matches` gives it: row -> sorted matching rows, for rows that
     match one."""
     xs = np.asarray(X).tolist()
     near = {}
     for i, j in itertools.combinations(range(len(xs)), 2):
-        if _same_cycle(xs[i], xs[j]):
+        if same_cycle(xs[i], xs[j]):
             near.setdefault(i, []).append(j)
             near.setdefault(j, []).append(i)
     return near
@@ -134,7 +135,7 @@ def test_matches_agree_with_pairwise_scan():
     linked = unlinked = 0
     for rows in stacks.values():
         want = _pairwise_matches(rows)
-        assert _sorted(_matches(np.array(rows))) == want
+        assert _sorted(matches(np.array(rows))) == want
         linked += len(want)
         unlinked += len(rows) - len(want)
     assert linked > 50 and unlinked > 10  # both outcomes exercised
@@ -169,7 +170,7 @@ def test_matches_of_shadowing_cycles_agree_with_pairwise_scan(horseshoe):
         # start anywhere on the cycle, mostly on a point near the fixed point
         rows.append(np.roll(x, int(rng.integers(len(x)))))
     want = _pairwise_matches(rows)
-    assert _sorted(_matches(np.array(rows))) == want
+    assert _sorted(matches(np.array(rows))) == want
     # copies of one cycle that match, and ones that do not
     pairs = sum(map(len, want.values())) // 2
     copies = sum(c * (c - 1) // 2 for c in np.bincount(bases))
@@ -184,13 +185,13 @@ def test_matches_at_the_edges_of_the_sum_interval(monkeypatch,
     # a few tolerances
     reach = d * DEDUP_TOL + d * SUM_SLACK * np.abs(base.real).sum()
     compared = []
-    same = periodic2d._same_cycle
+    same = cycles.same_cycle
 
     def spy(xa, xb, tol=DEDUP_TOL):
         compared.append((xa, xb))
         return same(xa, xb, tol)
 
-    monkeypatch.setattr(periodic2d, "_same_cycle", spy)
+    monkeypatch.setattr(cycles, "same_cycle", spy)
     for move, match, meets in [
             # the copy's sum just inside base's interval, and just outside
             (reach / d * (1.0 - 1e-6), True, True),
@@ -200,20 +201,20 @@ def test_matches_at_the_edges_of_the_sum_interval(monkeypatch,
             (2.0 * reach / d * (1.0 + 1e-6), False, False)]:
         compared.clear()
         copy = np.roll(base + move, 1)
-        assert _matches(np.stack([base, copy])) == (
+        assert matches(np.stack([base, copy])) == (
             {0: [1], 1: [0]} if match else {})
         assert bool(compared) == meets
 
 
 def test_matches_survive_huge_coordinates():
     X = np.array([[1e305 + 0j], [1e305 + 0j], [-1e305 + 0j]])
-    assert _matches(X) == {0: [1], 1: [0]}
+    assert matches(X) == {0: [1], 1: [0]}
     # sums past double range, and nan, span the line: every pair is scanned
     X = np.array([[1e308, 1e308], [1e308, 1e308], [-1e308, -1e308],
                   [1.0, 2.0], [2.0, 1.0], [np.nan, 1.0]], dtype=complex)
     want = _pairwise_matches(X)
     assert want == {0: [1], 1: [0], 3: [4], 4: [3]}
-    assert _sorted(_matches(X)) == want
+    assert _sorted(matches(X)) == want
 
 
 def test_symbolic_seed_matches_itinerary(horseshoe):
@@ -513,7 +514,7 @@ def _ref_continued_levels(m, ns, budget):
         for x in _ref_itinerary_level(MapParams(a0, m.b), n, budget)[1]:
             if len(x) > 1:
                 i = next((i for i, s in enumerate(starts)
-                          if _same_cycle(x, s)), len(starts))
+                          if same_cycle(x, s)), len(starts))
                 starts[i:i + 1] = [starts[i] if i < len(starts) else x]
                 ids.append(i)
         paths.append(ids)
@@ -522,12 +523,13 @@ def _ref_continued_levels(m, ns, budget):
     for i, x in enumerate(starts):
         X0[i, :len(x)] = x
     detours = periodic2d.DETOURS
-    X, reached, halvings, accepted = periodic2d._continue_paths(
-        m, a0, X0, periods, detours[0])
+    X, reached, halvings, accepted = cycles.continue_cycles(
+        X0, *periodic2d._detour(a0, m, detours[0]), m.b, periods)
     retried = ~reached
     if retried.any():
-        again = periodic2d._continue_paths(m, a0, X0[retried],
-                                           periods[retried], detours[1])
+        again = cycles.continue_cycles(
+            X0[retried], *periodic2d._detour(a0, m, detours[1]), m.b,
+            periods[retried])
         X[retried], reached[retried] = again[:2]
         halvings[retried] += again[2]
         accepted[retried] += again[3]

@@ -231,7 +231,9 @@ def test_periodic_points_1d_square_map():
 
 def _nearest(a, b):
     """max over a of the distance to the nearest point of b."""
-    return float(np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)))
+    return max(float(np.max(np.min(np.abs(a[i:i + 256, None] - b[None, :]),
+                                   axis=1)))
+               for i in range(0, len(a), 256))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -295,6 +297,52 @@ def test_ends_that_meet_at_a_simple_cycle_are_lost(monkeypatch):
     assert not mu.complete and mu.total_mass() == Fraction(7, 16)
 
 
+def test_ends_that_meet_are_matched_as_cycles(monkeypatch):
+    continue_cycles = cycles.continue_cycles
+    land = {}
+
+    def landing(X, *args):
+        X, *counters = continue_cycles(X, *args)
+        return (land.get(X.shape[1], lambda X: X)(X), *counters)
+
+    monkeypatch.setattr(cycles, "continue_cycles", landing)
+    # every path of a period lands on its first path's cycle, each at
+    # another phase: the copies are one simple cycle, the rest are lost
+    land.update(dict.fromkeys((1, 2, 4), lambda X: np.stack(
+        [np.roll(X[0], i) for i in range(len(X))])))
+    reps, mult = periodic_points_1d(BASILICA, 4)
+    assert mult.tolist() == [1] * 7
+    # the period-2 path lands on the fixed point (1 - sqrt 5)/2: its end
+    # stands for two ends there, and they meet that point's own end at a
+    # simple point, so the point keeps multiplicity 1
+    q = (1.0 - math.sqrt(5.0)) / 2.0
+    land.clear()
+    land[2] = lambda X: np.full_like(X, q)
+    reps, mult = periodic_points_1d(BASILICA, 2)
+    assert mult.tolist() == [1, 1] and abs(reps[0] - q) < 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_chebyshev_periodic_points_are_complete(n):
+    # z^2 - 2: 2^n simple points 2cos(2 pi k / (2^n -+ 1)), some near +-2
+    # closer to one another than the matching tolerance, but on distinct
+    # cycles.  Newton stops near 1e-10 of them, so 1e-9 is asked.
+    reps, mult = periodic_points_1d(Poly((-2.0, 0.0, 1.0)), n)
+    assert mult.tolist() == [1] * 2 ** n
+    want = np.concatenate([2.0 * np.cos(2.0 * math.pi * np.arange(N) / N)
+                           for N in (2 ** n - 1, 2 ** n + 1)])
+    assert _nearest(reps, want) <= 1e-9 and _nearest(want, reps) <= 1e-9
+
+
+def test_blocks_do_not_change_periodic_points(monkeypatch):
+    whole = periodic_points_1d(BASILICA, 8)
+    # one period-8 cycle, three of period 4, per block
+    monkeypatch.setattr(cycles, "PATHS_BLOCK_ELEMS", 50)
+    got = periodic_points_1d(BASILICA, 8)
+    assert all(a.tobytes() == b.tobytes() and a.dtype == b.dtype
+               for a, b in zip(got, whole))
+
+
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2,
                 max_size=3),
@@ -315,43 +363,6 @@ def test_periodic_points_complete_or_short_never_padded(low, n):
     if d ** n >= 3:
         trace = np.sum(np.repeat(reps, mult))
         assert abs(trace + d ** (n - 1) * f.coeffs[-2]) <= 1e-6 * d ** n
-
-
-def ref_cluster(points, tol):
-    """The cluster pass `_cluster` replaced: each point against every
-    representative so far."""
-    order = np.lexsort((points.imag, points.real))
-    reps, counts = [], []
-    for z in points[order]:
-        for i, r in enumerate(reps):
-            if abs(z - r) <= tol:
-                counts[i] += 1
-                break
-        else:
-            reps.append(complex(z))
-            counts.append(1)
-    return np.array(reps), np.array(counts)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_cluster_matches_pairwise_reference(seed):
-    # clouds of near-ties: offsets of exactly tol and one ulp either side,
-    # along the axes and diagonals, chains at 0.6 tol, shared real parts
-    rng = np.random.default_rng(seed)
-    tol = poly1d.CLUSTER_TOL
-    base = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    steps = np.array([0.0, tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0),
-                      0.6 * tol, 1.2 * tol, 1.8 * tol, 2.0 * tol])
-    dirs = np.array([1.0, 1j, -1.0, -1j, np.exp(0.25j * math.pi)])
-    cloud = (base[:, None, None] + steps[None, :, None] * dirs[None, None, :])
-    pts = np.concatenate([cloud.ravel(), np.conj(base), base.real + 0j,
-                          base[:5].real + 0.9 * tol * 1j * np.arange(5)])
-    pts = pts[rng.permutation(len(pts))]
-    reps, counts = poly1d._cluster(pts, tol)
-    want_reps, want_counts = ref_cluster(pts, tol)
-    assert np.array_equal(reps, want_reps)
-    assert np.array_equal(counts, want_counts)
-    assert counts.sum() == len(pts) and (counts > 1).any()
 
 
 def test_brolin_measure_preimage_mode():
