@@ -31,8 +31,8 @@ _EXPORTS = {
                  "angular_discrepancy", "compare", "integrate",
                  "potential_of_measure"),
     "symbolic": ("EntropyEstimate", "PeriodicSequence", "SymbolWord",
-                 "code_orbit", "count_admissible_words", "entropy_estimate",
-                 "necklaces", "sequence_metric", "shift"),
+                 "code_orbit", "entropy_estimate", "necklaces",
+                 "sequence_metric", "shift"),
     "periodic2d": ("OrbitColumns", "PeriodicLevel", "PeriodicOrbit",
                    "RealityReport", "SaddleRatioTable",
                    "cylinder_point_measure", "fixed_points_closed_form",

@@ -28,9 +28,9 @@ from .dynamics import MapParams
 from .errors import ContractError
 from .measures import TestBattery, angular_discrepancy, compare, \
     potential_of_measure
-from .periodic2d import (cylinder_point_measure, mu_n_measure,
-                         negative_fixed_point, periodic_levels, saddle_table,
-                         unstable_disk_sample)
+from .periodic2d import (ORBIT_CLASSES, cylinder_point_measure,
+                         mu_n_measure, negative_fixed_point, periodic_levels,
+                         saddle_table, unstable_disk_sample)
 from .poly1d import Poly, brolin_measure
 from .potential import (ScalarGrid, discrete_ddc_mass, green_plus_field,
                         green_poly_field, mass_in_disk)
@@ -186,14 +186,15 @@ def _mobius_minimal_count(n: int) -> int:
 def _criterion_06():
     """Complete period-n census at (10, 0.3) for n <= 6, all orbits real."""
     t0 = time.perf_counter()
-    counts, minimal, imag_worst, complete = {}, {}, 0.0, True
+    counts, minimal, xs, complete = {}, {}, [], True
     for n in range(1, 7):
         lv = _horseshoe_level(n)
         counts[n] = lv.fixed_point_count
         minimal[n] = lv.minimal_point_count(saddles_only=True)
         complete = complete and lv.complete
-        for o in lv.orbits:
-            imag_worst = max(imag_worst, o.max_imag)
+        xs.append(lv.columns.x)
+    # a cycle's y are its x in another order
+    imag_worst = float(np.max(np.abs(np.concatenate(xs).imag), initial=0.0))
     dt = time.perf_counter() - t0
     count_ok = all(counts[n] == 2 ** n for n in counts)
     minimal_ok = all(minimal[n] == _mobius_minimal_count(n) for n in minimal)
@@ -250,7 +251,7 @@ def _criterion_09():
     """Word census gives log 2 on the full shift, log phi on the golden mean."""
     t0 = time.perf_counter()
     lv = _horseshoe_level(8)
-    counts = itinerary_word_counts(lv.orbits, 8)
+    counts = itinerary_word_counts(lv, 8)
     census_ok = all(counts[n] == 2 ** n for n in counts)
     est = entropy_estimate(counts, 8)
     full_err = abs(est.point - math.log(2.0))
@@ -311,15 +312,15 @@ def _criterion_11():
     worst = 0.0
     saddle_points = 0
     for n in range(1, 7):
-        lv = _horseshoe_level(n)
-        for o in lv.minimal_orbits:
-            if o.orbit_class != "saddle":
-                continue
-            for p in o.points:
-                saddle_points += 1
-                d = np.sqrt(np.abs(cloud[:, 0] - p.x) ** 2
-                            + np.abs(cloud[:, 1] - p.y) ** 2)
-                worst = max(worst, float(d.min()))
+        c = _horseshoe_level(n).columns
+        # the points of the minimal saddle cycles, in column order
+        saddle = c.orbit_class == ORBIT_CLASSES.index("saddle")
+        keep = np.repeat((c.period == n) & saddle, c.period)
+        for x, y in zip(c.x[keep], c.y()[keep]):
+            saddle_points += 1
+            d = np.sqrt(np.abs(cloud[:, 0] - x) ** 2
+                        + np.abs(cloud[:, 1] - y) ** 2)
+            worst = max(worst, float(d.min()))
     dt = time.perf_counter() - t0
     return worst < 1e-2 and dt < 60.0, {
         "cloud_points": int(cloud.shape[0]), "saddle_points": saddle_points,

@@ -548,7 +548,7 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
                            "expected": 2 ** word_max}
             inconclusive = True
         else:
-            counts = symbolic.itinerary_word_counts(level.orbits, word_max)
+            counts = symbolic.itinerary_word_counts(level, word_max)
             est = symbolic.entropy_estimate(counts, word_max)
             entropy_doc = {
                 "status": "ok",

@@ -79,10 +79,6 @@ class PeriodicOrbit:
         if self.multiplicity < 1:
             raise ContractError("multiplicity must be >= 1")
 
-    @property
-    def max_imag(self) -> float:
-        return max(max(abs(p.x.imag), abs(p.y.imag)) for p in self.points)
-
 
 def _closure_residual(X: np.ndarray, a: complex, b: complex) -> np.ndarray:
     """max_j |f(p_j).x - x_{j+1}| of each cycle of the (k, d) stack X, in
@@ -296,13 +292,11 @@ class PeriodicLevel:
     paths_retried: int = 0
     steps_accepted: int = 0
 
+    # for library callers and the benchmark tracer (perfbench/spans.py);
+    # no command or criterion reads it
     @functools.cached_property
     def orbits(self) -> tuple:
         return tuple(_orbits(self.columns))
-
-    @property
-    def minimal_orbits(self) -> tuple:
-        return tuple(o for o in self.orbits if o.period == self.n)
 
     def minimal_point_count(self, saddles_only: bool = False) -> int:
         c = self.columns

@@ -3,14 +3,19 @@
 Bounded orbits in the full-horseshoe regime are coded by the sign of
 Re(x) along the orbit; the coded sequences form the full 2-shift, so the
 number S(n) of admissible length-n words grows like 2^n and the word
-entropy lim (1/n) log S(n) equals log 2.
+entropy lim (1/n) log S(n) equals log 2.  `itinerary_word_counts` counts
+S(n) over the cycles of a periodic level straight from its x column, one
+integer code per point and window length; `SymbolWord` and
+`PeriodicSequence` carry the shift and the sequence metric.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
+
+import numpy as np
 
 from .dynamics import MapParams, PointC2, Region, classify_region, henon_apply, \
     henon_inverse, is_horseshoe_regime
@@ -89,32 +94,25 @@ def sequence_metric(s, t) -> float:
     return total
 
 
-def count_admissible_words(observed_orbits: Iterable, n: int) -> int:
-    """Number of distinct length-n blocks occurring in the given sequences.
-
-    Periodic sequences contribute their cyclic blocks (the window wraps
-    around the period); finite words contribute plain sliding windows.
-    """
-    if n < 1:
-        raise ContractError("block length must be >= 1")
-    seen: set[tuple[int, ...]] = set()
-    for s in observed_orbits:
-        if isinstance(s, PeriodicSequence):
-            ext = tuple(s.symbol(j) for j in range(s.period + n - 1))
-            limit = s.period
-        else:
-            ext = s.bits
-            limit = len(ext) - n + 1
-        for i in range(max(limit, 0)):
-            seen.add(ext[i: i + n])
-    return len(seen)
-
-
-def itinerary_word_counts(orbits: Iterable, n_max: int) -> dict[int, int]:
-    """S(n), n = 1..n_max, over the orbits' sign itineraries as cycles."""
-    seqs = [PeriodicSequence(SymbolWord(tuple(map(_sign_symbol, o.points))))
-            for o in orbits]
-    return {n: count_admissible_words(seqs, n) for n in range(1, n_max + 1)}
+def itinerary_word_counts(level, n_max: int) -> dict[int, int]:
+    """S(n), n = 1..n_max: the distinct length-n windows of the sign
+    itineraries of the cycles of a periodic level, read from its columns;
+    a window wraps around its cycle."""
+    c = level.columns
+    # `_sign_symbol`'s rule; nan codes 1
+    bits = (~(c.x.real < 0)).astype(np.int64)
+    period = np.repeat(c.period, c.period)
+    start = np.repeat(c.starts(), c.period)
+    j = np.arange(len(bits)) - start
+    code = 0  # the empty window
+    counts = {}
+    for n in range(1, n_max + 1):
+        # each point's length-n window, one symbol more than its (n-1)-window
+        code = 2 * code + bits[start + (j + n - 1) % period]
+        # relabel the windows 0..k-1, so that codes never overflow
+        words, code = np.unique(code, return_inverse=True)
+        counts[n] = len(words)
+    return counts
 
 
 @dataclass(frozen=True)

@@ -49,3 +49,28 @@ def test_run_all_without_workdir_leaves_nothing(tmp_path, monkeypatch):
     r, = run_all(only=[12])
     assert r.passed, r.details
     assert list(tmp_path.iterdir()) == []
+
+
+def test_census_criteria_read_columns_only(tmp_path, monkeypatch):
+    # criteria 6, 9 and 11 read the levels' columns: with `orbits` refused
+    # (a property outranks the cached value of an earlier reader) they pass
+    # with these details
+    from henonlab.cli import _stable_details
+    from henonlab.periodic2d import PeriodicLevel
+
+    def refuse(self):
+        raise AssertionError("orbit objects built")
+
+    monkeypatch.setattr(PeriodicLevel, "orbits", property(refuse))
+    results = run_all(tmp_path, only=[6, 9, 11])
+    assert [r.passed for r in results] == [True] * 3, results
+    powers = {n: 2 ** n for n in range(1, 9)}
+    assert [_stable_details(r.details) for r in results] == [
+        {"counts": {n: powers[n] for n in range(1, 7)},
+         "minimal_saddle_counts": {1: 2, 2: 2, 3: 6, 4: 12, 5: 30, 6: 54},
+         "complete": True, "worst_imag_part": 0.0, "time_limit": 120.0},
+        {"word_counts": powers, "full_shift_error": 0.0,
+         "golden_mean_relative_error": 0.016386203024523406},
+        {"cloud_points": 280056, "saddle_points": 106,
+         "worst_distance": 0.00400743833076404, "time_limit": 60.0},
+    ]

@@ -688,9 +688,7 @@ def test_periodic_report_computes_each_quantity_once(tmp_path, monkeypatch):
     assert chain_calls == []
 
 
-def test_periodic_report_builds_no_orbit_objects(tmp_path, monkeypatch):
-    # the report reads the levels' columns: no PeriodicOrbit or PointC2 is
-    # ever built, on the horseshoe or off it
+def _refuse_orbit_objects(monkeypatch):
     import henonlab.dynamics as dynamics
     import henonlab.periodic2d as periodic2d
 
@@ -700,11 +698,33 @@ def test_periodic_report_builds_no_orbit_objects(tmp_path, monkeypatch):
     for module, name in ((periodic2d, "PeriodicOrbit"),
                          (periodic2d, "PointC2"), (dynamics, "PointC2")):
         monkeypatch.setattr(module, name, refuse)
+
+
+def test_periodic_report_builds_no_orbit_objects(tmp_path, monkeypatch):
+    # the report reads the levels' columns: no PeriodicOrbit or PointC2 is
+    # ever built, on the horseshoe or off it
+    _refuse_orbit_objects(monkeypatch)
     for name, doc in (("horseshoe", {"budgets": {"level_max": 6}}),
                       ("continued", {"params": OFF_HORSESHOE,
                                      "budgets": {"level_max": 4}})):
         rc, files, _ = _periodic_report(tmp_path, doc, name)
         assert rc == 0 and len(files) == 3
+
+
+@pytest.mark.parametrize("doc, status", [
+    ({"budgets": {"word_max": 8}}, "ok"),
+    ({"params": OFF_HORSESHOE}, "skipped"),
+], ids=["horseshoe", "off-horseshoe"])
+def test_entropy_report_builds_no_orbit_objects(tmp_path, monkeypatch, doc,
+                                                status):
+    # the word counts and the reality table read the levels' columns
+    _refuse_orbit_objects(monkeypatch)
+    cfg_path = write_cfg(tmp_path, dict(doc, command="entropy-report"))
+    out = tmp_path / "out"
+    assert main(["entropy-report", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    report, = (json.loads(f.read_text()) for f in out.iterdir())
+    assert report["entropy"]["status"] == status
 
 
 @pytest.mark.parametrize("doc, want", [
@@ -918,23 +938,41 @@ CUBIC_CLOUD = {
 }
 
 
-@pytest.mark.parametrize("command, doc, digests", [
+@pytest.mark.parametrize("command, doc, rc, digests", [
     # degree 3: every walk step runs the Aberth solver
-    ("julia-cloud", CUBIC_CLOUD,
+    ("julia-cloud", CUBIC_CLOUD, 0,
      {"julia-0b304444a71a.csv":
       "97b1c9dc113dd8eea46cc5893152867b846e549897ed96cc42826188844b5fb0",
       "julia-0b304444a71a.pgm":
       "72c034f7bc5b7648d93eebf11ae5a68d652812f9abe4526d88a156efeb344d54"}),
-    ("entropy-report", {},
+    ("entropy-report", {}, 0,
      {"entropy-70aa4ae2b05c.json":
       "c790d54c605c96e171d827c470374bb62102f02ef68fc68ba1ff975a0506937f"}),
-], ids=["julia-cubic", "entropy-default"])
-def test_cloud_and_entropy_pinned_bytes(tmp_path, command, doc, digests):
+    ("entropy-report", {"budgets": {"word_max": 3}}, 0,
+     {"entropy-ff948b1b6ed0.json":
+      "c654b355a349e8f3253862efd92f44c46ad6fbf886f912511ded7cb749cd851c"}),
+    ("entropy-report", {"budgets": {"word_max": 12}}, 0,
+     {"entropy-96c277eda304.json":
+      "38d0eed2afde7386ac31bfe9bcdbbda8ad80c8ba880e9cac48848547adafe684"}),
+    ("entropy-report", {"budgets": {"word_max": 14}}, 0,
+     {"entropy-e75e3d065bfd.json":
+      "002e9b7bc411b9483b148c41cd663644102081a1ec5846d7c27eb8d6e5f39a74"}),
+    # the word count is skipped; the reality table still runs
+    ("entropy-report", {"params": OFF_HORSESHOE}, 0,
+     {"entropy-e02c2c8fedd2.json":
+      "55f07018020420229b69dee936d5f44dc35ecec5a31269391fc37ffcb3937d41"}),
+    # 152 of the 1024 period-10 points: inconclusive
+    ("entropy-report", {"budgets": {"budget": 16}}, 3,
+     {"entropy-46103fb20706.json":
+      "406c6f0da1a7792bec1e78683cc9a8d8da9e6f93f4065170466736af46fef1f8"}),
+], ids=["julia-cubic", "entropy-default", "entropy-word3", "entropy-word12",
+        "entropy-word14", "entropy-skipped", "entropy-incomplete"])
+def test_cloud_and_entropy_pinned_bytes(tmp_path, command, doc, rc, digests):
     # fixed digests: no change to the Aberth walks, the census or the
     # entropy estimate may move a byte
     cfg_path = write_cfg(tmp_path, dict(doc, command=command))
     out = tmp_path / "out"
-    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == rc
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in out.iterdir()} == digests
 
@@ -1032,7 +1070,10 @@ def test_cli_import_runs_no_library_module():
     ([{"command": "periodic-report", "budgets": {"level_max": 3,
                                                  "budget": 64}}],
      ("potential", "poly1d")),
-], ids=["render-green", "julia-cloud", "periodic-report"])
+    ([{"command": "entropy-report", "budgets": {"word_max": 4,
+                                                "budget": 64}}],
+     ("potential", "poly1d")),
+], ids=["render-green", "julia-cloud", "periodic-report", "entropy-report"])
 def test_command_runs_only_its_modules(tmp_path, jobs, unrun):
     # a CLI call executes just the library modules its command calls
     argvs = []

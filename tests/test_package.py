@@ -14,9 +14,9 @@ EXPORTED = [
     "PeriodicSequence", "PointC2", "Poly", "PreimageTree", "RealityReport",
     "Region", "SaddleRatioTable", "ScalarGrid", "SymbolWord", "TestBattery",
     "angular_discrepancy", "brolin_measure", "classify_orbit",
-    "classify_region", "code_orbit", "compare", "count_admissible_words",
-    "cycles", "cylinder_point_measure", "derivative_along_orbit",
-    "discrete_ddc_mass", "dynamics", "entropy_estimate", "errors",
+    "classify_region", "code_orbit", "compare", "cycles",
+    "cylinder_point_measure", "derivative_along_orbit", "discrete_ddc_mass",
+    "dynamics", "entropy_estimate", "errors",
     "escape_radius", "exceptional_check", "fixed_points_closed_form",
     "green_minus", "green_minus_field", "green_plus", "green_plus_field",
     "green_poly", "green_poly_field", "henon_apply", "henon_apply_factored",

@@ -1,14 +1,17 @@
+import dataclasses
 import itertools
 import math
 import time
 
+import numpy as np
 import pytest
 
 from henonlab.dynamics import MapParams, PointC2
 from henonlab.errors import CodingError, ContractError
-from henonlab.periodic2d import negative_fixed_point
+from henonlab.periodic2d import (negative_fixed_point, periodic_levels,
+                                 periodic_points_2d)
 from henonlab.symbolic import (PeriodicSequence, SymbolWord, code_orbit,
-                               count_admissible_words, entropy_estimate,
+                               entropy_estimate, itinerary_word_counts,
                                necklaces, sequence_metric, shift)
 
 
@@ -51,14 +54,88 @@ def test_sequence_metric_weights_by_position():
     assert sequence_metric(w0, w1) == pytest.approx(0.5)
 
 
-def test_count_admissible_words_full_shift_period2():
-    seqs = [PeriodicSequence(SymbolWord(b)) for b in ((0,), (1,), (0, 1))]
-    assert count_admissible_words(seqs, 1) == 2
-    assert count_admissible_words(seqs, 2) == 4
-    # period-2 cycle contributes wrapped blocks 010 and 101
-    assert count_admissible_words(seqs, 3) == 4
-    with pytest.raises(ContractError):
-        count_admissible_words(seqs, 0)
+def _reference_word_counts(orbits, n_max):
+    """S(1..n_max) over orbit objects: each cycle's sign itinerary (1 unless
+    Re x < 0), its length-n blocks read cyclically, wrapping past the
+    period."""
+    itineraries = [tuple(0 if p.x.real < 0 else 1 for p in o.points)
+                   for o in orbits]
+    counts = {}
+    for n in range(1, n_max + 1):
+        seen = set()
+        for s in itineraries:
+            d = len(s)
+            ext = tuple(s[j % d] for j in range(d + n - 1))
+            seen.update(ext[i:i + n] for i in range(d))
+        counts[n] = len(seen)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def deep_horseshoe_levels():
+    return periodic_levels(MapParams(10.0, 0.3), range(1, 13))
+
+
+def test_itinerary_word_counts_full_shift_period2(deep_horseshoe_levels):
+    # the fixed points code 0 and 1, the period-2 cycle 01
+    counts = itinerary_word_counts(deep_horseshoe_levels[1], 3)
+    # the period-2 cycle contributes the wrapped blocks 010 and 101 only
+    assert counts == {1: 2, 2: 4, 3: 4}
+    assert itinerary_word_counts(deep_horseshoe_levels[1], 0) == {}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_itinerary_word_counts_match_orbit_windows(deep_horseshoe_levels, n):
+    # at n_max = n + 3 the windows wrap past every cycle's period
+    lv = deep_horseshoe_levels[n - 1]
+    for n_max in (n, n + 3):
+        counts = itinerary_word_counts(lv, n_max)
+        assert counts == _reference_word_counts(lv.orbits, n_max)
+        assert all(type(k) is int and type(v) is int
+                   for k, v in counts.items())
+    assert counts[n] == 2 ** n
+
+
+def test_itinerary_word_counts_off_horseshoe_and_long_windows(
+        deep_horseshoe_levels):
+    lv = periodic_points_2d(MapParams(1.4, 0.3), 7)
+    assert itinerary_word_counts(lv, 10) == \
+        _reference_word_counts(lv.orbits, 10)
+    lv = deep_horseshoe_levels[2]
+    counts = itinerary_word_counts(lv, 70)
+    assert counts == _reference_word_counts(lv.orbits, 70)
+    assert counts[70] == 8
+    # one period-70 cycle coded 10...0: S(n) = n + 1 below n = 70 and
+    # S(70) = 70, while the last 64 symbols of a window, all that an int64
+    # window code keeps, tell only 65 of them apart
+    level = deep_horseshoe_levels[0]
+    x = np.full(70, -1.0 + 0j)
+    x[0] = 1.0
+    lv = dataclasses.replace(level, columns=level.columns.take([0])._replace(
+        x=x, period=np.array([70])))
+    counts = itinerary_word_counts(lv, 70)
+    assert counts == _reference_word_counts(lv.orbits, 70)
+    assert counts[64] == 65 and counts[70] == 70
+
+
+def test_itinerary_word_counts_nan_codes_one(deep_horseshoe_levels):
+    # `_sign_symbol`'s rule: a nan x is not Re x < 0, so it codes 1
+    lv = deep_horseshoe_levels[1]
+    c = lv.columns
+    fixed_negative = (np.repeat(c.period, c.period) == 1) & (c.x.real < 0)
+    x = c.x.copy()
+    x[np.flatnonzero(fixed_negative)[0]] = complex(math.nan, 0.0)
+    lv = dataclasses.replace(lv, columns=c._replace(x=x))
+    counts = itinerary_word_counts(lv, 3)
+    assert counts == _reference_word_counts(lv.orbits, 3)
+    # both fixed points code 1 now: 11, 01 and 10 at length 2
+    assert counts == {1: 2, 2: 3, 3: 3}
+
+
+def test_itinerary_word_counts_empty_level(deep_horseshoe_levels):
+    lv = deep_horseshoe_levels[0]
+    lv = dataclasses.replace(lv, columns=lv.columns.take([]))
+    assert itinerary_word_counts(lv, 3) == {1: 0, 2: 0, 3: 0}
 
 
 def test_entropy_estimate_full_shift():
