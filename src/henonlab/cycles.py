@@ -5,11 +5,11 @@ closed by x_{j+1} + b x_{j-1} = p(x_j): p(x) = a - x^2 for the Henon map,
 b = 0 and p = f for a polynomial f.  The defect p(x_j) - b x_{j-1} - x_{j+1}
 has an n x n cyclic-tridiagonal Jacobian: p'(x_j) on the diagonal, -b and
 -1 off it.  `ClosureSystem` builds both for (k, n) stacks of cycles
-zero-padded to n slots.  Damped Newton runs over stacks of one period,
-continuation over stacks padded to the longest period, each a block of
-`block_rows` rows at a time; each row bit for bit as alone in the same
-stack width.  Callers supply p, p' (and the path parameter and dp/ds) as
-callables on stacks, and b.
+zero-padded to n slots.  Damped Newton (`newton_cycles`) polishes such a
+stack one period at a time, continuation (`continue_cycles`) follows it
+whole along the detours of one path driver, each a block of `block_rows`
+rows at a time; each row bit for bit as alone in the same stack width.
+Callers supply p and its derivatives as callables on stacks, and b.
 
 This module also decides which cycles are one: a cycle's numerical
 minimal period (`minimal_periods`), the pairwise rule (`same_cycle`: x
@@ -146,17 +146,27 @@ def _by_blocks(run, stacks: tuple, *args) -> tuple:
     return tuple(np.concatenate(parts) for parts in zip(*runs))
 
 
-def newton_cycles(X, p, dp, b) -> tuple[np.ndarray, np.ndarray]:
+def newton_cycles(X, p, dp, b, periods=None) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on the whole-cycle closure systems of the (k, n) stack
-    X (composing the map would amplify rounding by |multiplier|).  A row
-    stops once max|F| < 1e-12 (1 + max|x|^2), within NEWTON_ITERS stacked
-    solves, halving its own step up to LINE_SEARCH_HALVINGS times until it
-    is finite and lowers max|F|; it fails on a non-finite start, a singular
+    X (composing the map would amplify rounding by |multiplier|), a period
+    at a time: row i holds a cycle of period periods[i] (n by default) in
+    its first slots, polished there as in a stack of that period alone;
+    its slots after them are left as they are.  A row stops once
+    max|F| < 1e-12 (1 + max|x|^2), within NEWTON_ITERS stacked solves,
+    halving its own step up to LINE_SEARCH_HALVINGS times until it is
+    finite and lowers max|F|; it fails on a non-finite start, a singular
     or non-finite step, or an exhausted line search.  Returns the stack and
     a mask of converged rows.
     """
-    return _by_blocks(_newton_block, (np.asarray(X, dtype=complex),),
-                      p, dp, b)
+    X = np.array(X, dtype=complex)
+    if periods is None:
+        periods = np.full(len(X), X.shape[1])
+    ok = np.zeros(len(X), dtype=bool)
+    for d in np.unique(periods).tolist():
+        ids = np.flatnonzero(periods == d)
+        X[ids, :d], ok[ids] = _by_blocks(_newton_block, (X[ids, :d],),
+                                         p, dp, b)
+    return X, ok
 
 
 def _newton_block(X, p, dp, b) -> tuple[np.ndarray, np.ndarray]:
@@ -200,14 +210,20 @@ def _newton_block(X, p, dp, b) -> tuple[np.ndarray, np.ndarray]:
     return X, ok
 
 
-def continue_cycles(X: np.ndarray, c, p, dp, dp_ds, b, periods=None):
-    """Follow the (k, n) stack of cycles X of p(., c(0)) to p(., c(1)).
+def continue_cycles(X: np.ndarray, family, detours, b, periods=None):
+    """Follow the (k, n) stack of cycles X of p(., c0) to p(., c1).
 
-    c maps a column (rows, 1) of path parameters s to the family parameter
-    and is evaluated once per step; p and dp take a stack and that column,
-    dp_ds a stack and the column of s.  Row i may hold a cycle of period
-    periods[i] < n in its first slots, padded with zeros: the padded slots
-    have zero defect and identity Jacobian rows, so they never move.
+    family is (p, dp, dp_dc): p(x, c) and its derivatives in x and in c,
+    each on a stack and a column (rows, 1) of family parameters.  A detour
+    (c0, c1, kappa) is the path c(s) = c0 + (c1 - c0) s + kappa sin(pi s),
+    pinned to c1 at s = 1 (sin(pi) is not 0 in floating point): off the
+    real line, where cycles collide at bifurcations, a path meets a
+    collision only by accident ("gamma trick" homotopy, Sommese-Wampler,
+    The Numerical Solution of Systems of Polynomials, 2005).  Every row
+    runs on the first detour; a row lost there reruns from its start on
+    the next, and so on.  Row i may hold a cycle of period periods[i] < n
+    in its first slots, padded with zeros: the padded slots have zero
+    defect and identity Jacobian rows, so they never move.
 
     Each path has its own s and step h.  A step predicts along the tangent
     dX/ds (Euler), solved once per point reached and kept across rejected
@@ -215,17 +231,38 @@ def continue_cycles(X: np.ndarray, c, p, dp, dp_ds, b, periods=None):
     It is accepted when the residual ends below STEP_RESIDUAL * scale and
     the cycle moved less than STEP_MOVE * scale (scale = 1 + max|x|^2),
     doubling h up to STEP_MAX; a rejection halves h, and a path with h
-    below STEP_MIN is lost.  Returns the ends (where lost paths stalled), a
-    mask of the paths that reached s = 1, and each path's step halvings and
-    accepted steps.
+    below STEP_MIN is lost.  Returns the ends (where lost paths stalled on
+    their last detour), a mask of the paths that reached s = 1, each
+    path's count of detours run, and its step halvings and accepted steps
+    summed over them.
     """
-    if periods is None:
-        periods = np.full(len(X), X.shape[1])
-    return _by_blocks(_continue_block, (X, periods), c, p, dp, dp_ds, b)
+    k = len(X)
+    periods = np.full(k, X.shape[1]) if periods is None else periods
+    ends = np.array(X, dtype=complex)
+    reached = np.zeros(k, dtype=bool)
+    runs, halvings, accepted = np.zeros((3, k), dtype=np.int64)
+    lost = np.arange(k)
+    for detour in detours:
+        ends[lost], reached[lost], h, acc = _by_blocks(
+            _continue_block, (X[lost], periods[lost]), family, detour, b)
+        runs[lost] += 1
+        halvings[lost] += h
+        accepted[lost] += acc
+        lost = lost[~reached[lost]]
+        if not lost.size:
+            break
+    return ends, reached, runs, halvings, accepted
 
 
-def _continue_block(X, periods, c, p, dp, dp_ds, b):
-    """`continue_cycles` on one block."""
+def _continue_block(X, periods, family, detour, b):
+    """`continue_cycles` on one block and one detour."""
+    p, dp, dp_dc = family
+    c0, c1, kappa = detour
+
+    def c(s):
+        return np.where(s < 1.0,
+                        c0 + (c1 - c0) * s + kappa * np.sin(np.pi * s), c1)
+
     k, n = X.shape
     system = ClosureSystem(periods, n, b)
     X = X.copy()
@@ -243,10 +280,13 @@ def _continue_block(X, periods, c, p, dp, dp_ds, b):
             new = idx[stale[idx]]
             if new.size:
                 S = s[new, None]
+                C = c(S)
+                # dp/ds = dp/dc dc/ds
+                dc_ds = (c1 - c0) + kappa * np.pi * np.cos(np.pi * S)
                 tangent = system.rows(new)
                 slope[new] = solve_stack(
-                    tangent.jacobian(dp(X[new], c(S))),
-                    tangent.mask(dp_ds(X[new], S)))
+                    tangent.jacobian(dp(X[new], C)),
+                    tangent.mask(dc_ds * dp_dc(X[new], C)))
                 stale[new] = False
             s_new = np.minimum(s[idx] + h[idx], 1.0)
             C = c(s_new[:, None])

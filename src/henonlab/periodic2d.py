@@ -16,9 +16,9 @@ necklaces: a necklace w = r^(n/d) shadows the cycle of its primitive root
 r, so every distinct root is seeded once (alternating square-root branches
 along the itinerary), all in one padded sweep, and polished at its
 minimal period d.  Elsewhere the cycles of the horseshoe census at
-(a0, b) are continued to (a, b) along a complex detour in a ("gamma
-trick" homotopy of Sommese-Wampler, The Numerical Solution of Systems of
-Polynomials, 2005), each once; a path lost on both detours leaves its
+(a0, b) are continued to (a, b), each once, on the complex detours in a
+of `cycles.continue_cycles`; every end is polished, but only one that
+reached (a, b) is admitted, so a path lost on every detour leaves its
 levels incomplete.  A level holds its cycles as columns
 (`OrbitColumns`), which the measures, saddle tables and reality reports
 read; `PeriodicOrbit` objects are built only when a caller asks for a
@@ -220,9 +220,11 @@ def fixed_points_closed_form(m: MapParams) -> list:
     return _orbits(_fixed_points(m)[1])
 
 
-def _newton_cycles(m: MapParams, X) -> tuple[np.ndarray, np.ndarray]:
+def _newton_cycles(m: MapParams, X,
+                   periods=None) -> tuple[np.ndarray, np.ndarray]:
     """`newton_cycles` on the closure systems of the map m."""
-    return newton_cycles(X, lambda x: -x * x + m.a, lambda x: -2.0 * x, m.b)
+    return newton_cycles(X, lambda x: -x * x + m.a, lambda x: -2.0 * x, m.b,
+                         periods)
 
 
 def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60, periods=None):
@@ -274,9 +276,9 @@ class PeriodicLevel:
     residual_rejected (rows past the residual gate of `_assemble`) and
     duplicates (cycles that matched one kept before).  The continuation
     counters stay 0 on the itinerary path; each sums over the level's own
-    paths: paths_lost (lost on both detours), step_halvings and
-    steps_accepted (both detours), and paths_retried (lost on the first
-    detour).
+    paths: paths_lost (lost on every detour, its end polished but not
+    admitted), paths_retried (rerun on a later detour), and step_halvings
+    and steps_accepted (over every detour the path ran).
     """
 
     n: int
@@ -328,56 +330,45 @@ class _Census:
     them.
 
     Candidates are itinerary roots or continuation paths, numbered in the
-    order levels offer them.  `polished` gives them a period at a time:
-    their numbers, their polished (k, d) stack and its mask of converged
-    rows.  Each candidate's admission is decided once: its numerical
-    minimal period (a cycle below the period it was polished at is
-    re-polished there) and the residual gate of `_assemble`.  Every
-    admitted cycle is a row of one pool of columns, the closed-form fixed
-    points first, and `matches` relates each pool row to the rows of its
-    period it matches, once.
+    order levels offer them: row i of the padded stack X holds candidate
+    i polished at period periods[i], ok where it may be admitted (its
+    polish converged and, for a path, it reached its end).  Each
+    candidate's admission is decided once: its numerical minimal period
+    (a cycle below the period it was polished at is re-polished there)
+    and the residual gate of `_assemble`.  Every admitted cycle is a row
+    of one pool of columns, the closed-form fixed points first, and
+    `matches` relates each pool row to the rows of its period it matches,
+    once.
 
     A level walks its own candidates through those decisions and keeps a
     cycle that matches none it kept before, as a census of that level
     alone does.
     """
 
-    def __init__(self, m: MapParams, count: int, polished):
+    def __init__(self, m: MapParams, X, periods, ok):
         passed, fixed = _fixed_points(m)
         self.fixed_rejected = int(np.count_nonzero(~passed))
-        # per candidate: the period it was polished at, its cycle's
-        # numerical minimal period (0 when not polished) and pool row
-        length = np.zeros(count, dtype=np.int64)
-        low = np.zeros(count, dtype=np.int64)
-        row = np.full(count, NO_CYCLE)
+        # per candidate: its cycle's numerical minimal period (0 when not
+        # polished), at which it is re-polished when below its own, and
+        # its pool row
+        low = np.zeros(len(X), dtype=np.int64)
+        for d in np.unique(periods[ok]).tolist():
+            ids = np.flatnonzero(ok & (periods == d))
+            low[ids] = minimal_periods(X[ids, :d])
+        lower = np.flatnonzero(ok & (low < periods))
+        X, ok = X.copy(), ok.copy()
+        X[lower], ok[lower] = _newton_cycles(m, X[lower], low[lower])
+        row = np.full(len(X), NO_CYCLE)
         parts = [fixed]
         size = len(fixed.period)
-        lower = []
-        for ids, Q, ok in polished:
-            d = Q.shape[1]
-            length[ids] = d
-            ids, G = ids[ok], Q[ok]
-            e = minimal_periods(G)
-            low[ids] = e
-            lower += zip(ids[e < d].tolist(), G[e < d], e[e < d].tolist())
-            ids, G = ids[e == d], G[e == d]
-            passed, cols = _assemble(m, G)
+        for e in np.unique(low[ok]).tolist():
+            ids = np.flatnonzero(ok & (low == e))
+            passed, cols = _assemble(m, X[ids, :e])
             row[ids[~passed]] = REJECTED
             ids = ids[passed]
             row[ids] = size + np.arange(len(ids))
             parts.append(cols)
             size += len(ids)
-        # cycles that Newton brought below the period they were polished
-        # at, re-polished at their numerical period
-        for e in sorted({e for _, _, e in lower}):
-            ids = np.array([c for c, _, f in lower if f == e])
-            Q, ok = _newton_cycles(m, [x[:e] for _, x, f in lower if f == e])
-            passed, cols = _assemble(m, Q[ok])
-            ids = ids[ok]
-            row[ids[~passed]] = REJECTED
-            row[ids[passed]] = size + np.arange(len(cols.period))
-            parts.append(cols)
-            size += len(cols.period)
         self.pool = OrbitColumns(*map(np.concatenate, zip(*parts)))
         # the pool rows each row matches, for the rows that match one
         self._near = {}
@@ -392,7 +383,7 @@ class _Census:
         self._mult = self.pool.multiplicity.tolist()
         self._fixed = list(range(len(fixed.period)))
         self._length, self._low, self._row = (
-            length.tolist(), low.tolist(), row.tolist())
+            periods.tolist(), low.tolist(), row.tolist())
 
     def walk(self, n: int, cands, paths: bool = False) -> tuple[list, dict]:
         """Level n's census: the fixed points, then each candidate's cycle
@@ -462,23 +453,21 @@ def _itinerary_census(m: MapParams, ns, budget: int) -> tuple:
     bits = np.zeros((len(roots), periods[-1]), dtype=np.int8)
     for i, r in enumerate(roots):
         bits[i, :len(r)] = r
-    X = symbolic_orbit_seed(m, bits, periods=periods)
-    polished = []
-    for d in sorted(set(periods.tolist())):
-        ids = np.flatnonzero(periods == d)
-        polished.append((ids, *_newton_cycles(m, X[ids, :d])))
-    return (_Census(m, len(roots), polished),
+    X, ok = _newton_cycles(m, symbolic_orbit_seed(m, bits, periods=periods),
+                           periods)
+    return (_Census(m, X, periods, ok),
             {n: [number[r] for r in rs] for n, rs in words.items()})
 
 
-# Continuation from a horseshoe start (a0, b) to the target (a1, b) along
-# a(s) = a0 + (a1 - a0) s + i kappa sin(pi s).  The detour leaves the real
-# line, where periodic orbits collide at bifurcations, for the complex
-# plane, where a path meets such a collision only by accident.  A path lost
-# on the first detour is rerun from its start on the second; not on the
-# conjugate detour, which at real parameters loses the same paths.
+# Continuation from a horseshoe start (a0, b) to the target (a1, b) on the
+# detours a0 -> a1 of `continue_cycles`, with these kappa: a path lost on
+# the first reruns on the second, not on the conjugate detour, which at
+# real parameters loses the same paths.  The family is p(x, a) = a - x^2,
+# with its derivatives in x and in a.
 START_A = 10.0
 DETOURS = (2j, 1j)
+QUADRATIC = (lambda X, A: -X * X + A, lambda X, A: -2.0 * X,
+             lambda X, A: 1.0)
 
 
 def _start_parameter(b: complex) -> float:
@@ -492,26 +481,12 @@ def _start_parameter(b: complex) -> float:
     return a0
 
 
-def _detour(a0: float, m: MapParams, kappa: complex) -> tuple:
-    """(a(s), p, p', dp/ds) of the continuation from (a0, b) to m."""
-    def a(s):
-        # sin(pi) is not 0 in floating point: pin the end to m.a exactly
-        return np.where(s < 1.0,
-                        a0 + (m.a - a0) * s + kappa * np.sin(np.pi * s), m.a)
-
-    return (a,
-            lambda X, A: -X * X + A,
-            lambda X, A: -2.0 * X,
-            lambda X, s: np.broadcast_to(
-                (m.a - a0) + kappa * np.pi * np.cos(np.pi * s), X.shape))
-
-
 def _continued_levels(m: MapParams, ns, budget: int) -> list:
     """Levels ns off the horseshoe.  The start levels' cycles of period
     >= 2 at (a0, b) are the paths, one per cycle of the start census,
-    continued to m in one padded stack (rerunning lost rows on the second
-    detour), then polished, assembled and admitted as one census at m,
-    each level offered its paths in the order of its own start level."""
+    continued to m in one padded stack on the DETOURS, then polished,
+    assembled and admitted as one census at m, each level offered its
+    paths in the order of its own start level."""
     a0 = _start_parameter(m.b)
     start, words = _itinerary_census(MapParams(a0, m.b), ns, budget)
     kept = [[r for r in start.walk(n, words[n])[0]
@@ -522,24 +497,11 @@ def _continued_levels(m: MapParams, ns, budget: int) -> list:
     periods = firsts.period
     X0 = np.zeros((len(rows), max(periods, default=1)), dtype=complex)
     X0[np.arange(X0.shape[1]) < periods[:, None]] = firsts.x
-    X, reached, halvings, accepted = continue_cycles(
-        X0, *_detour(a0, m, DETOURS[0]), m.b, periods)
-    retried = ~reached
-    if retried.any():
-        again = continue_cycles(X0[retried], *_detour(a0, m, DETOURS[1]),
-                                m.b, periods[retried])
-        X[retried], reached[retried] = again[:2]
-        halvings[retried] += again[2]
-        accepted[retried] += again[3]
-    polished = []
-    for d in sorted(set(periods.tolist())):
-        ids = np.flatnonzero(periods == d)
-        Q = X[ids, :d]
-        live = reached[ids]
-        ok = np.zeros(len(ids), dtype=bool)
-        Q[live], ok[live] = _newton_cycles(m, Q[live])
-        polished.append((ids, Q, ok))
-    census = _Census(m, len(rows), polished)
+    X, reached, runs, halvings, accepted = continue_cycles(
+        X0, QUADRATIC, [(a0, m.a, kappa) for kappa in DETOURS], m.b, periods)
+    # a stalled end is polished as well, but not admitted
+    X, ok = _newton_cycles(m, X, periods)
+    census = _Census(m, X, periods, ok & reached)
     levels = []
     for n, rs in zip(ns, kept):
         ids = [path[r] for r in rs]
@@ -547,7 +509,7 @@ def _continued_levels(m: MapParams, ns, budget: int) -> list:
             n, census.walk(n, ids, paths=True),
             paths_lost=int(np.count_nonzero(~reached[ids])),
             step_halvings=int(halvings[ids].sum()),
-            paths_retried=int(np.count_nonzero(retried[ids])),
+            paths_retried=int(np.count_nonzero(runs[ids] > 1)),
             steps_accepted=int(accepted[ids].sum())))
     return levels
 

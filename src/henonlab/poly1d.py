@@ -26,8 +26,8 @@ from .errors import CapError, ContractError, ConvergenceError
 
 PREIMAGE_CAP = 1 << 20
 PERIODIC_CAP = 4096
-# periodic points are continued from z^d along
-# f_t = z^d + t (f - z^d), t(s) = s + i KAPPA sin(pi s)
+# periodic points are continued from z^d along f_t = z^d + t (f - z^d),
+# on the detour t = 0 -> 1 of `cycles.continue_cycles` with kappa i KAPPA
 KAPPA = 0.5
 # ends that meet count as one multiple point only where the multiplier
 # lambda of f^n there has |lambda - 1| <= SINGULAR_TOL (1 + |lambda|)
@@ -295,11 +295,12 @@ def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
     """Solutions of f^n(z) = z: (distinct points, multiplicities).
 
     The d^n cycles of z^d are continued to f along f_t = z^d + t (f - z^d),
-    t(s) = s + i KAPPA sin(pi s), one stacked path set per period ("gamma
-    trick" homotopy, Sommese-Wampler 2005), and every end, a stalled one
-    included, is polished at f.  An end of start period m is taken at its
-    numerical minimal period e and stands for m/e ends on each point of
-    that cycle; in period order it joins the first kept cycle it matches
+    one stacked path set per period, on the one detour
+    t(s) = s + i KAPPA sin(pi s) (`cycles.continue_cycles`), and every
+    end, a stalled one included, is polished at f and admitted if the
+    polish converges.  An end of start period m is taken at its numerical
+    minimal period e and stands for m/e ends on each point of that cycle;
+    in period order it joins the first kept cycle it matches
     (`cycles.matches`) or is kept.  Ends that meet count as one multiple
     point only where the cycle Jacobian is numerically singular, else the
     extra ends are lost, like ends whose polish fails.  A loss leaves the
@@ -313,19 +314,14 @@ def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
     low = np.array(f.coeffs[:-1])
     dlow = npp.polyder(low)
 
-    def t(s):
-        # sin(pi) is not 0 in floating point: pin the end to t = 1 exactly
-        return np.where(s < 1.0, s + 1j * KAPPA * np.sin(np.pi * s), 1.0)
-
-    paths = (t,
-             lambda X, T: X ** d + T * npp.polyval(X, low),
-             lambda X, T: d * X ** (d - 1) + T * npp.polyval(X, dlow),
-             lambda X, s: ((1.0 + 1j * KAPPA * np.pi * np.cos(np.pi * s))
-                           * npp.polyval(X, low)))
+    family = (lambda X, T: X ** d + T * npp.polyval(X, low),
+              lambda X, T: d * X ** (d - 1) + T * npp.polyval(X, dlow),
+              lambda X, T: npp.polyval(X, low))
     # per minimal period e: each end's cycle and the ends it stands for
     ends: dict[int, list] = {}
     for m, X0 in _start_cycles(d, n).items():
-        X, _, _, _ = cycles.continue_cycles(X0, *paths, 0.0)
+        X, *_ = cycles.continue_cycles(X0, family, [(0.0, 1.0, 1j * KAPPA)],
+                                       0.0)
         X, ok = cycles.newton_cycles(X, f, f.eval_deriv, 0.0)
         X = X[ok]
         for x, e in zip(X, cycles.minimal_periods(X).tolist()):

@@ -631,28 +631,48 @@ def _periodic_report(tmp_path, doc, name, threads=1):
     return rc, files, report
 
 
-@pytest.mark.parametrize("doc, digests", [
+@pytest.mark.parametrize("doc, rc, digests", [
     ({"params": {"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]},
-      "budgets": {"level_max": 6}},
+      "budgets": {"level_max": 6}}, 0,
      {"periodic-66a4a36567ea-orbits.csv":
       "d3509d4d117a7b8627d5134171921a314c9fdc30cf882ddae8235ba0aa013f60",
       "periodic-66a4a36567ea-report.json":
       "a2c94cb2eb44388420371c4b5230156986af348f696b7175d9ac7adcdeb4508e",
       "periodic-66a4a36567ea-saddles.csv":
       "a60af744d8133ee5c473237fc55e8e79074fbc9257c0e3debc4471c3740dd7a8"}),
-    ({"params": OFF_HORSESHOE, "budgets": {"level_max": 5}},
+    ({"params": OFF_HORSESHOE, "budgets": {"level_max": 5}}, 0,
      {"periodic-6f93f776d71b-orbits.csv":
       "13b2abbe211248729848bab52b1025a2ca14ec19bfdcc0755f7cf7b2602899cc",
       "periodic-6f93f776d71b-report.json":
       "9bb793ad76fb3038926f53b6de55921b3e99adde29d6e471eb1c93379284d979",
       "periodic-6f93f776d71b-saddles.csv":
       "b0ba10f40251287015a4edc1147150fd88c60865bfae48f465814f214862c8ce"}),
-], ids=["horseshoe", "continued"])
-def test_periodic_report_pinned_bytes(tmp_path, doc, digests):
+    # a path lost on both detours (paths_lost 1 at levels 2 and 4), whose
+    # stalled end is polished but not admitted: the levels are incomplete
+    ({"params": {"kind": "henon", "a": [3.0, 0.0], "b": [1.0, 0.0]},
+      "budgets": {"level_max": 4}}, 3,
+     {"periodic-e140bf9103fc-orbits.csv":
+      "d92943337da23d524b59bce04cf3535d76591a213a36eedcb1ca17cb7de3e765",
+      "periodic-e140bf9103fc-report.json":
+      "41b18b2b1206c346c0f7923f76fb61e963f94339afd1ff9b5fa8325fe7e22df5",
+      "periodic-e140bf9103fc-saddles.csv":
+      "190d0094d5a7a9f8f535b85f033746713872302ecba859a29ecbe1e94b0422c9"}),
+    # two period-8 paths lost on the first detour and rerun on the second
+    ({"params": {"kind": "henon", "a": [0.02431, 0.0],
+                 "b": [-0.44608, 0.0]},
+      "budgets": {"level_max": 8}}, 0,
+     {"periodic-6fbf4238e4c4-orbits.csv":
+      "4721dc62879791c88b9cec8432dfaaf5c995e6ed39e9fcf3c588a01241f61a53",
+      "periodic-6fbf4238e4c4-report.json":
+      "70cab2b23163cffb311e0d0946366e78582b5b81346561b4b85836a728b4fd20",
+      "periodic-6fbf4238e4c4-saddles.csv":
+      "71282857801999e74162964daa9a4e0f7d1fa91cd23f68cb2153918f6bb1938c"}),
+], ids=["horseshoe", "continued", "paths-lost", "paths-retried"])
+def test_periodic_report_pinned_bytes(tmp_path, doc, rc, digests):
     # fixed digests: no change to orbit assembly, the reality table or the
     # measure comparison may move a byte
-    rc, files, _ = _periodic_report(tmp_path, doc, "out")
-    assert rc == 0
+    got, files, _ = _periodic_report(tmp_path, doc, "out")
+    assert got == rc
     assert {name: hashlib.sha256(blob).hexdigest()
             for name, blob in files.items()} == digests
 

@@ -524,17 +524,17 @@ def _ref_continued_levels(m, ns, budget):
     X0 = np.zeros((len(starts), max(periods, default=1)), dtype=complex)
     for i, x in enumerate(starts):
         X0[i, :len(x)] = x
-    detours = periodic2d.DETOURS
-    X, reached, halvings, accepted = cycles.continue_cycles(
-        X0, *periodic2d._detour(a0, m, detours[0]), m.b, periods)
+    first, second = ([(a0, m.a, kappa)] for kappa in periodic2d.DETOURS)
+    X, reached, _, halvings, accepted = cycles.continue_cycles(
+        X0, periodic2d.QUADRATIC, first, m.b, periods)
     retried = ~reached
     if retried.any():
         again = cycles.continue_cycles(
-            X0[retried], *periodic2d._detour(a0, m, detours[1]), m.b,
+            X0[retried], periodic2d.QUADRATIC, second, m.b,
             periods[retried])
         X[retried], reached[retried] = again[:2]
-        halvings[retried] += again[2]
-        accepted[retried] += again[3]
+        halvings[retried] += again[3]
+        accepted[retried] += again[4]
     ends = []
     for x, d, r in zip(X, periods, reached):
         Q, ok = _newton_cycles(m, x[None, :d])
@@ -830,19 +830,20 @@ def test_levels_built_together_match_lone_levels(a, b, top):
 
 def test_levels_continue_each_cycle_once(monkeypatch):
     # levels 1-7 at (1.4, 0.3) start from 43 cycles of period >= 2, 39 of
-    # them distinct: one call, one row each, on the first detour
+    # them distinct: one call, one row each, run on the first detour alone
     calls = []
     run = periodic2d.continue_cycles
 
-    def counting(X, a, *args):
-        calls.append((len(X), complex(a(np.array([[0.5]]))[0, 0]).imag))
-        return run(X, a, *args)
+    def counting(X, family, detours, *args):
+        out = run(X, family, detours, *args)
+        calls.append((len(X), detours[0][2], int(out[2].max())))
+        return out
 
     monkeypatch.setattr(periodic2d, "continue_cycles", counting)
     levels = periodic_levels(MapParams(1.4, 0.3), range(1, 8))
     assert all(lv.complete for lv in levels)
     assert sum(lv.attempts for lv in levels) == 43
-    assert calls == [(39, periodic2d.DETOURS[0].imag)]
+    assert calls == [(39, periodic2d.DETOURS[0], 1)]
 
 
 def test_padded_rows_match_unpadded_runs():
@@ -857,15 +858,15 @@ def test_padded_rows_match_unpadded_runs():
     X0 = np.zeros((len(periods), 7), dtype=complex)
     for i, x in enumerate(row for g in groups for row in g):
         X0[i, :len(x)] = x
-    detour = periodic2d._detour(a0, m, periodic2d.DETOURS[0])
-    X, reached, halvings, accepted = cycles.continue_cycles(
+    detour = periodic2d.QUADRATIC, [(a0, m.a, periodic2d.DETOURS[0])]
+    X, reached, _, halvings, accepted = cycles.continue_cycles(
         X0, *detour, b, periods)
     # padded slots never move
     assert np.all(X[np.arange(7) >= periods[:, None]] == 0.0)
     lo = 0
     for g in groups:
         d = g.shape[1]
-        Y, r, h, acc = cycles.continue_cycles(g, *detour, b)
+        Y, r, _, h, acc = cycles.continue_cycles(g, *detour, b)
         rows = slice(lo, lo + len(g))
         scale = 1.0 + np.max(np.abs(Y), axis=1) ** 2
         assert np.all(np.max(np.abs(X[rows, :d] - Y), axis=1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -265,6 +266,29 @@ def test_periodic_points_past_the_expanded_iterate(f, n):
     reps, mult = periodic_points_1d(f, n)
     assert int(mult.sum()) == f.degree ** n
     assert _max_periodic_residual(f, np.repeat(reps, mult), n) <= 1e-10
+
+
+@pytest.mark.parametrize("c, n, digest", [
+    # z^2 + 1/4 loses 2 paths, z^2 - 3/4 one and z^2 - 2 two, which stall
+    # short of t = 1 and are polished there
+    (0.25, 2,
+     "d9c976b30a27eb44a8e89b12aeefec5bb885badd83e2d46bd176afaf72f5bc4a"),
+    (0.25, 10,
+     "ef32576b2b4fb6c829052b155c48d12dcd2a5b286209f13388d456502638cc57"),
+    (-0.75, 10,
+     "d5b9242fc676767254b51765b7c2cc1add232aa697ef78a8cc190230ebcdda66"),
+    (-2.0, 12,
+     "e00cda241dc824b385b36ea3e0f0c8e1a3e69b43077c07f63ff90d63cee8676b"),
+    (-1.0, 8,
+     "b8b24ffe594bc7ab479da59578bead87fef40526bd6b0d032f29658824160255"),
+])
+def test_periodic_points_1d_pinned_bits(c, n, digest):
+    # fixed digests: no change to the path driver, the polish or the
+    # matching of ends may move a bit of the points or multiplicities
+    reps, mult = periodic_points_1d(Poly((c, 0.0, 1.0)), n)
+    assert int(mult.sum()) == 2 ** n
+    assert hashlib.sha256(reps.tobytes() + mult.tobytes()).hexdigest() \
+        == digest
 
 
 @pytest.mark.parametrize("n, want", [
