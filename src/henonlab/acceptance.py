@@ -1,9 +1,11 @@
 """End-to-end acceptance checks for the whole toolkit.
 
 Twelve numbered criteria, each an independent function returning a verdict
-plus the measured quantities that justify it.  `run_all` executes them in
-order and does not abort on a crash: a crashing criterion is reported as
-failed with the exception recorded; only an unknown criterion id raises.
+plus the measured quantities that justify it.  The registry `_CRITERIA`
+holds each one's time limit; `run_all` executes them in order, times each
+against its limit, and does not abort on a crash: a crashing criterion is
+reported as failed with the exception recorded; only an unknown criterion
+id raises.  No check leaves files behind.
 The CLI `validate` subcommand and the test suite both run through this
 module, so there is exactly one definition of "works".
 """
@@ -65,21 +67,17 @@ def _criterion_01():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-3.0, 3.0, size=(1000, 2))
     zs = pts[:, 0] + 1j * pts[:, 1]
-    t0 = time.perf_counter()
     fld = green_poly_field(zs, SQUARE)
-    dt = time.perf_counter() - t0
     target = np.log(np.maximum(np.abs(zs), 1.0))
     err = float(np.max(np.abs(fld.values - target)))
     all_conv = bool(np.all(fld.converged))
-    return err < 1e-9 and all_conv and dt < 1.0, {
+    return err < 1e-9 and all_conv, {
         "points": 1000, "max_error": err, "all_converged": all_conv,
-        "seconds": dt, "time_limit": 1.0,
     }
 
 
 def _criterion_02():
     """Backward-tree equidistribution on the circle for the squaring map."""
-    t0 = time.perf_counter()
     mu_exact = brolin_measure(SQUARE, "preimage", 12, c=1.0)
     d_exact = angular_discrepancy(mu_exact)
     # depth-12 preimages of 1 are the exact 4096th roots of unity, so the
@@ -88,48 +86,39 @@ def _criterion_02():
     mu_off = brolin_measure(SQUARE, "preimage", 14, c=0.5)
     # depth-14 preimages of 0.5 still sit ~4e-5 inside the circle
     d_off = angular_discrepancy(mu_off, radial_tol=1e-3)
-    dt = time.perf_counter() - t0
-    return gap <= 1e-9 and d_off < 0.02 and dt < 10.0, {
+    return gap <= 1e-9 and d_off < 0.02, {
         "floor_gap_at_c1": gap, "discrepancy_at_c05": d_off,
         "atoms": [len(mu_exact), len(mu_off)],
-        "seconds": dt, "time_limit": 10.0,
     }
 
 
 def _criterion_03():
     """Periodic-point measure reproduces the squaring-map potential."""
-    t0 = time.perf_counter()
     mu = brolin_measure(SQUARE, "periodic", 10)
     errs = {}
     for z in (1.5, 2.0, 3.0):
         errs[str(z)] = abs(potential_of_measure(mu, z) - math.log(z))
-    dt = time.perf_counter() - t0
     worst = max(errs.values())
-    return mu.complete and worst < 0.01 and dt < 2.0, {
+    return mu.complete and worst < 0.01, {
         "complete": mu.complete, "atoms": len(mu),
-        "potential_errors": errs, "worst": worst, "seconds": dt,
-        "time_limit": 2.0,
+        "potential_errors": errs, "worst": worst,
     }
 
 
 def _criterion_04():
     """Five-point laplacian of log|z| concentrates unit mass at the origin."""
-    t0 = time.perf_counter()
     grid = ScalarGrid.over_window(lambda z: np.log(np.abs(z)),
                                   -1.0, 1.0, -1.0, 1.0, 0.01)
     mass = discrete_ddc_mass(grid)
     inside = mass_in_disk(mass, 0.0, 0.5)
-    dt = time.perf_counter() - t0
-    return 0.99 <= inside <= 1.01 and dt < 5.0, {
+    return 0.99 <= inside <= 1.01, {
         "grid": [grid.height, grid.width], "mass_in_half_disk": inside,
-        "seconds": dt, "time_limit": 5.0,
     }
 
 
 def _criterion_05():
     """Forward escape rate doubles under one map application."""
     cases = [(10.0, 0.3), (3.0, -0.5), (1.4 + 0.2j, 0.3)]
-    t0 = time.perf_counter()
     worst_by_case = {}
     for a, b in cases:
         m = MapParams(a, b)
@@ -159,33 +148,22 @@ def _criterion_05():
         worst_by_case[f"a={a}, b={b}"] = worst
         if collected < 1000:
             worst_by_case[f"a={a}, b={b}"] = math.inf
-    dt = time.perf_counter() - t0
     worst = max(worst_by_case.values())
-    return worst < 1e-6 and dt < 10.0, {
+    return worst < 1e-6, {
         "points_per_case": 1000, "worst_defect": worst,
-        "by_case": worst_by_case, "seconds": dt, "time_limit": 10.0,
+        "by_case": worst_by_case,
     }
 
 
 def _mobius_minimal_count(n: int) -> int:
-    # inclusion-exclusion over divisors: points of minimal period n
-    def mu(k):
-        out, p = 1, 2
-        while p * p <= k:
-            if k % p == 0:
-                k //= p
-                if k % p == 0:
-                    return 0
-                out = -out
-            p += 1
-        return -out if k > 1 else out
-
-    return sum(mu(n // d) * 2 ** d for d in range(1, n + 1) if n % d == 0)
+    # points of minimal period n: the 2^n fixed points of f^n less those of
+    # minimal period a proper divisor of n (Moebius inversion, unrolled)
+    return 2 ** n - sum(_mobius_minimal_count(d) for d in range(1, n)
+                        if n % d == 0)
 
 
 def _criterion_06():
     """Complete period-n census at (10, 0.3) for n <= 6, all orbits real."""
-    t0 = time.perf_counter()
     counts, minimal, xs, complete = {}, {}, [], True
     for n in range(1, 7):
         lv = _horseshoe_level(n)
@@ -195,22 +173,18 @@ def _criterion_06():
         xs.append(lv.columns.x)
     # a cycle's y are its x in another order
     imag_worst = float(np.max(np.abs(np.concatenate(xs).imag), initial=0.0))
-    dt = time.perf_counter() - t0
     count_ok = all(counts[n] == 2 ** n for n in counts)
     minimal_ok = all(minimal[n] == _mobius_minimal_count(n) for n in minimal)
     return (complete and count_ok and minimal_ok
-            and imag_worst <= 1e-7 and dt < 120.0), {
+            and imag_worst <= 1e-7), {
         "counts": counts, "minimal_saddle_counts": minimal,
         "complete": complete, "worst_imag_part": imag_worst,
-        "seconds": dt, "time_limit": 120.0,
     }
 
 
 def _criterion_07():
     """Saddle-count ratio never drops below its n=3 value through n=6."""
-    t0 = time.perf_counter()
     tab = saddle_table([_horseshoe_level(n) for n in range(1, 7)])
-    dt = time.perf_counter() - t0
     ratios = {row.n: row.ratio for row in tab.rows}
     floor = ratios[3]
     ok_floor = all(ratios[n] >= floor - 1e-12 for n in range(3, 7))
@@ -219,23 +193,21 @@ def _criterion_07():
                     for row in tab.rows)
     return ok_floor and ok_end and counts_ok, {
         "ratios": {str(k): v for k, v in ratios.items()},
-        "baseline": floor, "verdict": tab.verdict, "seconds": dt,
+        "baseline": floor, "verdict": tab.verdict,
     }
 
 
 def _criterion_08():
     """Period-n measures tighten with n and match the itinerary pushforward."""
-    t0 = time.perf_counter()
     mus = {n: mu_n_measure(_horseshoe_level(n)) for n in (4, 6, 8)}
     battery = TestBattery(2, sigma=HORSESHOE.R)
     d46 = compare(mus[4], mus[6], battery).discrepancy
     d68 = compare(mus[6], mus[8], battery).discrepancy
     cyl = cylinder_point_measure(HORSESHOE, 3)
     d_cyl = compare(mus[6], cyl, battery).discrepancy
-    dt = time.perf_counter() - t0
     return d46 > d68 and d_cyl < 0.05, {
         "d(mu4, mu6)": d46, "d(mu6, mu8)": d68,
-        "d(mu6, cylinder3)": d_cyl, "seconds": dt,
+        "d(mu6, cylinder3)": d_cyl,
     }
 
 
@@ -249,7 +221,6 @@ def _golden_mean_counts(n_max: int) -> dict:
 
 def _criterion_09():
     """Word census gives log 2 on the full shift, log phi on the golden mean."""
-    t0 = time.perf_counter()
     lv = _horseshoe_level(8)
     counts = itinerary_word_counts(lv, 8)
     census_ok = all(counts[n] == 2 ** n for n in counts)
@@ -258,11 +229,10 @@ def _criterion_09():
     gm = entropy_estimate(_golden_mean_counts(20), 20)
     phi = math.log((1.0 + math.sqrt(5.0)) / 2.0)
     gm_rel = abs(gm.point - phi) / phi
-    dt = time.perf_counter() - t0
     return (lv.complete and census_ok and full_err < 1e-6
             and gm_rel <= 0.05), {
         "word_counts": counts, "full_shift_error": full_err,
-        "golden_mean_relative_error": gm_rel, "seconds": dt,
+        "golden_mean_relative_error": gm_rel,
     }
 
 
@@ -270,7 +240,6 @@ def _criterion_10():
     """The outgoing cone absorbs forward orbits with |x| strictly growing."""
     cases = [(10.0, 0.3), (3.0, -0.5), (1.4 + 0.2j, 0.3), (0.1, 0.3),
              (2.0, 1.0)]
-    t0 = time.perf_counter()
     by_case = {}
     all_ok = True
     for a, b in cases:
@@ -299,14 +268,12 @@ def _criterion_10():
                     break
         by_case[f"a={a}, b={b}"] = ok
         all_ok = all_ok and ok
-    dt = time.perf_counter() - t0
     return all_ok, {"points_per_case": 10000, "iterates": 20,
-                    "by_case": by_case, "seconds": dt}
+                    "by_case": by_case}
 
 
 def _criterion_11():
     """Unstable-manifold cloud passes within 1e-2 of every short saddle."""
-    t0 = time.perf_counter()
     cloud = unstable_disk_sample(negative_fixed_point(HORSESHOE), HORSESHOE,
                                  steps=14, samples=20000)
     worst = 0.0
@@ -321,10 +288,9 @@ def _criterion_11():
             d = np.sqrt(np.abs(cloud[:, 0] - x) ** 2
                         + np.abs(cloud[:, 1] - y) ** 2)
             worst = max(worst, float(d.min()))
-    dt = time.perf_counter() - t0
-    return worst < 1e-2 and dt < 60.0, {
+    return worst < 1e-2, {
         "cloud_points": int(cloud.shape[0]), "saddle_points": saddle_points,
-        "worst_distance": worst, "seconds": dt, "time_limit": 60.0,
+        "worst_distance": worst,
     }
 
 
@@ -360,17 +326,11 @@ def _files(out_dir: Path) -> dict:
             for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
 
-def _criterion_12(workdir):
+def _criterion_12():
     """Every subcommand writes the same files in this process (--threads 1)
-    as in a fresh interpreter with another hash seed (--threads 4)."""
+    as in a fresh interpreter with another hash seed (--threads 4), both
+    writing into a temporary directory that is removed on return."""
     from .cli import main as cli_main
-
-    if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="determinism-") as tmp:
-            return _criterion_12(tmp)
-    base = Path(workdir)
-    base.mkdir(parents=True, exist_ok=True)
-    base = base.resolve()
 
     jobs = {
         "render-green": {
@@ -400,92 +360,100 @@ def _criterion_12(workdir):
     }
 
     import json as _json
-    # the fresh interpreters run while this process runs the same jobs; a
-    # crash or a timeout on either side kills the ones still running
-    fresh = {}
-    try:
-        for name, doc in jobs.items():
-            cfg_path = base / f"{name}.json"
-            cfg_path.write_text(_json.dumps(doc))
-            cwd = base / f"{name}-cwd"
-            cwd.mkdir(exist_ok=True)
-            fresh[name] = _fresh_cli(
-                [name, "--config", str(cfg_path), "--threads", "4",
-                 "--out", str(base / f"{name}-t4")], cwd)
-        deadline = time.monotonic() + FRESH_TIMEOUT
-        codes = {}
-        for name in jobs:
-            # the inner run's stdout (validate's verdict lines) belongs to
-            # no one: only its files are compared
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes[name] = [cli_main(
-                    [name, "--config", str(base / f"{name}.json"),
-                     "--threads", "1", "--out", str(base / f"{name}-t1")])]
-        for name, proc in fresh.items():
-            codes[name].append(
-                proc.wait(timeout=max(0.0, deadline - time.monotonic())))
-    finally:
-        for proc in fresh.values():
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-    identical = {name: _files(base / f"{name}-t1")
-                 == _files(base / f"{name}-t4") for name in jobs}
+    with tempfile.TemporaryDirectory(prefix="determinism-") as tmp:
+        base = Path(tmp).resolve()
+        # the fresh interpreters run while this process runs the same jobs; a
+        # crash or a timeout on either side kills the ones still running
+        fresh = {}
+        try:
+            for name, doc in jobs.items():
+                cfg_path = base / f"{name}.json"
+                cfg_path.write_text(_json.dumps(doc))
+                cwd = base / f"{name}-cwd"
+                cwd.mkdir()
+                fresh[name] = _fresh_cli(
+                    [name, "--config", str(cfg_path), "--threads", "4",
+                     "--out", str(base / f"{name}-t4")], cwd)
+            deadline = time.monotonic() + FRESH_TIMEOUT
+            codes = {}
+            for name in jobs:
+                # the inner run's stdout (validate's verdict lines) belongs to
+                # no one: only its files are compared
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes[name] = [cli_main(
+                        [name, "--config", str(base / f"{name}.json"),
+                         "--threads", "1", "--out", str(base / f"{name}-t1")])]
+            for name, proc in fresh.items():
+                codes[name].append(
+                    proc.wait(timeout=max(0.0, deadline - time.monotonic())))
+        finally:
+            for proc in fresh.values():
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        identical = {name: _files(base / f"{name}-t1")
+                     == _files(base / f"{name}-t4") for name in jobs}
     all_ok = all(identical.values()) and all(
         rcs == [0, 0] for rcs in codes.values())
-    return all_ok, {"identical": identical, "exit_codes": codes,
-                    "workdir": str(base)}
+    return all_ok, {"identical": identical, "exit_codes": codes}
 
 
+# id, name, check, and the seconds the check may take (None: no limit)
 _CRITERIA = (
-    (1, "squaring-map escape rate matches log+|z|", _criterion_01),
-    (2, "backward tree equidistributes over the circle", _criterion_02),
-    (3, "periodic-point potential matches the escape rate", _criterion_03),
-    (4, "discrete laplacian of log|z| carries unit mass", _criterion_04),
-    (5, "forward escape rate doubles under the map", _criterion_05),
+    (1, "squaring-map escape rate matches log+|z|", _criterion_01, 1.0),
+    (2, "backward tree equidistributes over the circle", _criterion_02,
+     10.0),
+    (3, "periodic-point potential matches the escape rate", _criterion_03,
+     2.0),
+    (4, "discrete laplacian of log|z| carries unit mass", _criterion_04,
+     5.0),
+    (5, "forward escape rate doubles under the map", _criterion_05, 10.0),
     (6, "period census at (10, 0.3) complete and real through n=6",
-     _criterion_06),
-    (7, "saddle-count ratio holds its n=3 floor", _criterion_07),
+     _criterion_06, 120.0),
+    (7, "saddle-count ratio holds its n=3 floor", _criterion_07, None),
     (8, "periodic measures converge and match the cylinder pushforward",
-     _criterion_08),
+     _criterion_08, None),
     (9, "word census entropy: log 2 full shift, log phi control",
-     _criterion_09),
-    (10, "outgoing cone absorbs orbits with growing |x|", _criterion_10),
-    (11, "unstable manifold cloud shadows every short saddle", _criterion_11),
+     _criterion_09, None),
+    (10, "outgoing cone absorbs orbits with growing |x|", _criterion_10,
+     None),
+    (11, "unstable manifold cloud shadows every short saddle", _criterion_11,
+     60.0),
     (12, "CLI outputs are byte-identical in a fresh interpreter",
-     _criterion_12),
+     _criterion_12, None),
 )
 
 
-def run_all(workdir=None, only=None) -> list[CriterionResult]:
+def run_all(only=None) -> list[CriterionResult]:
     """Run the acceptance criteria in order, catching per-criterion crashes.
 
-    `workdir` hosts scratch output for the CLI determinism check (without
-    one, a temporary directory that is removed on return); `only`
-    restricts the run to the listed criterion ids.  An id outside the
-    registry raises ContractError: a run that checks nothing must not
-    report that everything passed.
+    Each check is timed once, here: one that returns past its time limit
+    fails, and its details carry that `time_limit`; a crash carries only
+    its `error`.  `only` restricts the run to the listed criterion ids.
+    An id outside the registry raises ContractError: a run that checks
+    nothing must not report that everything passed.
     """
     results = []
     if only and not all(isinstance(k, int) and not isinstance(k, bool)
                         for k in only):
         raise ContractError(f"criterion ids must be integers, got {only!r}")
     wanted = None if not only else set(only)
-    unknown = sorted((wanted or set()) - {cid for cid, _, _ in _CRITERIA})
+    unknown = sorted((wanted or set()) - {cid for cid, *_ in _CRITERIA})
     if unknown:
         raise ContractError(f"unknown acceptance criterion ids {unknown}; "
                             f"known ids are 1-{len(_CRITERIA)}")
-    for cid, name, fn in _CRITERIA:
+    for cid, name, fn, limit in _CRITERIA:
         if wanted is not None and cid not in wanted:
             continue
         t0 = time.perf_counter()
         try:
-            if fn is _criterion_12:
-                passed, details = fn(workdir)
-            else:
-                passed, details = fn()
+            passed, details = fn()
         except Exception as exc:  # a crash is a failure, not an abort
-            passed, details = False, {"error": repr(exc)}
+            passed, details, limit = False, {"error": repr(exc)}, None
+        elapsed = time.perf_counter() - t0
+        if limit is not None:
+            passed = passed and elapsed < limit
+            details["time_limit"] = limit
         results.append(CriterionResult(cid, name, bool(passed), details,
-                                       time.perf_counter() - t0))
+                                       elapsed))
     return results

@@ -19,9 +19,8 @@ import hashlib
 import itertools
 import json
 import math
-import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -451,6 +450,12 @@ def _orbit_lines(level) -> Iterator[str]:
     return map(",".join, zip(heads, map(str, index.tolist()), xs, ys, tails))
 
 
+def _record(record, *left_out) -> dict:
+    """A dataclass record's fields by name, less those left out."""
+    return {f.name: getattr(record, f.name) for f in fields(record)
+            if f.name not in left_out}
+
+
 def cmd_periodic_report(cfg: JobConfig) -> int:
     m = _map_params(cfg.params)
     n_max = int(cfg.budgets["level_max"])
@@ -478,38 +483,17 @@ def cmd_periodic_report(cfg: JobConfig) -> int:
                 measures.compare(mus[i], mus[j], battery))
     real_params = m.a.imag == 0.0 and m.b.imag == 0.0
     if real_params:
-        reality = periodic2d.reality_table(m, levels)
-        reality_doc = {
-            "verdict": reality.verdict,
-            "all_real": reality.all_real,
-            "nonreal_periods": list(reality.nonreal_periods),
-            "rows": [{"n": r.n, "complete": r.complete,
-                      "orbit_count": r.orbit_count,
-                      "max_imag": r.max_imag,
-                      "worst_condition": r.worst_condition}
-                     for r in reality.rows],
-        }
+        reality_doc = asdict(periodic2d.reality_table(m, levels))
     else:
         reality_doc = {"verdict": "not applicable (complex parameters)"}
     doc = {
         "n_max": n_max,
-        "levels": [{"n": lv.n, "complete": lv.complete,
-                    "fixed_point_count": lv.fixed_point_count,
+        "levels": [{**_record(lv, "columns"),
                     "orbit_count": len(lv.columns.period),
                     "minimal_orbit_count": int(np.count_nonzero(
-                        lv.columns.period == lv.n)),
-                    "attempts": lv.attempts,
-                    "lower_period": lv.lower_period,
-                    "residual_rejected": lv.residual_rejected,
-                    "duplicates": lv.duplicates,
-                    "paths_lost": lv.paths_lost,
-                    "step_halvings": lv.step_halvings,
-                    "steps_accepted": lv.steps_accepted,
-                    "paths_retried": lv.paths_retried}
+                        lv.columns.period == lv.n))}
                    for lv in levels],
-        "saddle_table": [{"n": r.n, "saddle_count": r.saddle_count,
-                          "ratio": r.ratio, "complete": r.complete}
-                         for r in table.rows],
+        "saddle_table": [asdict(r) for r in table.rows],
         "saddle_verdict": table.verdict,
         "mu_comparison": matrix,
         "reality": reality_doc,
@@ -560,8 +544,7 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
     if real_params:
         rep = periodic2d.reality_table(
             m, [level_at[n] for n in range(1, reality_n + 1)])
-        reality_doc = {"verdict": rep.verdict, "all_real": rep.all_real,
-                       "nonreal_periods": list(rep.nonreal_periods)}
+        reality_doc = _record(rep, "rows")
         if rep.verdict == "inconclusive":
             inconclusive = True
     else:
@@ -574,25 +557,14 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
     return 3 if inconclusive else 0
 
 
-def _stable_details(details: dict) -> dict:
-    # wall-clock and scratch-path entries vary run to run; the report must not
-    volatile = {"seconds", "workdir"}
-    return {k: v for k, v in details.items() if k not in volatile}
-
-
 def cmd_validate(cfg: JobConfig) -> int:
     from .acceptance import run_all
-    work = Path(cfg.out) / "validate-work"
-    try:
-        # run_all refuses unknown ids before anything runs or --out is made
-        results = run_all(work, only=cfg.params.get("criteria") or None)
-    finally:
-        # criterion 12's configs and outputs, compared and done with
-        shutil.rmtree(work, ignore_errors=True)
+    # run_all refuses unknown ids before anything runs or --out is made
+    results = run_all(only=cfg.params.get("criteria") or None)
     out, tag = _out_dir(cfg)
     _write_json(out / f"validate-{tag}.json", cfg, {
         "criteria": [{"id": r.cid, "name": r.name, "passed": r.passed,
-                      "details": _stable_details(r.details)} for r in results],
+                      "details": r.details} for r in results],
         "all_passed": all(r.passed for r in results),
     })
     for r in results:

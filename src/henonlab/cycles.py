@@ -162,7 +162,7 @@ def newton_cycles(X, p, dp, b, periods=None) -> tuple[np.ndarray, np.ndarray]:
     if periods is None:
         periods = np.full(len(X), X.shape[1])
     ok = np.zeros(len(X), dtype=bool)
-    for d in np.unique(periods).tolist():
+    for d in sorted(set(periods.tolist())):
         ids = np.flatnonzero(periods == d)
         X[ids, :d], ok[ids] = _by_blocks(_newton_block, (X[ids, :d],),
                                          p, dp, b)

@@ -352,7 +352,7 @@ class _Census:
         # polished), at which it is re-polished when below its own, and
         # its pool row
         low = np.zeros(len(X), dtype=np.int64)
-        for d in np.unique(periods[ok]).tolist():
+        for d in sorted(set(periods[ok].tolist())):
             ids = np.flatnonzero(ok & (periods == d))
             low[ids] = minimal_periods(X[ids, :d])
         lower = np.flatnonzero(ok & (low < periods))
@@ -361,7 +361,7 @@ class _Census:
         row = np.full(len(X), NO_CYCLE)
         parts = [fixed]
         size = len(fixed.period)
-        for e in np.unique(low[ok]).tolist():
+        for e in sorted(set(low[ok].tolist())):
             ids = np.flatnonzero(ok & (low == e))
             passed, cols = _assemble(m, X[ids, :e])
             row[ids[~passed]] = REJECTED
@@ -373,7 +373,7 @@ class _Census:
         # the pool rows each row matches, for the rows that match one
         self._near = {}
         period, starts = self.pool.period, self.pool.starts()
-        for d in np.unique(period).tolist():
+        for d in sorted(set(period.tolist())):
             rows = np.flatnonzero(period == d)
             near = matches(self.pool.x[starts[rows, None] + np.arange(d)])
             rows = rows.tolist()

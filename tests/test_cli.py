@@ -915,13 +915,13 @@ def test_validate_leaves_only_its_report(validate_12):
     assert [p.name for p in out.iterdir()] == ["validate-593d4f21ad13.json"]
 
 
-def test_fresh_interpreter_check_can_fail(tmp_path, monkeypatch):
+def test_fresh_interpreter_check_can_fail(monkeypatch):
     # a version string patched into this process only reaches the
     # in-process run's `tool:` lines; the fresh interpreter writes the real
     # one, so criterion 12 must see the files differ
     from henonlab.acceptance import run_all
     monkeypatch.setattr("henonlab.cli.__version__", "0.0.0-patched")
-    r, = run_all(tmp_path, only=[12])
+    r, = run_all(only=[12])
     assert not r.passed
     assert not any(r.details["identical"].values())
     assert all(rcs == [0, 0] for rcs in r.details["exit_codes"].values())
@@ -1030,13 +1030,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_off_horseshoe_census_leaves_scipy_stats_unloaded(tmp_path):
-    cfg_path = write_cfg(tmp_path, {
-        "command": "periodic-report", "params": OFF_HORSESHOE,
-        "budgets": {"level_max": 3, "budget": 64}})
-    _run_without_scipy_stats(
-        "import sys\nfrom henonlab.cli import main\n"
-        f"assert main(['periodic-report', '--config', {str(cfg_path)!r}, "
-        f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    # nor numpy.ma, which np.unique imports on its first call; the census
+    # continues cycles off the horseshoe and seeds itineraries on it
+    for name, params in [("off", OFF_HORSESHOE), ("on", HENON_10)]:
+        (tmp_path / name).mkdir()
+        cfg_path = write_cfg(tmp_path / name, {
+            "command": "periodic-report", "params": params,
+            "budgets": {"level_max": 3, "budget": 64}})
+        _run_without_scipy_stats(
+            "import sys\nfrom henonlab.cli import main\n"
+            f"assert main(['periodic-report', '--config', {str(cfg_path)!r}, "
+            f"'--out', {str(tmp_path / name / 'out')!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'")
 
 
 # the submodules `import henonlab` registers without running their bodies
