@@ -31,11 +31,15 @@ import numpy as np
 from . import (__version__, dynamics, measures, periodic2d, poly1d, potential,
                symbolic)
 from .errors import CapError, ContractError, HenonlabError
-from .raster import density_counts, grayscale_log, write_pgm
+from .raster import (density_counts, grayscale_log, masked_histogram,
+                     write_pgm)
 
 TILE = 128
 # largest pixel raster, and largest julia-cloud walk tree (walks x
-# (depth + 1) points), a config may ask for: 2^24 complex points is 256 MiB
+# (depth + 1) points), a config may ask for: 2^24 complex points is 256 MiB.
+# A render holds about 13 bytes a pixel at its peak (the values array, the
+# two masks, the gray map and one mask of it), 208 MiB at the cap, plus one
+# tile's working set: every stage after the tiles runs over bands
 SIZE_CAP = 2 ** 24
 
 
@@ -310,11 +314,14 @@ def _render_tiles(eval_field, center: complex, width: float, height: float,
     (medians of 11 interleaved runs on a 2-core machine) 128 took 0.095
     and 0.113 s, 64 took 0.101 and 0.131 s, and 256 0.137 and 0.121 s;
     whole-raster calls would hold several raster-sized transient arrays
-    at once.  A start point past the float range reaches eval_field as
-    inf or NaN without a numpy warning, for eval_field to refuse.  Tiles run
-    one after another: a thread pool over the tiles measured slower than
-    this loop (a 512x512 `plus` raster took 0.86 s on two threads against
-    0.47 s on one), so `--threads` is validated but changes nothing.
+    at once.  Each tile's points and GreenField are dropped before the
+    next tile starts, so the loop holds the three result arrays and one
+    tile's working set.  A start point past the float range reaches
+    eval_field as inf or NaN without a numpy warning, for eval_field to
+    refuse.  Tiles run one after another: a thread pool over the tiles
+    measured slower than this loop (a 512x512 `plus` raster took 0.86 s on
+    two threads against 0.47 s on one), so `--threads` is validated but
+    changes nothing.
     """
     values = np.empty((ny, nx))
     converged = np.empty((ny, nx), dtype=bool)
@@ -334,6 +341,7 @@ def _render_tiles(eval_field, center: complex, width: float, height: float,
             values[i0:i1, j0:j1] = gf.values
             converged[i0:i1, j0:j1] = gf.converged
             presumed[i0:i1, j0:j1] = gf.presumed_bounded
+            del t, gf
     return values, converged, presumed
 
 
@@ -375,15 +383,17 @@ def cmd_render_green(cfg: JobConfig) -> int:
             return field(*_start_points(t, base, direction), m, tol, n_max)
     values, converged, presumed = _render_tiles(
         eval_field, center, width, height, nx, ny)
-    gray = grayscale_log(values)
     out, tag = _out_dir(cfg)
-    write_pgm(out / f"green-{tag}.pgm", np.flipud(gray), _comments(cfg))
+    write_pgm(out / f"green-{tag}.pgm", np.flipud(grayscale_log(values)),
+              _comments(cfg))
     # an unconverged pixel's value is a placeholder: the range and the
     # histogram cover converged pixels only
-    settled = values[np.isfinite(values) & converged]
-    vmin, vmax = ((float(settled.min()), float(settled.max()))
-                  if settled.size else (None, None))
-    counts, edges = np.histogram(settled, bins=32, range=(
+    settled = np.isfinite(values)
+    settled &= converged
+    vmin, vmax = ((float(np.min(values, where=settled, initial=np.inf)),
+                   float(np.max(values, where=settled, initial=-np.inf)))
+                  if settled.any() else (None, None))
+    counts, edges = masked_histogram(values, settled, 32, (
         0.0, vmax if vmax and vmax > 0 else 1.0))
     _write_json(out / f"green-{tag}-stats.json", cfg, {
         "mode": mode,

@@ -460,10 +460,10 @@ def _itinerary_census(m: MapParams, ns, budget: int) -> tuple:
 
 
 # Continuation from a horseshoe start (a0, b) to the target (a1, b) on the
-# detours a0 -> a1 of `continue_cycles`, with these kappa: a path lost on
-# the first reruns on the second, not on the conjugate detour, which at
-# real parameters loses the same paths.  The family is p(x, a) = a - x^2,
-# with its derivatives in x and in a.
+# detours a0 -> a1 of `continue_cycles`, with these kappa, scaled up with
+# the path past START_A: a path lost on the first reruns on the second, not
+# on the conjugate detour, which at real parameters loses the same paths.
+# The family is p(x, a) = a - x^2, with its derivatives in x and in a.
 START_A = 10.0
 DETOURS = (2j, 1j)
 QUADRATIC = (lambda X, A: -X * X + A, lambda X, A: -2.0 * X,
@@ -486,7 +486,14 @@ def _continued_levels(m: MapParams, ns, budget: int) -> list:
     >= 2 at (a0, b) are the paths, one per cycle of the start census,
     continued to m in one padded stack on the DETOURS, then polished,
     assembled and admitted as one census at m, each level offered its
-    paths in the order of its own start level."""
+    paths in the order of its own start level.
+
+    Each kappa is scaled by max(1, |a - a0| / START_A): a fixed detour
+    leaves a long path all but real, and it runs into the real collisions
+    it should avoid (a0 = 10 -> a = -1e4, or a0 = 2.6e6 -> 1.4 at b = 1e3,
+    came out with 2 of 2^n points).  Scaling by |a - a0| / |a0| instead
+    left the second kind short.  Up to |a - a0| = START_A the factor is
+    exactly 1 and the paths are unchanged."""
     a0 = _start_parameter(m.b)
     start, words = _itinerary_census(MapParams(a0, m.b), ns, budget)
     kept = [[r for r in start.walk(n, words[n])[0]
@@ -497,8 +504,10 @@ def _continued_levels(m: MapParams, ns, budget: int) -> list:
     periods = firsts.period
     X0 = np.zeros((len(rows), max(periods, default=1)), dtype=complex)
     X0[np.arange(X0.shape[1]) < periods[:, None]] = firsts.x
+    scale = max(1.0, abs(m.a - a0) / START_A)
     X, reached, runs, halvings, accepted = continue_cycles(
-        X0, QUADRATIC, [(a0, m.a, kappa) for kappa in DETOURS], m.b, periods)
+        X0, QUADRATIC, [(a0, m.a, kappa * scale) for kappa in DETOURS], m.b,
+        periods)
     # a stalled end is polished as well, but not admitted
     X, ok = _newton_cycles(m, X, periods)
     census = _Census(m, X, periods, ok & reached)

@@ -37,30 +37,68 @@ def _as_bytes_image(img) -> np.ndarray:
     return arr
 
 
-def pgm_bytes(img, comments=()) -> bytes:
-    arr = _as_bytes_image(img)
-    return _header(comments, arr.shape[1], arr.shape[0]) + arr.tobytes(order="C")
+# elements per band: the stages below hold a band-sized float temporary at
+# a time, never a raster-sized one
+BAND = 2 ** 13
+
+
+def _bands(shape):
+    """Index blocks of a 2-D shape in row-major order, each of at most BAND
+    elements: whole rows, or pieces of one row where a row is longer.  A
+    block of any array, a flipped or sliced view too, is a view."""
+    height, width = shape
+    cols = max(1, min(width, BAND))
+    rows = max(1, BAND // cols)
+    for i in range(0, height, rows):
+        for j in range(0, width, cols):
+            yield np.s_[i:i + rows, j:j + cols]
 
 
 def write_pgm(path, img, comments=()) -> None:
+    """Write the header, then the image a band at a time: a C-ordered
+    image straight from its buffer, any other (a flipped view) through one
+    band-sized copy at a time."""
+    arr = _as_bytes_image(img)
     with open(path, "wb") as fh:
-        fh.write(pgm_bytes(img, comments))
+        fh.write(_header(comments, arr.shape[1], arr.shape[0]))
+        for band in _bands(arr.shape):
+            fh.write(np.ascontiguousarray(arr[band]))
 
 
 def grayscale_log(values) -> np.ndarray:
-    """Monotone gray map on log(1+v): zeros and non-finite cells black,
-    positive values spread over 1..255."""
+    """Monotone gray map on log(1+v) of a 2-D array: zeros and non-finite
+    cells black, positive values spread over 1..255 as
+    1 + rint(254 log1p(v) / log1p(vmax)), worked out a band at a time."""
     v = np.asarray(values, dtype=float)
     out = np.zeros(v.shape, dtype=np.uint8)
-    good = np.isfinite(v) & (v > 0.0)
-    if not good.any():
-        return out
-    vmax = float(v[good].max())
+    good = np.isfinite(v)
+    good &= v > 0.0
+    vmax = float(np.max(v, where=good, initial=0.0))
     if vmax <= 0.0:
         return out
-    scaled = np.log1p(v[good]) / np.log1p(vmax)
-    out[good] = (1.0 + np.rint(254.0 * scaled)).astype(np.uint8)
+    top = np.log1p(vmax)
+    for band in _bands(v.shape):
+        g = good[band]
+        x = v[band][g]
+        # a fresh gather, so each step of the formula rounds once, in place
+        np.log1p(x, out=x)
+        x /= top
+        x *= 254.0
+        np.rint(x, out=x)
+        x += 1.0
+        out[band][g] = x
     return out
+
+
+def masked_histogram(values, mask, bins: int, value_range: tuple) -> tuple:
+    """np.histogram(values[mask], bins, value_range) of a 2-D array, as
+    counts summed over bands: with the range fixed the edges do not depend
+    on the data, and each value's bin does not depend on its neighbours."""
+    counts, edges = np.histogram(values[:0], bins=bins, range=value_range)
+    for band in _bands(values.shape):
+        counts += np.histogram(values[band][mask[band]], bins=bins,
+                               range=value_range)[0]
+    return counts, edges
 
 
 def density_counts(points, center: complex, width: float, height: float,

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import henonlab
+from henonlab import cli
 from henonlab.cli import DEFAULTS, SCHEMA, build_config, main
 from henonlab.errors import CapError, ContractError
 
@@ -177,8 +179,34 @@ PINNED_WINDOW = {"center": [0.0, 0.0], "width": 14.0, "height": 10.0,
       "67bd8e2f7f728fddf8745b8858fe647a4162e04103787f5809e0d6b88125b477",
       "green-29a978e9c3f7-stats.json":
       "c960161dcb573cf217dc8fba70a8807c4cd9f54e7c21d98b7c92835f91979150"}),
+    # tall, flat and wide rasters over several bands of the gray map, the
+    # histogram and the PGM write, the last band partial; 9000-pixel rows
+    # are longer than a band
+    ({"mode": "plus", "params": HENON_10,
+      "window": dict(PINNED_WINDOW, pixels=[7, 2500]),
+      "budgets": {"n_max": 60}},
+     {"green-b04382681fc2.pgm":
+      "4757fc7118e1d6e08b183993f9c5d81ab31d71c11df2f1b4888ccfe18facca14",
+      "green-b04382681fc2-stats.json":
+      "caef52e016df7616beb6a10cd2bbd51b7a3baceb02b9521c6fa1ba76d1a5ca75"}),
+    ({"mode": "poly", "params": BASILICA_PARAMS,
+      "slice": {"base": [[0.0, 0.0]], "direction": [[1.0, 0.0]]},
+      "window": dict(PINNED_WINDOW, width=4.0, height=3.0, pixels=[2500, 7]),
+      "budgets": {"n_max": 200}},
+     {"green-734a919bb757.pgm":
+      "88b0a3056ef3cb0f31ca0770a26f1711174f47f678dc8f032db529572ccd35ac",
+      "green-734a919bb757-stats.json":
+      "29aac60aeef80bf11727bf2cbc5336b9d2d6d5f095fe1df754829095d07d4f97"}),
+    ({"mode": "plus", "params": HENON_10,
+      "window": dict(PINNED_WINDOW, pixels=[9000, 2]),
+      "budgets": {"n_max": 60}},
+     {"green-6c8117fab748.pgm":
+      "1a98fad65a1832a71cef63df55ab49b5ab90c9a7cd67f3cabaa03857f24a2619",
+      "green-6c8117fab748-stats.json":
+      "e93305a0905c4f4ce612ebf2847e7539d54359f07d83b0b625b2d2dd5c99840a"}),
 ], ids=["plus", "minus", "poly", "plus-tile-edges", "plus-a-1e200",
-        "minus-a-1e300", "minus-b-1e-200"])
+        "minus-a-1e300", "minus-b-1e-200", "plus-7x2500", "poly-2500x7",
+        "plus-9000x2"])
 def test_render_green_pinned_bytes(tmp_path, capsys, doc, digests):
     # fixed digests: no change to the escape-rate kernels may move a byte;
     # and no numpy warning reaches the user
@@ -193,6 +221,39 @@ def test_render_green_pinned_bytes(tmp_path, capsys, doc, digests):
     assert capsys.readouterr().err == ""
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in out.iterdir()} == digests
+
+
+@pytest.mark.parametrize("doc", [
+    {"mode": "plus"},
+    {"mode": "poly", "params": BASILICA_PARAMS,
+     "slice": {"base": [[0.0, 0.0]], "direction": [[1.0, 0.0]]},
+     "window": {"width": 4.0, "height": 4.0}},
+], ids=["plus", "poly"])
+def test_render_green_post_tile_stage_memory(tmp_path, monkeypatch, doc):
+    # the gray map, the range, the histogram and the PGM work over bands of
+    # the one values array: what they allocate stays below its size
+    render_tiles = cli._render_tiles
+    sizes = []
+
+    def traced(*args):
+        values, converged, presumed = render_tiles(*args)
+        sizes.append(values.nbytes)
+        tracemalloc.start()
+        return values, converged, presumed
+
+    monkeypatch.setattr(cli, "_render_tiles", traced)
+    window = dict(doc.get("window", {}), pixels=[256, 256])
+    cfg_path = write_cfg(tmp_path, dict(doc, command="render-green",
+                                        window=window))
+    try:
+        rc = main(["render-green", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert sizes == [256 * 256 * 8]
+    assert peak < sizes[0]
 
 
 @pytest.mark.parametrize("doc, unresolved", [
@@ -667,7 +728,18 @@ def _periodic_report(tmp_path, doc, name, threads=1):
       "70cab2b23163cffb311e0d0946366e78582b5b81346561b4b85836a728b4fd20",
       "periodic-6fbf4238e4c4-saddles.csv":
       "71282857801999e74162964daa9a4e0f7d1fa91cd23f68cb2153918f6bb1938c"}),
-], ids=["horseshoe", "continued", "paths-lost", "paths-retried"])
+    # a long path: its detours scale with |a - a0|, so every level is
+    # complete (a fixed kappa left 2 of 2^n points from level 2 on)
+    ({"params": {"kind": "henon", "a": [-1e4, 0.0], "b": [0.3, 0.0]},
+      "budgets": {"level_max": 6}}, 0,
+     {"periodic-06432de8d23b-orbits.csv":
+      "3abe16e1e7a201e265e1d15eafb58904de66b882438eed8e7f5b3dd1c6ef8b07",
+      "periodic-06432de8d23b-report.json":
+      "820e7b9b65255fe820e9b57070be13d7af5b28cd7e486cc321e3f7cd69ad615a",
+      "periodic-06432de8d23b-saddles.csv":
+      "03fc231af9c276fdeb719400880c7a4b783d518e5c10b42e700afb7414eef77d"}),
+], ids=["horseshoe", "continued", "paths-lost", "paths-retried",
+        "far-a"])
 def test_periodic_report_pinned_bytes(tmp_path, doc, rc, digests):
     # fixed digests: no change to orbit assembly, the reality table or the
     # measure comparison may move a byte

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import hashlib
 import itertools
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import henonlab.cycles as cycles
 import henonlab.periodic2d as periodic2d
@@ -777,6 +780,30 @@ def test_continued_census_is_complete(a, b, n):
         assert n % o.period == 0
         assert o.residual <= 1e-9 * (1 + max(abs(p.x) for p in o.points) ** 2)
     _assert_no_duplicates(lv)
+
+
+def _parameter(re, im, radius):
+    # a: real, or complex with im in `im`; b: real of either sign, or complex
+    a = st.builds(complex, re, st.just(0.0) | im)
+    b = (st.builds(lambda r, sign: sign * r, radius, st.sampled_from([-1, 1]))
+         | st.builds(lambda r, t: r * cmath.exp(1j * t), radius,
+                     st.floats(-math.pi, math.pi)))
+    return st.tuples(a, b)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(_parameter(st.floats(-1e6, -10.0), st.floats(-1e3, 1e3),
+                  st.floats(0.01, 0.9))
+       | _parameter(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1),
+                    st.floats(2.0, 1e3)))
+def test_far_parameters_come_out_complete(ab):
+    # a long continuation path leaves the real line only if its detour
+    # grows with it: with a fixed kappa (-1e4, 0.3) and (1.4, 1e3) came
+    # out with 2 of 2^n points from level 2 on
+    levels = periodic_levels(MapParams(*ab), range(1, 7))
+    assert [lv.fixed_point_count for lv in levels] == [2 ** n
+                                                       for n in range(1, 7)]
+    assert all(lv.complete and lv.paths_lost == 0 for lv in levels)
 
 
 def test_continued_census_matches_halton_reference():
