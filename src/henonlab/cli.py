@@ -311,17 +311,17 @@ def _render_tiles(eval_field, center: complex, width: float, height: float,
     slots in a fixed order.  The escape-rate loop works on live points
     only, so the tile size sets just how often its per-step Python
     overhead is paid.  On the 512x512 `plus` and basilica rasters
-    (medians of 11 interleaved runs on a 2-core machine) 128 took 0.095
-    and 0.113 s, 64 took 0.101 and 0.131 s, and 256 0.137 and 0.121 s;
-    whole-raster calls would hold several raster-sized transient arrays
-    at once.  Each tile's points and GreenField are dropped before the
-    next tile starts, so the loop holds the three result arrays and one
-    tile's working set.  A start point past the float range reaches
-    eval_field as inf or NaN without a numpy warning, for eval_field to
-    refuse.  Tiles run one after another: a thread pool over the tiles
-    measured slower than this loop (a 512x512 `plus` raster took 0.86 s on
-    two threads against 0.47 s on one), so `--threads` is validated but
-    changes nothing.
+    (medians of two sets of 25 interleaved in-process runs on a 2-core
+    machine) 128 took 21-22 and 31-34 ms, 90 took 22-23 and 37-41 ms,
+    64 took 25-27 and 47-52 ms, and 256 41-43 and 36-41 ms; whole-raster
+    calls would hold several raster-sized transient arrays at once.  Each
+    tile's points and GreenField are dropped before the next tile starts,
+    so the loop holds the three result arrays and one tile's working set.
+    A start point past the float range reaches eval_field as inf or NaN
+    without a numpy warning, for eval_field to refuse.  Tiles run one
+    after another: a pool of two threads over the same tiles was no
+    faster (21-22 and 34-35 ms in the same runs), so `--threads` is
+    validated but changes nothing.
     """
     values = np.empty((ny, nx))
     converged = np.empty((ny, nx), dtype=bool)

@@ -78,30 +78,56 @@ class GreenField(NamedTuple):
     n_used: np.ndarray
 
 
-def _escape_rate(coords, shape, lead, bound, value, advance, tol: float,
-                 n_max: int, safe_norm: float = SAFE_NORM) -> GreenField:
+def _verified_floor(floor, bound, n: int, tol: float, safe_norm: float) -> float:
+    """floor(n) scaled by 1 - 1e-9 and capped at safe_norm if its tail
+    bound is not under tol, else 0.
+
+    Every bound is built from correctly rounded divisions, products and
+    sums of the magnitude, each monotone, so it is non-increasing in the
+    magnitude: the one check proves the bound is not under tol at every
+    magnitude at or below the floor.  It runs on a float64 scalar, whose
+    operations round as those on an array do, at a seventh of the cost."""
+    fl = min(floor(n) * (1.0 - 1e-9), safe_norm)
+    if fl > 0.0 and bound(np.float64(fl), n) >= tol:
+        return fl
+    return 0.0
+
+
+def _escape_rate(coords, shape, lead, bound, value, advance, floor,
+                 tol: float, n_max: int,
+                 safe_norm: float = SAFE_NORM) -> GreenField:
     """The one escape-rate loop, run on the live points only.
 
     The loop keeps live, the flat indices of the points still iterating,
     and cur, their coordinates compacted in the same order.  Per step n,
-    lead(*cur) gives the escaping magnitude, the max-norm and the escape
-    test of every live point; bound(magnitude, n) gives the tail bound of
-    the escaped ones, which retire once the bound is below tol, the
-    magnitude is past safe_norm, or the budget is spent, and only then is
-    value(magnitude, n) taken.  A point whose norm passes safe_norm
-    without the escape test firing retires with bound inf, neither
+    lead(*cur, carried) gives the escaping magnitude, the max-norm and the
+    escape test of every live point, where carried is the previous step's
+    magnitude in the same order (None at n = 0): the Hénon kernels read
+    their other coordinate's magnitude from it, since that coordinate is
+    the escaping one of the step before.  floor(n) is a magnitude at or
+    below which bound(magnitude, n) cannot be under tol; scaled by
+    1 - 1e-9, capped at safe_norm and checked once through bound (0 if
+    the check fails), it limits the tail bound to the escaped points
+    above it, and to every escaped point at n = n_max.  Those retire once
+    the bound is below tol, the magnitude is past safe_norm, or the budget
+    is spent, and only then is value(magnitude, n) taken.  A point whose
+    norm passes safe_norm without retiring that way, an escaped point of
+    infinite magnitude included, retires with bound inf, neither
     converged nor presumed bounded.  A point is presumed bounded (value 0,
     bound 0, n_used n_max) when it is still live at n_max, or when its
-    coordinates repeat exactly: at n = 16, 32, 64, ... the loop keeps the
-    live coordinates as a snapshot, and a point equal (==) to its snapshot
+    coordinates repeat exactly: at n = 16, 32, 48, 72, 108, ... (each
+    interval half the step, at least 16) the loop keeps the live
+    coordinates as a snapshot, and a point equal (==) to its snapshot
     that has not passed the escape test since retires at once.  Its orbit
     is then periodic in every magnitude the loop reads (a +-0 difference
     changes no later magnitude, and NaN never compares equal), so the
-    budget would end it the same way.  Retiring points are scattered
-    through live into the full-size results, and live, cur and the
-    snapshot shrink by one keep mask on the steps where some point
-    retired.  advance(*cur) is pure: it returns the coordinates of the
-    live points one map step on, so a snapshot needs no copy.  The loop
+    budget would end it the same way; the growing interval catches every
+    period once it reaches it.  Retiring points are scattered through
+    live into the full-size results, and live, cur, the carried magnitude
+    and the snapshot shrink by one keep mask on the steps where some
+    point retired.  advance(*cur) is pure: it returns the coordinates of
+    the live points one map step on, so a snapshot needs no copy.  The
+    loop runs with float overflow and invalid-operation warnings off, and
     ends early once no point is live, so its work is the live points'
     summed orbit lengths up to their first exact repeat, not the input
     size times the steps.
@@ -118,68 +144,78 @@ def _escape_rate(coords, shape, lead, bound, value, advance, tol: float,
     n_used = np.zeros(size, dtype=np.int32)
     live = np.arange(size)
     cur = tuple(coords)
-    snap = None    # the live coordinates at step snap_at
-    seen = None    # live points that passed the escape test since snap_at
+    carried = None
+    snap = None    # the live coordinates at the last snapshot step
+    seen = None    # live points that passed the escape test since then
     snap_at = 16
-    for n in range(n_max + 1):
-        mag, norm, esc = lead(*cur)
-        keep = None
-        if esc.any():
-            ei = np.flatnonzero(esc)
-            if seen is not None:
-                seen[ei] = True
-            mag_e = mag[ei]
-            bnd = bound(mag_e, n)
-            ok = bnd < tol
-            stop = ok | (mag_e > safe_norm) | (n == n_max)
-            if stop.any():
-                si = ei[stop]
-                fi = live[si]
-                values[fi] = value(mag_e[stop], n)
-                bounds[fi] = bnd[stop]
-                conv[fi] = ok[stop]
-                n_used[fi] = n
-                keep = np.ones(live.size, dtype=bool)
-                keep[si] = False
-        over = norm > safe_norm
-        if keep is not None:
-            over &= keep
-        if over.any():
-            oi = live[over]
-            bounds[oi] = np.inf
-            n_used[oi] = n
-            keep = ~over if keep is None else keep & ~over
-        if n == n_max:
-            live = live if keep is None else live[keep]
-            conv[live] = True
-            presumed[live] = True
-            n_used[live] = n_max
-            break
-        if snap is not None:
-            # the first coordinate alone rules out nearly every point
-            same = cur[0] == snap[0]
-            if same.any():
-                same &= ~seen
-                for c, s in zip(cur[1:], snap[1:]):
-                    same &= c == s
-                ri = live[same]
-                conv[ri] = True
-                presumed[ri] = True
-                n_used[ri] = n_max
-                keep = ~same if keep is None else keep & ~same
-        if keep is not None:
-            live = live[keep]
-            cur = tuple(c[keep] for c in cur)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_max + 1):
+            mag, norm, esc = lead(*cur, carried)
+            keep = None
+            if esc.any():
+                if seen is not None:
+                    seen |= esc
+                if n < n_max:
+                    fl = _verified_floor(floor, bound, n, tol, safe_norm)
+                    if fl > 0.0:
+                        esc &= mag > fl
+                ci = np.flatnonzero(esc)
+                if ci.size:
+                    mag_e = mag[ci]
+                    bnd = bound(mag_e, n)
+                    ok = bnd < tol
+                    stop = ok | (mag_e > safe_norm) | (n == n_max)
+                    stop &= mag_e < np.inf
+                    if stop.any():
+                        si = ci[stop]
+                        fi = live[si]
+                        values[fi] = value(mag_e[stop], n)
+                        bounds[fi] = bnd[stop]
+                        conv[fi] = ok[stop]
+                        n_used[fi] = n
+                        keep = np.ones(live.size, dtype=bool)
+                        keep[si] = False
+            over = norm > safe_norm
+            if keep is not None:
+                over &= keep
+            if over.any():
+                oi = live[over]
+                bounds[oi] = np.inf
+                n_used[oi] = n
+                keep = ~over if keep is None else keep & ~over
+            if n == n_max:
+                live = live if keep is None else live[keep]
+                conv[live] = True
+                presumed[live] = True
+                n_used[live] = n_max
+                break
             if snap is not None:
-                snap = tuple(s[keep] for s in snap)
-                seen = seen[keep]
-        if live.size == 0:
-            break
-        if n == snap_at:
-            snap = cur
-            seen = np.zeros(live.size, dtype=bool)
-            snap_at *= 2
-        cur = advance(*cur)
+                # the first coordinate alone rules out nearly every point
+                same = cur[0] == snap[0]
+                if same.any():
+                    same &= ~seen
+                    for c, s in zip(cur[1:], snap[1:]):
+                        same &= c == s
+                    ri = live[same]
+                    conv[ri] = True
+                    presumed[ri] = True
+                    n_used[ri] = n_max
+                    keep = ~same if keep is None else keep & ~same
+            if keep is not None:
+                live = live[keep]
+                cur = tuple(c[keep] for c in cur)
+                mag = mag[keep]
+                if snap is not None:
+                    snap = tuple(s[keep] for s in snap)
+                    seen = seen[keep]
+            if live.size == 0:
+                break
+            if n == snap_at:
+                snap = cur
+                seen = np.zeros(live.size, dtype=bool)
+                snap_at += max(16, snap_at // 2)
+            carried = mag
+            cur = advance(*cur)
     return GreenField(values.reshape(shape), bounds.reshape(shape),
                       conv.reshape(shape), presumed.reshape(shape),
                       n_used.reshape(shape))
@@ -204,12 +240,15 @@ def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
     csum = f.lower_coeff_sum()
     w_esc = 2.0 * (1.0 + csum)
 
-    def lead(w):
+    def lead(w, carried):
         aw = np.abs(w)
         return aw, aw, aw > w_esc
 
     def bound(aw, n):
         return 2.0 * csum / (aw * float(d) ** n * (d - 1.0))
+
+    def floor(n):
+        return 2.0 * csum / (tol * float(d) ** n * (d - 1.0))
 
     def value(aw, n):
         return np.log(aw) / float(d) ** n
@@ -217,18 +256,23 @@ def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
     # Horner from the monic top: the operations of f(w) less its first
     # step 1 * w, which is exact up to the sign of a zero while w is
     # finite; a live w is finite or NaN, so every magnitude the loop reads
-    # is that of f(w) bit for bit
+    # is that of f(w) bit for bit; so is skipping a zero top, since w + 0
+    # differs from w only in the sign of a zero.  Each product goes to a
+    # fresh array and each add is in place: numpy rounds an aliased complex
+    # product of a one-element array differently from the same product of
+    # a longer one.
     rest = f.coeffs[-3::-1]
     top = f.coeffs[-2]
 
     def advance(w):
-        acc = w + top
+        acc = w + top if top else w
         for ck in rest:
-            acc = acc * w + ck
+            acc = acc * w
+            acc += ck
         return (acc,)
 
     return _escape_rate((z.ravel(),), z.shape, lead, bound, value, advance,
-                        tol, n_max, min(SAFE_NORM, 10.0 ** (300.0 / d)))
+                        floor, tol, n_max, min(SAFE_NORM, 10.0 ** (300.0 / d)))
 
 
 def green_poly(z: complex, f, tol: float = 1e-9, n_max: int = 200) -> GreenEstimate:
@@ -251,11 +295,29 @@ def _flat_pair(xs, ys):
     return (x.ravel(), y.ravel()), x.shape
 
 
-def _dominant(u, v, thr: float):
-    """Magnitude |u|, norm max(|u|, |v|), and the test |u| > thr, |u| >= |v|."""
+def _dominant(u, v, thr: float, av=None):
+    """Magnitude |u|, norm max(|u|, |v|), and the test |u| > thr, |u| >= |v|;
+    av, when given, is |v|."""
     au = np.abs(u)
-    av = np.abs(v)
+    if av is None:
+        av = np.abs(v)
     return au, np.maximum(au, av), (au > thr) & (au >= av)
+
+
+def _henon_tail(a: complex, c: float, tol: float):
+    """The tail bound 2(|a|/r^2 + c/r) / 2^n of a dominant coordinate of
+    magnitude r, and its floor: the positive root of s r^2 - c r - |a| = 0
+    with s = tol 2^n / 2, below which the bound is at least tol."""
+    abs_a = abs(a)
+
+    def bound(r, n):
+        return 2.0 * (abs_a / r / r + c / r) / 2.0 ** n
+
+    def floor(n):
+        t = tol * 2.0 ** n
+        return (c + math.sqrt(c * c + 2.0 * t * abs_a)) / t
+
+    return bound, floor
 
 
 def green_plus_field(xs, ys, m: MapParams, tol: float = 1e-9,
@@ -269,18 +331,23 @@ def green_plus_field(xs, ys, m: MapParams, tol: float = 1e-9,
     coords, shape = _flat_pair(xs, ys)
     thr = 2.0 * m.R
     a, b = m.a, m.b
-
-    def bound(ax, n):
-        return 2.0 * (abs(a) / ax / ax + abs(b) / ax) / 2.0 ** n
+    bound, floor = _henon_tail(a, abs(b), tol)
 
     def value(ax, n):
         return np.log(ax) / 2.0 ** n
 
+    # y_n = x_{n-1}: the carried magnitude is |y|.  a - x^2 differs from
+    # -x * x + a only in the sign of a zero, which no magnitude reads, and
+    # no complex product is aliased (see green_poly_field).
     def advance(x, y):
-        return -x * x + a - b * y, x
+        acc = x * x
+        np.subtract(a, acc, out=acc)
+        acc -= b * y
+        return acc, x
 
-    return _escape_rate(coords, shape, lambda x, y: _dominant(x, y, thr),
-                        bound, value, advance, tol, n_max)
+    return _escape_rate(coords, shape,
+                        lambda x, y, ay: _dominant(x, y, thr, ay),
+                        bound, value, advance, floor, tol, n_max)
 
 
 def green_minus_field(xs, ys, m: MapParams, tol: float = 1e-9,
@@ -296,18 +363,22 @@ def green_minus_field(xs, ys, m: MapParams, tol: float = 1e-9,
     thr = 2.0 * m.R
     a, b = m.a, m.b
     log_b = math.log(abs(b))
-
-    def bound(ay, n):
-        return 2.0 * (abs(a) / ay / ay + 1.0 / ay) / 2.0 ** n
+    bound, floor = _henon_tail(a, 1.0, tol)
 
     def value(ay, n):
         return (np.log(ay) - log_b) / 2.0 ** n
 
+    # x_n = y_{n-1}: the carried magnitude is |x|
     def advance(x, y):
-        return y, (a - y * y - x) / b
+        acc = y * y
+        np.subtract(a, acc, out=acc)
+        acc -= x
+        acc /= b
+        return y, acc
 
-    return _escape_rate(coords, shape, lambda x, y: _dominant(y, x, thr),
-                        bound, value, advance, tol, n_max)
+    return _escape_rate(coords, shape,
+                        lambda x, y, ax: _dominant(y, x, thr, ax),
+                        bound, value, advance, floor, tol, n_max)
 
 
 def green_plus(p, m: MapParams, tol: float = 1e-9, n_max: int = 100) -> GreenEstimate:

@@ -1,0 +1,142 @@
+"""Run one corpus of CLI jobs under two source trees and print what differs.
+
+    python tests/parity.py PARENT_DIR
+
+PARENT_DIR is another checkout of this repository, typically the commit a
+change is based on.  Each job runs as ``python -m henonlab`` in a fresh
+interpreter against each tree's ``src/``, writing into its own temporary
+directory.  The corpus is every job of ``perfbench/spec.json`` (read from
+that file, at its default seed), the render shapes pinned in the tests in
+all three render modes, a quadratic whose z coefficient is not 0, and
+render configs whose orbits overflow.
+
+One line is printed per output file whose bytes differ or that only one
+tree wrote, per differing exit code, and per stderr line that only one
+tree printed (the tree's own path is shown as <tree>).  The last line
+counts the jobs that differ; the exit status is 1 if any did, else 0.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+HENON_10 = {"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]}
+BASILICA = {"kind": "poly", "coeffs": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+POLY_SLICE = {"base": [[0.0, 0.0]], "direction": [[1.0, 0.0]]}
+TINY_WINDOW = {"width": 14.0, "height": 10.0, "pixels": [24, 16]}
+# one partial tile, full and partial tiles, and shapes spanning several
+# bands of the gray map and the PGM write
+SHAPES = [[72, 40], [136, 136], [7, 2500], [2500, 7], [9000, 2]]
+
+
+def _render(mode: str, params: dict, window: dict, n_max: int) -> dict:
+    cfg = {"mode": mode, "params": params, "window": window,
+           "budgets": {"n_max": n_max}}
+    if mode == "poly":
+        cfg["slice"] = POLY_SLICE
+    return cfg
+
+
+def corpus() -> list:
+    """(name, command, config, seed) for every job, in a fixed order."""
+    with open(HERE / "perfbench" / "spec.json") as fh:
+        spec = json.load(fh)
+    seed = spec["default_seed"]
+    jobs = [(f"{wl}/{job['name']}", job["command"], job["config"], seed)
+            for wl, body in spec["workloads"].items() for job in body["jobs"]]
+    for px in SHAPES:
+        window = {"center": [0.0, 0.0], "width": 14.0, "height": 10.0,
+                  "pixels": px}
+        for mode in ("plus", "minus", "poly"):
+            params = BASILICA if mode == "poly" else HENON_10
+            jobs.append((f"{mode}-{px[0]}x{px[1]}", "render-green",
+                         _render(mode, params, window,
+                                 200 if mode == "poly" else 60), None))
+    # a quadratic whose z coefficient is not 0
+    jobs.append(("poly-top-72x40", "render-green", _render(
+        "poly", {"kind": "poly", "coeffs": [[0.1, 0.0], [0.5, 0.2], [1.0, 0.0]]},
+        {"center": [0.0, 0.0], "width": 4.0, "height": 3.0, "pixels": [72, 40]},
+        200), None))
+    # start points up to 5e8 make b * y overflow at b = 1e300
+    wide = dict(TINY_WINDOW, width=1e9, height=1e9)
+    for mode, a, b, window in [("plus", 10.0, 1e300, wide),
+                               ("minus", 10.0, 1e-320, TINY_WINDOW),
+                               ("plus", 1e200, 0.3, TINY_WINDOW),
+                               ("minus", 1e300, 0.3, TINY_WINDOW),
+                               ("minus", 10.0, 1e-200, TINY_WINDOW)]:
+        jobs.append((f"{mode}-overflow-a{a!r}-b{b!r}", "render-green",
+                     _render(mode, {"a": a, "b": b}, window, 60), None))
+    return jobs
+
+
+def run(tree: Path, work: Path, name: str, command: str, cfg: dict,
+        seed) -> tuple:
+    """Exit code, stderr lines and {relative path: sha256} of one job."""
+    job_dir = work / name.replace("/", "-")
+    job_dir.mkdir(parents=True)
+    cfg_path = job_dir / "job.json"
+    cfg_path.write_text(json.dumps(cfg, sort_keys=True))
+    out = job_dir / "out"
+    argv = [sys.executable, "-m", "henonlab", command, "--config",
+            str(cfg_path), "--threads", "1", "--out", str(out)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(argv, env=env, cwd=job_dir, capture_output=True,
+                          text=True, timeout=600)
+    err = [line.replace(str(tree), "<tree>").replace(str(job_dir), "<job>")
+           for line in proc.stderr.splitlines()]
+    files = ({str(f.relative_to(out)): hashlib.sha256(f.read_bytes())
+              .hexdigest() for f in sorted(out.rglob("*")) if f.is_file()}
+             if out.exists() else {})
+    return proc.returncode, err, files
+
+
+def diff(name: str, old: tuple, new: tuple) -> list:
+    rc0, err0, files0 = old
+    rc1, err1, files1 = new
+    lines = []
+    for path in sorted(set(files0) | set(files1)):
+        h0, h1 = files0.get(path), files1.get(path)
+        if h0 != h1:
+            lines.append(f"{name}: file {path}: {h0 and h0[:12]} -> "
+                         f"{h1 and h1[:12]}")
+    if rc0 != rc1:
+        lines.append(f"{name}: exit {rc0} -> {rc1}")
+    lines += [f"{name}: stderr - {line}" for line in err0 if line not in err1]
+    lines += [f"{name}: stderr + {line}" for line in err1 if line not in err0]
+    return lines
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or not (Path(args[0]) / "src" / "henonlab").is_dir():
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent = Path(args[0]).resolve()
+    jobs = corpus()
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="henonlab-parity-") as tmp:
+        for name, command, cfg, seed in jobs:
+            old = run(parent, Path(tmp) / "parent", name, command, cfg, seed)
+            new = run(HERE, Path(tmp) / "this", name, command, cfg, seed)
+            lines = diff(name, old, new)
+            differing += bool(lines)
+            for line in lines:
+                print(line)
+    print(f"{differing} of {len(jobs)} jobs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -276,6 +276,29 @@ def test_render_green_unresolved_pixels_exit_3(tmp_path, capsys, doc,
     assert len(list(out.glob("green-*.pgm"))) == 1
 
 
+@pytest.mark.parametrize("doc", [
+    dict(TINY_RENDER, mode="minus", params={"a": 10.0, "b": 1e-320}),
+    # start points up to 5e8, so b * y overflows
+    dict(TINY_RENDER, mode="plus", params={"a": 10.0, "b": 1e300},
+         window={"width": 1e9, "height": 1e9, "pixels": [24, 16]}),
+], ids=["minus-b-1e-320", "plus-b-1e300"])
+def test_render_green_infinite_orbits_are_overflows(tmp_path, capsys, doc):
+    # an orbit whose escaping coordinate reaches inf overflowed: its pixel
+    # is a shortfall, not a converged inf, and no numpy warning is printed
+    cfg_path = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["render-green", "--config", str(cfg_path),
+                   "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == ""
+    stats, = out.glob("green-*-stats.json")
+    doc = json.loads(stats.read_text())
+    assert doc["converged_fraction"] < 1.0
+    assert doc["max"] is None or math.isfinite(doc["max"])
+
+
 def test_render_green_overflowed_pixels_are_not_zeros(tmp_path):
     # every orbit overflows: the 0 written for it is a placeholder, so no
     # pixel counts toward zero_fraction

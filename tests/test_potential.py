@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from henonlab import potential
 from henonlab.dynamics import MapParams, PointC2, henon_apply, henon_inverse
 from henonlab.errors import ContractError
+from henonlab.periodic2d import periodic_levels
 from henonlab.poly1d import Poly
 from henonlab.potential import (SAFE_NORM, GreenEstimate, GreenField,
                                 ScalarGrid, _coords, discrete_ddc_mass,
@@ -123,6 +125,7 @@ def ref_escape_rate(coords, shape, lead, tail, advance, tol: float,
     for n in range(n_max + 1):
         mag, norm, esc = lead(*coords)
         esc &= active
+        esc &= mag < np.inf
         if esc.any():
             idx = np.flatnonzero(esc)
             mag_e = mag[idx]
@@ -155,7 +158,8 @@ def ref_escape_rate(coords, shape, lead, tail, advance, tol: float,
                       n_used.reshape(shape))
 
 
-def _masked_escape_rate(coords, shape, lead, bound, value, advance, *args):
+def _masked_escape_rate(coords, shape, lead, bound, value, advance, floor,
+                        *args):
     """ref_escape_rate driven by a kernel's pure advance, moved in place."""
     def tail(mag, n):
         return value(mag, n), bound(mag, n)
@@ -165,8 +169,8 @@ def _masked_escape_rate(coords, shape, lead, bound, value, advance, *args):
         for c, new in zip(cs, advance(*(c[i] for c in cs))):
             c[i] = new
 
-    return ref_escape_rate(tuple(c.copy() for c in coords), shape, lead,
-                           tail, in_place, *args)
+    return ref_escape_rate(tuple(c.copy() for c in coords), shape,
+                           lambda *cs: lead(*cs, None), tail, in_place, *args)
 
 
 EDGE_POINTS = [0.0, 1.0, 1e116, 1e129, 1e131, 1e200, -1e200j, math.inf,
@@ -187,13 +191,16 @@ def _with_edges(rng, scale, count, edges):
     ("plus", (1.2 + 0.5j, 0.3 - 0.1j)),
     ("minus", (10.0, 0.3)), ("minus", (1.4, 0.3)),
     ("minus", (1.2 + 0.5j, 0.3 - 0.1j)),
+    # 1/b and b * y overflow: infinite magnitudes retire as overflows
+    ("minus", (10.0, 1e-320)), ("plus", (10.0, 1e300)),
 ], ids=["poly2", "square", "rabbit", "poly3", "poly4", "plus-10", "plus-1.4", "plus-complex",
-        "minus-10", "minus-1.4", "minus-complex"])
+        "minus-10", "minus-1.4", "minus-complex", "minus-b-1e-320",
+        "plus-b-1e300"])
 def test_live_set_loop_matches_masked_reference(monkeypatch, kernel, setting):
     rng = np.random.default_rng(17)
     if kernel == "poly":
         zs = _with_edges(rng, 2.0, 150, EDGE_POINTS).reshape(23, 7)
-        budgets = (1, 2, 7, 200)
+        budgets = (1, 2, 7, 47, 48, 49, 73, 200)
 
         def run(n_max, tol):
             return green_poly_field(zs, setting, tol, n_max)
@@ -202,12 +209,12 @@ def test_live_set_loop_matches_masked_reference(monkeypatch, kernel, setting):
         xs = _with_edges(rng, 6.0, 150, EDGE_POINTS)
         ys = _with_edges(rng, 6.0, 150, EDGE_POINTS[::-1])
         field = green_plus_field if kernel == "plus" else green_minus_field
-        budgets = (1, 2, 7, 100)
+        budgets = (1, 2, 7, 47, 48, 49, 73, 100)
 
         def run(n_max, tol):
             return field(xs, ys, m, tol, n_max)
     for n_max in budgets:
-        for tol in (1e-3, 1e-9, 1e-300):
+        for tol in (1e-3, 1e-9, 1e-12, 1e-300):
             with np.errstate(all="ignore"):  # inf and nan starts
                 fld = run(n_max, tol)
                 with monkeypatch.context() as mp:
@@ -264,7 +271,7 @@ def _identity_run(monkeypatch, w0, n_max, tol=1e-9):
     sizes = _counting(monkeypatch)
     coords = (np.asarray(w0, dtype=complex),)
 
-    def lead(w):
+    def lead(w, carried):
         aw = np.abs(w)
         return aw, aw, aw > 1.0
 
@@ -277,7 +284,8 @@ def _identity_run(monkeypatch, w0, n_max, tol=1e-9):
     def advance(w):
         return (w.copy(),)
 
-    args = (coords, coords[0].shape, lead, bound, value, advance, tol, n_max)
+    args = (coords, coords[0].shape, lead, bound, value, advance,
+            lambda n: 0.0, tol, n_max)
     with np.errstate(invalid="ignore"):  # the NaN start
         got = potential._escape_rate(*args)
         want = _masked_escape_rate(*args)
@@ -323,8 +331,9 @@ def test_short_budget_takes_no_snapshot(monkeypatch, n_max):
 
 
 @pytest.mark.parametrize("f", [BASILICA, RABBIT, Poly((0.1, 0.0, 0.0, 1.0)),
-                               Poly((0.1 - 0.3j, 0.2, -0.7 + 0.1j, 0.0, 1.0))],
-                         ids=["basilica", "rabbit", "cubic", "quartic"])
+                               Poly((0.1 - 0.3j, 0.2, -0.7 + 0.1j, 0.0, 1.0)),
+                               Poly((0.1, 0.5 + 0.2j, 1.0))],
+                         ids=["basilica", "rabbit", "cubic", "quartic", "top"])
 def test_poly_advance_keeps_poly_call_magnitudes(monkeypatch, f):
     # the kernel's Horner drops polyval's exact first step 1 * w; on finite
     # points every magnitude the loop reads is the same bit for bit
@@ -339,6 +348,162 @@ def test_poly_advance_keeps_poly_call_magnitudes(monkeypatch, f):
                             -1e60 + 1e-300j, 1e-320]])
     got, = advance(w)
     assert np.array_equal(np.abs(got), np.abs(f(w)))
+
+
+def _bench_tile(scale):
+    """The 128x128 tile at rows and columns 128-255 of a 512x512 render of
+    width and height scale centred on 0: the lattice of cli._render_tiles."""
+    jj = np.arange(128, 256)[None, :]
+    ii = np.arange(128, 256)[:, None]
+    return scale * ((jj + 0.5) / 512 - 0.5) + 1j * scale * ((ii + 0.5) / 512 - 0.5)
+
+
+def _bound_counting(monkeypatch):
+    """Patch the loop to record the points passed to bound, and to check
+    at every step that the kernel's floor survives its verification."""
+    sizes = []
+    live_set_loop = potential._escape_rate
+
+    def counted_loop(coords, shape, lead, bound, value, advance, floor, tol,
+                     n_max, safe_norm=SAFE_NORM):
+        for n in range(n_max + 1):
+            assert potential._verified_floor(floor, bound, n, tol,
+                                             safe_norm) > 0.0
+
+        def counted(mag, n):
+            sizes.append(mag.size)
+            return bound(mag, n)
+
+        return live_set_loop(coords, shape, lead, counted, value, advance,
+                             floor, tol, n_max, safe_norm)
+
+    monkeypatch.setattr(potential, "_escape_rate", counted_loop)
+    return sizes
+
+
+def test_tail_bound_skips_escaped_points_below_the_floor(monkeypatch):
+    # the benchmark's plus tile: every pixel retires through its bound by
+    # step 7; below the floor an escaped point's bound cannot meet tol, so
+    # the bound sees each retiring point once and one floor check a step
+    # (4.1 times the retirements when every escaped point was bounded)
+    sizes = _bound_counting(monkeypatch)
+    t = _bench_tile(16.0)
+    fld = green_plus_field(t, 0 * t, MapParams(10.0, 0.3), 1e-9, 100)
+    retired = int(np.sum(np.isfinite(fld.bounds) & ~fld.presumed_bounded))
+    assert retired == t.size and fld.converged.all()
+    assert sum(sizes) <= retired + int(fld.n_used.max()) + 1
+
+
+def test_basilica_tile_floor_and_snapshots(monkeypatch):
+    # on the benchmark's basilica tile the floor check never falls back on
+    # 0; the bounded starts land on the float cycle {0, -1} by step 46, so
+    # the snapshot at 48 retires them and the loop advances 50 times (66
+    # with snapshots at 16, 32, 64)
+    _bound_counting(monkeypatch)
+    sizes = _counting(monkeypatch)
+    fld = green_poly_field(_bench_tile(4.0), BASILICA, 1e-9, 200)
+    assert fld.presumed_bounded.any() and not fld.presumed_bounded.all()
+    assert len(sizes) == 50
+
+
+def test_verified_floor_refuses_a_floor_past_the_root():
+    # bound 1/(r 2^n) meets tol = 1e-3 just above r = 1000/2^n
+    def bound(r, n):
+        return 1.0 / r / 2.0 ** n
+
+    def root(n):
+        return 1e3 / 2.0 ** n
+
+    for n in range(8):
+        fl = potential._verified_floor(root, bound, n, 1e-3, SAFE_NORM)
+        assert fl == root(n) * (1.0 - 1e-9)
+        assert potential._verified_floor(lambda n: root(n) * 1.001, bound, n,
+                                         1e-3, SAFE_NORM) == 0.0
+    assert potential._verified_floor(root, bound, 0, 1e-300, 10.0) == 10.0
+    for bad in (0.0, -1.0, math.nan):
+        assert potential._verified_floor(lambda n: bad, bound, 0, 1e-3,
+                                         SAFE_NORM) == 0.0
+
+
+@pytest.mark.parametrize("kernel, setting", [
+    ("poly", BASILICA), ("poly", Poly((0.1 - 0.3j, 0.2, -0.7 + 0.1j, 0.0, 1.0))),
+    ("plus", (10.0, 0.3)), ("plus", (1.2 + 0.5j, 0.3 - 0.1j)),
+    ("minus", (1.4, 0.3)), ("minus", (10.0, 1e-320)),
+], ids=["poly2", "poly4", "plus-10", "plus-complex", "minus-1.4",
+        "minus-b-1e-320"])
+def test_carried_magnitude_and_floor_hold_at_every_step(monkeypatch, kernel,
+                                                        setting):
+    # the lead of every step reads the same with the carried magnitude as
+    # without it, and no magnitude just below the verified floor has a
+    # bound under tol
+    live_set_loop = potential._escape_rate
+    steps = []
+
+    def checked_loop(coords, shape, lead, bound, value, advance, floor, tol,
+                     n_max, safe_norm=SAFE_NORM):
+        def checked_lead(*cur):
+            got = lead(*cur)
+            steps.append(cur[-1] is not None)
+            for g, w in zip(got, lead(*cur[:-1], None)):
+                assert np.array_equal(g, w, equal_nan=True)
+            return got
+
+        for n in range(n_max + 1):
+            fl = potential._verified_floor(floor, bound, n, tol, safe_norm)
+            if fl > 0.0:
+                assert np.all(bound(fl * np.linspace(0.999, 1.0, 1001), n)
+                              >= tol)
+        return live_set_loop(coords, shape, checked_lead, bound, value,
+                             advance, floor, tol, n_max, safe_norm)
+
+    monkeypatch.setattr(potential, "_escape_rate", checked_loop)
+    rng = np.random.default_rng(19)
+    with np.errstate(all="ignore"):  # inf and nan starts
+        for tol in (1e-3, 1e-9, 1e-12):
+            if kernel == "poly":
+                green_poly_field(_with_edges(rng, 2.0, 400, EDGE_POINTS),
+                                 setting, tol, 200)
+            else:
+                field = green_plus_field if kernel == "plus" else green_minus_field
+                field(_with_edges(rng, 6.0, 400, EDGE_POINTS),
+                      _with_edges(rng, 6.0, 400, EDGE_POINTS[::-1]),
+                      MapParams(*setting), tol, 100)
+    assert sum(steps) > 10
+
+
+def test_green_minus_infinite_magnitude_is_an_overflow():
+    # 1/b overflows, so |y_1| is inf: its tail bound 0 would certify the
+    # value inf; it retires as an overflow instead, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = green_minus((0.5, 0.5), MapParams(10.0, 1e-320))
+    assert g == GreenEstimate(0.0, 1, False, math.inf)
+
+
+@pytest.mark.parametrize("a, b", [(10.0, 0.3), (1.4, 0.3),
+                                  (1.2 + 0.5j, 0.3 - 0.1j), (6.0, -0.3)])
+def test_green_minus_is_green_plus_of_the_conjugate_inverse(a, b):
+    # psi(x, y) = (y/b, x/b) conjugates the inverse of the map at (a, b) to
+    # the map at (a/b^2, 1/b), and the 1/b it scales the escaping
+    # coordinate by is the -log|b| of G-: G-(x, y) = G+'(y/b, x/b) step for
+    # step.  Cycle points run a budget short enough that neither side's
+    # rounding drifts off the saddle cycle, so the presumed-bounded flag
+    # fires on both.
+    m = MapParams(a, b)
+    conj = MapParams(a / b ** 2, 1.0 / b)
+    rng = np.random.default_rng(33)
+    box = 2.0 * m.R
+    xs, ys = (rng.uniform(-box, box, (2, 2000))
+              + 1j * rng.uniform(-box, box, (2, 2000)))
+    cyc = np.array([p for lv in periodic_levels(m, range(1, 5))
+                    for o in lv.orbits for p in o.points])
+    for x, y, n_max in ((xs, ys, 100), (cyc[:, 0], cyc[:, 1], 6)):
+        g = green_minus_field(x, y, m, n_max=n_max)
+        h = green_plus_field(y / b, x / b, conj, n_max=n_max)
+        for flag in ("converged", "presumed_bounded", "n_used"):
+            assert np.array_equal(getattr(g, flag), getattr(h, flag))
+        assert np.allclose(g.values, h.values, rtol=1e-12, atol=0.0)
+    assert g.presumed_bounded.all()
 
 
 def test_potential_kernel_values():
