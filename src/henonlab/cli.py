@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -591,7 +592,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="henonlab",
         description="Deterministic batch runs: escape-rate rasters, Julia "
@@ -604,7 +607,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", type=Path, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         file_doc = None
         if args.config is not None:

@@ -14,6 +14,7 @@ degree d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,82 +63,114 @@ class Poly:
         return npp.polyval(z, self.coeffs)
 
     def eval_deriv(self, z):
-        return npp.polyval(z, npp.polyder(self.coeffs))
+        return npp.polyval(z, self._deriv_coeffs)
+
+    @functools.cached_property
+    def _deriv_coeffs(self) -> np.ndarray:
+        return npp.polyder(self.coeffs)
 
     def lower_coeff_sum(self) -> float:
         return float(sum(abs(v) for v in self.coeffs[:-1]))
 
 
-def _polyval_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row i of z evaluated at the polynomial in row i of c.
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Column r of z evaluated at the polynomial in column r of c.
 
-    Horner in the operation order of `npp.polyval`, so a one-row batch
-    gives the bits `npp.polyval(z[0], c[0])` gives.
+    c holds ascending coefficients on its second-to-last axis, shape
+    (..., d+1, k), and z is (m, k); the result is (..., m, k).  Horner in
+    the operation order of `npp.polyval`, so each value has the bits
+    `npp.polyval(z[:, r], c[..., :, r])` gives.  Each product goes to a
+    fresh array and only the add is in place: numpy rounds an aliased
+    complex product of a one-element array differently.
     """
-    acc = c[:, -1:] + z * 0
-    for i in range(2, c.shape[1] + 1):
-        acc = c[:, -i, None] + acc * z
+    acc = c[..., -1, None, :] + z * 0
+    for i in range(2, c.shape[-2] + 1):
+        acc = acc * z
+        acc += c[..., -i, None, :]
     return acc
+
+
+@functools.cache
+def _start_constellation(d: int):
+    """Modulus factors (d, 1), phases (d, 1) and the radius cap of the d
+    start points.  Moduli and angles are staggered: a perfectly circular
+    start constellation can stall on root sets with interior points.  The
+    cap keeps radius^d representable: evaluating the polynomial on the
+    start circle must not overflow doubles at high degree."""
+    idx = np.arange(d)
+    spread = np.mod(idx * 0.6180339887498949, 1.0)
+    moduli = (0.55 + 0.9 * spread)[:, None]
+    phases = np.exp(2j * math.pi * (idx + 0.354) / d)[:, None]
+    moduli.flags.writeable = phases.flags.writeable = False
+    return moduli, phases, 10.0 ** (100.0 / d)
 
 
 def _aberth_block(c: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
     """Ehrlich-Aberth sweeps over the rows of one block of monic rows.
 
-    A row leaves the live set at the sweep where it converges; no later
-    arithmetic touches it, so each row's roots do not depend on its
-    batch-mates.
+    The sweeps run in root columns: the live roots are a (d, k) array, one
+    column per row, and p and p' are one (2, d+1, k) coefficient stack
+    (p' padded by a zero top coefficient, which adds only exact zeros), so
+    one Horner evaluates both and every reduction over a row's roots runs
+    along axis 0.  Each root goes through the operations of a
+    row-at-a-time sweep in the same order, so the bits are the same: the
+    (d, k, d) repel tensor is C-ordered with the sibling index last, which
+    keeps numpy's pairwise summation order of each root's repel sum, and a
+    max over roots is exact in any order.  A row leaves the live set at
+    the sweep where it converges; no later arithmetic touches it, so each
+    row's roots do not depend on its batch-mates.  Returns (k, d).
     """
     k, d = c.shape[0], c.shape[1] - 1
-    dc = npp.polyder(c, axis=1)
-    radius = 1.0 + np.max(np.abs(c[:, :-1]), axis=1)
-    # keep radius^d representable: evaluating the polynomial on the start
-    # circle must not overflow doubles at high degree
-    radius = np.minimum(radius, 10.0 ** (100.0 / d))
+    moduli, phases, cap = _start_constellation(d)
+    pc = np.zeros((2, d + 1, k), dtype=complex)
+    pc[0] = c.T
+    pc[1, :-1] = pc[0, 1:] * np.arange(1, d + 1)[:, None]
+    radius = np.minimum(1.0 + np.max(np.abs(pc[0, :-1]), axis=0), cap)
+    z = moduli * radius * phases
     idx = np.arange(d)
-    # stagger moduli and angles: a perfectly circular start constellation
-    # can stall on root sets with interior points
-    spread = np.mod(idx * 0.6180339887498949, 1.0)
-    z = (radius[:, None] * (0.55 + 0.9 * spread)
-         * np.exp(2j * math.pi * (idx + 0.354) / d))
     live = np.arange(k)
-    zl, cl, dcl, delta = z, c, dc, np.full_like(z, np.inf)
+    zl, pcl, delta = z, pc, np.full_like(z, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_sweeps):
-            pz = _polyval_rows(cl, zl)
-            newton = pz / _polyval_rows(dcl, zl)
-            diff = zl[:, :, None] - zl[:, None, :]
-            diff[:, idx, idx] = np.inf
-            repel = np.sum(1.0 / diff, axis=2)
+            pz, dpz = _horner(pcl, zl)
+            newton = pz / dpz
+            diff = np.subtract(zl[:, :, None], zl.T[None],
+                               out=np.empty((d, zl.shape[1], d), complex))
+            diff[idx, :, idx] = np.inf
+            np.divide(1.0, diff, out=diff)
+            repel = np.add.reduce(diff, axis=2)
             delta = newton / (1.0 - newton * repel)
             # a stray iterate in overflow land sits out this sweep
             delta = np.where(np.isfinite(delta), delta, 0.0)
             zl = zl - delta
-            done = ((np.max(np.abs(delta), axis=1)
-                     < tol * (1.0 + np.max(np.abs(zl), axis=1)))
-                    & np.all(np.isfinite(pz), axis=1))
+            # ufunc reductions: np.max's wrapper costs more than reducing
+            # a few short columns
+            done = ((np.maximum.reduce(np.abs(delta))
+                     < tol * (1.0 + np.maximum.reduce(np.abs(zl))))
+                    & np.logical_and.reduce(np.isfinite(pz)))
             if done.any():
-                z[live[done]] = zl[done]
-                keep = ~done
-                live, zl, cl, dcl, delta = (live[keep], zl[keep], cl[keep],
-                                            dcl[keep], delta[keep])
+                z[:, live[done]] = zl[:, done]
+                keep = np.flatnonzero(~done)
+                live, zl, pcl, delta = (live[keep], zl.take(keep, 1),
+                                        pcl.take(keep, 2), delta.take(keep, 1))
                 if not live.size:
-                    return z
+                    return z.T
         # Out of sweeps.  Near a root of multiplicity m, fixed only to
         # ~eps^(1/m), the step test never fires.  A row has converged as
         # far as doubles allow if every root's backward error is at
         # rounding level, |p(z)| <= 4 d eps sum |c_i| |z|^i, and its last
         # steps stay under eps^(1/4).  The first failing row is named.
         eps = np.finfo(float).eps
-        pz = _polyval_rows(cl, zl)
-        bound = 4 * d * eps * _polyval_rows(np.abs(cl), np.abs(zl))
-        stalled = (np.max(np.abs(delta), axis=1)
-                   <= eps ** 0.25 * (1.0 + np.max(np.abs(zl), axis=1)))
+        pz = _horner(pcl[0], zl)
+        bound = 4 * d * eps * _horner(np.abs(pcl[0]), np.abs(zl))
+        stalled = (np.max(np.abs(delta), axis=0)
+                   <= eps ** 0.25 * (1.0 + np.max(np.abs(zl), axis=0)))
         bad = np.flatnonzero(~(stalled & np.all(
-            (np.abs(pz) <= bound) & (bound < np.inf), axis=1)))
+            (np.abs(pz) <= bound) & (bound < np.inf), axis=0)))
         if not bad.size:
-            z[live] = zl
-            return z
-        resid = float(np.max(np.abs(pz[bad[0]])))
+            z[:, live] = zl
+            return z.T
+        resid = float(np.max(np.abs(pz[:, bad[0]])))
     raise ConvergenceError(f"simultaneous_roots: no convergence in "
                            f"{max_sweeps} sweeps (max residual {resid:.3e})")
 
@@ -153,8 +186,10 @@ def simultaneous_roots(coeffs, tol: float = 1e-13,
     stays bounded at high degree (sums of reciprocals, no d-fold products)
     and converges fast enough to resolve degree ~1000 constellations.
     Every row is solved exactly as if it were alone; rows run in blocks of
-    about ROOTS_BLOCK_ELEMS difference-tensor entries.  If any row fails to
-    converge, the error names the first such row's residual.
+    about ROOTS_BLOCK_ELEMS difference-tensor entries, and each block's
+    sweeps hold its roots in columns, a (d, k) array, with the bits of a
+    row-at-a-time sweep (`_aberth_block`).  If any row fails to converge,
+    the error names the first such row's residual.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim not in (1, 2) or c.shape[-1] < 2:
@@ -194,11 +229,12 @@ def solve_offset(f: Poly, w) -> np.ndarray:
         c0, c1, _ = f.coeffs
         r1, r2 = _quadratic_roots(np.full_like(w, c1), c0 - w)
         return np.stack([r1, r2], axis=1)
-    c = np.tile(np.array(f.coeffs, dtype=complex), (len(w), 1))
+    c = np.empty((len(w), d + 1), dtype=complex)
+    c[:] = f.coeffs
     c[:, 0] -= w
     roots = simultaneous_roots(c)
     # one Newton step sharpens the simultaneous-iteration output
-    fz = _polyval_rows(c, roots)
+    fz = _horner(c.T, roots.T).T
     dz = f.eval_deriv(roots)
     safe = np.abs(dz) > 1e-12
     roots = np.where(safe, roots - fz / np.where(safe, dz, 1.0), roots)

@@ -78,6 +78,16 @@ class GreenField(NamedTuple):
     n_used: np.ndarray
 
 
+def _power(d: int, n: int) -> float:
+    """float(d) ** n, or inf past the double range, where Python floats
+    raise OverflowError: a tail bound or value divided by it is then 0,
+    and the escape rate of a point escaping that late is under 1e-305."""
+    try:
+        return float(d) ** n
+    except OverflowError:
+        return math.inf
+
+
 def _verified_floor(floor, bound, n: int, tol: float, safe_norm: float) -> float:
     """floor(n) scaled by 1 - 1e-9 and capped at safe_norm if its tail
     bound is not under tol, else 0.
@@ -245,13 +255,13 @@ def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
         return aw, aw, aw > w_esc
 
     def bound(aw, n):
-        return 2.0 * csum / (aw * float(d) ** n * (d - 1.0))
+        return 2.0 * csum / (aw * _power(d, n) * (d - 1.0))
 
     def floor(n):
-        return 2.0 * csum / (tol * float(d) ** n * (d - 1.0))
+        return 2.0 * csum / (tol * _power(d, n) * (d - 1.0))
 
     def value(aw, n):
-        return np.log(aw) / float(d) ** n
+        return np.log(aw) / _power(d, n)
 
     # Horner from the monic top: the operations of f(w) less its first
     # step 1 * w, which is exact up to the sign of a zero while w is
@@ -311,10 +321,12 @@ def _henon_tail(a: complex, c: float, tol: float):
     abs_a = abs(a)
 
     def bound(r, n):
-        return 2.0 * (abs_a / r / r + c / r) / 2.0 ** n
+        return 2.0 * (abs_a / r / r + c / r) / _power(2, n)
 
     def floor(n):
-        t = tol * 2.0 ** n
+        t = tol * _power(2, n)
+        if t == math.inf:
+            return 0.0
         return (c + math.sqrt(c * c + 2.0 * t * abs_a)) / t
 
     return bound, floor
@@ -334,7 +346,7 @@ def green_plus_field(xs, ys, m: MapParams, tol: float = 1e-9,
     bound, floor = _henon_tail(a, abs(b), tol)
 
     def value(ax, n):
-        return np.log(ax) / 2.0 ** n
+        return np.log(ax) / _power(2, n)
 
     # y_n = x_{n-1}: the carried magnitude is |y|.  a - x^2 differs from
     # -x * x + a only in the sign of a zero, which no magnitude reads, and
@@ -366,7 +378,7 @@ def green_minus_field(xs, ys, m: MapParams, tol: float = 1e-9,
     bound, floor = _henon_tail(a, 1.0, tol)
 
     def value(ay, n):
-        return (np.log(ay) - log_b) / 2.0 ** n
+        return (np.log(ay) - log_b) / _power(2, n)
 
     # x_n = y_{n-1}: the carried magnitude is |x|
     def advance(x, y):

@@ -7,8 +7,10 @@ change is based on.  Each job runs as ``python -m henonlab`` in a fresh
 interpreter against each tree's ``src/``, writing into its own temporary
 directory.  The corpus is every job of ``perfbench/spec.json`` (read from
 that file, at its default seed), the render shapes pinned in the tests in
-all three render modes, a quadratic whose z coefficient is not 0, and
-render configs whose orbits overflow.
+all three render modes, a quadratic whose z coefficient is not 0, render
+configs whose orbits overflow, a cubic render and two whose orbits escape
+after d^n has passed the double range, and julia-cloud at degrees 2, 4
+and 5 and the bench cubic at seed 1.
 
 One line is printed per output file whose bytes differ or that only one
 tree wrote, per differing exit code, and per stderr line that only one
@@ -74,6 +76,32 @@ def corpus() -> list:
                                ("minus", 10.0, 1e-200, TINY_WINDOW)]:
         jobs.append((f"{mode}-overflow-a{a!r}-b{b!r}", "render-green",
                      _render(mode, {"a": a, "b": b}, window, 60), None))
+    # julia-cloud at degree 2 (closed-form roots), 4 and 5 (Aberth sweeps
+    # whose repel sums have more than three terms), and the bench cubic
+    # at another seed
+    for name, coeffs in [
+            ("d2", [[-0.12, 0.75], 0.0, 1.0]),
+            ("d4", [[0.1, -0.3], 0.2, [-0.7, 0.1], 0.0, 1.0]),
+            ("d5", [[0.2, 0.1], [-0.4, 0.0], 0.0, [0.3, -0.2], 0.0, 1.0])]:
+        jobs.append((f"cloud-{name}", "julia-cloud", {
+            "params": {"kind": "poly", "coeffs": coeffs, "c": 1.0},
+            "window": {"width": 4.0, "height": 4.0, "pixels": [64, 64]},
+            "budgets": {"walks": 128, "depth": 30, "burn_in": 10}}, None))
+    cubic = spec["workloads"]["julia_cubic"]["jobs"][0]
+    jobs.append(("cloud-cubic-seed1", cubic["command"], cubic["config"], 1))
+    # a cubic render, whose tail bounds divide by 3^n, and escapes past
+    # the double range of 2^n (n >= 1024) and 3^n (n >= 647)
+    jobs.append(("poly-cubic-72x40", "render-green", _render(
+        "poly", {"kind": "poly", "coeffs": [[0.3, 0.2], [-0.5, 0.0], 0.0,
+                                            1.0]},
+        {"center": [0.0, 0.0], "width": 4.0, "height": 3.0,
+         "pixels": [72, 40]}, 200), None))
+    late = {"center": [0.0, 0.0], "width": 0.001, "height": 0.001,
+            "pixels": [4, 4]}
+    for name, coeffs in [("quadratic", [0.250001, 0.0, 1.0]),
+                         ("cubic", [0.3849101, 0.0, 0.0, 1.0])]:
+        jobs.append((f"poly-late-escape-{name}", "render-green", _render(
+            "poly", {"kind": "poly", "coeffs": coeffs}, late, 5000), None))
     return jobs
 
 

@@ -276,6 +276,25 @@ def test_render_green_unresolved_pixels_exit_3(tmp_path, capsys, doc,
     assert len(list(out.glob("green-*.pgm"))) == 1
 
 
+def test_render_green_late_escape_exits_0(tmp_path, capsys):
+    # just past the cusp of z^2 + 1/4 the pixels near 0 escape after about
+    # 3,140 steps, where 2^n is past the double range: their escape rate
+    # rounds to 0, with bound 0, and every pixel converges
+    doc = {"mode": "poly",
+           "params": {"kind": "poly", "coeffs": [0.250001, 0.0, 1.0]},
+           "window": {"center": [0.0, 0.0], "width": 0.001,
+                      "height": 0.001, "pixels": [4, 4]},
+           "budgets": {"n_max": 5000}}
+    cfg_path = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["render-green", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    stats, = out.glob("green-*-stats.json")
+    doc = json.loads(stats.read_text())
+    assert doc["converged_fraction"] == 1.0 and doc["max"] == 0.0
+
+
 @pytest.mark.parametrize("doc", [
     dict(TINY_RENDER, mode="minus", params={"a": 10.0, "b": 1e-320}),
     # start points up to 5e8, so b * y overflows
@@ -1034,6 +1053,24 @@ def test_validate_unknown_criterion_is_a_contract_error(tmp_path):
     assert not list((tmp_path / "out").glob("validate-*.json"))
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["no-such-command"], ["julia-cloud", "--seed", "x"],
+    ["julia-cloud", "--bogus"], ["validate", "--out"],
+], ids=["empty", "command", "seed", "flag", "out"])
+def test_usage_errors_exit_2_with_one_parser(capsys, argv):
+    # one parser serves every call in a process: a usage error leaves it
+    # as it was, so a repeat prints the same lines, and it still parses
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].startswith("usage: henonlab")
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(["validate", "--seed", "3"]).seed == 3
+
+
 def test_cli_error_paths(tmp_path):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
@@ -1052,6 +1089,13 @@ CUBIC_CLOUD = {
     "window": {"width": 4.0, "height": 4.0, "pixels": [40, 24]},
 }
 
+QUARTIC_CLOUD = {
+    "params": {"kind": "poly",
+               "coeffs": [[0.1, -0.3], 0.2, [-0.7, 0.1], 0.0, 1.0], "c": 1.0},
+    "budgets": {"walks": 128, "depth": 30, "burn_in": 10},
+    "window": {"width": 4.0, "height": 4.0, "pixels": [40, 24]},
+}
+
 
 @pytest.mark.parametrize("command, doc, rc, digests", [
     # degree 3: every walk step runs the Aberth solver
@@ -1060,6 +1104,13 @@ CUBIC_CLOUD = {
       "97b1c9dc113dd8eea46cc5893152867b846e549897ed96cc42826188844b5fb0",
       "julia-0b304444a71a.pgm":
       "72c034f7bc5b7648d93eebf11ae5a68d652812f9abe4526d88a156efeb344d54"}),
+    # degree 4: each root's repel sum has more than three terms, so a
+    # change to their summation order would move bytes here
+    ("julia-cloud", QUARTIC_CLOUD, 0,
+     {"julia-2e88c8090e85.csv":
+      "b288227c3109db55edf3a50e49d1228a5c1f78b7463bf7234cfa8b880e9b2185",
+      "julia-2e88c8090e85.pgm":
+      "ba77c243a23371bfc9ff1d3bb80b576b1e9fecee7a4003e0a0fc0641c2deea8e"}),
     ("entropy-report", {}, 0,
      {"entropy-70aa4ae2b05c.json":
       "c790d54c605c96e171d827c470374bb62102f02ef68fc68ba1ff975a0506937f"}),
@@ -1080,8 +1131,9 @@ CUBIC_CLOUD = {
     ("entropy-report", {"budgets": {"budget": 16}}, 3,
      {"entropy-46103fb20706.json":
       "406c6f0da1a7792bec1e78683cc9a8d8da9e6f93f4065170466736af46fef1f8"}),
-], ids=["julia-cubic", "entropy-default", "entropy-word3", "entropy-word12",
-        "entropy-word14", "entropy-skipped", "entropy-incomplete"])
+], ids=["julia-cubic", "julia-quartic", "entropy-default", "entropy-word3",
+        "entropy-word12", "entropy-word14", "entropy-skipped",
+        "entropy-incomplete"])
 def test_cloud_and_entropy_pinned_bytes(tmp_path, command, doc, rc, digests):
     # fixed digests: no change to the Aberth walks, the census or the
     # entropy estimate may move a byte

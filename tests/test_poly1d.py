@@ -117,6 +117,39 @@ def test_solve_offset_matches_per_target_solves(f):
     assert np.array_equal(solve_offset(f, ws), np.array(ref))
 
 
+def random_rows(d, k, seed):
+    """k monic rows of degree d with standard complex normal coefficients."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(k, d + 1)) + 1j * rng.normal(size=(k, d + 1))
+    c[:, -1] = 1.0
+    return c
+
+
+@pytest.mark.parametrize("src, digest", [
+    (2, "e3e664313ed864173706584fee9092924ff8f58fbc5ae6334caeaaea5d9a7cae"),
+    (3, "d829b1db8fd5b3c8d8ed935c1058c04bda78b255cf6c9e373a602b8198cca11c"),
+    (4, "a530b941fd8dd79c52872454bfadbbc1411190fac326331c65815c8c27476abd"),
+    (5, "6631ff1e2d2671fd3d715615d43fab9d880588246aee18c8546d9da38de8af4e"),
+    (7, "9cbc3f442419c074b3310aecf0280a5754357a505ce42590fcf039e591d40700"),
+    (11, "f6fd6b4befc63a888192f8caf712d2b92e4918dfc3eaf4d3bc5382c098de58f8"),
+    (20, "8f8d289449a49e5e8f6f8478064bc90991430cd8f0c5003fa3ab8b318041d7b8"),
+    (64, "5eb71dd6f7bdd8dee9696d2ebe5bb6da570eea58d5c03993c4b38222bb875761"),
+    (CUBIC,
+     "d6f3d7d52dcbc66f5e967fdc40885e21a4785fd83a7cd5d4edc47bc82ab64c67"),
+    (QUARTIC,
+     "cfec90c67c070e51bdcfc6015d7f771d0952a8033b0ebc9f26c1514b6db512c1"),
+], ids=["d2", "d3", "d4", "d5", "d7", "d11", "d20", "d64", "cubic-offsets",
+        "quartic-offsets"])
+def test_simultaneous_roots_pinned_bits(src, digest):
+    # fixed digests: no change to the sweep layout may move a bit of a
+    # root at any degree; 50 random rows of degree d (seed d), or 300
+    # offset rows of a fixed polynomial
+    c = (random_rows(src, 50, seed=src) if isinstance(src, int)
+         else offset_rows(src, 300, seed=5))
+    assert hashlib.sha256(simultaneous_roots(c).tobytes()).hexdigest() \
+        == digest
+
+
 def test_solve_offset_empty_targets():
     for f in (BASILICA, CUBIC, QUARTIC):
         assert solve_offset(f, np.empty(0)).shape == (0, f.degree)

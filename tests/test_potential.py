@@ -697,6 +697,27 @@ def test_green_poly_cubic_tiny_tol_is_not_inf_converged():
                            n_max=50)
 
 
+@pytest.mark.parametrize("f, n_min", [
+    (Poly((0.250001, 0.0, 1.0)), 1024),
+    (Poly((2.0 / (3.0 * math.sqrt(3.0)) + 1e-5, 0.0, 0.0, 1.0)), 647),
+], ids=["quadratic", "cubic"])
+def test_green_poly_escape_past_the_double_range_of_d_to_the_n(f, n_min):
+    # just past a parabolic parameter the orbit of 0 escapes after more
+    # steps than d^n has doubles for (2^1024 and 3^647 overflow): its
+    # escape rate, under 1e-300, rounds to 0 with bound 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = green_poly(0.0, f, n_max=5000)
+    assert g.n_used >= n_min
+    assert g == GreenEstimate(0.0, g.n_used, True, 0.0)
+
+
+def test_henon_tail_past_the_double_range_of_2_to_the_n():
+    bound, floor = potential._henon_tail(1.4, 0.3, 1e-9)
+    assert bound(np.float64(10.0), 1100) == 0.0 and floor(1100) == 0.0
+    assert bound(np.float64(10.0), 1023) > 0.0 and floor(1023) > 0.0
+
+
 def test_scalar_grid_window_avoids_origin():
     g = ScalarGrid.over_window(lambda z: np.log(np.abs(z)),
                                -1.0, 1.0, -1.0, 1.0, 0.01)
