@@ -304,45 +304,104 @@ def _write_json(path: Path, cfg: JobConfig, doc: dict) -> None:
         fh.write("\n")
 
 
+def _pixels(center: complex, width: float, height: float, nx: int, ny: int,
+            ii, jj):
+    """The pixel coordinates t at rows ii and columns jj, summed by
+    broadcasting: the one expression the tiles and the row plan share, so
+    equal indices give equal bits whatever the other indices are."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (center
+                + width * ((jj + 0.5) / nx - 0.5)
+                + 1j * height * ((ii + 0.5) / ny - 0.5))
+
+
+def _row_sources(im) -> np.ndarray:
+    """src[j], the row whose pixels row j copies (j itself for a row to
+    compute), from the rows' imaginary coordinates im: each row copies the
+    first row whose coordinate has the same magnitude, its exact negation
+    (the mirror row) or its equal.  A NaN row matches none."""
+    mag = np.abs(im)
+    order = np.argsort(mag, kind="stable")
+    ranked = mag[order]
+    # each run of equal magnitudes starts a group, led by its first row
+    lead = np.ones(ranked.size, dtype=bool)
+    lead[1:] = ranked[1:] != ranked[:-1]
+    src = np.empty_like(order)
+    src[order] = order[lead][np.cumsum(lead) - 1]
+    return src
+
+
 def _render_tiles(eval_field, center: complex, width: float, height: float,
-                  nx: int, ny: int):
+                  nx: int, ny: int, mirror: bool):
     """Evaluate a field over the pixel lattice in 128x128 tiles.
 
-    Tiles are independent pure evaluations written into preallocated
-    slots in a fixed order.  The escape-rate loop works on live points
-    only, so the tile size sets just how often its per-step Python
-    overhead is paid.  On the 512x512 `plus` and basilica rasters
-    (medians of two sets of 25 interleaved in-process runs on a 2-core
-    machine) 128 took 21-22 and 31-34 ms, 90 took 22-23 and 37-41 ms,
-    64 took 25-27 and 47-52 ms, and 256 41-43 and 36-41 ms; whole-raster
-    calls would hold several raster-sized transient arrays at once.  Each
-    tile's points and GreenField are dropped before the next tile starts,
-    so the loop holds the three result arrays and one tile's working set.
-    A start point past the float range reaches eval_field as inf or NaN
-    without a numpy warning, for eval_field to refuse.  Tiles run one
-    after another: a pool of two threads over the same tiles was no
+    With mirror set the field commutes with complex conjugation: a real
+    map on a real slice (see `cmd_render_green`).  The rows are then
+    planned before they are tiled: a row whose imaginary coordinate is
+    the exact negation of an earlier row's, or equal to it, copies that
+    row's pixels bit for bit, and only the other rows are evaluated.  For
+    a window centred on the real axis row ny - 1 - i mirrors row i: every
+    row pairs when ny is a power of two, and some rows of other heights
+    are one ulp from exact negation, so they are computed.  The copy is
+    exact.  Round-to-nearest is symmetric under negation, so with real
+    parameters every operation of a render maps conjugate inputs to the
+    conjugate output up to the sign of a zero: the start points b + t d
+    with real b and d; numpy's complex +, -, * and /, with or without
+    FMA; |.|, log and the comparisons.  No magnitude and no == reads the
+    sign of a zero, so a twin pixel's value, converged and presumed flags
+    are its mirror pixel's bits, and its start points are finite exactly
+    when the mirror's are.  Without mirror every row is evaluated.
+
+    Tiles cover the rows to evaluate, gathered 128 at a time; each
+    pixel's t is the same elementwise expression (`_pixels`) whichever
+    rows share its tile.  Tiles are independent pure evaluations written
+    into preallocated slots in a fixed order, and each tile's results
+    are copied at once to the twin rows of its rows, through a gather of
+    at most one tile.  The escape-rate loop works on live points only, so
+    the tile size sets just how often its per-step Python overhead is
+    paid.  On the 512x512 `plus` and basilica rasters (medians of two
+    sets of 25 interleaved in-process runs on a 2-core machine) 128 took
+    21-22 and 31-34 ms, 90 took 22-23 and 37-41 ms, 64 took 25-27 and
+    47-52 ms, and 256 41-43 and 36-41 ms; whole-raster calls would hold
+    several raster-sized transient arrays at once.  Each tile's points
+    and GreenField are dropped before the next tile starts, so the loop
+    holds the three result arrays, the row plan and one tile's working
+    set.  A start point past the float range reaches eval_field as inf
+    or NaN without a numpy warning, for eval_field to refuse.  Tiles run
+    one after another: a pool of two threads over the same tiles was no
     faster (21-22 and 34-35 ms in the same runs), so `--threads` is
     validated but changes nothing.
     """
     values = np.empty((ny, nx))
     converged = np.empty((ny, nx), dtype=bool)
     presumed = np.empty((ny, nx), dtype=bool)
-    for i0 in range(0, ny, TILE):
+    rows = np.arange(ny)
+    src = (_row_sources(_pixels(center, width, height, nx, ny, rows,
+                                np.arange(1)).imag)
+           if mirror else rows)
+    computed = np.flatnonzero(src == rows)
+    # each row's source as a position in computed; the twins in that order
+    pos = np.searchsorted(computed, src)
+    twins = np.flatnonzero(src != rows)
+    twins = twins[np.argsort(pos[twins], kind="stable")]
+    pos = pos[twins]
+    for r0 in range(0, computed.size, TILE):
+        band = computed[r0:r0 + TILE]
+        lo, hi = np.searchsorted(pos, (r0, r0 + TILE))
+        mine, at = twins[lo:hi], pos[lo:hi] - r0
+        # the band's twins and their rows in the tile, a tile's rows a copy
+        copies = [(mine[k:k + TILE], at[k:k + TILE])
+                  for k in range(0, mine.size, TILE)]
         for j0 in range(0, nx, TILE):
-            i1, j1 = min(i0 + TILE, ny), min(j0 + TILE, nx)
-            # one row of columns and one column of rows, summed by
-            # broadcasting: the bits of the full-grid expression
-            jj = np.arange(j0, j1)[None, :]
-            ii = np.arange(i0, i1)[:, None]
-            with np.errstate(over="ignore", invalid="ignore"):
-                t = (center
-                     + width * ((jj + 0.5) / nx - 0.5)
-                     + 1j * height * ((ii + 0.5) / ny - 0.5))
-            gf = eval_field(t)
-            values[i0:i1, j0:j1] = gf.values
-            converged[i0:i1, j0:j1] = gf.converged
-            presumed[i0:i1, j0:j1] = gf.presumed_bounded
-            del t, gf
+            j1 = min(j0 + TILE, nx)
+            gf = eval_field(_pixels(center, width, height, nx, ny,
+                                    band[:, None], np.arange(j0, j1)[None, :]))
+            for out, part in ((values, gf.values), (converged, gf.converged),
+                              (presumed, gf.presumed_bounded)):
+                out[band, j0:j1] = part
+                for dst, idx in copies:
+                    out[dst, j0:j1] = part[idx]
+            del gf
     return values, converged, presumed
 
 
@@ -357,14 +416,13 @@ def _start_points(t, base, direction) -> list:
     return coords
 
 
-def cmd_render_green(cfg: JobConfig) -> int:
+def _green_field(cfg: JobConfig) -> tuple:
+    """The render's field over pixel coordinates t, and whether it
+    commutes with complex conjugation: every parameter and every slice
+    entry is real."""
     mode = cfg.mode
     tol = float(cfg.tolerances["tol"])
     n_max = int(cfg.budgets["n_max"])
-    nx, ny = (int(v) for v in cfg.window["pixels"])
-    center = _cx(cfg.window["center"])
-    width = float(cfg.window["width"])
-    height = float(cfg.window["height"])
     if mode == "poly":
         f = _poly(cfg.params)
         base, = _slice_points(cfg.slice, "base", 1)
@@ -373,6 +431,7 @@ def cmd_render_green(cfg: JobConfig) -> int:
         def eval_field(t):
             return potential.green_poly_field(
                 *_start_points(t, [base], [direction]), f, tol, n_max)
+        entries = (*f.coeffs, base, direction)
     else:
         m = _map_params(cfg.params)
         base = _slice_points(cfg.slice, "base", 2)
@@ -382,8 +441,24 @@ def cmd_render_green(cfg: JobConfig) -> int:
 
         def eval_field(t):
             return field(*_start_points(t, base, direction), m, tol, n_max)
+        entries = (m.a, m.b, *base, *direction)
+    return eval_field, all(v.imag == 0 for v in entries)
+
+
+def cmd_render_green(cfg: JobConfig) -> int:
+    """Raster the escape rate over the window.  A real map on a real slice
+    is symmetric under conjugation, so its render evaluates one row of
+    each exactly mirrored pair and copies the other (`_render_tiles`);
+    the symmetry is read off the config, and the bytes are the same
+    either way."""
+    mode = cfg.mode
+    nx, ny = (int(v) for v in cfg.window["pixels"])
+    center = _cx(cfg.window["center"])
+    width = float(cfg.window["width"])
+    height = float(cfg.window["height"])
+    eval_field, real = _green_field(cfg)
     values, converged, presumed = _render_tiles(
-        eval_field, center, width, height, nx, ny)
+        eval_field, center, width, height, nx, ny, real)
     out, tag = _out_dir(cfg)
     write_pgm(out / f"green-{tag}.pgm", np.flipud(grayscale_log(values)),
               _comments(cfg))

@@ -80,12 +80,29 @@ class GreenField(NamedTuple):
 
 def _power(d: int, n: int) -> float:
     """float(d) ** n, or inf past the double range, where Python floats
-    raise OverflowError: a tail bound or value divided by it is then 0,
-    and the escape rate of a point escaping that late is under 1e-305."""
+    raise OverflowError; `_over_power` divides by it."""
     try:
         return float(d) ** n
     except OverflowError:
         return math.inf
+
+
+def _past_power(x, d: int, n: int):
+    """x / d^n where d^n is past the double range, so that the quotient
+    underflows only where the true one does: x 2^-n through ldexp for
+    d = 2, exact at every n, else exp(log x - n log d), for x >= 0."""
+    if d == 2:
+        return np.ldexp(x, -n)
+    with np.errstate(divide="ignore"):
+        return np.exp(np.log(x) - n * math.log(d))
+
+
+def _over_power(x, d: int, n: int):
+    """x / d^n: the quotient by `_power(d, n)` wherever that is finite,
+    `_past_power` past it.  For d = 2 the two agree wherever 2^n is
+    finite, each correctly rounded."""
+    p = _power(d, n)
+    return x / p if p < math.inf else _past_power(x, d, n)
 
 
 def _verified_floor(floor, bound, n: int, tol: float, safe_norm: float) -> float:
@@ -255,13 +272,16 @@ def green_poly_field(zs, f, tol: float = 1e-9, n_max: int = 200) -> GreenField:
         return aw, aw, aw > w_esc
 
     def bound(aw, n):
-        return 2.0 * csum / (aw * _power(d, n) * (d - 1.0))
+        p = _power(d, n)
+        if p < math.inf:
+            return 2.0 * csum / (aw * p * (d - 1.0))
+        return _past_power(2.0 * csum / (aw * (d - 1.0)), d, n)
 
     def floor(n):
         return 2.0 * csum / (tol * _power(d, n) * (d - 1.0))
 
     def value(aw, n):
-        return np.log(aw) / _power(d, n)
+        return _over_power(np.log(aw), d, n)
 
     # Horner from the monic top: the operations of f(w) less its first
     # step 1 * w, which is exact up to the sign of a zero while w is
@@ -321,7 +341,7 @@ def _henon_tail(a: complex, c: float, tol: float):
     abs_a = abs(a)
 
     def bound(r, n):
-        return 2.0 * (abs_a / r / r + c / r) / _power(2, n)
+        return _over_power(2.0 * (abs_a / r / r + c / r), 2, n)
 
     def floor(n):
         t = tol * _power(2, n)
@@ -346,7 +366,7 @@ def green_plus_field(xs, ys, m: MapParams, tol: float = 1e-9,
     bound, floor = _henon_tail(a, abs(b), tol)
 
     def value(ax, n):
-        return np.log(ax) / _power(2, n)
+        return _over_power(np.log(ax), 2, n)
 
     # y_n = x_{n-1}: the carried magnitude is |y|.  a - x^2 differs from
     # -x * x + a only in the sign of a zero, which no magnitude reads, and
@@ -378,7 +398,7 @@ def green_minus_field(xs, ys, m: MapParams, tol: float = 1e-9,
     bound, floor = _henon_tail(a, 1.0, tol)
 
     def value(ay, n):
-        return (np.log(ay) - log_b) / _power(2, n)
+        return _over_power(np.log(ay) - log_b, 2, n)
 
     # x_n = y_{n-1}: the carried magnitude is |x|
     def advance(x, y):

@@ -8,9 +8,12 @@ interpreter against each tree's ``src/``, writing into its own temporary
 directory.  The corpus is every job of ``perfbench/spec.json`` (read from
 that file, at its default seed), the render shapes pinned in the tests in
 all three render modes, a quadratic whose z coefficient is not 0, render
-configs whose orbits overflow, a cubic render and two whose orbits escape
-after d^n has passed the double range, and julia-cloud at degrees 2, 4
-and 5 and the bench cubic at seed 1.
+configs whose orbits overflow, a cubic render, renders that take each
+branch of the row plan of `cli._render_tiles` (windows off the axis, odd
+and non-power-of-two heights, a complex parameter and a complex slice
+direction), two renders whose orbits escape after d^n has passed the
+double range, and julia-cloud at degrees 2, 4 and 5 and the bench cubic
+at seed 1.
 
 One line is printed per output file whose bytes differ or that only one
 tree wrote, per differing exit code, and per stderr line that only one
@@ -96,6 +99,28 @@ def corpus() -> list:
                                             1.0]},
         {"center": [0.0, 0.0], "width": 4.0, "height": 3.0,
          "pixels": [72, 40]}, 200), None))
+    # every branch of the row plan of a real render: rows that pair
+    # partly off the axis, an axis row, a height whose rows pair in part,
+    # and complex parameters or slices, where no row is mirrored
+    off_axis = {"center": [0.0, 0.7], "width": 14.0, "height": 10.0,
+                "pixels": [72, 100]}
+    for name, mode, params, sl, window in [
+            ("plus-off-axis", "plus", HENON_10, None, off_axis),
+            ("minus-off-axis", "minus", HENON_10, None, off_axis),
+            ("plus-72x41", "plus", HENON_10, None,
+             dict(TINY_WINDOW, pixels=[72, 41])),
+            ("poly-301x257", "poly", BASILICA, None,
+             {"width": 4.0, "height": 4.0, "pixels": [301, 257]}),
+            ("plus-complex-a", "plus", dict(HENON_10, a=[10.0, 0.5]), None,
+             dict(TINY_WINDOW, pixels=[72, 40])),
+            ("plus-complex-direction", "plus", HENON_10,
+             {"base": [[0.0, 0.0], [0.0, 0.0]],
+              "direction": [[1.0, 0.2], [0.0, 0.0]]},
+             dict(TINY_WINDOW, pixels=[72, 40]))]:
+        cfg = _render(mode, params, window, 200 if mode == "poly" else 60)
+        if sl is not None:
+            cfg["slice"] = sl
+        jobs.append((name, "render-green", cfg, None))
     late = {"center": [0.0, 0.0], "width": 0.001, "height": 0.001,
             "pixels": [4, 4]}
     for name, coeffs in [("quadratic", [0.250001, 0.0, 1.0]),

@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,6 +255,162 @@ def test_render_green_post_tile_stage_memory(tmp_path, monkeypatch, doc):
     assert rc == 0
     assert sizes == [256 * 256 * 8]
     assert peak < sizes[0]
+
+
+BENCH_SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
+
+
+def _render_with_mirror(doc, mirror):
+    """The three arrays of the render config doc through cli._render_tiles,
+    with the row mirror on or off, or the ContractError it raises."""
+    cfg = build_config("render-green", doc)
+    eval_field, _ = cli._green_field(cfg)
+    nx, ny = cfg.window["pixels"]
+    try:
+        return cli._render_tiles(eval_field, cli._cx(cfg.window["center"]),
+                                 cfg.window["width"], cfg.window["height"],
+                                 nx, ny, mirror)
+    except ContractError as exc:
+        return str(exc)
+
+
+# reals among +-0, +-1e-320, +-1e300 and normals across six decades
+REALS = (st.sampled_from([0.0, -0.0, 1e-320, -1e-320, 1e300, -1e300])
+         | st.builds(lambda m, e, s: s * m * 10.0 ** e, st.floats(1.0, 9.99),
+                     st.integers(-3, 2), st.sampled_from([-1.0, 1.0])))
+REAL_ENTRY = st.builds(lambda v, z: [v, z], REALS, st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def real_renders(draw):
+    mode = draw(st.sampled_from(["plus", "minus", "poly"]))
+    if mode == "poly":
+        lower = draw(st.lists(REAL_ENTRY, min_size=2, max_size=4))
+        params = {"kind": "poly", "coeffs": lower + [[1.0, 0.0]]}
+        count = 1
+    else:
+        nonzero = REAL_ENTRY.filter(lambda v: v[0] != 0.0)
+        params = {"a": draw(REAL_ENTRY), "b": draw(nonzero)}
+        count = 2
+    entries = st.lists(REAL_ENTRY, min_size=count, max_size=count)
+    center = [draw(st.sampled_from([0.0, -1.5, 0.3])),
+              draw(st.sampled_from([0.0, -0.0, 0.7, -0.35, 1e-300]))]
+    # a side of 1e9 makes start points overflow where a direction is 1e300
+    side = st.sampled_from([0.5, 3.0, 4.0, 10.0, 14.0, 16.0, 1e9])
+    return {"mode": mode, "params": params,
+            "slice": {"base": draw(entries), "direction": draw(entries)},
+            "window": {"center": center, "width": draw(side),
+                       "height": draw(side),
+                       "pixels": [draw(st.integers(1, 40)),
+                                  draw(st.integers(1, 60))]},
+            "budgets": {"n_max": draw(st.integers(1, 60))},
+            "tolerances": {"tol": draw(st.sampled_from([1e-12, 1e-9, 1e-3,
+                                                        0.5]))}}
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(real_renders())
+def test_mirrored_rows_are_bit_identical(doc):
+    # a real map on a real slice commutes with conjugation: copying each
+    # mirrored row changes no bit of any array, and a window whose start
+    # points overflow is refused either way
+    whole = _render_with_mirror(doc, False)
+    mirrored = _render_with_mirror(doc, True)
+    if isinstance(whole, str):
+        assert mirrored == whole
+        return
+    values, converged, presumed = whole
+    assert np.array_equal(mirrored[0].view(np.uint64), values.view(np.uint64))
+    assert np.array_equal(mirrored[1], converged)
+    assert np.array_equal(mirrored[2], presumed)
+
+
+def test_rows_of_equal_magnitude_copy_a_tile_of_rows_at_a_time():
+    # at height 3e-323 the rows' imaginary coordinates round to a few
+    # subnormals: each magnitude is evaluated once, and a group of more
+    # than 128 twins is copied a tile's rows at a time
+    doc = {"mode": "plus", "params": HENON_10,
+           "window": {"center": [0.5, 0.0], "width": 4.0, "height": 3e-323,
+                      "pixels": [3, 600]},
+           "budgets": {"n_max": 20}}
+    rows = np.arange(600)
+    src = cli._row_sources(cli._pixels(0.5, 4.0, 3e-323, 3, 600, rows,
+                                       np.arange(1)).imag)
+    assert np.bincount(src).max() > cli.TILE
+    whole = _render_with_mirror(doc, False)
+    for got, want in zip(_render_with_mirror(doc, True), whole):
+        assert np.array_equal(got, want)
+    assert len(np.unique(whole[0])) > 1
+
+@pytest.mark.parametrize("nx, ny, height, center, computed", [
+    (512, 512, 16.0, 0j, 256),
+    (256, 256, 16.0, 0j, 128),
+    # some rows of a height that is not a power of two are one ulp from
+    # exact negation
+    (301, 257, 16.0, 0j, 183),
+    (72, 40, 10.0, 0j, 27),
+    # the axis row pairs with none
+    (72, 41, 10.0, 0j, 28),
+    # off the axis rows pair partly, or not at all
+    (72, 100, 10.0, 0.7j, 81),
+    (72, 40, 10.0, 0.7j, 40),
+])
+def test_row_plan_counts(nx, ny, height, center, computed):
+    rows = np.arange(ny)
+    im = cli._pixels(center, 14.0, height, nx, ny, rows, np.arange(1)).imag
+    src = cli._row_sources(im)
+    assert int(np.sum(src == rows)) == computed
+    twins = src != rows
+    assert np.all(src[twins] < rows[twins])
+    assert np.array_equal(np.abs(im[src]), np.abs(im))
+
+
+def _counted_fields(monkeypatch):
+    """Record the size of every field call the CLI makes."""
+    sizes = []
+    for name in ("green_plus_field", "green_minus_field", "green_poly_field"):
+        def counted(*args, _field=getattr(cli.potential, name)):
+            sizes.append(np.size(args[0]))
+            return _field(*args)
+        monkeypatch.setattr(cli.potential, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("job", ["plus", "poly"])
+def test_bench_render_evaluates_half_its_rows(tmp_path, monkeypatch, job):
+    # each 512x512 bench render is real and centred on the axis: 256 rows
+    # in 8 field calls, where every row took 16
+    spec = json.loads(BENCH_SPEC.read_text())
+    doc, = [j["config"] for j in spec["workloads"]["render"]["jobs"]
+            if j["name"] == job]
+    sizes = _counted_fields(monkeypatch)
+    cfg_path = write_cfg(tmp_path, dict(doc, command="render-green"))
+    assert main(["render-green", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert sizes == [128 * 128] * 8
+
+
+@pytest.mark.parametrize("doc", [
+    {"params": {"a": [10.0, 0.5], "b": [0.3, 0.0]}},
+    {"params": {"a": [10.0, 0.0], "b": [0.3, -0.1]}},
+    {"slice": {"base": [[0.0, 0.0], [0.0, 0.0]],
+               "direction": [[1.0, 0.2], [0.0, 0.0]]}},
+    {"mode": "poly", "params": {"kind": "poly",
+                                "coeffs": [[-1.0, 0.1], 0.0, 1.0]}},
+    {"mode": "poly", "params": BASILICA_PARAMS,
+     "slice": {"base": [[0.0, 1e-3]], "direction": [[1.0, 0.0]]}},
+    {"window": {"center": [0.0, 0.7]}},
+], ids=["complex-a", "complex-b", "complex-direction", "complex-coeff",
+        "complex-base", "unpaired-window"])
+def test_render_without_mirror_evaluates_every_row(tmp_path, monkeypatch,
+                                                   doc):
+    sizes = _counted_fields(monkeypatch)
+    window = dict(PINNED_WINDOW, **doc.get("window", {}))
+    cfg_path = write_cfg(tmp_path, dict(doc, command="render-green",
+                                        window=window))
+    main(["render-green", "--config", str(cfg_path),
+          "--out", str(tmp_path / "out")])
+    assert sum(sizes) == 72 * 40
 
 
 @pytest.mark.parametrize("doc, unresolved", [

@@ -806,6 +806,62 @@ def test_far_parameters_come_out_complete(ab):
     assert all(lv.complete and lv.paths_lost == 0 for lv in levels)
 
 
+def _cycles(level) -> list:
+    """The x-sequence of each cycle of a level's columns, in order."""
+    c = level.columns
+    return [c.x[s:s + d] for s, d in zip(c.starts().tolist(),
+                                        c.period.tolist())]
+
+
+def _conjugate_match(cycles, others, scale) -> list:
+    """For each cycle, the indices of the others that its conjugate
+    matches under `same_cycle`, within 1e-8 relative to scale."""
+    return [[k for k, y in enumerate(others)
+             if same_cycle((np.conj(x) / scale).tolist(),
+                           (y / scale).tolist(), tol=1e-8)]
+            for x in cycles]
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.builds(complex, st.floats(-2.0, 12.0), st.floats(-3.0, 3.0)),
+       st.builds(complex, st.floats(-0.9, 0.9), st.floats(-0.5, 0.5))
+       .filter(lambda b: b != 0))
+def test_census_of_the_conjugate_map_is_the_conjugate_census(a, b):
+    # complex conjugation conjugates the map at (a, b) to the map at
+    # (conj a, conj b): its census holds the conjugate cycles one to one,
+    # with the same classes, reality flags, multiplicities and verdicts
+    levels = periodic_levels(MapParams(a, b), range(1, 7))
+    mirror = periodic_levels(MapParams(a.conjugate(), b.conjugate()),
+                             range(1, 7))
+    for lv, mv in zip(levels, mirror):
+        assert (lv.complete, lv.fixed_point_count) == (mv.complete,
+                                                       mv.fixed_point_count)
+        for saddles in (False, True):
+            assert (lv.minimal_point_count(saddles)
+                    == mv.minimal_point_count(saddles))
+        cycles, others = _cycles(lv), _cycles(mv)
+        assert len(cycles) == len(others)
+        scale = max(1.0, np.max(np.abs(lv.columns.x)),
+                    np.max(np.abs(mv.columns.x)))
+        hits = _conjugate_match(cycles, others, scale)
+        assert all(len(h) == 1 for h in hits)
+        pair = [h[0] for h in hits]
+        assert sorted(pair) == list(range(len(others)))
+        for col in ("orbit_class", "is_real", "multiplicity"):
+            assert np.array_equal(getattr(lv.columns, col),
+                                  getattr(mv.columns, col)[pair])
+
+
+def test_real_census_is_closed_under_conjugation():
+    # at real (a, b) = (1.4, 0.3) each level's cycle set is its own
+    # conjugate
+    for lv in periodic_levels(MapParams(1.4, 0.3), range(1, 8)):
+        cycles = _cycles(lv)
+        scale = max(1.0, np.max(np.abs(lv.columns.x)))
+        assert all(len(h) == 1
+                   for h in _conjugate_match(cycles, cycles, scale))
+
+
 def test_continued_census_matches_halton_reference():
     # levels 1-7 at (1.4, 0.3) as Halton seeding once found them, with the
     # benchmark checker's both-ways match at ORBIT_MATCH_TOL = 1e-7

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mp_reference import escape_rate
 
 from henonlab import potential
 from henonlab.dynamics import MapParams, PointC2, henon_apply, henon_inverse
@@ -716,6 +719,117 @@ def test_henon_tail_past_the_double_range_of_2_to_the_n():
     bound, floor = potential._henon_tail(1.4, 0.3, 1e-9)
     assert bound(np.float64(10.0), 1100) == 0.0 and floor(1100) == 0.0
     assert bound(np.float64(10.0), 1023) > 0.0 and floor(1023) > 0.0
+
+
+def test_henon_tail_bound_just_past_the_double_range_of_2_to_the_n():
+    # 2^1030 overflows, but the bound 0.088 / 2^1030 is a subnormal
+    bound, _ = potential._henon_tail(1.4, 0.3, 1e-9)
+    assert bound(np.float64(10.0), 1030) == math.ldexp(0.088, -1030) > 0.0
+
+
+def test_past_power_is_the_quotient_where_d_to_the_n_is_finite():
+    # ldexp rounds as the division by 2^n does, into the subnormals too;
+    # exp(log x - n log 3) is within a few ulps of x / 3^n
+    x = np.array([1e-300, 0.3, 1.0, 7.5, 1e300])
+    for n in range(1024):
+        assert np.array_equal(potential._past_power(x, 2, n), x / 2.0 ** n)
+    for n in range(0, 647, 7):
+        q = x / 3.0 ** n
+        normal = q > 2.3e-308
+        assert np.allclose(potential._past_power(x, 3, n)[normal], q[normal],
+                           rtol=1e-12, atol=0.0)
+
+
+def test_green_poly_value_just_past_the_double_range_of_2_to_the_n():
+    # 0 escapes from z^2 + 1/4 + 9.3e-6 at n = 1029: its escape rate is
+    # log|w_n| 2^-n of the float orbit, a subnormal, not 0
+    c = 0.25 + 9.3e-6
+    g = green_poly(0.0, Poly((c, 0.0, 1.0)), n_max=5000)
+    assert g.n_used == 1029 and g.converged
+    w = 0.0
+    for _ in range(g.n_used):
+        w = w * w + c
+    assert g.value == math.ldexp(math.log(abs(w)), -1029) > 0.0
+    assert 0.0 < g.bound < 1e-9
+
+
+def test_green_poly_value_just_past_the_double_range_of_3_to_the_n():
+    # 0 escapes from z^3 + 2/(3 sqrt 3) + 1.35e-5 at n = 649, past 3^647:
+    # the value lies within its bound of the 80-digit escape rate
+    f = Poly((2.0 / (3.0 * math.sqrt(3.0)) + 1.35e-5, 0.0, 0.0, 1.0))
+    g = green_poly(0.0, f, n_max=5000)
+    assert g.n_used == 649 and g.converged
+    ref = escape_rate(0.0, f, "poly")
+    assert 3.7e-310 < ref < 3.8e-310
+    assert abs(g.value - ref) <= g.bound + 1e-15 * ref
+
+
+def _within_bound(g: GreenEstimate, ref: float) -> bool:
+    return abs(g.value - ref) <= g.bound + 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("m", [MapParams(10.0, 0.3), MapParams(1.4, 0.3),
+                               MapParams(1.2 + 0.5j, 0.3 - 0.1j)],
+                         ids=["horseshoe", "1.4", "complex"])
+@pytest.mark.parametrize("direction", ["plus", "minus"])
+def test_henon_escape_rates_against_80_digits(m, direction):
+    # every converged value at a start point within 1.5 R lies within its
+    # tail bound of the 80-digit escape rate
+    scalar = green_plus if direction == "plus" else green_minus
+    rng = np.random.default_rng(18)
+    box = 1.5 * m.R
+    starts = (rng.uniform(-box, box, (40, 2))
+              + 1j * rng.uniform(-box, box, (40, 2))).tolist()
+    checked = 0
+    for p in starts:
+        g = scalar(p, m)
+        if g.converged and not g.presumed_bounded:
+            assert _within_bound(g, escape_rate(p, m, direction))
+            checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.xfail(strict=True, reason="the tail bound leaves out the "
+                   "rounding of the float orbit")
+def test_minus_escape_rate_near_a_saddle_cycle_against_80_digits():
+    # a level-3 cycle point of (10, 0.3) moved by 1e-6 stays near the
+    # cycle for a few inverse steps, each rounding by ~eps |y| against an
+    # offset of 1e-6: the value is 1.5e-10 relative off the 80-digit escape
+    # rate, some 1e5 times its bound.  The same iteration in Python complex
+    # arithmetic gives the kernel's value bit for bit.
+    m = MapParams(10.0, 0.3)
+    for lv in periodic_levels(m, [3]):
+        for o in lv.orbits:
+            for p in o.points:
+                q = (p.x + 1e-6, p.y)
+                g = green_minus(q, m)
+                assert g.converged and not g.presumed_bounded
+                assert _within_bound(g, escape_rate(q, m, "minus"))
+
+
+def test_basilica_escape_rates_against_80_digits():
+    rng = np.random.default_rng(18)
+    zs = rng.uniform(-2.0, 2.0, 40) + 1j * rng.uniform(-1.2, 1.2, 40)
+    checked = 0
+    for z in zs.tolist():
+        g = green_poly(z, BASILICA)
+        if g.converged and not g.presumed_bounded:
+            assert _within_bound(g, escape_rate(z, BASILICA, "poly"))
+            checked += 1
+    assert checked >= 20
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(st.complex_numbers(max_magnitude=12.0),
+       st.complex_numbers(min_magnitude=0.05, max_magnitude=0.9),
+       st.tuples(st.complex_numbers(max_magnitude=6.0),
+                 st.complex_numbers(max_magnitude=6.0)),
+       st.sampled_from(["plus", "minus"]))
+def test_escape_rates_against_80_digits_sampled(a, b, p, direction):
+    m = MapParams(a, b)
+    g = (green_plus if direction == "plus" else green_minus)(p, m)
+    if g.converged and not g.presumed_bounded:
+        assert _within_bound(g, escape_rate(p, m, direction))
 
 
 def test_scalar_grid_window_avoids_origin():
