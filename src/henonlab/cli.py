@@ -319,16 +319,12 @@ def _row_sources(im) -> np.ndarray:
     """src[j], the row whose pixels row j copies (j itself for a row to
     compute), from the rows' imaginary coordinates im: each row copies the
     first row whose coordinate has the same magnitude, its exact negation
-    (the mirror row) or its equal.  A NaN row matches none."""
-    mag = np.abs(im)
-    order = np.argsort(mag, kind="stable")
-    ranked = mag[order]
-    # each run of equal magnitudes starts a group, led by its first row
-    lead = np.ones(ranked.size, dtype=bool)
-    lead[1:] = ranked[1:] != ranked[:-1]
-    src = np.empty_like(order)
-    src[order] = order[lead][np.cumsum(lead) - 1]
-    return src
+    (the mirror row) or its equal.  A checked window's coordinate is
+    center.imag + height x with |x| < 1/2 and both terms finite, so it is
+    never NaN."""
+    _, first, inverse = np.unique(np.abs(im), return_index=True,
+                                  return_inverse=True)
+    return first[inverse]
 
 
 def _render_tiles(eval_field, center: complex, width: float, height: float,
@@ -355,8 +351,8 @@ def _render_tiles(eval_field, center: complex, width: float, height: float,
     Tiles cover the rows to evaluate, gathered 128 at a time; each
     pixel's t is the same elementwise expression (`_pixels`) whichever
     rows share its tile.  Tiles are independent pure evaluations written
-    into preallocated slots in a fixed order, and each tile's results
-    are copied at once to the twin rows of its rows, through a gather of
+    into preallocated slots in a fixed order.  After the last tile, the
+    twin rows are copied from their sources (computed rows) in blocks of
     at most one tile.  The escape-rate loop works on live points only, so
     the tile size sets just how often its per-step Python overhead is
     paid.  On the 512x512 `plus` and basilica rasters (medians of two
@@ -380,18 +376,8 @@ def _render_tiles(eval_field, center: complex, width: float, height: float,
                                 np.arange(1)).imag)
            if mirror else rows)
     computed = np.flatnonzero(src == rows)
-    # each row's source as a position in computed; the twins in that order
-    pos = np.searchsorted(computed, src)
-    twins = np.flatnonzero(src != rows)
-    twins = twins[np.argsort(pos[twins], kind="stable")]
-    pos = pos[twins]
     for r0 in range(0, computed.size, TILE):
         band = computed[r0:r0 + TILE]
-        lo, hi = np.searchsorted(pos, (r0, r0 + TILE))
-        mine, at = twins[lo:hi], pos[lo:hi] - r0
-        # the band's twins and their rows in the tile, a tile's rows a copy
-        copies = [(mine[k:k + TILE], at[k:k + TILE])
-                  for k in range(0, mine.size, TILE)]
         for j0 in range(0, nx, TILE):
             j1 = min(j0 + TILE, nx)
             gf = eval_field(_pixels(center, width, height, nx, ny,
@@ -399,9 +385,15 @@ def _render_tiles(eval_field, center: complex, width: float, height: float,
             for out, part in ((values, gf.values), (converged, gf.converged),
                               (presumed, gf.presumed_bounded)):
                 out[band, j0:j1] = part
-                for dst, idx in copies:
-                    out[dst, j0:j1] = part[idx]
             del gf
+    # every source is a computed row, so each twin reads written pixels
+    twins = np.flatnonzero(src != rows)
+    for r0 in range(0, twins.size, TILE):
+        dst = twins[r0:r0 + TILE]
+        at = src[dst]
+        for j0 in range(0, nx, TILE):
+            for out in (values, converged, presumed):
+                out[dst, j0:j0 + TILE] = out[at, j0:j0 + TILE]
     return values, converged, presumed
 
 

@@ -695,20 +695,6 @@ def _runs(mask: np.ndarray):
     return np.split(idx, cuts + 1)
 
 
-def _resample_curve(xs: np.ndarray, ys: np.ndarray, count: int):
-    """Uniform-arclength resampling of one polyline run."""
-    if len(xs) < 2 or count < 2:
-        return xs, ys
-    seg = np.sqrt(np.abs(np.diff(xs)) ** 2 + np.abs(np.diff(ys)) ** 2)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    if s[-1] <= 0.0:
-        return xs[:1], ys[:1]
-    t = np.linspace(0.0, s[-1], count)
-    xr = np.interp(t, s, xs.real) + 1j * np.interp(t, s, xs.imag)
-    yr = np.interp(t, s, ys.real) + 1j * np.interp(t, s, ys.imag)
-    return xr, yr
-
-
 def unstable_disk_sample(orbit: PeriodicOrbit, m: MapParams, steps: int,
                          samples: int, backward: bool = False) -> np.ndarray:
     """Push a radius-1e-6 seed along the expanding eigenvector through
@@ -757,28 +743,25 @@ def unstable_disk_sample(orbit: PeriodicOrbit, m: MapParams, steps: int,
         else:
             xs, ys = -xs * xs + a - b * ys, xs
         keep = np.maximum(np.abs(xs), np.abs(ys)) <= lim
-        runs = _runs(keep)
-        if not runs:
+        pieces = [(xs[run], ys[run]) for run in _runs(keep)]
+        if not pieces:
             break
-        lengths = []
-        for run in runs:
-            if len(run) < 2:
-                lengths.append(0.0)
-                continue
-            seg = np.sqrt(np.abs(np.diff(xs[run])) ** 2
-                          + np.abs(np.diff(ys[run])) ** 2)
-            lengths.append(float(seg.sum()))
+        segs = [np.sqrt(np.abs(np.diff(px)) ** 2 + np.abs(np.diff(py)) ** 2)
+                for px, py in pieces]
+        lengths = [float(seg.sum()) for seg in segs]
         total_len = sum(lengths)
         new_x, new_y = [], []
-        for run, ln in zip(runs, lengths):
-            if len(run) < 2 or ln == 0.0 or total_len == 0.0:
-                new_x.append(xs[run])
-                new_y.append(ys[run])
-                continue
-            quota = max(2, int(samples * ln / total_len) + 1)
-            xr, yr = _resample_curve(xs[run], ys[run], quota)
-            new_x.append(xr)
-            new_y.append(yr)
+        for (px, py), seg, ln in zip(pieces, segs, lengths):
+            if ln > 0.0:
+                # uniform-arclength resampling: a run of positive length
+                # has two points or more and a positive cumulative length
+                quota = max(2, int(samples * ln / total_len) + 1)
+                s = np.concatenate([[0.0], np.cumsum(seg)])
+                t = np.linspace(0.0, s[-1], quota)
+                px = np.interp(t, s, px.real) + 1j * np.interp(t, s, px.imag)
+                py = np.interp(t, s, py.real) + 1j * np.interp(t, s, py.imag)
+            new_x.append(px)
+            new_y.append(py)
         xs = np.concatenate(new_x)
         ys = np.concatenate(new_y)
         cloud_x.append(xs)

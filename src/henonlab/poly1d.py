@@ -196,7 +196,7 @@ def simultaneous_roots(coeffs, tol: float = 1e-13,
         raise ContractError("simultaneous_roots expects coefficient rows of "
                             "shape (d+1,) or (k, d+1) with d >= 1")
     rows = c.reshape(-1, c.shape[-1])
-    if np.any(np.abs(rows[:, -1] - 1.0) > 0):
+    if np.any(rows[:, -1] != 1):
         raise ContractError("simultaneous_roots expects monic coefficients")
     k, d = rows.shape[0], rows.shape[1] - 1
     if d == 1:

@@ -12,8 +12,9 @@ configs whose orbits overflow, a cubic render, renders that take each
 branch of the row plan of `cli._render_tiles` (windows off the axis, odd
 and non-power-of-two heights, a complex parameter and a complex slice
 direction), two renders whose orbits escape after d^n has passed the
-double range, and julia-cloud at degrees 2, 4 and 5 and the bench cubic
-at seed 1.
+double range, julia-cloud at degrees 2, 4 and 5 and the bench cubic at
+seed 1, and `validate` with its default criteria (all twelve; criterion
+11's details carry the unstable-manifold cloud's size and worst distance).
 
 One line is printed per output file whose bytes differ or that only one
 tree wrote, per differing exit code, and per stderr line that only one
@@ -127,6 +128,7 @@ def corpus() -> list:
                          ("cubic", [0.3849101, 0.0, 0.0, 1.0])]:
         jobs.append((f"poly-late-escape-{name}", "render-green", _render(
             "poly", {"kind": "poly", "coeffs": coeffs}, late, 5000), None))
+    jobs.append(("validate", "validate", {}, None))
     return jobs
 
 

@@ -365,6 +365,37 @@ def test_row_plan_counts(nx, ny, height, center, computed):
     assert np.array_equal(np.abs(im[src]), np.abs(im))
 
 
+def _ref_row_sources(im):
+    """Each row's first row of equal magnitude, by a scan over all rows."""
+    mags = [abs(v) for v in im.tolist()]
+    return np.array([mags.index(v) for v in mags])
+
+
+# signed zeros, the smallest subnormals, infinities and repeated normals,
+# among any other non-NaN floats
+ROW_COORDS = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf,
+                               -math.inf, 1.5, -1.5, 2.0])
+              | st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(ROW_COORDS, min_size=1, max_size=200))
+def test_row_sources_match_first_row_of_equal_magnitude(coords):
+    im = np.array(coords)
+    assert np.array_equal(cli._row_sources(im), _ref_row_sources(im))
+
+
+@pytest.mark.parametrize("nx, ny, height, center", [
+    (512, 512, 16.0, 0j), (256, 256, 16.0, 0j), (301, 257, 16.0, 0j),
+    (72, 40, 10.0, 0j), (72, 41, 10.0, 0j), (72, 100, 10.0, 0.7j),
+    (72, 40, 10.0, 0.7j)])
+def test_row_sources_of_pixel_rows_match_reference(nx, ny, height, center):
+    # the windows of test_row_plan_counts
+    im = cli._pixels(center, 14.0, height, nx, ny, np.arange(ny),
+                     np.arange(1)).imag
+    assert np.array_equal(cli._row_sources(im), _ref_row_sources(im))
+
+
 def _counted_fields(monkeypatch):
     """Record the size of every field call the CLI makes."""
     sizes = []

@@ -1069,6 +1069,35 @@ def test_unstable_disk_backward_mode(horseshoe):
     assert not np.array_equal(fwd[:64], bwd[:64])
 
 
+@pytest.mark.parametrize("a, b, backward, digest", [
+    (10.0, 0.3, False,
+     "56f5549ad8f62f9a712d72da070574a97f8547402a188712de4f422de739ab94"),
+    (10.0, 0.3, True,
+     "da5ef809ac66c9e47acc8686bc08f16c6d0869da58e40e12f85dcba076823e3a"),
+    (1.4, 0.3, False,
+     "915c61ef0b3ea60205bb7783047bd026fb2f992cf41e299f3ce4860520dd8fe4"),
+    (1.4, 0.3, True,
+     "af8a2f339ffbeca51ee09db49c757463b603231342b897747c13ae439aaa1ead"),
+])
+def test_unstable_disk_sample_digest(a, b, backward, digest):
+    # the real chart: the bits of each cloud, both sides of the saddle
+    m = MapParams(a, b)
+    cloud = unstable_disk_sample(negative_fixed_point(m), m, steps=10,
+                                 samples=3000, backward=backward)
+    assert hashlib.sha256(cloud.tobytes()).hexdigest() == digest
+
+
+def test_unstable_disk_sample_digest_complex_saddle():
+    # a nonreal saddle takes the circle chart
+    m = MapParams(1.2 + 0.5j, 0.3 - 0.1j)
+    orb = next(o for o in fixed_points_closed_form(m)
+               if o.orbit_class == "saddle")
+    assert not orb.is_real
+    cloud = unstable_disk_sample(orb, m, steps=10, samples=3000)
+    assert hashlib.sha256(cloud.tobytes()).hexdigest() == (
+        "32b5838bafeef5713696e97c3be244a1b2cea8e9d4851daeabf65d371a660bba")
+
+
 def test_unstable_disk_rejects_sinks():
     m = MapParams(0.1, 0.3)
     orbits = [o for o in fixed_points_closed_form(m) if o is not None]

@@ -101,6 +101,16 @@ def test_batched_roots_shapes():
         simultaneous_roots(np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("lead", [math.nan, complex(1.0, math.nan),
+                                  complex(math.nan, 0.0)])
+def test_nan_leading_coefficient_is_not_monic(lead):
+    # |nan - 1| > 0 is False: a NaN top coefficient must be refused up
+    # front, not swept to a ConvergenceError
+    c = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, lead]], dtype=complex)
+    with pytest.raises(ContractError, match="monic"):
+        simultaneous_roots(c)
+
+
 @pytest.mark.parametrize("f", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
 def test_solve_offset_matches_per_target_solves(f):
     # reference: one 1-D solve per target, one Newton step, sort by (re, im)
