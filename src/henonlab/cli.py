@@ -599,11 +599,7 @@ def cmd_entropy_report(cfg: JobConfig) -> int:
                                  "pass the horseshoe test"}
     else:
         level = level_at[word_max]
-        if not len(level.columns.period):
-            entropy_doc = {"status": "inconclusive",
-                           "reason": "no orbits found"}
-            inconclusive = True
-        elif not level.complete:
+        if not level.complete:
             entropy_doc = {"status": "inconclusive",
                            "reason": "enumeration incomplete",
                            "found": level.fixed_point_count,

@@ -100,8 +100,8 @@ class OrbitColumns(NamedTuple):
     cycle's x-sequence back to back (y_j = x_{j-1} within a cycle, see
     `y`); the other columns hold one entry per cycle: period, the
     multipliers (largest modulus first), orbit_class as an index into
-    ORBIT_CLASSES, is_real, residual, multiplicity, degenerate, and the
-    read-only monodromy, shape (k, 2, 2)."""
+    ORBIT_CLASSES, is_real, residual, multiplicity and the read-only
+    monodromy, shape (k, 2, 2)."""
 
     x: np.ndarray
     period: np.ndarray
@@ -110,7 +110,6 @@ class OrbitColumns(NamedTuple):
     is_real: np.ndarray
     residual: np.ndarray
     multiplicity: np.ndarray
-    degenerate: np.ndarray
     monodromy: np.ndarray
 
     def starts(self) -> np.ndarray:
@@ -141,24 +140,25 @@ class OrbitColumns(NamedTuple):
 
 def _orbits(c: OrbitColumns) -> list:
     """The PeriodicOrbit of every cycle of the columns c, with points
-    (x_j, x_{j-1}) and every field a Python scalar."""
+    (x_j, x_{j-1}) and every field a Python scalar; a cycle of multiplicity
+    above 1 (the double fixed point) is degenerate."""
     xs = c.x.tolist()
     out = []
     start = 0
-    for i, (d, eigs, code, real, resid, mult, degen) in enumerate(zip(
+    for i, (d, eigs, code, real, resid, mult) in enumerate(zip(
             c.period.tolist(), c.multipliers.tolist(), c.orbit_class.tolist(),
-            c.is_real.tolist(), c.residual.tolist(), c.multiplicity.tolist(),
-            c.degenerate.tolist())):
+            c.is_real.tolist(), c.residual.tolist(),
+            c.multiplicity.tolist())):
         x = xs[start:start + d]
         start += d
         out.append(PeriodicOrbit(tuple(map(PointC2, x, x[-1:] + x[:-1])), d,
                                  tuple(eigs), ORBIT_CLASSES[code], real,
-                                 resid, mult, degen, c.monodromy[i]))
+                                 resid, mult, mult > 1, c.monodromy[i]))
     return out
 
 
-def _assemble(m: MapParams, X, multiplicity: int = 1,
-              degenerate: bool = False) -> tuple[np.ndarray, OrbitColumns]:
+def _assemble(m: MapParams, X,
+              multiplicity: int = 1) -> tuple[np.ndarray, OrbitColumns]:
     """The polished (k, d) stack of cycles X, assembled in one pass: a row
     whose residual exceeds 1e-9 (1 + max|x|^2) is rejected; the rest get
     the monodromy from `monodromy_stack` (MapOverflowError past double
@@ -195,7 +195,7 @@ def _assemble(m: MapParams, X, multiplicity: int = 1,
     return passed, OrbitColumns(
         G.ravel(), np.full(kept, d), eigs, classes,
         np.all(np.abs(G.imag) < REALITY_TOL, axis=1), resid[passed],
-        np.full(kept, multiplicity), np.full(kept, degenerate), J)
+        np.full(kept, multiplicity), J)
 
 
 def _fixed_points(m: MapParams) -> tuple[np.ndarray, OrbitColumns]:
@@ -204,7 +204,7 @@ def _fixed_points(m: MapParams) -> tuple[np.ndarray, OrbitColumns]:
     beta = 1.0 + m.b
     disc = beta * beta + 4.0 * m.a
     if disc == 0:
-        return _assemble(m, [[-0.5 * beta]], multiplicity=2, degenerate=True)
+        return _assemble(m, [[-0.5 * beta]], multiplicity=2)
     sq = cmath.sqrt(disc)
     if (beta.conjugate() * sq).real < 0.0:
         sq = -sq
@@ -227,10 +227,10 @@ def _newton_cycles(m: MapParams, X,
                          periods)
 
 
-def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60, periods=None):
+def symbolic_orbit_seed(m: MapParams, bits, periods=None):
     """Shadowing seed for the cycle with itinerary `bits` (horseshoe only).
 
-    Solves x_j^2 = a - x_{j+1} - b x_{j-1} cyclically by branch-respecting
+    Solves x_j^2 = a - x_{j+1} - b x_{j-1} cyclically by 60 branch-respecting
     square-root sweeps; the branch argument stays off the cut because the
     horseshoe test guarantees |a| clears (1+|b|)R.  Returns the candidate
     cycle's x_j; a (k, n) stack of itineraries gives a (k, n) stack.  With
@@ -253,7 +253,7 @@ def symbolic_orbit_seed(m: MapParams, bits, sweeps: int = 60, periods=None):
     nxt, prv = starts + (j + 1) % length, starts + (j - 1) % length
     sign = np.where(rows[cyc] == 1, 1.0, -1.0).astype(complex)
     x = sign * cmath.sqrt(abs(m.a))
-    for _ in range(sweeps):
+    for _ in range(60):
         x = sign * np.sqrt(m.a - x[nxt] - m.b * x[prv])
     out = np.zeros(rows.shape, dtype=complex)
     out[cyc] = x
@@ -782,13 +782,12 @@ def negative_fixed_point(m: MapParams) -> PeriodicOrbit:
     raise ContractError("no fixed point with negative real part")
 
 
-def cylinder_point_measure(m: MapParams, level: int, buffer: int = 15,
-                           sweeps: int = 80) -> DiscreteMeasure:
+def cylinder_point_measure(m: MapParams, level: int) -> DiscreteMeasure:
     """Pushforward of the level-n cylinder weights to phase space.
 
-    Each length-2n itinerary window is extended by zeros on both sides,
+    Each length-2n itinerary window is extended by 15 zeros on both sides,
     clamped at the window ends to the symbol-0 fixed point, and shadowed
-    by square-root sweeps; the box's mass 4^-n lands on the resulting
+    by 80 square-root sweeps; the box's mass 4^-n lands on the resulting
     center point (x_0, x_{-1}).
     """
     if level < 1:
@@ -798,6 +797,7 @@ def cylinder_point_measure(m: MapParams, level: int, buffer: int = 15,
                             "parameters")
     x_fix = negative_fixed_point(m).points[0].x
     n_words = 4 ** level
+    buffer = 15
     window = 2 * level + 2 * buffer
     codes = np.arange(n_words)
     bits = (codes[:, None] >> np.arange(2 * level)[None, ::-1]) & 1
@@ -805,7 +805,7 @@ def cylinder_point_measure(m: MapParams, level: int, buffer: int = 15,
     signs[:, buffer:buffer + 2 * level] = np.where(bits == 1, 1.0, -1.0)
     x = signs * cmath.sqrt(abs(m.a))
     pad = np.full((n_words, 1), complex(x_fix))
-    for _ in range(sweeps):
+    for _ in range(80):
         ext = np.concatenate([pad, x, pad], axis=1)
         x = signs * np.sqrt(m.a - ext[:, 2:] - m.b * ext[:, :-2])
     mid = buffer + level

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 # cycles and measures are read at call time: the Julia cloud runs neither
 from . import cycles, measures
@@ -37,6 +36,10 @@ SINGULAR_TOL = 1e-4
 # batch (a whole preimage-tree level) keeps its temporaries, not its
 # output, bounded.  A block holds at least one row.
 ROOTS_BLOCK_ELEMS = 1 << 18
+# Aberth stops a row once every step is below ROOT_TOL (1 + max|z|), and
+# gives up after MAX_SWEEPS sweeps
+ROOT_TOL = 1e-13
+MAX_SWEEPS = 600
 
 
 @dataclass(frozen=True)
@@ -60,33 +63,42 @@ class Poly:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        return npp.polyval(z, self.coeffs)
+        return _horner(self._coeff_array, z)
 
     def eval_deriv(self, z):
-        return npp.polyval(z, self._deriv_coeffs)
+        return _horner(self._deriv_coeffs, z)
+
+    @functools.cached_property
+    def _coeff_array(self) -> np.ndarray:
+        return np.array(self.coeffs)
 
     @functools.cached_property
     def _deriv_coeffs(self) -> np.ndarray:
-        return npp.polyder(self.coeffs)
+        # scaled by 1 first, as `polyder` scales: that turns a -0-0j
+        # coefficient into 0-0j, and so its product into 0+0j
+        c = self._coeff_array[1:] * 1
+        return c * np.arange(1, len(c) + 1)
 
     def lower_coeff_sum(self) -> float:
         return float(sum(abs(v) for v in self.coeffs[:-1]))
 
 
-def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Column r of z evaluated at the polynomial in column r of c.
+def _horner(c: np.ndarray, z):
+    """The polynomials with ascending coefficients c[0], ..., c[d] at z.
 
-    c holds ascending coefficients on its second-to-last axis, shape
-    (..., d+1, k), and z is (m, k); the result is (..., m, k).  Horner in
-    the operation order of `npp.polyval`, so each value has the bits
-    `npp.polyval(z[:, r], c[..., :, r])` gives.  Each product goes to a
-    fresh array and only the add is in place: numpy rounds an aliased
-    complex product of a one-element array differently.
+    The coefficient axis is first, and each c[i] broadcasts against z: a
+    1-d c is one polynomial at every z, and c of shape (d+1, ..., 1, k) is
+    column r's polynomial at column r of a (m, k) z.  Horner in the
+    operation order of `numpy.polynomial.polynomial.polyval`, so each value
+    has the bits it gives, and a Python-scalar z goes through numpy scalar
+    arithmetic as it does there.  Each product goes to a fresh array and
+    only the add is in place: numpy rounds an aliased complex product of a
+    one-element array differently.
     """
-    acc = c[..., -1, None, :] + z * 0
-    for i in range(2, c.shape[-2] + 1):
+    acc = c[-1] + z * 0
+    for i in range(2, len(c) + 1):
         acc = acc * z
-        acc += c[..., -i, None, :]
+        acc += c[-i]
     return acc
 
 
@@ -105,11 +117,11 @@ def _start_constellation(d: int):
     return moduli, phases, 10.0 ** (100.0 / d)
 
 
-def _aberth_block(c: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
+def _aberth_block(c: np.ndarray) -> np.ndarray:
     """Ehrlich-Aberth sweeps over the rows of one block of monic rows.
 
     The sweeps run in root columns: the live roots are a (d, k) array, one
-    column per row, and p and p' are one (2, d+1, k) coefficient stack
+    column per row, and p and p' are one (d+1, 2, 1, k) coefficient stack
     (p' padded by a zero top coefficient, which adds only exact zeros), so
     one Horner evaluates both and every reduction over a row's roots runs
     along axis 0.  Each root goes through the operations of a
@@ -122,16 +134,16 @@ def _aberth_block(c: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
     """
     k, d = c.shape[0], c.shape[1] - 1
     moduli, phases, cap = _start_constellation(d)
-    pc = np.zeros((2, d + 1, k), dtype=complex)
-    pc[0] = c.T
-    pc[1, :-1] = pc[0, 1:] * np.arange(1, d + 1)[:, None]
-    radius = np.minimum(1.0 + np.max(np.abs(pc[0, :-1]), axis=0), cap)
+    pc = np.zeros((d + 1, 2, 1, k), dtype=complex)
+    pc[:, 0, 0] = c.T
+    pc[:-1, 1, 0] = pc[1:, 0, 0] * np.arange(1, d + 1)[:, None]
+    radius = np.minimum(1.0 + np.max(np.abs(c[:, :-1]), axis=1), cap)
     z = moduli * radius * phases
     idx = np.arange(d)
     live = np.arange(k)
     zl, pcl, delta = z, pc, np.full_like(z, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             pz, dpz = _horner(pcl, zl)
             newton = pz / dpz
             diff = np.subtract(zl[:, :, None], zl.T[None],
@@ -146,13 +158,13 @@ def _aberth_block(c: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
             # ufunc reductions: np.max's wrapper costs more than reducing
             # a few short columns
             done = ((np.maximum.reduce(np.abs(delta))
-                     < tol * (1.0 + np.maximum.reduce(np.abs(zl))))
+                     < ROOT_TOL * (1.0 + np.maximum.reduce(np.abs(zl))))
                     & np.logical_and.reduce(np.isfinite(pz)))
             if done.any():
                 z[:, live[done]] = zl[:, done]
                 keep = np.flatnonzero(~done)
                 live, zl, pcl, delta = (live[keep], zl.take(keep, 1),
-                                        pcl.take(keep, 2), delta.take(keep, 1))
+                                        pcl.take(keep, 3), delta.take(keep, 1))
                 if not live.size:
                     return z.T
         # Out of sweeps.  Near a root of multiplicity m, fixed only to
@@ -161,8 +173,8 @@ def _aberth_block(c: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
         # rounding level, |p(z)| <= 4 d eps sum |c_i| |z|^i, and its last
         # steps stay under eps^(1/4).  The first failing row is named.
         eps = np.finfo(float).eps
-        pz = _horner(pcl[0], zl)
-        bound = 4 * d * eps * _horner(np.abs(pcl[0]), np.abs(zl))
+        pz = _horner(pcl[:, 0], zl)
+        bound = 4 * d * eps * _horner(np.abs(pcl[:, 0]), np.abs(zl))
         stalled = (np.max(np.abs(delta), axis=0)
                    <= eps ** 0.25 * (1.0 + np.max(np.abs(zl), axis=0)))
         bad = np.flatnonzero(~(stalled & np.all(
@@ -172,11 +184,10 @@ def _aberth_block(c: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
             return z.T
         resid = float(np.max(np.abs(pz[:, bad[0]])))
     raise ConvergenceError(f"simultaneous_roots: no convergence in "
-                           f"{max_sweeps} sweeps (max residual {resid:.3e})")
+                           f"{MAX_SWEEPS} sweeps (max residual {resid:.3e})")
 
 
-def simultaneous_roots(coeffs, tol: float = 1e-13,
-                       max_sweeps: int = 600) -> np.ndarray:
+def simultaneous_roots(coeffs) -> np.ndarray:
     """All roots of monic polynomials by simultaneous iteration.
 
     `coeffs` is one ascending coefficient row, shape (d+1,), giving roots
@@ -205,7 +216,7 @@ def simultaneous_roots(coeffs, tol: float = 1e-13,
         out = np.empty((k, d), dtype=complex)
         step = max(1, ROOTS_BLOCK_ELEMS // (d * d))
         for s in range(0, k, step):
-            out[s:s + step] = _aberth_block(rows[s:s + step], tol, max_sweeps)
+            out[s:s + step] = _aberth_block(rows[s:s + step])
     return out if c.ndim == 2 else out[0]
 
 
@@ -234,7 +245,7 @@ def solve_offset(f: Poly, w) -> np.ndarray:
     c[:, 0] -= w
     roots = simultaneous_roots(c)
     # one Newton step sharpens the simultaneous-iteration output
-    fz = _horner(c.T, roots.T).T
+    fz = _horner(c.T[:, None], roots.T).T
     dz = f.eval_deriv(roots)
     safe = np.abs(dz) > 1e-12
     roots = np.where(safe, roots - fz / np.where(safe, dz, 1.0), roots)
@@ -258,16 +269,17 @@ class PreimageTree:
 
 
 def preimages(f: Poly, c: complex, n: int, mode: str = "full",
-              k: int | None = None, rng_seed: int | None = None,
-              cap: int = PREIMAGE_CAP) -> PreimageTree:
-    """Backward orbit of c to depth n, full tree or k sampled walks."""
+              k: int | None = None,
+              rng_seed: int | None = None) -> PreimageTree:
+    """Backward orbit of c to depth n, full tree (at most PREIMAGE_CAP
+    points) or k sampled walks."""
     if n < 1:
         raise ContractError("depth must be >= 1")
     d = f.degree
     if mode == "full":
-        if d ** n > cap:
+        if d ** n > PREIMAGE_CAP:
             raise CapError(f"full preimage tree would hold {d}^{n} points, "
-                           f"over the cap {cap}; use sampled mode")
+                           f"over the cap {PREIMAGE_CAP}; use sampled mode")
         levels = [np.array([complex(c)])]
         for _ in range(n):
             levels.append(solve_offset(f, levels[-1]).ravel())
@@ -285,17 +297,15 @@ def preimages(f: Poly, c: complex, n: int, mode: str = "full",
     raise ContractError(f"unknown mode {mode!r}")
 
 
-def exceptional_check(f: Poly, c: complex, probe_depth: int = 4,
-                      tol: float = 1e-9) -> bool:
-    """True when the backward orbit of c stays below 3 distinct points."""
-    if probe_depth < 2:
-        raise ContractError("probe_depth must be >= 2")
+def exceptional_check(f: Poly, c: complex) -> bool:
+    """True when the backward orbit of c stays below 3 distinct points: its
+    first 4 levels are probed, and points within 1e-9 count as one."""
     distinct = [complex(c)]
     frontier = np.array([complex(c)])
-    for _ in range(probe_depth):
+    for _ in range(4):
         frontier = solve_offset(f, frontier).ravel()
         for z in frontier:
-            if all(abs(z - w) > tol for w in distinct):
+            if all(abs(z - w) > 1e-9 for w in distinct):
                 distinct.append(complex(z))
                 if len(distinct) >= 3:
                     return False
@@ -327,7 +337,7 @@ def _multiple(f: Poly, z: np.ndarray, n: int) -> np.ndarray:
     return np.abs(lam - 1.0) <= SINGULAR_TOL * (1.0 + np.abs(lam))
 
 
-def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
+def periodic_points_1d(f: Poly, n: int):
     """Solutions of f^n(z) = z: (distinct points, multiplicities).
 
     The d^n cycles of z^d are continued to f along f_t = z^d + t (f - z^d),
@@ -340,19 +350,21 @@ def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
     (`cycles.matches`) or is kept.  Ends that meet count as one multiple
     point only where the cycle Jacobian is numerically singular, else the
     extra ends are lost, like ends whose polish fails.  A loss leaves the
-    multiplicities summing below d^n; it is never padded.
+    multiplicities summing below d^n; it is never padded.  d^n is at most
+    PERIODIC_CAP.
     """
     d = f.degree
     if n < 1:
         raise ContractError("n must be >= 1")
-    if d ** n > cap:
-        raise CapError(f"{d}^{n} periodic points exceed the cap {cap}")
-    low = np.array(f.coeffs[:-1])
-    dlow = npp.polyder(low)
+    if d ** n > PERIODIC_CAP:
+        raise CapError(f"{d}^{n} periodic points exceed the cap "
+                       f"{PERIODIC_CAP}")
+    # f - z^d and its derivative
+    low, dlow = f._coeff_array[:-1], f._deriv_coeffs[:-1]
 
-    family = (lambda X, T: X ** d + T * npp.polyval(X, low),
-              lambda X, T: d * X ** (d - 1) + T * npp.polyval(X, dlow),
-              lambda X, T: npp.polyval(X, low))
+    family = (lambda X, T: X ** d + T * _horner(low, X),
+              lambda X, T: d * X ** (d - 1) + T * _horner(dlow, X),
+              lambda X, T: _horner(low, X))
     # per minimal period e: each end's cycle and the ends it stands for
     ends: dict[int, list] = {}
     for m, X0 in _start_cycles(d, n).items():
@@ -381,8 +393,8 @@ def periodic_points_1d(f: Poly, n: int, cap: int = PERIODIC_CAP):
     return reps, counts
 
 
-def brolin_measure(f: Poly, mode: str, n: int, c: complex | None = None,
-                   cap: int | None = None) -> measures.DiscreteMeasure:
+def brolin_measure(f: Poly, mode: str, n: int,
+                   c: complex | None = None) -> measures.DiscreteMeasure:
     """Equal-weight measure (weight d^-n) on preimages of c or on periodic points."""
     d = f.degree
     if mode == "preimage":
@@ -392,13 +404,13 @@ def brolin_measure(f: Poly, mode: str, n: int, c: complex | None = None,
             raise ContractError(f"c = {c} is exceptional (backward orbit has fewer "
                                 "than 3 points); the equidistribution hypothesis "
                                 "requires a nonexceptional base point")
-        tree = preimages(f, c, n, "full", cap=cap or PREIMAGE_CAP)
+        tree = preimages(f, c, n, "full")
         pts = tree.levels[n]
         return measures.DiscreteMeasure(
             pts, np.ones(len(pts), dtype=np.int64), d ** n, 1, True,
             f"preimage(c={c}, n={n})")
     if mode == "periodic":
-        reps, mult = periodic_points_1d(f, n, cap=cap or PERIODIC_CAP)
+        reps, mult = periodic_points_1d(f, n)
         return measures.DiscreteMeasure(reps, mult, d ** n, 1,
                                         int(mult.sum()) == d ** n,
                                         f"periodic(n={n})")

@@ -13,8 +13,12 @@ branch of the row plan of `cli._render_tiles` (windows off the axis, odd
 and non-power-of-two heights, a complex parameter and a complex slice
 direction), two renders whose orbits escape after d^n has passed the
 double range, julia-cloud at degrees 2, 4 and 5 and the bench cubic at
-seed 1, and `validate` with its default criteria (all twelve; criterion
-11's details carry the unstable-manifold cloud's size and worst distance).
+seed 1, periodic-report on and off the horseshoe (shadowing seeds and
+continuation, a short level next to a bifurcation, and a monodromy that
+overflows), entropy-report skipped, incomplete and with an inconclusive
+reality verdict, and `validate` with its default criteria (all twelve;
+criterion 11's details carry the unstable-manifold cloud's size and worst
+distance).
 
 One line is printed per output file whose bytes differ or that only one
 tree wrote, per differing exit code, and per stderr line that only one
@@ -128,6 +132,24 @@ def corpus() -> list:
                          ("cubic", [0.3849101, 0.0, 0.0, 1.0])]:
         jobs.append((f"poly-late-escape-{name}", "render-green", _render(
             "poly", {"kind": "poly", "coeffs": coeffs}, late, 5000), None))
+    # censuses: horseshoe seeds at (10, 0.3) and (-1e4, 0.3), continuation
+    # off the horseshoe, level 4 short at (3, 1), and a monodromy that
+    # overflows at a = 1e150 (exit 2)
+    for a, b, level_max in [(10.0, 0.3, 6), (1.4, 0.3, 5), (3.0, 1.0, 4),
+                            (0.02431, -0.44608, 8), (-1e4, 0.3, 6),
+                            (1e150, 0.3, 5)]:
+        jobs.append((f"periodic-a{a!r}-b{b!r}-n{level_max}",
+                     "periodic-report", {"params": {"a": a, "b": b},
+                                         "budgets": {"level_max": level_max}},
+                     None))
+    # entropy skipped off the horseshoe, incomplete at budget 16, and
+    # skipped with an inconclusive reality verdict
+    for name, cfg in [
+            ("skipped", {"params": {"a": 1.4, "b": 0.3}}),
+            ("incomplete", {"budgets": {"budget": 16}}),
+            ("reality-inconclusive", {"params": {"a": 3.0, "b": 1.0},
+                                      "budgets": {"reality_n_max": 2}})]:
+        jobs.append((f"entropy-{name}", "entropy-report", cfg, None))
     jobs.append(("validate", "validate", {}, None))
     return jobs
 

@@ -1169,6 +1169,22 @@ def test_entropy_report_off_horseshoe_reality_levels(tmp_path, word_max,
                                          "entropy < log 2 expected")
 
 
+def test_entropy_report_reality_inconclusive(tmp_path):
+    # (3, 1) fails the horseshoe test and its level 2 falls short: the
+    # entropy is skipped and the reality verdict alone makes the run
+    # inconclusive
+    cfg_path = write_cfg(tmp_path, {
+        "command": "entropy-report", "params": {"a": 3.0, "b": 1.0},
+        "budgets": {"reality_n_max": 2}})
+    rc = main(["entropy-report", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    report, = (tmp_path / "out").glob("entropy-*.json")
+    doc = json.loads(report.read_text())
+    assert doc["entropy"]["status"] == "skipped"
+    assert doc["reality"]["verdict"] == "inconclusive"
+
+
 def test_validate_subset_run(tmp_path):
     cfg_path = write_cfg(tmp_path, {
         "command": "validate",
@@ -1377,6 +1393,20 @@ def test_off_horseshoe_census_leaves_scipy_stats_unloaded(tmp_path):
             f"assert main(['periodic-report', '--config', {str(cfg_path)!r}, "
             f"'--out', {str(tmp_path / name / 'out')!r}]) == 0\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'")
+
+
+def test_polynomial_jobs_leave_numpy_polynomial_unloaded(tmp_path):
+    # poly1d evaluates every polynomial by its own Horner
+    cfg_path = write_cfg(tmp_path, dict(TINY_CLOUD, params={
+        "kind": "poly", "coeffs": [[0.3, 0.2], [-0.5, 0.0], 0.0, 1.0]}))
+    _run_fresh(
+        "import sys\nfrom henonlab.cli import main\n"
+        "from henonlab.poly1d import Poly, brolin_measure\n"
+        f"assert main(['julia-cloud', '--config', {str(cfg_path)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "brolin_measure(Poly((0.3, -0.5, 0.0, 1.0)), 'periodic', 3)\n"
+        "assert 'numpy.polynomial' not in sys.modules, "
+        "'numpy.polynomial loaded'")
 
 
 # the submodules `import henonlab` registers without running their bodies

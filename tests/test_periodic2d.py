@@ -607,8 +607,8 @@ def test_forced_lower_period_cycles_match_reference(monkeypatch, a, b, top):
     # finds it
     seed = periodic2d.symbolic_orbit_seed
 
-    def forced(m, bits, sweeps=60, periods=None):
-        x = seed(m, bits, sweeps, periods)
+    def forced(m, bits, periods=None):
+        x = seed(m, bits, periods)
         rows = np.atleast_2d(np.asarray(bits))
         for i, row in enumerate(rows):
             d = rows.shape[1] if periods is None else periods[i]

@@ -30,6 +30,40 @@ def test_poly_contract():
     assert f.lower_coeff_sum() == pytest.approx(3.0)
 
 
+def _signed_zero_parts(rng, v):
+    """v with about a quarter of its real and imaginary parts set to +0.0
+    or -0.0."""
+    v = np.array(v, dtype=complex)
+    for part in (v.real, v.imag):
+        hit = rng.random(part.shape) < 0.25
+        part[hit] = np.where(rng.random(part.shape) < 0.5, 0.0, -0.0)[hit]
+    return v
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_poly_evaluates_with_the_bits_of_numpy_polynomial(d):
+    # one Horner for every polynomial: values and derivatives have the bits
+    # of polyval and polyder, at arrays, 0-d arrays and Python scalars
+    rng = np.random.default_rng(d)
+    for _ in range(40):
+        scale = 10.0 ** rng.integers(-3, 4)
+        low = scale * (rng.normal(size=d) + 1j * rng.normal(size=d))
+        f = Poly((*_signed_zero_parts(rng, low).tolist(), 1.0))
+        c = np.array(f.coeffs)
+        dc = npp.polyder(c)
+        z = _signed_zero_parts(rng, rng.normal(size=(3, 5))
+                               + 1j * rng.normal(size=(3, 5)))
+        for at, ref in ((f, c), (f.eval_deriv, dc)):
+            got = at(z)
+            assert type(got) is np.ndarray and got.shape == z.shape
+            assert got.tobytes() == npp.polyval(z, ref).tobytes()
+            for w in (complex(z[0, 3]), float(z[2, 4].real)):
+                for arg in (np.asarray(w), w):
+                    got = at(arg)
+                    assert type(got) is np.complex128
+                    assert got.tobytes() == npp.polyval(arg, ref).tobytes()
+
+
 def test_periodic_points_cap():
     with pytest.raises(CapError):
         periodic_points_1d(SQUARE, 13)  # 2^13 paths past the cap
@@ -165,23 +199,25 @@ def test_solve_offset_empty_targets():
         assert solve_offset(f, np.empty(0)).shape == (0, f.degree)
 
 
-def test_batched_roots_name_first_failing_row():
+def test_batched_roots_name_first_failing_row(monkeypatch):
     # at 4 sweeps rows 0 and 1 have converged and rows 2-5 have not
     rows = offset_rows(QUARTIC, 6, seed=4)
-    simultaneous_roots(rows[:2], max_sweeps=4)
+    monkeypatch.setattr(poly1d, "MAX_SWEEPS", 4)
+    simultaneous_roots(rows[:2])
     with pytest.raises(ConvergenceError) as alone:
-        simultaneous_roots(rows[2], max_sweeps=4)
+        simultaneous_roots(rows[2])
     with pytest.raises(ConvergenceError) as other:
-        simultaneous_roots(rows[4], max_sweeps=4)
+        simultaneous_roots(rows[4])
     assert str(alone.value) != str(other.value)
     with pytest.raises(ConvergenceError) as batched:
-        simultaneous_roots(rows[[0, 1, 2, 4]], max_sweeps=4)
+        simultaneous_roots(rows[[0, 1, 2, 4]])
     assert str(batched.value) == str(alone.value)
     # too few sweeps: every row fails, the first one is named
+    monkeypatch.setattr(poly1d, "MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError) as first:
-        simultaneous_roots(rows[0], max_sweeps=1)
+        simultaneous_roots(rows[0])
     with pytest.raises(ConvergenceError) as batched:
-        simultaneous_roots(rows[:3], max_sweeps=1)
+        simultaneous_roots(rows[:3])
     assert str(batched.value) == str(first.value)
 
 
