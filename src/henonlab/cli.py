@@ -38,9 +38,10 @@ from .raster import (density_counts, grayscale_log, masked_histogram,
 TILE = 128
 # largest pixel raster, and largest julia-cloud walk tree (walks x
 # (depth + 1) points), a config may ask for: 2^24 complex points is 256 MiB.
-# A render holds about 13 bytes a pixel at its peak (the values array, the
-# two masks, the gray map and one mask of it), 208 MiB at the cap, plus one
-# tile's working set: every stage after the tiles runs over bands
+# A render that plans no line holds about 13 bytes a pixel at its peak (the
+# values array, the two masks, the gray map and its two gathers into the
+# raster), 208 MiB at the cap, plus one tile's working set: every stage
+# after the tiles runs over bands.  A planned render's block is smaller
 SIZE_CAP = 2 ** 24
 
 
@@ -315,86 +316,125 @@ def _pixels(center: complex, width: float, height: float, nx: int, ny: int,
                 + 1j * height * ((ii + 0.5) / ny - 0.5))
 
 
-def _row_sources(im) -> np.ndarray:
-    """src[j], the row whose pixels row j copies (j itself for a row to
-    compute), from the rows' imaginary coordinates im: each row copies the
-    first row whose coordinate has the same magnitude, its exact negation
-    (the mirror row) or its equal.  A checked window's coordinate is
-    center.imag + height x with |x| < 1/2 and both terms finite, so it is
-    never NaN."""
-    _, first, inverse = np.unique(np.abs(im), return_index=True,
+def _lines(coords, planned: bool) -> tuple:
+    """The rows or columns to evaluate, and each line's position among
+    them, from the lines' coordinates (each row's imaginary or each
+    column's real part).  With planned set one line is evaluated per
+    magnitude of coordinate, in ascending magnitude, the first line that
+    has it, and every line whose coordinate is its exact negation (the
+    mirror line) or its equal reads it; else every line is evaluated, in
+    order.  A checked window's
+    coordinate is center + side x with |x| < 1/2 and both terms finite,
+    so it is never NaN."""
+    if not planned:
+        return np.arange(coords.size), np.arange(coords.size)
+    _, first, inverse = np.unique(np.abs(coords), return_index=True,
                                   return_inverse=True)
-    return first[inverse]
+    return first, inverse
+
+
+class Block(NamedTuple):
+    """The evaluated pixels of a render: raster pixel (i, j) has the bits
+    of block pixel (rows[i], cols[j])."""
+    values: np.ndarray
+    converged: np.ndarray
+    presumed: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 def _render_tiles(eval_field, center: complex, width: float, height: float,
-                  nx: int, ny: int, mirror: bool):
-    """Evaluate a field over the pixel lattice in 128x128 tiles.
+                  nx: int, ny: int, conj: bool, neg: bool) -> Block:
+    """Evaluate a field over the pixel lattice in 128x128 tiles, one pixel
+    per symmetry class.
 
-    With mirror set the field commutes with complex conjugation: a real
-    map on a real slice (see `cmd_render_green`).  The rows are then
-    planned before they are tiled: a row whose imaginary coordinate is
-    the exact negation of an earlier row's, or equal to it, copies that
-    row's pixels bit for bit, and only the other rows are evaluated.  For
-    a window centred on the real axis row ny - 1 - i mirrors row i: every
-    row pairs when ny is a power of two, and some rows of other heights
-    are one ulp from exact negation, so they are computed.  The copy is
-    exact.  Round-to-nearest is symmetric under negation, so with real
-    parameters every operation of a render maps conjugate inputs to the
-    conjugate output up to the sign of a zero: the start points b + t d
-    with real b and d; numpy's complex +, -, * and /, with or without
-    FMA; |.|, log and the comparisons.  No magnitude and no == reads the
-    sign of a zero, so a twin pixel's value, converged and presumed flags
-    are its mirror pixel's bits, and its start points are finite exactly
-    when the mirror's are.  Without mirror every row is evaluated.
+    With conj set the field commutes with complex conjugation: a real map
+    on a real slice.  With neg set as well it is also unchanged under
+    t -> -t: a real polynomial with f(-w) = (-1)^d f(w) on the slice base
+    +-0 (see `_green_field`).  The lines are planned before they are
+    tiled: under conj a row whose imaginary coordinate is the exact
+    negation of an earlier row's, or equal to it, reads that row's
+    pixels, and under neg a column likewise by its real coordinate; only
+    the other rows and columns are evaluated.  For a window centred on
+    the real axis row ny - 1 - i mirrors row i: every row pairs when ny
+    is a power of two, and some rows of other heights are one ulp from
+    exact negation, so they are computed; columns pair the same way about
+    a centre on the imaginary axis.  The reading is exact.
+    Round-to-nearest is symmetric under negation, so with real parameters
+    every operation of a render maps conjugate inputs to the conjugate
+    output up to the sign of a zero: the start points b + t d with real b
+    and d; numpy's complex +, -, * and /, with or without FMA; |.|, log
+    and the comparisons.  Under neg the start point base + (-t) d is the
+    negation of base + t d up to the sign of a zero, and each Horner step
+    acc * w + c_k of f(w) keeps acc(-w) = +-acc(w), the added c_k being
+    +-0 wherever the sign flips, so f(-w) = +-f(w) up to the sign of a
+    zero: an even degree's orbits agree from step 1 on, an odd degree's
+    are each other's negations.  No magnitude and no == reads the sign of
+    a zero or a sign both sides share, so a twin pixel's value, converged
+    and presumed flags are its source pixel's bits, and its start points
+    are finite exactly when the source's are.  Without conj every pixel
+    is evaluated.
 
-    Tiles cover the rows to evaluate, gathered 128 at a time; each
-    pixel's t is the same elementwise expression (`_pixels`) whichever
-    rows share its tile.  Tiles are independent pure evaluations written
-    into preallocated slots in a fixed order.  After the last tile, the
-    twin rows are copied from their sources (computed rows) in blocks of
-    at most one tile.  The escape-rate loop works on live points only, so
-    the tile size sets just how often its per-step Python overhead is
-    paid.  On the 512x512 `plus` and basilica rasters (medians of two
-    sets of 25 interleaved in-process runs on a 2-core machine) 128 took
-    21-22 and 31-34 ms, 90 took 22-23 and 37-41 ms, 64 took 25-27 and
-    47-52 ms, and 256 41-43 and 36-41 ms; whole-raster calls would hold
-    several raster-sized transient arrays at once.  Each tile's points
-    and GreenField are dropped before the next tile starts, so the loop
-    holds the three result arrays, the row plan and one tile's working
-    set.  A start point past the float range reaches eval_field as inf
-    or NaN without a numpy warning, for eval_field to refuse.  Tiles run
-    one after another: a pool of two threads over the same tiles was no
-    faster (21-22 and 34-35 ms in the same runs), so `--threads` is
-    validated but changes nothing.
+    The returned block holds the evaluated rows x evaluated columns, and
+    each raster row's and column's position in it; the raster is never
+    expanded.  Each pixel's t is the same elementwise expression
+    (`_pixels`) whichever pixels share its tile.  Tiles are independent
+    pure evaluations written into preallocated slots in a fixed order.
+    The escape-rate loop works on live points only, so the tile size sets
+    just how often its per-step Python overhead is paid.  On the 512x512
+    `plus` and basilica rasters (medians of two sets of 25 interleaved
+    in-process runs on a 2-core machine) 128 took 21-22 and 31-34 ms, 90
+    took 22-23 and 37-41 ms, 64 took 25-27 and 47-52 ms, and 256 41-43
+    and 36-41 ms; whole-raster calls would hold several raster-sized
+    transient arrays at once.  Each tile's points and GreenField are
+    dropped before the next tile starts, so the loop holds the three block
+    arrays, the line plans and one tile's working set.  A start point past
+    the float range reaches eval_field as inf or NaN without a numpy
+    warning, for eval_field to refuse.  Tiles run one after another: a
+    pool of two threads over the same tiles was no faster (21-22 and 34-35
+    ms in the same runs), so `--threads` is validated but changes nothing.
     """
-    values = np.empty((ny, nx))
-    converged = np.empty((ny, nx), dtype=bool)
-    presumed = np.empty((ny, nx), dtype=bool)
-    rows = np.arange(ny)
-    src = (_row_sources(_pixels(center, width, height, nx, ny, rows,
-                                np.arange(1)).imag)
-           if mirror else rows)
-    computed = np.flatnonzero(src == rows)
-    for r0 in range(0, computed.size, TILE):
-        band = computed[r0:r0 + TILE]
-        for j0 in range(0, nx, TILE):
-            j1 = min(j0 + TILE, nx)
+    rows, row_at = _lines(_pixels(center, width, height, nx, ny,
+                                  np.arange(ny), np.arange(1)).imag, conj)
+    cols, col_at = _lines(_pixels(center, width, height, nx, ny,
+                                  np.arange(1), np.arange(nx)).real, neg)
+    values = np.empty((rows.size, cols.size))
+    converged = np.empty(values.shape, dtype=bool)
+    presumed = np.empty(values.shape, dtype=bool)
+    for r0 in range(0, rows.size, TILE):
+        for c0 in range(0, cols.size, TILE):
             gf = eval_field(_pixels(center, width, height, nx, ny,
-                                    band[:, None], np.arange(j0, j1)[None, :]))
-            for out, part in ((values, gf.values), (converged, gf.converged),
-                              (presumed, gf.presumed_bounded)):
-                out[band, j0:j1] = part
+                                    rows[r0:r0 + TILE, None],
+                                    cols[None, c0:c0 + TILE]))
+            tile = np.s_[r0:r0 + TILE, c0:c0 + TILE]
+            values[tile] = gf.values
+            converged[tile] = gf.converged
+            presumed[tile] = gf.presumed_bounded
             del gf
-    # every source is a computed row, so each twin reads written pixels
-    twins = np.flatnonzero(src != rows)
-    for r0 in range(0, twins.size, TILE):
-        dst = twins[r0:r0 + TILE]
-        at = src[dst]
-        for j0 in range(0, nx, TILE):
-            for out in (values, converged, presumed):
-                out[dst, j0:j0 + TILE] = out[at, j0:j0 + TILE]
-    return values, converged, presumed
+    return Block(values, converged, presumed, row_at, col_at)
+
+
+def _weight_classes(rows, cols) -> Iterator[tuple]:
+    """(w, mask) for each weight w a block pixel takes, the number of
+    raster pixels that read it: its row's multiplicity in rows times its
+    column's in cols.  mask marks the block pixels of weight w, or is None
+    where every block pixel has it."""
+    row_mult, col_mult = np.bincount(rows), np.bincount(cols)
+    pairs = {}
+    # sets, not np.unique: numpy's hashing unique of an int array imports
+    # numpy.ma on first use, 15 ms of a fresh process
+    for a in set(row_mult.tolist()):
+        for b in set(col_mult.tolist()):
+            pairs.setdefault(a * b, []).append((row_mult == a,
+                                                col_mult == b))
+    if len(pairs) == 1:
+        yield next(iter(pairs)), None
+        return
+    for w, sides in pairs.items():
+        mask = np.zeros((row_mult.size, col_mult.size), dtype=bool)
+        for in_rows, in_cols in sides:
+            mask[np.ix_(in_rows, in_cols)] = True
+        yield w, mask
 
 
 def _start_points(t, base, direction) -> list:
@@ -409,9 +449,11 @@ def _start_points(t, base, direction) -> list:
 
 
 def _green_field(cfg: JobConfig) -> tuple:
-    """The render's field over pixel coordinates t, and whether it
-    commutes with complex conjugation: every parameter and every slice
-    entry is real."""
+    """The render's field over pixel coordinates t, whether it commutes
+    with complex conjugation (every parameter and every slice entry is
+    real), and whether it is also unchanged under t -> -t: a `poly`
+    render of f(-w) = (-1)^d f(w), every coefficient whose index parity
+    differs from the degree's being +-0, on the slice base +-0."""
     mode = cfg.mode
     tol = float(cfg.tolerances["tol"])
     n_max = int(cfg.budgets["n_max"])
@@ -424,6 +466,7 @@ def _green_field(cfg: JobConfig) -> tuple:
             return potential.green_poly_field(
                 *_start_points(t, [base], [direction]), f, tol, n_max)
         entries = (*f.coeffs, base, direction)
+        parity = base == 0 and not any(f.coeffs[1 - f.degree % 2::2])
     else:
         m = _map_params(cfg.params)
         base = _slice_points(cfg.slice, "base", 2)
@@ -434,26 +477,38 @@ def _green_field(cfg: JobConfig) -> tuple:
         def eval_field(t):
             return field(*_start_points(t, base, direction), m, tol, n_max)
         entries = (m.a, m.b, *base, *direction)
-    return eval_field, all(v.imag == 0 for v in entries)
+        parity = False
+    real = all(v.imag == 0 for v in entries)
+    return eval_field, real, real and parity
 
 
 def cmd_render_green(cfg: JobConfig) -> int:
     """Raster the escape rate over the window.  A real map on a real slice
-    is symmetric under conjugation, so its render evaluates one row of
-    each exactly mirrored pair and copies the other (`_render_tiles`);
-    the symmetry is read off the config, and the bytes are the same
-    either way."""
+    is symmetric under conjugation, and a real polynomial with
+    f(-w) = +-f(w) on the slice base +-0 under t -> -t too, so the render
+    evaluates one pixel of each exactly mirrored class (`_render_tiles`):
+    the escape rate reads only magnitudes and ==, and f(-w) = +-f(w) holds
+    in floats up to the sign of a zero, which neither reads.  The
+    symmetries are read off the config, and the bytes are the same either
+    way.  Every stage works on the evaluated block: the gray map once per
+    block pixel, gathered into the raster with the vertical flip folded
+    into the row gather; the range from the block; and the histogram and
+    fractions as exact integer counts, each block pixel weighted by the
+    raster pixels that read it (`_weight_classes`)."""
     mode = cfg.mode
     nx, ny = (int(v) for v in cfg.window["pixels"])
     center = _cx(cfg.window["center"])
     width = float(cfg.window["width"])
     height = float(cfg.window["height"])
-    eval_field, real = _green_field(cfg)
-    values, converged, presumed = _render_tiles(
-        eval_field, center, width, height, nx, ny, real)
+    eval_field, conj, neg = _green_field(cfg)
+    block = _render_tiles(eval_field, center, width, height, nx, ny, conj,
+                          neg)
+    values, converged, presumed = block.values, block.converged, block.presumed
     out, tag = _out_dir(cfg)
-    write_pgm(out / f"green-{tag}.pgm", np.flipud(grayscale_log(values)),
-              _comments(cfg))
+    # the image's first line is the window's top, raster row ny - 1; two
+    # takes, the columns' on the block first, beat one np.ix_ gather 5-fold
+    write_pgm(out / f"green-{tag}.pgm", grayscale_log(values).take(
+        block.cols, axis=1).take(block.rows[::-1], axis=0), _comments(cfg))
     # an unconverged pixel's value is a placeholder: the range and the
     # histogram cover converged pixels only
     settled = np.isfinite(values)
@@ -461,16 +516,27 @@ def cmd_render_green(cfg: JobConfig) -> int:
     vmin, vmax = ((float(np.min(values, where=settled, initial=np.inf)),
                    float(np.max(values, where=settled, initial=-np.inf)))
                   if settled.any() else (None, None))
-    counts, edges = masked_histogram(values, settled, 32, (
-        0.0, vmax if vmax and vmax > 0 else 1.0))
+    value_range = (0.0, vmax if vmax and vmax > 0 else 1.0)
+    # an overflowed orbit's 0 is a placeholder, not a converged value
+    zero = values == 0.0
+    zero &= converged
+    counts, tallies = 0, [0, 0, 0]
+    for w, sel in _weight_classes(block.rows, block.cols):
+        part, edges = masked_histogram(
+            values, settled if sel is None else settled & sel, 32,
+            value_range)
+        counts = counts + w * part
+        for k, mask in enumerate((zero, converged, presumed)):
+            tallies[k] += w * np.count_nonzero(
+                mask if sel is None else mask & sel)
+    pixels = nx * ny
     _write_json(out / f"green-{tag}-stats.json", cfg, {
         "mode": mode,
         "min": vmin,
         "max": vmax,
-        # an overflowed orbit's 0 is a placeholder, not a converged value
-        "zero_fraction": float(np.mean((values == 0.0) & converged)),
-        "converged_fraction": float(np.mean(converged)),
-        "presumed_bounded_fraction": float(np.mean(presumed)),
+        "zero_fraction": tallies[0] / pixels,
+        "converged_fraction": tallies[1] / pixels,
+        "presumed_bounded_fraction": tallies[2] / pixels,
         "histogram": {"edges": [float(e) for e in edges],
                       "counts": [int(c) for c in counts]},
     })

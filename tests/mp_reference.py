@@ -1,10 +1,11 @@
-"""An 80-digit escape-rate reference that shares no code with the kernels.
+"""High-precision references that share no code with the kernels.
 
-It reads only the data types `MapParams` and `Poly` from henonlab and
-iterates the map in mpmath, so a wrong answer that the float kernels give
-stably is not repeated here.  An orbit is followed until its max-norm
-passes 1e200, where the tail that is left, relative 1e-200 and less, is
-far below a double's rounding.
+An 80-digit escape rate and 60-digit polynomial roots.  They read only
+the data types `MapParams` and `Poly` from henonlab and work in mpmath,
+so a wrong answer that the float kernels give stably is not repeated
+here.  An orbit is followed until its max-norm passes 1e200, where the
+tail that is left, relative 1e-200 and less, is far below a double's
+rounding.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from henonlab.poly1d import Poly
 
 DIGITS = 80
 ESCAPED = mpmath.mpf("1e200")
+ROOT_DIGITS = 60
 
 
 def escape_rate(point, params, direction: str = "plus",
@@ -59,3 +61,24 @@ def escape_rate(point, params, direction: str = "plus",
                 else:
                     raise ValueError(f"unknown direction {direction!r}")
     raise ValueError(f"no escape within {max_steps} steps")
+
+
+def polyroots(coeffs) -> list:
+    """Every root of the polynomial with ascending complex coefficients,
+    as mpc at ROOT_DIGITS digits (`mpmath.polyroots`, with working
+    precision to spare for clustered roots)."""
+    with mpmath.workdps(ROOT_DIGITS):
+        return mpmath.polyroots([mpmath.mpc(c) for c in coeffs[::-1]],
+                                maxsteps=200, extraprec=2 * ROOT_DIGITS)
+
+
+def poly_at(coeffs, z) -> tuple:
+    """|p(z)|, |p'(z)| and sum |c_i| |z|^i of the polynomial with
+    ascending complex coefficients at the point z, at ROOT_DIGITS digits."""
+    with mpmath.workdps(ROOT_DIGITS):
+        c = [mpmath.mpc(v) for v in coeffs[::-1]]
+        w = mpmath.mpc(z)
+        d = len(c) - 1
+        dc = [v * (d - i) for i, v in enumerate(c[:-1])]
+        return (abs(mpmath.polyval(c, w)), abs(mpmath.polyval(dc, w)),
+                mpmath.polyval([abs(v) for v in c], abs(w)))

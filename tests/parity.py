@@ -9,16 +9,17 @@ directory.  The corpus is every job of ``perfbench/spec.json`` (read from
 that file, at its default seed), the render shapes pinned in the tests in
 all three render modes, a quadratic whose z coefficient is not 0, render
 configs whose orbits overflow, a cubic render, renders that take each
-branch of the row plan of `cli._render_tiles` (windows off the axis, odd
-and non-power-of-two heights, a complex parameter and a complex slice
-direction), two renders whose orbits escape after d^n has passed the
-double range, julia-cloud at degrees 2, 4 and 5 and the bench cubic at
-seed 1, periodic-report on and off the horseshoe (shadowing seeds and
-continuation, a short level next to a bifurcation, and a monodromy that
-overflows), entropy-report skipped, incomplete and with an inconclusive
-reality verdict, and `validate` with its default criteria (all twelve;
-criterion 11's details carry the unstable-manifold cloud's size and worst
-distance).
+branch of the row and column plans of `cli._render_tiles` (windows off
+the axis, odd and non-power-of-two heights and widths, a complex
+parameter and a complex slice direction, even and odd polynomials, a
+complex c and a real nonzero base), two renders whose orbits escape
+after d^n has passed the double range, julia-cloud at degrees 2, 4 and
+5 and the bench cubic at seed 1, periodic-report on and off the
+horseshoe (shadowing seeds and continuation, a short level next to a
+bifurcation, and a monodromy that overflows), entropy-report skipped,
+incomplete and with an inconclusive reality verdict, and `validate` with
+its default criteria (all twelve; criterion 11's details carry the
+unstable-manifold cloud's size and worst distance).
 
 One line is printed per output file whose bytes differ or that only one
 tree wrote, per differing exit code, and per stderr line that only one
@@ -125,6 +126,25 @@ def corpus() -> list:
         cfg = _render(mode, params, window, 200 if mode == "poly" else 60)
         if sl is not None:
             cfg["slice"] = sl
+        jobs.append((name, "render-green", cfg, None))
+    # the column plan of a polynomial with f(-w) = +-f(w) on the base 0:
+    # an even quartic, an odd cubic, and the basilica off the imaginary
+    # axis and 301 pixels wide; and no column plan for a complex c or a
+    # real nonzero base (rows only)
+    square = {"width": 4.0, "height": 4.0, "pixels": [128, 96]}
+    for name, coeffs, base, window in [
+            ("poly-even-quartic", [[-0.6, 0.0], 0.0, [0.4, 0.0], 0.0, 1.0],
+             None, square),
+            ("poly-odd-cubic", [0.0, [-0.5, 0.0], 0.0, 1.0], None, square),
+            ("poly-complex-c", [[-0.12, 0.75], 0.0, 1.0], None, square),
+            ("poly-real-base", BASILICA["coeffs"], [[0.25, 0.0]], square),
+            ("poly-off-centre", BASILICA["coeffs"], None,
+             dict(square, center=[0.5, 0.0])),
+            ("poly-301-wide", BASILICA["coeffs"], None,
+             dict(square, pixels=[301, 96]))]:
+        cfg = _render("poly", {"kind": "poly", "coeffs": coeffs}, window, 200)
+        if base is not None:
+            cfg["slice"] = dict(POLY_SLICE, base=base)
         jobs.append((name, "render-green", cfg, None))
     late = {"center": [0.0, 0.0], "width": 0.001, "height": 0.001,
             "pixels": [4, 4]}

@@ -224,26 +224,29 @@ def test_render_green_pinned_bytes(tmp_path, capsys, doc, digests):
             for f in out.iterdir()} == digests
 
 
-@pytest.mark.parametrize("doc", [
-    {"mode": "plus"},
-    {"mode": "poly", "params": BASILICA_PARAMS,
-     "slice": {"base": [[0.0, 0.0]], "direction": [[1.0, 0.0]]},
-     "window": {"width": 4.0, "height": 4.0}},
+@pytest.mark.parametrize("doc, block", [
+    ({"mode": "plus"}, (512, 1024)),
+    ({"mode": "poly", "params": BASILICA_PARAMS,
+      "slice": {"base": [[0.0, 0.0]], "direction": [[1.0, 0.0]]},
+      "window": {"width": 4.0, "height": 4.0}}, (512, 512)),
 ], ids=["plus", "poly"])
-def test_render_green_post_tile_stage_memory(tmp_path, monkeypatch, doc):
+def test_render_green_post_tile_stage_memory(tmp_path, monkeypatch, doc,
+                                             block):
     # the gray map, the range, the histogram and the PGM work over bands of
-    # the one values array: what they allocate stays below its size
+    # the one evaluated block: what they allocate, the uint8 raster
+    # included, stays below its size (at a size where the band-sized
+    # temporaries of np.histogram are small next to it)
     render_tiles = cli._render_tiles
-    sizes = []
+    shapes = []
 
     def traced(*args):
-        values, converged, presumed = render_tiles(*args)
-        sizes.append(values.nbytes)
+        out = render_tiles(*args)
+        shapes.append(out.values.shape)
         tracemalloc.start()
-        return values, converged, presumed
+        return out
 
     monkeypatch.setattr(cli, "_render_tiles", traced)
-    window = dict(doc.get("window", {}), pixels=[256, 256])
+    window = dict(doc.get("window", {}), pixels=[1024, 1024])
     cfg_path = write_cfg(tmp_path, dict(doc, command="render-green",
                                         window=window))
     try:
@@ -253,25 +256,28 @@ def test_render_green_post_tile_stage_memory(tmp_path, monkeypatch, doc):
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert sizes == [256 * 256 * 8]
-    assert peak < sizes[0]
+    assert shapes == [block]
+    assert peak < math.prod(block) * 8
 
 
 BENCH_SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
 
 
-def _render_with_mirror(doc, mirror):
-    """The three arrays of the render config doc through cli._render_tiles,
-    with the row mirror on or off, or the ContractError it raises."""
+def _render_planned(doc, planned):
+    """The three raster arrays of the render config doc through
+    cli._render_tiles, expanded from its block, with every line plan the
+    config allows or with none, or the ContractError it raises."""
     cfg = build_config("render-green", doc)
-    eval_field, _ = cli._green_field(cfg)
+    eval_field, conj, neg = cli._green_field(cfg)
     nx, ny = cfg.window["pixels"]
     try:
-        return cli._render_tiles(eval_field, cli._cx(cfg.window["center"]),
-                                 cfg.window["width"], cfg.window["height"],
-                                 nx, ny, mirror)
+        block = cli._render_tiles(eval_field, cli._cx(cfg.window["center"]),
+                                  cfg.window["width"], cfg.window["height"],
+                                  nx, ny, planned and conj, planned and neg)
     except ContractError as exc:
         return str(exc)
+    at = np.ix_(block.rows, block.cols)
+    return block.values[at], block.converged[at], block.presumed[at]
 
 
 # reals among +-0, +-1e-320, +-1e300 and normals across six decades
@@ -311,11 +317,11 @@ def real_renders(draw):
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(real_renders())
 def test_mirrored_rows_are_bit_identical(doc):
-    # a real map on a real slice commutes with conjugation: copying each
-    # mirrored row changes no bit of any array, and a window whose start
-    # points overflow is refused either way
-    whole = _render_with_mirror(doc, False)
-    mirrored = _render_with_mirror(doc, True)
+    # a real map on a real slice commutes with conjugation: reading each
+    # mirrored row from its source changes no bit of any array, and a
+    # window whose start points overflow is refused either way
+    whole = _render_planned(doc, False)
+    mirrored = _render_planned(doc, True)
     if isinstance(whole, str):
         assert mirrored == whole
         return
@@ -325,22 +331,88 @@ def test_mirrored_rows_are_bit_identical(doc):
     assert np.array_equal(mirrored[2], presumed)
 
 
-def test_rows_of_equal_magnitude_copy_a_tile_of_rows_at_a_time():
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+# entries of a bounded Julia set's scale, among the edge values of REAL_ENTRY
+MODEST_ENTRY = (st.builds(lambda v: [v, 0.0],
+                          st.sampled_from([-1.0, -0.75, 0.3, 1.0, -0.0]))
+                | REAL_ENTRY)
+
+
+@st.composite
+def parity_renders(draw):
+    """Real poly renders of f(-w) = (-1)^d f(w), every coefficient of the
+    other index parity +-0 in both parts, on bases +-0 or not, with centres
+    on and off both axes and widths of any parity; now and then one
+    coefficient of the other parity is made nonzero, which breaks the
+    symmetry.  Returns the doc and whether t -> -t is a symmetry."""
+    d = draw(st.integers(2, 5))
+    coeffs = [draw(MODEST_ENTRY) if (d - i) % 2 == 0
+              else [draw(SIGNED_ZERO), draw(SIGNED_ZERO)] for i in range(d)]
+    symmetric = draw(st.booleans())
+    if not symmetric:
+        coeffs[d - 1 - 2 * draw(st.integers(0, (d - 1) // 2))] = [
+            draw(st.sampled_from([0.25, -0.5, 1.5, -1e-320])), 0.0]
+    base = draw(st.sampled_from([[draw(SIGNED_ZERO), draw(SIGNED_ZERO)],
+                                 [0.5, 0.0], [-1e-300, -0.0]]))
+    doc = {"mode": "poly",
+           "params": {"kind": "poly", "coeffs": coeffs + [[1.0, 0.0]]},
+           "slice": {"base": [base], "direction": [draw(MODEST_ENTRY)]},
+           "window": {"center": [draw(st.sampled_from([0.0, -0.0, 0.3,
+                                                       -1.5, 1e-300])),
+                                 draw(st.sampled_from([0.0, -0.0, 0.7]))],
+                      "width": draw(st.sampled_from([0.5, 3.0, 4.0, 1e9])),
+                      "height": draw(st.sampled_from([3.0, 4.0, 14.0])),
+                      "pixels": [draw(st.integers(1, 60)),
+                                 draw(st.integers(1, 40))]},
+           "budgets": {"n_max": draw(st.integers(1, 60))},
+           "tolerances": {"tol": draw(st.sampled_from([1e-12, 1e-9,
+                                                       0.5]))}}
+    return doc, symmetric and base[0] == 0.0
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(parity_renders())
+def test_parity_planned_pixels_are_bit_identical(case):
+    # f(-w) = +-f(w) up to the sign of a zero: reading each pixel from the
+    # source of its row and its column changes no bit of any array, and
+    # only a symmetric polynomial on a base +-0 plans its columns
+    doc, symmetric = case
+    assert cli._green_field(build_config("render-green", doc))[1:] == (
+        True, symmetric)
+    whole = _render_planned(doc, False)
+    planned = _render_planned(doc, True)
+    if isinstance(whole, str):
+        assert planned == whole
+        return
+    assert np.array_equal(planned[0].view(np.uint64), whole[0].view(np.uint64))
+    assert np.array_equal(planned[1], whole[1])
+    assert np.array_equal(planned[2], whole[2])
+
+
+def test_rows_of_equal_magnitude_read_one_block_row():
     # at height 3e-323 the rows' imaginary coordinates round to a few
-    # subnormals: each magnitude is evaluated once, and a group of more
-    # than 128 twins is copied a tile's rows at a time
+    # subnormals: each magnitude is evaluated once, in one block row that
+    # more than 128 raster rows read
     doc = {"mode": "plus", "params": HENON_10,
            "window": {"center": [0.5, 0.0], "width": 4.0, "height": 3e-323,
                       "pixels": [3, 600]},
            "budgets": {"n_max": 20}}
-    rows = np.arange(600)
-    src = cli._row_sources(cli._pixels(0.5, 4.0, 3e-323, 3, 600, rows,
-                                       np.arange(1)).imag)
-    assert np.bincount(src).max() > cli.TILE
-    whole = _render_with_mirror(doc, False)
-    for got, want in zip(_render_with_mirror(doc, True), whole):
+    im = cli._pixels(0.5, 4.0, 3e-323, 3, 600, np.arange(600),
+                     np.arange(1)).imag
+    rows, at = cli._lines(im, True)
+    assert rows.size == len(np.unique(np.abs(im)))
+    assert np.bincount(at).max() > cli.TILE
+    whole = _render_planned(doc, False)
+    for got, want in zip(_render_planned(doc, True), whole):
         assert np.array_equal(got, want)
     assert len(np.unique(whole[0])) > 1
+
+
+def _sources(coords):
+    """Each line's source: the evaluated line whose pixels it reads."""
+    lines, at = cli._lines(coords, True)
+    return lines[at]
+
 
 @pytest.mark.parametrize("nx, ny, height, center, computed", [
     (512, 512, 16.0, 0j, 256),
@@ -358,11 +430,49 @@ def test_rows_of_equal_magnitude_copy_a_tile_of_rows_at_a_time():
 def test_row_plan_counts(nx, ny, height, center, computed):
     rows = np.arange(ny)
     im = cli._pixels(center, 14.0, height, nx, ny, rows, np.arange(1)).imag
-    src = cli._row_sources(im)
+    src = _sources(im)
     assert int(np.sum(src == rows)) == computed
     twins = src != rows
     assert np.all(src[twins] < rows[twins])
     assert np.array_equal(np.abs(im[src]), np.abs(im))
+
+
+def _stub_field(t):
+    """A field of zeros over the pixels t: the plan without the kernels."""
+    zeros = np.zeros(t.shape)
+    flags = np.zeros(t.shape, dtype=bool)
+    return cli.potential.GreenField(zeros, zeros, flags, flags, zeros)
+
+
+@pytest.mark.parametrize("doc, block", [
+    # the bench basilica: each column pairs with its mirror about Re t = 0
+    ({}, (256, 256)),
+    # a column count that is not a power of two: the centre column and
+    # columns one ulp from exact negation pair with none
+    ({"window": {"pixels": [301, 512]}}, (256, 214)),
+    # off the imaginary axis columns pair partly, or not at all
+    ({"window": {"center": [0.5, 0.0]}}, (256, 320)),
+    ({"window": {"center": [0.3, 0.0]}}, (256, 512)),
+    # a real nonzero base plans the rows only
+    ({"slice": {"base": [[0.5, 0.0]]}}, (256, 512)),
+], ids=["bench", "301-wide", "off-centre", "unpaired", "nonzero-base"])
+def test_column_plan_counts(doc, block):
+    spec = json.loads(BENCH_SPEC.read_text())
+    bench, = [j["config"] for j in spec["workloads"]["render"]["jobs"]
+              if j["name"] == "poly"]
+    cfg = build_config("render-green", cli._deep_merge(bench, doc))
+    _, conj, neg = cli._green_field(cfg)
+    nx, ny = cfg.window["pixels"]
+    out = cli._render_tiles(_stub_field, cli._cx(cfg.window["center"]),
+                            cfg.window["width"], cfg.window["height"], nx,
+                            ny, conj, neg)
+    assert out.values.shape == block
+    re = cli._pixels(cli._cx(cfg.window["center"]), cfg.window["width"],
+                     cfg.window["height"], nx, ny, np.arange(1),
+                     np.arange(nx)).real
+    lines, at = cli._lines(re, neg)
+    assert np.array_equal(at, out.cols)
+    assert np.array_equal(np.abs(re[lines[at]]), np.abs(re))
 
 
 def _ref_row_sources(im):
@@ -382,7 +492,7 @@ ROW_COORDS = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf,
 @given(st.lists(ROW_COORDS, min_size=1, max_size=200))
 def test_row_sources_match_first_row_of_equal_magnitude(coords):
     im = np.array(coords)
-    assert np.array_equal(cli._row_sources(im), _ref_row_sources(im))
+    assert np.array_equal(_sources(im), _ref_row_sources(im))
 
 
 @pytest.mark.parametrize("nx, ny, height, center", [
@@ -393,7 +503,7 @@ def test_row_sources_of_pixel_rows_match_reference(nx, ny, height, center):
     # the windows of test_row_plan_counts
     im = cli._pixels(center, 14.0, height, nx, ny, np.arange(ny),
                      np.arange(1)).imag
-    assert np.array_equal(cli._row_sources(im), _ref_row_sources(im))
+    assert np.array_equal(_sources(im), _ref_row_sources(im))
 
 
 def _counted_fields(monkeypatch):
@@ -407,10 +517,14 @@ def _counted_fields(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("job", ["plus", "poly"])
-def test_bench_render_evaluates_half_its_rows(tmp_path, monkeypatch, job):
-    # each 512x512 bench render is real and centred on the axis: 256 rows
-    # in 8 field calls, where every row took 16
+@pytest.mark.parametrize("job, calls", [("plus", 8), ("poly", 4)],
+                         ids=["plus", "poly"])
+def test_bench_render_evaluates_half_its_rows(tmp_path, monkeypatch, job,
+                                              calls):
+    # each 512x512 bench render is real and centred on the axis: 256 rows,
+    # where every row took 16 field calls; `plus` evaluates all 512
+    # columns in 8 calls, the basilica, f(-w) = f(w) on the base 0, only
+    # 256 columns in 4
     spec = json.loads(BENCH_SPEC.read_text())
     doc, = [j["config"] for j in spec["workloads"]["render"]["jobs"]
             if j["name"] == job]
@@ -418,7 +532,7 @@ def test_bench_render_evaluates_half_its_rows(tmp_path, monkeypatch, job):
     cfg_path = write_cfg(tmp_path, dict(doc, command="render-green"))
     assert main(["render-green", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 0
-    assert sizes == [128 * 128] * 8
+    assert sizes == [128 * 128] * calls
 
 
 @pytest.mark.parametrize("doc", [

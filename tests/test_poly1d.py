@@ -7,6 +7,7 @@ import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mp_reference import poly_at, polyroots
 
 from henonlab import cycles, poly1d
 from henonlab.errors import CapError, ContractError, ConvergenceError
@@ -80,6 +81,28 @@ def test_simultaneous_roots_against_numpy():
             mine = np.sort_complex(simultaneous_roots(c))
             ref = np.sort_complex(np.roots(c[::-1]))
             assert np.max(np.abs(mine - ref)) < 1e-7
+
+
+@pytest.mark.parametrize("d", range(2, 21))
+def test_simultaneous_roots_within_rounding_level_of_60_digit_roots(d):
+    # the rounding level the kernel's stall rule accepts: every root's
+    # residual, evaluated at 60 digits, is at most 4 d eps sum |c_i| |z|^i.
+    # The disk |w - z| <= d |p(z)| / |p'(z)| holds a root of p, so each
+    # root lies within d times that level over |p'(z)| of one of
+    # mp.polyroots' roots, and no two roots share one
+    rng = np.random.default_rng(d)
+    c = np.r_[rng.normal(size=d) + 1j * rng.normal(size=d), 1.0]
+    ref = polyroots(c)
+    nearest = []
+    for z in simultaneous_roots(c).tolist():
+        resid, slope, scale = poly_at(c, z)
+        level = 4 * d * np.finfo(float).eps * scale
+        assert resid <= level
+        dist = [abs(z - r) for r in ref]
+        k = dist.index(min(dist))
+        assert dist[k] <= d * level / slope
+        nearest.append(k)
+    assert sorted(nearest) == list(range(d))
 
 
 def test_simultaneous_roots_resolves_interior_root():
