@@ -516,7 +516,14 @@ def cmd_render_green(cfg: JobConfig) -> int:
     vmin, vmax = ((float(np.min(values, where=settled, initial=np.inf)),
                    float(np.max(values, where=settled, initial=-np.inf)))
                   if settled.any() else (None, None))
-    value_range = (0.0, vmax if vmax and vmax > 0 else 1.0)
+    top = vmax if vmax and vmax > 0 else 1.0
+    edges = np.linspace(0.0, top, 33)
+    if not np.all(edges[:-1] < edges[1:]):
+        # np.histogram refuses a range whose 33 edges collapse, as they do
+        # for some subnormal tops; a multiple of 32 * 2^-1074 has exact,
+        # distinct edges
+        top = math.ceil(top / 2.0 ** -1069) * 2.0 ** -1069
+    value_range = (0.0, top)
     # an overflowed orbit's 0 is a placeholder, not a converged value
     zero = values == 0.0
     zero &= converged

@@ -325,14 +325,14 @@ def minimal_periods(X: np.ndarray) -> np.ndarray:
     return low
 
 
-def same_cycle(xa, xb, tol: float = DEDUP_TOL) -> bool:
-    """Do two cycles, given by their x-sequences, match under some cyclic
-    shift?  x alone decides, as in `minimal_periods`."""
+def same_cycle(xa, xb) -> bool:
+    """Do two cycles, given by their x-sequences, match within DEDUP_TOL
+    under some cyclic shift?  x alone decides, as in `minimal_periods`."""
     d = len(xa)
     if d != len(xb):
         return False
     xb = list(xb) * 2
-    return any(all(abs(u - v) <= tol for u, v in zip(xa, xb[shift:]))
+    return any(all(abs(u - v) <= DEDUP_TOL for u, v in zip(xa, xb[shift:]))
                for shift in range(d))
 
 

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import hashlib
 import importlib.util
 import io
 import json
@@ -17,6 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import corpus
+from corpus import BASILICA, HENON_10, OFF_HORSESHOE
 
 import henonlab
 from henonlab import cli
@@ -126,107 +128,45 @@ def test_render_green_run(tmp_path):
     assert sum(doc["histogram"]["counts"]) <= 24 * 16
 
 
-HENON_10 = {"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]}
-BASILICA_PARAMS = {"kind": "poly",
-                   "coeffs": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
 # 72x40 pixels: one partial tile
 PINNED_WINDOW = {"center": [0.0, 0.0], "width": 14.0, "height": 10.0,
                  "pixels": [72, 40]}
 
 
-@pytest.mark.parametrize("doc, digests", [
-    ({"mode": "plus", "params": HENON_10, "window": PINNED_WINDOW,
-      "budgets": {"n_max": 60}},
-     {"green-75bd1b0a27a8.pgm":
-      "46da69d1a03f790bb7bb69b8f3c9bb631fc9d8a1e9d0a5db4197e6a334d4662c",
-      "green-75bd1b0a27a8-stats.json":
-      "f8cc167f73bade1ced87d4bd4b689eee814ae3bb72903983a219deb660c48397"}),
-    ({"mode": "minus", "params": HENON_10, "window": PINNED_WINDOW,
-      "budgets": {"n_max": 60}},
-     {"green-d3c38e57d096.pgm":
-      "b65a5230da69d23384046972fdaf5242df16ba041dfe67758b67e59d3cb02d3a",
-      "green-d3c38e57d096-stats.json":
-      "5d5b50d82ad7ca39e7ef518f36b4dedfdd9e3d0fc48fad5a52109c138a1109c5"}),
-    ({"mode": "poly", "params": BASILICA_PARAMS,
-      "slice": {"base": [[0.0, 0.0]], "direction": [[1.0, 0.0]]},
-      "window": dict(PINNED_WINDOW, width=4.0, height=3.0),
-      "budgets": {"n_max": 200}},
-     {"green-1fe753027a38.pgm":
-      "ce0e45dfaa695c6ec75b9dfc4719a94ed39d27924e58360cd49c5ff6379dd1c7",
-      "green-1fe753027a38-stats.json":
-      "715bd53050b980e44a43514c48f01593f4969effc2572d947fc159a7cfb8b2a6"}),
-    # 136x136 pixels: a full tile and a partial one along both axes
-    ({"mode": "plus", "params": HENON_10,
-      "window": dict(PINNED_WINDOW, pixels=[136, 136]),
-      "budgets": {"n_max": 60}},
-     {"green-ab842378f080.pgm":
-      "642ceea2ecdfeed538abab23f970d232c649b9e3f1189c3455c55b6f57d347bc",
-      "green-ab842378f080-stats.json":
-      "9b849a167fba036a60d7f4e2539d790216408788802114b42cf60de7c70a353f"}),
-    # orbits retire at |x| or |y| past 1e154, where the squared magnitude
-    # in the tail bound would overflow
-    (dict(TINY_RENDER, mode="plus", params={"a": 1e200, "b": 0.3}),
-     {"green-fe58425cb4a6.pgm":
-      "373fbd4cd3a8239f0409fa9767bd937a96286f21febcdd555567e7215cc15266",
-      "green-fe58425cb4a6-stats.json":
-      "7d9ac1f130e18822a7f460fbf7d96a82c3f3851e0e8508814c6b757cc4b8b36e"}),
-    (dict(TINY_RENDER, mode="minus", params={"a": 1e300, "b": 0.3}),
-     {"green-a8d893c6e809.pgm":
-      "47676d0dc255fe6119d483e8a5d0b7faf6e713ee8eb885a96dc82ebc52b9f222",
-      "green-a8d893c6e809-stats.json":
-      "6f29a25b557b639a834fc9b2d4ea5dd8eee7e14b882a81c297c808a34b46c607"}),
-    (dict(TINY_RENDER, mode="minus", params={"a": 10.0, "b": 1e-200}),
-     {"green-29a978e9c3f7.pgm":
-      "67bd8e2f7f728fddf8745b8858fe647a4162e04103787f5809e0d6b88125b477",
-      "green-29a978e9c3f7-stats.json":
-      "c960161dcb573cf217dc8fba70a8807c4cd9f54e7c21d98b7c92835f91979150"}),
-    # tall, flat and wide rasters over several bands of the gray map, the
-    # histogram and the PGM write, the last band partial; 9000-pixel rows
-    # are longer than a band
-    ({"mode": "plus", "params": HENON_10,
-      "window": dict(PINNED_WINDOW, pixels=[7, 2500]),
-      "budgets": {"n_max": 60}},
-     {"green-b04382681fc2.pgm":
-      "4757fc7118e1d6e08b183993f9c5d81ab31d71c11df2f1b4888ccfe18facca14",
-      "green-b04382681fc2-stats.json":
-      "caef52e016df7616beb6a10cd2bbd51b7a3baceb02b9521c6fa1ba76d1a5ca75"}),
-    ({"mode": "poly", "params": BASILICA_PARAMS,
-      "slice": {"base": [[0.0, 0.0]], "direction": [[1.0, 0.0]]},
-      "window": dict(PINNED_WINDOW, width=4.0, height=3.0, pixels=[2500, 7]),
-      "budgets": {"n_max": 200}},
-     {"green-734a919bb757.pgm":
-      "88b0a3056ef3cb0f31ca0770a26f1711174f47f678dc8f032db529572ccd35ac",
-      "green-734a919bb757-stats.json":
-      "29aac60aeef80bf11727bf2cbc5336b9d2d6d5f095fe1df754829095d07d4f97"}),
-    ({"mode": "plus", "params": HENON_10,
-      "window": dict(PINNED_WINDOW, pixels=[9000, 2]),
-      "budgets": {"n_max": 60}},
-     {"green-6c8117fab748.pgm":
-      "1a98fad65a1832a71cef63df55ab49b5ab90c9a7cd67f3cabaa03857f24a2619",
-      "green-6c8117fab748-stats.json":
-      "e93305a0905c4f4ce612ebf2847e7539d54359f07d83b0b625b2d2dd5c99840a"}),
-], ids=["plus", "minus", "poly", "plus-tile-edges", "plus-a-1e200",
-        "minus-a-1e300", "minus-b-1e-200", "plus-7x2500", "poly-2500x7",
-        "plus-9000x2"])
-def test_render_green_pinned_bytes(tmp_path, capsys, doc, digests):
-    # fixed digests: no change to the escape-rate kernels may move a byte;
-    # and no numpy warning reaches the user
-    cfg_path = write_cfg(tmp_path, dict(doc, command="render-green"))
+# the cases the pinned-bytes tests held are corpus jobs (tests/corpus.py),
+# and their bytes, exit codes and stderr are the table's; each of these
+# tests checks its jobs' entries, as test_corpus.py does for every job
+@pytest.mark.parametrize("job", [
+    "plus-72x40", "minus-72x40", "poly-basilica-72x40", "plus-136x136",
+    "plus-overflow-a1e+200-b0.3", "minus-overflow-a1e+300-b0.3",
+    "minus-overflow-a10.0-b1e-200", "plus-7x2500", "poly-basilica-2500x7",
+    "plus-9000x2"],
+    ids=["plus", "minus", "poly", "plus-tile-edges", "plus-a-1e200",
+         "minus-a-1e300", "minus-b-1e-200", "plus-7x2500", "poly-2500x7",
+         "plus-9000x2"])
+def test_render_green_pinned_bytes(job):
+    assert corpus.check(job) == []
+
+
+def test_render_green_histograms_subnormal_values(tmp_path):
+    # every pixel converges to 26 * 2^-1074: the 33 edges over (0, max)
+    # collapse, and np.histogram refuses them, so the range tops at
+    # 32 * 2^-1074, whose edges are exact
+    cfg_path = write_cfg(tmp_path, corpus.BY_NAME["poly-subnormal"].config)
     out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["render-green", "--config", str(cfg_path),
-                   "--out", str(out)])
-    assert rc == 0
-    assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == ""
-    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in out.iterdir()} == digests
+    assert main(["render-green", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    doc = json.loads(next(out.glob("green-*-stats.json")).read_text())
+    tiny = 2.0 ** -1074
+    assert doc["min"] == doc["max"] == 26 * tiny
+    assert doc["histogram"]["edges"] == [k * tiny for k in range(33)]
+    assert doc["histogram"]["counts"] == [16 if k == 26 else 0
+                                          for k in range(32)]
 
 
 @pytest.mark.parametrize("doc, block", [
     ({"mode": "plus"}, (512, 1024)),
-    ({"mode": "poly", "params": BASILICA_PARAMS,
+    ({"mode": "poly", "params": BASILICA,
       "slice": {"base": [[0.0, 0.0]], "direction": [[1.0, 0.0]]},
       "window": {"width": 4.0, "height": 4.0}}, (512, 512)),
 ], ids=["plus", "poly"])
@@ -258,9 +198,6 @@ def test_render_green_post_tile_stage_memory(tmp_path, monkeypatch, doc,
     assert rc == 0
     assert shapes == [block]
     assert peak < math.prod(block) * 8
-
-
-BENCH_SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
 
 
 def _render_planned(doc, planned):
@@ -457,10 +394,8 @@ def _stub_field(t):
     ({"slice": {"base": [[0.5, 0.0]]}}, (256, 512)),
 ], ids=["bench", "301-wide", "off-centre", "unpaired", "nonzero-base"])
 def test_column_plan_counts(doc, block):
-    spec = json.loads(BENCH_SPEC.read_text())
-    bench, = [j["config"] for j in spec["workloads"]["render"]["jobs"]
-              if j["name"] == "poly"]
-    cfg = build_config("render-green", cli._deep_merge(bench, doc))
+    cfg = build_config("render-green",
+                       cli._deep_merge(corpus.BENCH_RENDER_POLY, doc))
     _, conj, neg = cli._green_field(cfg)
     nx, ny = cfg.window["pixels"]
     out = cli._render_tiles(_stub_field, cli._cx(cfg.window["center"]),
@@ -517,17 +452,15 @@ def _counted_fields(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("job, calls", [("plus", 8), ("poly", 4)],
+@pytest.mark.parametrize("doc, calls", [(corpus.BENCH_RENDER_PLUS, 8),
+                                       (corpus.BENCH_RENDER_POLY, 4)],
                          ids=["plus", "poly"])
-def test_bench_render_evaluates_half_its_rows(tmp_path, monkeypatch, job,
+def test_bench_render_evaluates_half_its_rows(tmp_path, monkeypatch, doc,
                                               calls):
     # each 512x512 bench render is real and centred on the axis: 256 rows,
     # where every row took 16 field calls; `plus` evaluates all 512
     # columns in 8 calls, the basilica, f(-w) = f(w) on the base 0, only
     # 256 columns in 4
-    spec = json.loads(BENCH_SPEC.read_text())
-    doc, = [j["config"] for j in spec["workloads"]["render"]["jobs"]
-            if j["name"] == job]
     sizes = _counted_fields(monkeypatch)
     cfg_path = write_cfg(tmp_path, dict(doc, command="render-green"))
     assert main(["render-green", "--config", str(cfg_path),
@@ -542,7 +475,7 @@ def test_bench_render_evaluates_half_its_rows(tmp_path, monkeypatch, job,
                "direction": [[1.0, 0.2], [0.0, 0.0]]}},
     {"mode": "poly", "params": {"kind": "poly",
                                 "coeffs": [[-1.0, 0.1], 0.0, 1.0]}},
-    {"mode": "poly", "params": BASILICA_PARAMS,
+    {"mode": "poly", "params": BASILICA,
      "slice": {"base": [[0.0, 1e-3]], "direction": [[1.0, 0.0]]}},
     {"window": {"center": [0.0, 0.7]}},
 ], ids=["complex-a", "complex-b", "complex-direction", "complex-coeff",
@@ -685,7 +618,7 @@ HUGE_WINDOW = {"width": 1e10, "height": 1e10, "pixels": [8, 8]}
 
 
 @pytest.mark.parametrize("doc", [
-    {"mode": "poly", "params": BASILICA_PARAMS,
+    {"mode": "poly", "params": BASILICA,
      "slice": {"base": [[0.0, 0.0]], "direction": [[1e300, 1e300]]},
      "window": HUGE_WINDOW},
     {"mode": "plus", "slice": {"base": [[0.0, 0.0], [0.0, 0.0]],
@@ -1022,9 +955,6 @@ def test_periodic_report_run(tmp_path):
     assert len(list((tmp_path / "out").glob("periodic-*-saddles.csv"))) == 1
 
 
-OFF_HORSESHOE = {"kind": "henon", "a": [1.4, 0.0], "b": [0.3, 0.0]}
-
-
 def _periodic_report(tmp_path, doc, name, threads=1):
     cfg_path = write_cfg(tmp_path, dict(doc, command="periodic-report"))
     out = tmp_path / name
@@ -1036,61 +966,12 @@ def _periodic_report(tmp_path, doc, name, threads=1):
     return rc, files, report
 
 
-@pytest.mark.parametrize("doc, rc, digests", [
-    ({"params": {"kind": "henon", "a": [10.0, 0.0], "b": [0.3, 0.0]},
-      "budgets": {"level_max": 6}}, 0,
-     {"periodic-66a4a36567ea-orbits.csv":
-      "d3509d4d117a7b8627d5134171921a314c9fdc30cf882ddae8235ba0aa013f60",
-      "periodic-66a4a36567ea-report.json":
-      "a2c94cb2eb44388420371c4b5230156986af348f696b7175d9ac7adcdeb4508e",
-      "periodic-66a4a36567ea-saddles.csv":
-      "a60af744d8133ee5c473237fc55e8e79074fbc9257c0e3debc4471c3740dd7a8"}),
-    ({"params": OFF_HORSESHOE, "budgets": {"level_max": 5}}, 0,
-     {"periodic-6f93f776d71b-orbits.csv":
-      "13b2abbe211248729848bab52b1025a2ca14ec19bfdcc0755f7cf7b2602899cc",
-      "periodic-6f93f776d71b-report.json":
-      "9bb793ad76fb3038926f53b6de55921b3e99adde29d6e471eb1c93379284d979",
-      "periodic-6f93f776d71b-saddles.csv":
-      "b0ba10f40251287015a4edc1147150fd88c60865bfae48f465814f214862c8ce"}),
-    # a path lost on both detours (paths_lost 1 at levels 2 and 4), whose
-    # stalled end is polished but not admitted: the levels are incomplete
-    ({"params": {"kind": "henon", "a": [3.0, 0.0], "b": [1.0, 0.0]},
-      "budgets": {"level_max": 4}}, 3,
-     {"periodic-e140bf9103fc-orbits.csv":
-      "d92943337da23d524b59bce04cf3535d76591a213a36eedcb1ca17cb7de3e765",
-      "periodic-e140bf9103fc-report.json":
-      "41b18b2b1206c346c0f7923f76fb61e963f94339afd1ff9b5fa8325fe7e22df5",
-      "periodic-e140bf9103fc-saddles.csv":
-      "190d0094d5a7a9f8f535b85f033746713872302ecba859a29ecbe1e94b0422c9"}),
-    # two period-8 paths lost on the first detour and rerun on the second
-    ({"params": {"kind": "henon", "a": [0.02431, 0.0],
-                 "b": [-0.44608, 0.0]},
-      "budgets": {"level_max": 8}}, 0,
-     {"periodic-6fbf4238e4c4-orbits.csv":
-      "4721dc62879791c88b9cec8432dfaaf5c995e6ed39e9fcf3c588a01241f61a53",
-      "periodic-6fbf4238e4c4-report.json":
-      "70cab2b23163cffb311e0d0946366e78582b5b81346561b4b85836a728b4fd20",
-      "periodic-6fbf4238e4c4-saddles.csv":
-      "71282857801999e74162964daa9a4e0f7d1fa91cd23f68cb2153918f6bb1938c"}),
-    # a long path: its detours scale with |a - a0|, so every level is
-    # complete (a fixed kappa left 2 of 2^n points from level 2 on)
-    ({"params": {"kind": "henon", "a": [-1e4, 0.0], "b": [0.3, 0.0]},
-      "budgets": {"level_max": 6}}, 0,
-     {"periodic-06432de8d23b-orbits.csv":
-      "3abe16e1e7a201e265e1d15eafb58904de66b882438eed8e7f5b3dd1c6ef8b07",
-      "periodic-06432de8d23b-report.json":
-      "820e7b9b65255fe820e9b57070be13d7af5b28cd7e486cc321e3f7cd69ad615a",
-      "periodic-06432de8d23b-saddles.csv":
-      "03fc231af9c276fdeb719400880c7a4b783d518e5c10b42e700afb7414eef77d"}),
-], ids=["horseshoe", "continued", "paths-lost", "paths-retried",
-        "far-a"])
-def test_periodic_report_pinned_bytes(tmp_path, doc, rc, digests):
-    # fixed digests: no change to orbit assembly, the reality table or the
-    # measure comparison may move a byte
-    got, files, _ = _periodic_report(tmp_path, doc, "out")
-    assert got == rc
-    assert {name: hashlib.sha256(blob).hexdigest()
-            for name, blob in files.items()} == digests
+@pytest.mark.parametrize("job", [
+    "periodic-horseshoe", "periodic-continued", "periodic-paths-lost",
+    "periodic-paths-retried", "periodic-far-a"],
+    ids=["horseshoe", "continued", "paths-lost", "paths-retried", "far-a"])
+def test_periodic_report_pinned_bytes(job):
+    assert corpus.check(job) == []
 
 
 def test_periodic_report_computes_each_quantity_once(tmp_path, monkeypatch):
@@ -1314,37 +1195,21 @@ def test_validate_subset_run(tmp_path):
     assert doc["criteria"][0]["passed"] is True
 
 
-@pytest.fixture(scope="module")
-def validate_12(tmp_path_factory):
-    """One `validate` run of criterion 12: exit code, stdout and --out."""
-    tmp = tmp_path_factory.mktemp("validate-12")
-    cfg_path = write_cfg(tmp, {"command": "validate",
-                               "params": {"criteria": [12]}})
-    out = tmp / "out"
-    with contextlib.redirect_stdout(io.StringIO()) as stdout:
-        rc = main(["validate", "--config", str(cfg_path), "--out", str(out)])
-    return rc, stdout.getvalue(), out
-
-
-def test_validate_prints_one_line_per_criterion(validate_12):
+def test_validate_prints_one_line_per_criterion():
     # criterion 12 runs `validate` itself; those inner verdict lines stay
-    # out of the outer run's stdout, and the report keeps its bytes
-    rc, stdout, out = validate_12
-    assert rc == 0
+    # out of the outer run's stdout
+    got, _, stdout = corpus.result("validate-12")
+    assert got["exit"] == 0
     assert stdout.splitlines() == [
         "PASS  12  CLI outputs are byte-identical in a fresh interpreter"]
-    report, = out.glob("validate-*.json")
-    assert report.name == "validate-593d4f21ad13.json"
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "6f0ff387a7f7e32fd8098034af568888eeea793abd3ace3520ff03d7be08e69b")
 
 
-def test_validate_leaves_only_its_report(validate_12):
+def test_validate_leaves_only_its_report():
     # criterion 12's configs, outputs and working directories go once it
-    # has compared them
-    rc, _, out = validate_12
-    assert rc == 0
-    assert [p.name for p in out.iterdir()] == ["validate-593d4f21ad13.json"]
+    # has compared them: the entry lists every path under --out,
+    # directories included
+    got, _, _ = corpus.result("validate-12")
+    assert list(got["files"]) == ["validate-593d4f21ad13.json"]
 
 
 def test_fresh_interpreter_check_can_fail(monkeypatch):
@@ -1400,66 +1265,15 @@ def test_cli_error_paths(tmp_path):
     assert rc == 4
 
 
-CUBIC_CLOUD = {
-    "params": {"kind": "poly", "coeffs": [[0.3, 0.2], [-0.5, 0.0], 0.0, 1.0],
-               "c": 1.0},
-    "budgets": {"walks": 64, "depth": 20, "burn_in": 10},
-    "window": {"width": 4.0, "height": 4.0, "pixels": [40, 24]},
-}
-
-QUARTIC_CLOUD = {
-    "params": {"kind": "poly",
-               "coeffs": [[0.1, -0.3], 0.2, [-0.7, 0.1], 0.0, 1.0], "c": 1.0},
-    "budgets": {"walks": 128, "depth": 30, "burn_in": 10},
-    "window": {"width": 4.0, "height": 4.0, "pixels": [40, 24]},
-}
-
-
-@pytest.mark.parametrize("command, doc, rc, digests", [
-    # degree 3: every walk step runs the Aberth solver
-    ("julia-cloud", CUBIC_CLOUD, 0,
-     {"julia-0b304444a71a.csv":
-      "97b1c9dc113dd8eea46cc5893152867b846e549897ed96cc42826188844b5fb0",
-      "julia-0b304444a71a.pgm":
-      "72c034f7bc5b7648d93eebf11ae5a68d652812f9abe4526d88a156efeb344d54"}),
-    # degree 4: each root's repel sum has more than three terms, so a
-    # change to their summation order would move bytes here
-    ("julia-cloud", QUARTIC_CLOUD, 0,
-     {"julia-2e88c8090e85.csv":
-      "b288227c3109db55edf3a50e49d1228a5c1f78b7463bf7234cfa8b880e9b2185",
-      "julia-2e88c8090e85.pgm":
-      "ba77c243a23371bfc9ff1d3bb80b576b1e9fecee7a4003e0a0fc0641c2deea8e"}),
-    ("entropy-report", {}, 0,
-     {"entropy-70aa4ae2b05c.json":
-      "c790d54c605c96e171d827c470374bb62102f02ef68fc68ba1ff975a0506937f"}),
-    ("entropy-report", {"budgets": {"word_max": 3}}, 0,
-     {"entropy-ff948b1b6ed0.json":
-      "c654b355a349e8f3253862efd92f44c46ad6fbf886f912511ded7cb749cd851c"}),
-    ("entropy-report", {"budgets": {"word_max": 12}}, 0,
-     {"entropy-96c277eda304.json":
-      "38d0eed2afde7386ac31bfe9bcdbbda8ad80c8ba880e9cac48848547adafe684"}),
-    ("entropy-report", {"budgets": {"word_max": 14}}, 0,
-     {"entropy-e75e3d065bfd.json":
-      "002e9b7bc411b9483b148c41cd663644102081a1ec5846d7c27eb8d6e5f39a74"}),
-    # the word count is skipped; the reality table still runs
-    ("entropy-report", {"params": OFF_HORSESHOE}, 0,
-     {"entropy-e02c2c8fedd2.json":
-      "55f07018020420229b69dee936d5f44dc35ecec5a31269391fc37ffcb3937d41"}),
-    # 152 of the 1024 period-10 points: inconclusive
-    ("entropy-report", {"budgets": {"budget": 16}}, 3,
-     {"entropy-46103fb20706.json":
-      "406c6f0da1a7792bec1e78683cc9a8d8da9e6f93f4065170466736af46fef1f8"}),
-], ids=["julia-cubic", "julia-quartic", "entropy-default", "entropy-word3",
-        "entropy-word12", "entropy-word14", "entropy-skipped",
-        "entropy-incomplete"])
-def test_cloud_and_entropy_pinned_bytes(tmp_path, command, doc, rc, digests):
-    # fixed digests: no change to the Aberth walks, the census or the
-    # entropy estimate may move a byte
-    cfg_path = write_cfg(tmp_path, dict(doc, command=command))
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == rc
-    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in out.iterdir()} == digests
+@pytest.mark.parametrize("job", [
+    "cloud-cubic-40x24", "cloud-quartic-40x24", "entropy-default",
+    "entropy-word3", "entropy-word12", "entropy-word14", "entropy-skipped",
+    "entropy-incomplete"],
+    ids=["julia-cubic", "julia-quartic", "entropy-default", "entropy-word3",
+         "entropy-word12", "entropy-word14", "entropy-skipped",
+         "entropy-incomplete"])
+def test_cloud_and_entropy_pinned_bytes(job):
+    assert corpus.check(job) == []
 
 
 def test_outputs_deterministic_across_reruns(tmp_path):
@@ -1564,7 +1378,7 @@ def test_cli_import_runs_no_library_module():
 
 @pytest.mark.parametrize("jobs, unrun", [
     ([dict(TINY_RENDER, mode="plus"),
-      {"command": "render-green", "mode": "poly", "params": BASILICA_PARAMS,
+      {"command": "render-green", "mode": "poly", "params": BASILICA,
        "window": {"width": 4.0, "height": 3.0, "pixels": [24, 16]},
        "budgets": {"n_max": 200}}],
      ("periodic2d", "symbolic", "measures", "cycles")),

@@ -7,6 +7,7 @@ import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from corpus import pinned
 from mp_reference import poly_at, polyroots
 
 from henonlab import cycles, poly1d
@@ -192,29 +193,17 @@ def random_rows(d, k, seed):
     return c
 
 
-@pytest.mark.parametrize("src, digest", [
-    (2, "e3e664313ed864173706584fee9092924ff8f58fbc5ae6334caeaaea5d9a7cae"),
-    (3, "d829b1db8fd5b3c8d8ed935c1058c04bda78b255cf6c9e373a602b8198cca11c"),
-    (4, "a530b941fd8dd79c52872454bfadbbc1411190fac326331c65815c8c27476abd"),
-    (5, "6631ff1e2d2671fd3d715615d43fab9d880588246aee18c8546d9da38de8af4e"),
-    (7, "9cbc3f442419c074b3310aecf0280a5754357a505ce42590fcf039e591d40700"),
-    (11, "f6fd6b4befc63a888192f8caf712d2b92e4918dfc3eaf4d3bc5382c098de58f8"),
-    (20, "8f8d289449a49e5e8f6f8478064bc90991430cd8f0c5003fa3ab8b318041d7b8"),
-    (64, "5eb71dd6f7bdd8dee9696d2ebe5bb6da570eea58d5c03993c4b38222bb875761"),
-    (CUBIC,
-     "d6f3d7d52dcbc66f5e967fdc40885e21a4785fd83a7cd5d4edc47bc82ab64c67"),
-    (QUARTIC,
-     "cfec90c67c070e51bdcfc6015d7f771d0952a8033b0ebc9f26c1514b6db512c1"),
-], ids=["d2", "d3", "d4", "d5", "d7", "d11", "d20", "d64", "cubic-offsets",
-        "quartic-offsets"])
-def test_simultaneous_roots_pinned_bits(src, digest):
-    # fixed digests: no change to the sweep layout may move a bit of a
+@pytest.mark.parametrize("src", [2, 3, 4, 5, 7, 11, 20, 64, CUBIC, QUARTIC],
+                         ids=["d2", "d3", "d4", "d5", "d7", "d11", "d20",
+                              "d64", "cubic-offsets", "quartic-offsets"])
+def test_simultaneous_roots_pinned_bits(request, src):
+    # pinned digests: no change to the sweep layout may move a bit of a
     # root at any degree; 50 random rows of degree d (seed d), or 300
     # offset rows of a fixed polynomial
     c = (random_rows(src, 50, seed=src) if isinstance(src, int)
          else offset_rows(src, 300, seed=5))
     assert hashlib.sha256(simultaneous_roots(c).tobytes()).hexdigest() \
-        == digest
+        == pinned(f"test_poly1d.py::{request.node.name}")
 
 
 def test_solve_offset_empty_targets():
@@ -370,22 +359,14 @@ def test_periodic_points_past_the_expanded_iterate(f, n):
     assert _max_periodic_residual(f, np.repeat(reps, mult), n) <= 1e-10
 
 
+# z^2 + 1/4 loses 2 paths, z^2 - 3/4 one and z^2 - 2 two, which stall
+# short of t = 1 and are polished there
 @pytest.mark.parametrize("c, n, digest", [
-    # z^2 + 1/4 loses 2 paths, z^2 - 3/4 one and z^2 - 2 two, which stall
-    # short of t = 1 and are polished there
-    (0.25, 2,
-     "d9c976b30a27eb44a8e89b12aeefec5bb885badd83e2d46bd176afaf72f5bc4a"),
-    (0.25, 10,
-     "ef32576b2b4fb6c829052b155c48d12dcd2a5b286209f13388d456502638cc57"),
-    (-0.75, 10,
-     "d5b9242fc676767254b51765b7c2cc1add232aa697ef78a8cc190230ebcdda66"),
-    (-2.0, 12,
-     "e00cda241dc824b385b36ea3e0f0c8e1a3e69b43077c07f63ff90d63cee8676b"),
-    (-1.0, 8,
-     "b8b24ffe594bc7ab479da59578bead87fef40526bd6b0d032f29658824160255"),
-])
+    (c, n, pinned(f"test_poly1d.py::test_periodic_points_1d_pinned_bits"
+                  f"[{c}-{n}]"))
+    for c, n in [(0.25, 2), (0.25, 10), (-0.75, 10), (-2.0, 12), (-1.0, 8)]])
 def test_periodic_points_1d_pinned_bits(c, n, digest):
-    # fixed digests: no change to the path driver, the polish or the
+    # pinned digests: no change to the path driver, the polish or the
     # matching of ends may move a bit of the points or multiplicities
     reps, mult = periodic_points_1d(Poly((c, 0.0, 1.0)), n)
     assert int(mult.sum()) == 2 ** n
